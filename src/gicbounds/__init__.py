@@ -32,7 +32,9 @@ from .genie import (
     eval_constraint2,
     eval_constraint3,
     optimize_constraint1,
+    optimize_constraint1_many,
     sigma_feasible,
+    sum_upper_bound,
     user1_genie_bound,
 )
 from .multiuser import (
@@ -76,9 +78,11 @@ __all__ = [
     "noisy_condition",
     "noisy_sum_capacity",
     "optimize_constraint1",
+    "optimize_constraint1_many",
     "oracle_grid_feasibility",
     "sigma_feasible",
     "single_user_capacities",
+    "sum_upper_bound",
     "symmetric_noisy_threshold",
     "symmetric_threshold",
     "tdm_fdm_sum_rate",

@@ -17,10 +17,8 @@ import math
 import sys
 from pathlib import Path
 
-from scipy.optimize import minimize_scalar
-
 from . import capacity, genie, multiuser, region
-from .channel import MUserChannel, TwoUserChannel, tdm_fdm_sum_rate, tin_rates
+from .channel import MUserChannel, TwoUserChannel, tin_rates
 from .config import (
     ConfigError,
     SweepSpec,
@@ -141,36 +139,6 @@ def _cmd_region(args) -> int:
     return 0
 
 
-def _sum_upper_bound(ch: TwoUserChannel) -> float | None:
-    """Best available upper bound on R1 + R2 from the three line families.
-
-    The MU family is evaluated at weight 1; the one-sided families
-    contribute at the admissible weight closest to 1 (weights >= 1 bound the
-    sum directly, weights < 1 need the R2 cap to top up).
-    """
-    bounds = []
-    if 0.0 < ch.a < 1.0 and 0.0 < ch.b < 1.0:
-        bounds.append(genie.optimize_constraint1(ch, 1.0).value)
-    if 0.0 < ch.b < 1.0:
-        lo1, _ = genie.eta1_range(ch)
-        bounds.append(genie.eval_constraint2(ch, lo1).value)
-    if 0.0 < ch.a < 1.0:
-        _, hi2 = genie.eta2_range(ch)
-        cap2 = 0.5 * math.log2(1.0 + ch.p2)
-        bounds.append(genie.eval_constraint3(ch, hi2).value + (1.0 - hi2) * cap2)
-    return min(bounds) if bounds else None
-
-
-def _best_tdm_rate(ch: TwoUserChannel) -> float:
-    res = minimize_scalar(
-        lambda alpha: -tdm_fdm_sum_rate(ch, alpha),
-        bounds=(1e-9, 1.0 - 1e-9),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return -float(res.fun)
-
-
 def _sweep_channel(base: TwoUserChannel, parameter: str, value: float) -> TwoUserChannel:
     if parameter == "a":
         return TwoUserChannel(value, base.b, base.p1, base.p2)
@@ -201,11 +169,12 @@ def sweep_rows(base: TwoUserChannel, spec: SweepSpec, gains_in_db: bool = False)
         if spec.metric == "sum-tin":
             metric = _fmt(tin_rates(ch).sum)
         elif spec.metric == "tdm-best":
-            metric = _fmt(_best_tdm_rate(ch))
+            # Orthogonal sharing peaks at alpha = p1/(p1 + p2).
+            metric = _fmt(0.5 * math.log2(1.0 + ch.p1 + ch.p2))
         elif spec.metric == "verdict":
             metric = capacity.classify(ch).kind.value
         else:
-            ub = _sum_upper_bound(ch)
+            ub = genie.sum_upper_bound(ch)
             metric = "n/a" if ub is None else _fmt(ub)
         yield raw, metric
 

@@ -25,7 +25,8 @@ from .genie import (
     eta2_range,
     eval_constraint2,
     eval_constraint3,
-    optimize_constraint1,
+    optimize_constraint1,  # noqa: F401  (a module attribute bench/tracing.py wraps)
+    optimize_constraint1_many,
 )
 
 __all__ = ["RateRegion", "RegionError", "build_outer_region", "build_inner_region"]
@@ -151,8 +152,9 @@ def build_outer_region(
     the half-planes together with the single-user caps.
 
     The MU weights are log-spaced over [1/64, 64] (mu_grid points, weight 1
-    always included); the ETA weights cover their admissible intervals with
-    eta_grid uniform points, endpoints included.
+    always included) and searched together in one lockstep call; the ETA
+    weights cover their admissible intervals with eta_grid uniform points,
+    endpoints included.
     """
     if not (0.0 < ch.a < 1.0 and 0.0 < ch.b < 1.0):
         raise ValueError("outer region requires 0 < a < 1 and 0 < b < 1")
@@ -162,7 +164,7 @@ def build_outer_region(
         raise ValueError(f"eta_grid must be >= 2, got {eta_grid}")
 
     mus = sorted(set(np.exp2(np.linspace(-6.0, 6.0, mu_grid)).tolist()) | {1.0})
-    lines = [optimize_constraint1(ch, mu) for mu in mus]
+    lines = list(optimize_constraint1_many(ch, mus))
     lo1, hi1 = eta1_range(ch)
     lines += [eval_constraint2(ch, w) for w in np.linspace(lo1, hi1, eta_grid)]
     lo2, hi2 = eta2_range(ch)

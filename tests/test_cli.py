@@ -2,8 +2,9 @@ import json
 import math
 
 import pytest
+from scipy.optimize import minimize_scalar
 
-from gicbounds import TwoUserChannel, tin_rates
+from gicbounds import TwoUserChannel, tdm_fdm_sum_rate, tin_rates
 from gicbounds.cli import main
 from gicbounds.config import (
     ConfigError,
@@ -223,11 +224,27 @@ class TestSweepCommand:
             "--from", "5", "--to", "10", "--points", "2", "--metric", "tdm-best",
         )
         assert code == 0
-        from gicbounds import tdm_fdm_sum_rate
         for row, p1 in zip(out.strip().splitlines()[1:], (5.0, 10.0)):
             best = float(row.split(",")[1])
             ch = TwoUserChannel(0.04, 0.09, p1, 20)
             assert best >= max(tdm_fdm_sum_rate(ch, al) for al in (0.2, 0.5, 0.8)) - 1e-9
+
+    def test_tdm_best_matches_numeric_maximum(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", *FIG1_ARGS, "--param", "p1", "--log",
+            "--from", "0.5", "--to", "500", "--points", "4", "--metric", "tdm-best",
+        )
+        assert code == 0
+        for row in out.strip().splitlines()[1:]:
+            p1, best = map(float, row.split(","))
+            ch = TwoUserChannel(0.04, 0.09, p1, 20)
+            res = minimize_scalar(
+                lambda alpha: -tdm_fdm_sum_rate(ch, alpha),
+                bounds=(1e-9, 1.0 - 1e-9),
+                method="bounded",
+                options={"xatol": 1e-12},
+            )
+            assert best == pytest.approx(-res.fun, abs=1e-12)
 
     def test_bad_spec_exit_one(self, capsys):
         code, _, err = run(

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +18,13 @@ from gicbounds import (
     eval_constraint3,
     noisy_certificate,
     optimize_constraint1,
+    optimize_constraint1_many,
     sigma_feasible,
     tin_rates,
     user1_genie_bound,
 )
 from gicbounds.genie import sigma_limits
+from gicbounds.region import build_outer_region
 
 from helpers import sample_regime_channel
 
@@ -267,6 +271,36 @@ class TestOptimizeConstraint1:
             optimize_constraint1(TwoUserChannel(1.2, 0.5, 1, 1), 1.0)
         with pytest.raises(ValueError):
             optimize_constraint1(TwoUserChannel(0.0, 0.5, 1, 1), 1.0)
+
+
+class TestOptimizeConstraint1Many:
+    def test_matches_one_weight_calls(self):
+        rng = np.random.default_rng(21)
+        mus = (1 / 64, 0.3, 1.0, 2.5, 64.0)
+        for ch in (FIG1, sample_regime_channel(rng), sample_regime_channel(rng)):
+            lines = optimize_constraint1_many(ch, mus)
+            assert lines == tuple(optimize_constraint1(ch, mu) for mu in mus)
+            if ch is FIG1:
+                # Noisy interference: the weight-1 lane starting from the
+                # closed-form certificate makes that line tight.
+                assert lines[2].value == pytest.approx(tin_rates(ch).sum, abs=1e-9)
+
+    def test_rejects_nonpositive_weight(self):
+        with pytest.raises(ValueError):
+            optimize_constraint1_many(FIG1, (1.0, 0.0))
+
+    def test_pinned_region_lines(self):
+        # MU lines of the default-grid outer region, pinned to the last bit:
+        # a change to the genie search that moves any line fails here.
+        pinned = json.loads((Path(__file__).parent / "data" / "mu_lines.json").read_text())
+        for name, entry in pinned["channels"].items():
+            region = build_outer_region(TwoUserChannel(*entry["channel"]), pinned["mu_grid"])
+            got = [
+                [ln.weight, ln.value, ln.genie.rho1, ln.genie.rho2,
+                 ln.genie.sigma1_sq, ln.genie.sigma2_sq]
+                for ln in region.lines if ln.kind is WeightKind.MU
+            ]
+            assert got == entry["lines"], name
 
 
 class TestSingleUserGenieBound:
