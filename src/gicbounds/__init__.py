@@ -35,6 +35,7 @@ from .genie import (
     optimize_constraint1_many,
     sigma_feasible,
     sum_upper_bound,
+    sum_upper_bounds,
     user1_genie_bound,
 )
 from .multiuser import (
@@ -83,6 +84,7 @@ __all__ = [
     "sigma_feasible",
     "single_user_capacities",
     "sum_upper_bound",
+    "sum_upper_bounds",
     "symmetric_noisy_threshold",
     "symmetric_threshold",
     "tdm_fdm_sum_rate",

@@ -216,8 +216,8 @@ def classify(ch: TwoUserChannel) -> CapacityVerdict:
 def symmetric_noisy_power_limit(a: float) -> float:
     """Largest symmetric power with noisy interference at gain a = b:
     (sqrt(a) - 2a)/(2a^2) for a <= 1/4, zero above."""
-    if a <= 0:
-        raise ValueError(f"gain must be > 0, got {a}")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"gain must be finite and > 0, got {a}")
     if a > 0.25:
         return 0.0
     return (math.sqrt(a) - 2.0 * a) / (2.0 * a * a)
@@ -231,8 +231,8 @@ def symmetric_noisy_threshold(p: float, tol: float = 1e-12) -> float:
     (verified: its derivative is negative for a < 9/16), so bisection on a
     converges; absolute tolerance ``tol`` on the returned gain.
     """
-    if p <= 0:
-        raise ValueError(f"power must be > 0, got {p}")
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"power must be finite and > 0, got {p}")
     hi = 0.25
     if symmetric_noisy_power_limit(hi) >= p:
         return hi

@@ -153,30 +153,43 @@ def _sweep_channel(base: TwoUserChannel, parameter: str, value: float) -> TwoUse
     return TwoUserChannel(base.a, base.b, value, value)  # symmetric-p
 
 
-def sweep_rows(base: TwoUserChannel, spec: SweepSpec, gains_in_db: bool = False):
-    """Evaluate the sweep metric over the grid; yields (value, metric) rows.
+def _point_metric(ch: TwoUserChannel, metric: str) -> str:
+    if metric == "sum-tin":
+        return _fmt(tin_rates(ch).sum)
+    if metric == "tdm-best":
+        # Orthogonal sharing peaks at alpha = p1/(p1 + p2).
+        return _fmt(0.5 * math.log2(1.0 + ch.p1 + ch.p2))
+    return capacity.classify(ch).kind.value  # verdict
 
-    With gains_in_db, gain-parameter grids are interpreted (and echoed) in
-    dB.  Grid points where no bound family applies yield "n/a".
+
+def sweep_rows(
+    base: TwoUserChannel, spec: SweepSpec, gains_in_db: bool = False
+) -> list[tuple[float, str]]:
+    """Evaluate the sweep metric over the grid; (value, metric) rows.
+
+    Every grid channel is built first, so the first bad value raises
+    ConfigError before any metric is computed.  The sum-upper points are
+    bounded together by one genie.sum_upper_bounds call, whose MU searches
+    share one lockstep descent; the other metrics are computed point by
+    point.  With gains_in_db, gain-parameter grids are interpreted (and
+    echoed) in dB.  Grid points where no bound family applies give "n/a".
     """
     gain_param = spec.parameter in ("a", "b", "symmetric-a")
-    for raw in spec.grid():
+    grid = spec.grid()
+    channels = []
+    for raw in map(float, grid):
         value = db_to_linear(raw) if (gains_in_db and gain_param) else raw
         try:
-            ch = _sweep_channel(base, spec.parameter, float(value))
+            channels.append(_sweep_channel(base, spec.parameter, value))
         except ValueError as exc:
             raise ConfigError(f"sweep value {value} invalid: {exc}") from exc
-        if spec.metric == "sum-tin":
-            metric = _fmt(tin_rates(ch).sum)
-        elif spec.metric == "tdm-best":
-            # Orthogonal sharing peaks at alpha = p1/(p1 + p2).
-            metric = _fmt(0.5 * math.log2(1.0 + ch.p1 + ch.p2))
-        elif spec.metric == "verdict":
-            metric = capacity.classify(ch).kind.value
-        else:
-            ub = genie.sum_upper_bound(ch)
-            metric = "n/a" if ub is None else _fmt(ub)
-        yield raw, metric
+    if spec.metric == "sum-upper":
+        metrics = [
+            "n/a" if ub is None else _fmt(ub) for ub in genie.sum_upper_bounds(channels)
+        ]
+    else:
+        metrics = [_point_metric(ch, spec.metric) for ch in channels]
+    return list(zip(grid, metrics))
 
 
 def _cmd_sweep(args) -> int:
@@ -209,7 +222,7 @@ def _cmd_murate(args) -> int:
         ch = MUserChannel.from_two_user(ch)
     verdict = multiuser.find_rho(ch)
     payload = _muser_verdict_json(ch, verdict)
-    if args.oracle_resolution:
+    if args.oracle_resolution is not None:
         oracle = multiuser.oracle_grid_feasibility(ch, args.oracle_resolution)
         payload["oracle"] = {
             "resolution": args.oracle_resolution,

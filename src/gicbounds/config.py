@@ -30,7 +30,10 @@ class ConfigError(ValueError):
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{x_db} dB is too large for a linear value") from None
 
 
 def linear_to_db(x: float) -> float:

@@ -39,6 +39,7 @@ __all__ = [
     "eta1_range",
     "eta2_range",
     "sum_upper_bound",
+    "sum_upper_bounds",
     "user1_genie_bound",
 ]
 
@@ -353,19 +354,20 @@ _HALVINGS = len(_MOVES) - 1  # halvings after which a descent round ends
 
 
 class _MuObjective:
-    """The MU objective of one channel, entry by entry at weights ``mu``.
+    """The MU objective, entry by entry, of channels (a, b, p1, p2) at
+    weights ``mu``.
 
-    Points are arrays with rows (rho1, rho2, sigma1_sq, sigma2_sq); ``mu``
-    broadcasts against a row: one weight for a grid, or one weight per lane
-    of the lockstep descent.  Only the branches of the weights present are
-    evaluated.  The weight-only sub-expressions are computed once, as the
-    same sub-expressions in the same order as the formulas, so each entry
-    is bit-for-bit the value of a one-point call.
+    Points are arrays with rows (rho1, rho2, sigma1_sq, sigma2_sq).  The
+    channel parameters and ``mu`` broadcast against a row: scalars for the
+    probe grid of one channel at one weight, or one value per lane of the
+    lockstep descent, whose lanes may belong to different channels.  Only
+    the branches of the weights present are evaluated.  The sub-expressions
+    free of the point are computed once, as the same sub-expressions in the
+    same order as the formulas, so each entry is bit-for-bit the value of a
+    one-point call on its own channel.
     """
 
-    def __init__(self, ch: TwoUserChannel, mu):
-        a, b, p1 = ch.a, ch.b, ch.p1
-        self.ch = ch
+    def __init__(self, a, b, p1, p2, mu):
         mu = np.asarray(mu, dtype=float)
         # mu < 1 caps sigma1_sq; mu >= 1 caps sigma2_sq, and mu == 1 has no
         # sloped branch in its effective power.
@@ -373,24 +375,31 @@ class _MuObjective:
         self.any_lo, self.any_one, self.any_hi = (
             bool(self.lo.any()), bool(self.one.any()), bool(self.hi.any())
         )
-        self.mu = mu
+        self.a, self.b, self.p1, self.p2, self.mu = a, b, p1, p2, mu
         self.half_mu = 0.5 * mu
         self.b_mu = b * mu
         self.hi_left = (1.0 - mu) * p1 / mu
         self.hi_den = self.b_mu - b
-        self.lo_left = (mu - 1.0) * ch.p2
+        self.lo_left = (mu - 1.0) * p2
         self.lo_den = a - a * mu
+        self.base1 = 1.0 + p1 + a * p2
+        self.base2 = 1.0 + p2 + b * p1
+
+    @classmethod
+    def of(cls, requests) -> "_MuObjective":
+        """One entry per (channel, mu) request."""
+        return cls(*np.array([(ch.a, ch.b, ch.p1, ch.p2, mu) for ch, mu in requests]).T)
 
     def caps(self, r1, r2):
         """Upper limits (s1_max, s2_max) of the feasibility box; +inf where
         the weight leaves that variance uncapped."""
         s1_max = s2_max = np.inf
         if self.any_lo:
-            s1_max = (1.0 - r2 * r2) / self.ch.b
+            s1_max = (1.0 - r2 * r2) / self.b
             if self.any_one or self.any_hi:
                 s1_max = np.where(self.lo, s1_max, np.inf)
         if self.any_one or self.any_hi:
-            s2_max = (1.0 - r1 * r1) / self.ch.a
+            s2_max = (1.0 - r1 * r1) / self.a
             if self.any_lo:
                 s2_max = np.where(self.lo, np.inf, s2_max)
         return s1_max, s2_max
@@ -407,7 +416,7 @@ class _MuObjective:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Objective values at points ``x``; points outside the box or at
         degenerate parameters come out +inf."""
-        a, b, p1, p2 = self.ch.a, self.ch.b, self.ch.p1, self.ch.p2
+        a, b, p1, p2 = self.a, self.b, self.p1, self.p2
         r1, r2, s1, s2 = x
         s1_max, s2_max = self.caps(r1, r2)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -436,8 +445,8 @@ class _MuObjective:
             shrink2 = b * p1_star + 1.0 - r2 * r2
             lin1 = p1 + r1 * np.sqrt(s1)
             lin2 = p2 + r2 * np.sqrt(s2)
-            cond1 = 1.0 + p1 + a * p2 - lin1 * lin1 / (p1 + s1)
-            cond2 = 1.0 + p2 + b * p1 - lin2 * lin2 / (p2 + s2)
+            cond1 = self.base1 - lin1 * lin1 / (p1 + s1)
+            cond2 = self.base2 - lin2 * lin2 / (p2 + s2)
             val = 0.5 * (
                 np.log2(1.0 + p1_star / s1) - np.log2(shrink1) + np.log2(cond1)
             ) + self.half_mu * (
@@ -467,7 +476,9 @@ def _lockstep_descent(
     once more with fresh steps, unless that round gained less than
     _SWEEP_TOL.  All lanes advance together, one candidate each per step,
     so each step is one objective call over all lanes and the search takes
-    as many calls as its longest lane.  ``starts`` is (4, lanes); returns
+    as many calls as its longest lane.  A lane is a (channel, weight, start)
+    triple: ``obj`` holds each lane's own channel and weight, so lanes of
+    different channels share the steps.  ``starts`` is (4, lanes); returns
     the (values, points) the lanes end at.
     """
     x = obj.clamp(starts)
@@ -551,40 +562,39 @@ def _probe_grid(ch: TwoUserChannel, mu: float) -> np.ndarray:
     ])
 
 
-def optimize_constraint1_many(
-    ch: TwoUserChannel, mus
-) -> tuple[SupportingLine, ...]:
-    """Minimize the MU-family bound on R1 + mu*R2 over the genie parameters,
-    at each weight of ``mus``; one line per weight, in order.
+def _mu_lines(requests) -> tuple[SupportingLine, ...]:
+    """MU lines of (channel, mu) requests, in order, from one lockstep
+    descent over the lanes of every request.
 
-    Each line is exactly ``optimize_constraint1(ch, mu)``: the same grid
-    probes and starts per weight, and the best start or descent end wins,
-    the first strict improvement in candidate order.  The descents of all
-    (weight, start) pairs, about 4 per weight, run in lockstep, one
-    objective call per search step over all of them, so a 65-weight region
-    takes about as many calls as its longest descent (some hundreds), not
-    one per step of every descent (about 160,000).
+    Per request the candidates are the closed-form tight parameters (at
+    mu == 1 on a noisy-interference channel), then the 4 best points of the
+    channel's probe grid; each is the start of one lane.  The best start or
+    lane end wins, the first strict improvement in candidate order.
     """
-    _require_regime(ch)
-    mus = tuple(mus)
-    for mu in mus:
+    requests = tuple(requests)
+    for ch, mu in requests:
+        _require_regime(ch)
         if mu <= 0:
             raise ValueError(f"mu must be > 0, got {mu}")
-    if not mus:
+    if not requests:
         return ()
 
-    cert = _tight_sum_certificate(ch) if 1.0 in mus else None
-    grids: dict[bool, np.ndarray] = {}
+    certs: dict[TwoUserChannel, GenieParams | None] = {}
+    grids: dict[tuple[TwoUserChannel, bool], np.ndarray] = {}
     candidates: list[list[tuple[float, np.ndarray]]] = []
-    for mu in mus:
-        objective = _MuObjective(ch, mu)
+    for ch, mu in requests:
+        objective = _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mu)
         found = []
-        if mu == 1.0 and cert is not None and sigma_feasible(ch, mu, cert):
-            x = np.array([cert.rho1, cert.rho2, cert.sigma1_sq, cert.sigma2_sq])
-            found.append((float(objective(x)), x))
-        grid = grids.get(mu >= 1.0)
+        if mu == 1.0:
+            if ch not in certs:
+                certs[ch] = _tight_sum_certificate(ch)
+            cert = certs[ch]
+            if cert is not None and sigma_feasible(ch, mu, cert):
+                x = np.array([cert.rho1, cert.rho2, cert.sigma1_sq, cert.sigma2_sq])
+                found.append((float(objective(x)), x))
+        grid = grids.get((ch, mu >= 1.0))
         if grid is None:
-            grid = grids[mu >= 1.0] = _probe_grid(ch, mu)
+            grid = grids[ch, mu >= 1.0] = _probe_grid(ch, mu)
         vals = objective(grid)
         for i in np.argsort(vals, kind="stable")[:4]:
             if math.isfinite(vals[i]):
@@ -593,9 +603,9 @@ def optimize_constraint1_many(
             raise RuntimeError("no feasible genie parameters found")  # unreachable
         candidates.append(found)
 
-    lane_mu = [mu for mu, found in zip(mus, candidates) for _ in found]
+    lanes = [req for req, found in zip(requests, candidates) for _ in found]
     starts = np.array([x for found in candidates for _, x in found]).T
-    ends, points = _lockstep_descent(_MuObjective(ch, lane_mu), starts)
+    ends, points = _lockstep_descent(_MuObjective.of(lanes), starts)
 
     best = []
     lane = 0
@@ -610,9 +620,9 @@ def optimize_constraint1_many(
             lane += 1
         best.append((best_val, best_x))
 
-    xs = _MuObjective(ch, mus).clamp(np.array([x for _, x in best]).T)
+    xs = _MuObjective.of(requests).clamp(np.array([x for _, x in best]).T)
     lines = []
-    for mu, (val, _), x in zip(mus, best, xs.T.tolist()):
+    for (ch, mu), (val, _), x in zip(requests, best, xs.T.tolist()):
         gp = GenieParams(rho1=x[0], rho2=x[1], sigma1_sq=x[2], sigma2_sq=x[3])
         lines.append(SupportingLine(
             kind=WeightKind.MU,
@@ -622,6 +632,23 @@ def optimize_constraint1_many(
             effective=effective_powers(ch, mu, gp),
         ))
     return tuple(lines)
+
+
+def optimize_constraint1_many(
+    ch: TwoUserChannel, mus
+) -> tuple[SupportingLine, ...]:
+    """Minimize the MU-family bound on R1 + mu*R2 over the genie parameters,
+    at each weight of ``mus``; one line per weight, in order.
+
+    Each line is exactly ``optimize_constraint1(ch, mu)``: the same grid
+    probes and starts per weight, and the same winner.  The descents of all
+    (weight, start) pairs, about 4 per weight, run in lockstep, one
+    objective call per search step over all of them, so a 65-weight region
+    takes about as many calls as its longest descent (some hundreds), not
+    one per step of every descent (about 160,000).
+    """
+    _require_regime(ch)
+    return _mu_lines((ch, mu) for mu in mus)
 
 
 def optimize_constraint1(ch: TwoUserChannel, mu: float) -> SupportingLine:
@@ -641,25 +668,41 @@ def optimize_constraint1(ch: TwoUserChannel, mu: float) -> SupportingLine:
     weights in one optimize_constraint1_many call is much faster than one
     call per weight.
     """
-    return optimize_constraint1_many(ch, (mu,))[0]
+    return _mu_lines(((ch, mu),))[0]
+
+
+def sum_upper_bounds(channels) -> tuple[float | None, ...]:
+    """Best available upper bound on R1 + R2 of each channel, in order, from
+    the three line families; None where no family applies.
+
+    The MU family is evaluated at weight 1; the one-sided families
+    contribute at the admissible weight closest to 1 (weights >= 1 bound the
+    sum directly, weights < 1 need the R2 cap to top up).  The weight-1 MU
+    searches of all channels run as one lockstep descent, so a call costs
+    about as many objective calls as its longest descent, not the sum over
+    the channels.  Each bound equals ``sum_upper_bound`` of its channel.
+    """
+    channels = tuple(channels)
+    regime = [0.0 < ch.a < 1.0 and 0.0 < ch.b < 1.0 for ch in channels]
+    mu_lines = iter(_mu_lines(
+        (ch, 1.0) for ch, ok in zip(channels, regime) if ok
+    ))
+    out = []
+    for ch, ok in zip(channels, regime):
+        bounds = [next(mu_lines).value] if ok else []
+        if 0.0 < ch.b < 1.0:
+            lo1, _ = eta1_range(ch)
+            bounds.append(eval_constraint2(ch, lo1).value)
+        if 0.0 < ch.a < 1.0:
+            _, hi2 = eta2_range(ch)
+            cap2 = 0.5 * math.log2(1.0 + ch.p2)
+            bounds.append(eval_constraint3(ch, hi2).value + (1.0 - hi2) * cap2)
+        out.append(min(bounds) if bounds else None)
+    return tuple(out)
 
 
 def sum_upper_bound(ch: TwoUserChannel) -> float | None:
     """Best available upper bound on R1 + R2 from the three line families,
-    or None when no family applies to the channel.
-
-    The MU family is evaluated at weight 1; the one-sided families
-    contribute at the admissible weight closest to 1 (weights >= 1 bound the
-    sum directly, weights < 1 need the R2 cap to top up).
-    """
-    bounds = []
-    if 0.0 < ch.a < 1.0 and 0.0 < ch.b < 1.0:
-        bounds.append(optimize_constraint1(ch, 1.0).value)
-    if 0.0 < ch.b < 1.0:
-        lo1, _ = eta1_range(ch)
-        bounds.append(eval_constraint2(ch, lo1).value)
-    if 0.0 < ch.a < 1.0:
-        _, hi2 = eta2_range(ch)
-        cap2 = 0.5 * math.log2(1.0 + ch.p2)
-        bounds.append(eval_constraint3(ch, hi2).value + (1.0 - hi2) * cap2)
-    return min(bounds) if bounds else None
+    or None when no family applies to the channel; see ``sum_upper_bounds``,
+    which bounds many channels in one search."""
+    return sum_upper_bounds((ch,))[0]

@@ -112,8 +112,8 @@ def symmetric_threshold(m: int, c: float) -> float:
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    if c <= 0:
-        raise ValueError(f"gain must be > 0, got {c}")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"gain must be finite and > 0, got {c}")
     s = (m - 1) * c
     if c > 1.0 / (4.0 * (m - 1)):
         return 0.0

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from scipy.optimize import minimize_scalar
@@ -87,6 +88,8 @@ class TestClassifyCommand:
             ["classify", "--a", "-1", "--b", "0", "--p1", "1", "--p2", "1"],
             ["classify"],
             ["classify", "--a", "x", "--b", "0", "--p1", "1", "--p2", "1"],
+            # 10^400 overflows a float
+            ["classify", "--a", "4000", "--b", "0.1", "--p1", "1", "--p2", "1", "--db"],
         ],
     )
     def test_bad_input_exit_one(self, capsys, argv):
@@ -218,6 +221,31 @@ class TestSweepCommand:
         assert rows[0].split(",")[1] != "n/a"
         assert rows[1].split(",")[1] == "n/a"
 
+    def test_pinned_sum_upper_sweeps(self, capsys):
+        # sum-upper rows of three benchmark sweeps (the criterion-3 curve, a
+        # regime channel, noisy channels), pinned to the last digit.
+        pinned = json.loads((Path(__file__).parent / "data" / "sum_upper.json").read_text())
+        for name, entry in pinned["sweeps"].items():
+            code, out, _ = run(capsys, *entry["argv"])
+            assert code == 0, name
+            assert [r.split(",") for r in out.splitlines()[1:]] == entry["rows"], name
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            # grid -1, 0, 1: the first bad power is the one reported
+            (["--param", "p1", "--from", "-1", "--to", "1", "--points", "3"],
+             "error: sweep value -1.0 invalid"),
+            # 10^400 overflows a float
+            (["--param", "a", "--from", "3000", "--to", "4000", "--points", "2", "--db"],
+             "error: 4000.0 dB is too large"),
+        ],
+    )
+    def test_bad_grid_value_exit_one(self, capsys, grid, message):
+        code, out, err = run(capsys, "sweep", *FIG1_ARGS, *grid, "--metric", "sum-upper")
+        assert code == 1 and not out
+        assert err.startswith(message)
+
     def test_tdm_best_beats_fixed_splits(self, capsys):
         code, out, _ = run(
             capsys, "sweep", *FIG1_ARGS, "--param", "p1",
@@ -273,6 +301,11 @@ class TestMurateCommand:
         assert code == 0
         assert "feasible" in out
 
+    def test_zero_oracle_resolution_exit_one(self, capsys):
+        code, out, err = run(capsys, "murate", *FIG1_ARGS, "--oracle-resolution", "0")
+        assert code == 1 and not out
+        assert err.startswith("error:") and "resolution" in err
+
 
 class TestThresholdCommand:
     def test_gain_threshold(self, capsys):
@@ -289,6 +322,21 @@ class TestThresholdCommand:
     def test_conflicting_flags(self, capsys):
         code, _, err = run(capsys, "threshold", "--p", "10", "--m", "3", "--c", "0.05")
         assert code == 1 and err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--p", "nan"],
+            ["--p", "inf"],
+            ["--m", "3", "--c", "nan"],
+            ["--m", "3", "--c", "inf"],
+            ["--m", "3", "--c", "4000", "--db"],  # 10^400 overflows a float
+        ],
+    )
+    def test_non_finite_input_exit_one(self, capsys, argv):
+        code, out, err = run(capsys, "threshold", *argv)
+        assert code == 1 and not out
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestExitCodes:

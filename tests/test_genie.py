@@ -20,6 +20,8 @@ from gicbounds import (
     optimize_constraint1,
     optimize_constraint1_many,
     sigma_feasible,
+    sum_upper_bound,
+    sum_upper_bounds,
     tin_rates,
     user1_genie_bound,
 )
@@ -301,6 +303,26 @@ class TestOptimizeConstraint1Many:
                 for ln in region.lines if ln.kind is WeightKind.MU
             ]
             assert got == entry["lines"], name
+
+
+class TestSumUpperBounds:
+    def test_matches_one_channel_calls(self):
+        channels = (
+            TwoUserChannel(0.04, 0.04, 1, 1),  # noisy: certificate lane
+            FIG1,
+            TwoUserChannel(0.3, 0.3, 7, 7),  # no noisy interference
+            TwoUserChannel(0.0, 0.3, 2, 3),  # one-sided: ETA1 only
+            TwoUserChannel(1.5, 0.3, 2, 3),  # a > 1: ETA1 only
+            TwoUserChannel(1.0, 1.0, 2, 3),  # no family applies
+        )
+        bounds = sum_upper_bounds(channels)
+        assert bounds == tuple(sum_upper_bound(ch) for ch in channels)
+        for ch, bound in zip(channels[:2], bounds):
+            assert bound == pytest.approx(tin_rates(ch).sum, abs=1e-9)
+        assert bounds[-1] is None and None not in bounds[:-1]
+
+    def test_empty(self):
+        assert sum_upper_bounds(()) == ()
 
 
 class TestSingleUserGenieBound:
