@@ -22,6 +22,7 @@ from enum import Enum
 
 from .channel import TwoUserChannel, tin_rates
 from .genie import GenieParams
+from .multiuser import symmetric_threshold
 
 __all__ = [
     "VerdictKind",
@@ -215,12 +216,9 @@ def classify(ch: TwoUserChannel) -> CapacityVerdict:
 
 def symmetric_noisy_power_limit(a: float) -> float:
     """Largest symmetric power with noisy interference at gain a = b:
-    (sqrt(a) - 2a)/(2a^2) for a <= 1/4, zero above."""
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"gain must be finite and > 0, got {a}")
-    if a > 0.25:
-        return 0.0
-    return (math.sqrt(a) - 2.0 * a) / (2.0 * a * a)
+    (sqrt(a) - 2a)/(2a^2) for a <= 1/4, zero above: the uniform m-user
+    threshold at m = 2."""
+    return symmetric_threshold(2, a)
 
 
 def symmetric_noisy_threshold(p: float, tol: float = 1e-12) -> float:

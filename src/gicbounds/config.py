@@ -29,11 +29,16 @@ class ConfigError(ValueError):
     """Malformed input configuration (maps to exit status 1)."""
 
 
-def db_to_linear(x_db: float) -> float:
+def db_to_linear(x_db):
+    """10^(x_db/10) of a number or an array; ConfigError, naming the largest
+    value, where a result overflows."""
     try:
-        return 10.0 ** (x_db / 10.0)
-    except OverflowError:
-        raise ConfigError(f"{x_db} dB is too large for a linear value") from None
+        with np.errstate(over="raise"):
+            return 10.0 ** (x_db / 10.0)
+    except (OverflowError, FloatingPointError):
+        raise ConfigError(
+            f"{float(np.max(x_db))} dB is too large for a linear value"
+        ) from None
 
 
 def linear_to_db(x: float) -> float:
@@ -86,6 +91,13 @@ def channel_from_flags(
         raise ConfigError(str(exc)) from exc
 
 
+def _numeric(raw: dict, key: str, convert):
+    try:
+        return convert(raw[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be numeric, got {raw[key]!r}") from None
+
+
 def load_channel_config(path: str | Path) -> TwoUserChannel | MUserChannel:
     """Read a JSON channel config.
 
@@ -120,13 +132,13 @@ def load_channel_config(path: str | Path) -> TwoUserChannel | MUserChannel:
         if missing:
             raise ConfigError(f"scalar config missing keys: {sorted(missing)}")
         return channel_from_flags(
-            float(raw["a"]), float(raw["b"]), float(raw["p1"]), float(raw["p2"]), in_db
+            *(_numeric(raw, k, float) for k in ("a", "b", "p1", "p2")), in_db
         )
 
     if not matrix_keys <= raw.keys():
         raise ConfigError('config needs either {"a","b","p1","p2"} or {"gains","powers"}')
-    gains = np.array(raw["gains"], dtype=float)
-    powers = np.array(raw["powers"], dtype=float)
+    gains = _numeric(raw, "gains", lambda v: np.array(v, dtype=float))
+    powers = _numeric(raw, "powers", lambda v: np.array(v, dtype=float))
     if gains.ndim != 2 or gains.shape[0] != gains.shape[1]:
         raise ConfigError(f"gains must be a square matrix, got shape {gains.shape}")
     if in_db:

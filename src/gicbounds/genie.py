@@ -43,8 +43,6 @@ __all__ = [
     "user1_genie_bound",
 ]
 
-_LOG2 = math.log(2.0)
-
 
 class WeightKind(str, Enum):
     MU = "MU"
@@ -100,6 +98,11 @@ class SupportingLine:
                 raise ValueError("ETA lines require p_tilde >= 0")
 
 
+def _require_weight(mu: float) -> None:
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
+
+
 def sigma_limits(
     ch: TwoUserChannel, mu: float, rho1: float, rho2: float
 ) -> tuple[float, float]:
@@ -109,8 +112,7 @@ def sigma_limits(
     sigma1_sq is capped, by (1 - rho2^2)/b.  A zero gain makes the
     corresponding cap vacuous (+inf).
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
+    _require_weight(mu)
     if mu >= 1.0:
         s2_max = (1.0 - rho1 * rho1) / ch.a if ch.a > 0 else math.inf
         return math.inf, s2_max
@@ -124,6 +126,28 @@ def sigma_feasible(ch: TwoUserChannel, mu: float, gp: GenieParams) -> bool:
     return gp.sigma1_sq <= s1_max and gp.sigma2_sq <= s2_max
 
 
+def _require_regime(ch: TwoUserChannel) -> None:
+    if not (0.0 < ch.a < 1.0 and 0.0 < ch.b < 1.0):
+        raise ValueError(
+            f"MU bound requires 0 < a < 1 and 0 < b < 1, got a={ch.a}, b={ch.b}"
+        )
+
+
+def _genie_point(gp: GenieParams) -> np.ndarray:
+    return np.array([gp.rho1, gp.rho2, gp.sigma1_sq, gp.sigma2_sq])
+
+
+def _objective_at(
+    ch: TwoUserChannel, mu: float, gp: GenieParams
+) -> tuple["_MuObjective", np.ndarray]:
+    """The MU objective of ``ch`` at weight ``mu``, and ``gp`` as its point;
+    ValueError outside the MU regime or the feasibility box."""
+    _require_regime(ch)
+    if not sigma_feasible(ch, mu, gp):
+        raise ValueError("genie parameters are outside the feasibility box")
+    return _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mu), _genie_point(gp)
+
+
 def effective_powers(
     ch: TwoUserChannel, mu: float, gp: GenieParams
 ) -> tuple[float, float]:
@@ -135,82 +159,16 @@ def effective_powers(
     constraint.  At mu == 1 the sloped middle branch degenerates to a point
     and only the two outer branches remain.
     """
-    if not sigma_feasible(ch, mu, gp):
-        raise ValueError("genie parameters are outside the feasibility box")
-    if mu >= 1.0:
-        gap = 1.0 - gp.rho2 * gp.rho2
-        s1 = gp.sigma1_sq
-        if mu == 1.0:
-            p1_star = ch.p1 if s1 * ch.b <= gap else 0.0
-            return p1_star, ch.p2
-        left = max((1.0 - mu) * ch.p1 / mu + gap / (ch.b * mu), 0.0)
-        right = gap / (ch.b * mu)
-        if s1 <= left:
-            p1_star = ch.p1
-        elif s1 <= right:
-            p1_star = (gap - ch.b * mu * s1) / (ch.b * mu - ch.b)
-        else:
-            p1_star = 0.0
-        return p1_star, ch.p2
-    gap = 1.0 - gp.rho1 * gp.rho1
-    s2 = gp.sigma2_sq
-    left = max((mu - 1.0) * ch.p2 + mu * gap / ch.a, 0.0)
-    right = mu * gap / ch.a
-    if s2 <= left:
-        p2_star = ch.p2
-    elif s2 <= right:
-        p2_star = (mu * gap - ch.a * s2) / (ch.a - ch.a * mu)
-    else:
-        p2_star = 0.0
-    return ch.p1, p2_star
-
-
-def _genie_term(
-    p_own: float,
-    p_star_own: float,
-    cross_gain: float,
-    p_other: float,
-    p_star_other: float,
-    rho: float,
-    sigma_sq: float,
-) -> float:
-    """One user's share of the MU bound (in bits):
-
-        0.5*log2(1 + p_star_own/sigma^2)
-      - 0.5*log2(cross_gain*p_star_other + 1 - rho^2)
-      + 0.5*log2(1 + p_own + cross_gain*p_other - (p_own + rho*sigma)^2
-                                                  / (p_own + sigma^2))
-    """
-    sigma = math.sqrt(sigma_sq)
-    shrink = cross_gain * p_star_other + 1.0 - rho * rho
-    if shrink <= 0.0:
-        return math.inf
-    lin = p_own + rho * sigma
-    cond_var = 1.0 + p_own + cross_gain * p_other - lin * lin / (p_own + sigma_sq)
-    if cond_var <= 0.0:
-        return math.inf
-    return 0.5 * (
-        math.log2(1.0 + p_star_own / sigma_sq)
-        - math.log2(shrink)
-        + math.log2(cond_var)
-    )
-
-
-def _require_regime(ch: TwoUserChannel) -> None:
-    if not (0.0 < ch.a < 1.0 and 0.0 < ch.b < 1.0):
-        raise ValueError(
-            f"MU bound requires 0 < a < 1 and 0 < b < 1, got a={ch.a}, b={ch.b}"
-        )
+    objective, x = _objective_at(ch, mu, gp)
+    p1_star, p2_star = objective.effective(x)
+    return float(p1_star), float(p2_star)
 
 
 def eval_constraint1(ch: TwoUserChannel, mu: float, gp: GenieParams) -> float:
     """MU-family bound on R1 + mu*R2 at one feasible genie parameter point
     (no minimization).  Returns +inf at degenerate boundary parameters."""
-    _require_regime(ch)
-    p1_star, p2_star = effective_powers(ch, mu, gp)
-    t1 = _genie_term(ch.p1, p1_star, ch.a, ch.p2, p2_star, gp.rho1, gp.sigma1_sq)
-    t2 = _genie_term(ch.p2, p2_star, ch.b, ch.p1, p1_star, gp.rho2, gp.sigma2_sq)
-    return t1 + mu * t2
+    objective, x = _objective_at(ch, mu, gp)
+    return float(objective(x))
 
 
 def user1_genie_bound(ch: TwoUserChannel, rho1: float, sigma1: float) -> float:
@@ -220,13 +178,14 @@ def user1_genie_bound(ch: TwoUserChannel, rho1: float, sigma1: float) -> float:
       + 0.5*log2(1 + p1 + a*p2 - (p1 + rho1*sigma1)^2/(p1 + sigma1^2))
 
     For fixed rho1 this is minimized over sigma1 at rho1*sigma1 = 1 + a*p2,
-    where it equals user 1's single-user-detection rate.
+    where it equals user 1's single-user-detection rate.  +inf where a log
+    argument is <= 0.
     """
     if sigma1 <= 0:
         raise ValueError(f"sigma1 must be > 0, got {sigma1}")
-    return _genie_term(
-        ch.p1, ch.p1, ch.a, ch.p2, ch.p2, rho1, sigma1 * sigma1
-    )
+    base = 1.0 + ch.p1 + ch.a * ch.p2
+    share = _user_share(ch.p1, ch.p1, ch.a, ch.p2, base, rho1, sigma1 * sigma1)
+    return float(0.5 * share)
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +314,18 @@ _HALVINGS = len(_MOVES) - 1  # halvings after which a descent round ends
 
 class _MuObjective:
     """The MU objective, entry by entry, of channels (a, b, p1, p2) at
-    weights ``mu``.
+    weights ``mu``: the one implementation of the MU bound, used by the
+    search and, at one point, by ``eval_constraint1``, ``effective_powers``
+    and (through ``_user_share``) ``user1_genie_bound``.
 
-    Points are arrays with rows (rho1, rho2, sigma1_sq, sigma2_sq).  The
-    channel parameters and ``mu`` broadcast against a row: scalars for the
-    probe grid of one channel at one weight, or one value per lane of the
-    lockstep descent, whose lanes may belong to different channels.  Only
-    the branches of the weights present are evaluated.  The sub-expressions
-    free of the point are computed once, as the same sub-expressions in the
-    same order as the formulas, so each entry is bit-for-bit the value of a
-    one-point call on its own channel.
+    Points are arrays with rows (rho1, rho2, sigma1_sq, sigma2_sq), or one
+    such column.  The channel parameters and ``mu`` broadcast against a row:
+    scalars for the probe grid of one channel at one weight, or one value
+    per lane of the lockstep descent, whose lanes may belong to different
+    channels.  Only the branches of the weights present are evaluated.  The
+    sub-expressions free of the point are computed once, with the same
+    operations in the same order as a one-point call, so each entry is
+    bit-for-bit the value of a one-point call on its own channel.
     """
 
     def __init__(self, a, b, p1, p2, mu):
@@ -413,14 +374,13 @@ class _MuObjective:
         np.minimum(np.maximum(x[3], _SIGMA_FLOOR * 1e-2), s2_max, out=out[3])
         return out
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Objective values at points ``x``; points outside the box or at
-        degenerate parameters come out +inf."""
+    def effective(self, x: np.ndarray):
+        """Effective powers (p1_star, p2_star) at points ``x``; see
+        ``effective_powers``.  Points must lie in the box."""
         a, b, p1, p2 = self.a, self.b, self.p1, self.p2
         r1, r2, s1, s2 = x
-        s1_max, s2_max = self.caps(r1, r2)
+        p1_star, p2_star = p1, p2
         with np.errstate(divide="ignore", invalid="ignore"):
-            p1_star, p2_star = p1, p2
             if self.any_hi or self.any_one:
                 gap2 = 1.0 - r2 * r2
             if self.any_hi:
@@ -440,28 +400,38 @@ class _MuObjective:
                 mid = (self.mu * gap1 - a * s2) / self.lo_den
                 sloped = np.where(s2 <= left, p2, np.where(s2 <= right, mid, 0.0))
                 p2_star = np.where(self.lo, sloped, p2_star)
+        return p1_star, p2_star
 
-            shrink1 = a * p2_star + 1.0 - r1 * r1
-            shrink2 = b * p1_star + 1.0 - r2 * r2
-            lin1 = p1 + r1 * np.sqrt(s1)
-            lin2 = p2 + r2 * np.sqrt(s2)
-            cond1 = self.base1 - lin1 * lin1 / (p1 + s1)
-            cond2 = self.base2 - lin2 * lin2 / (p2 + s2)
-            val = 0.5 * (
-                np.log2(1.0 + p1_star / s1) - np.log2(shrink1) + np.log2(cond1)
-            ) + self.half_mu * (
-                np.log2(1.0 + p2_star / s2) - np.log2(shrink2) + np.log2(cond2)
-            )
-        bad = (
-            (s1 > s1_max)
-            | (s2 > s2_max)
-            | (shrink1 <= 0)
-            | (shrink2 <= 0)
-            | (cond1 <= 0)
-            | (cond2 <= 0)
-            | ~np.isfinite(val)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Objective values at points ``x``; points outside the box or at
+        degenerate parameters come out +inf."""
+        r1, r2, s1, s2 = x
+        s1_max, s2_max = self.caps(r1, r2)
+        p1_star, p2_star = self.effective(x)
+        val = 0.5 * _user_share(
+            self.p1, p1_star, self.a, p2_star, self.base1, r1, s1
+        ) + self.half_mu * _user_share(
+            self.p2, p2_star, self.b, p1_star, self.base2, r2, s2
         )
+        bad = (s1 > s1_max) | (s2 > s2_max) | ~np.isfinite(val)
         return np.where(bad, np.inf, val)
+
+
+def _user_share(p, p_star, gain, p_star_other, base, rho, s):
+    """Twice one user's share of the MU bound, in bits:
+
+        log2(1 + p_star/s) - log2(gain*p_star_other + 1 - rho^2)
+      + log2(base - (p + rho*sqrt(s))^2/(p + s)),
+
+    with base = 1 + p + gain*p_other; +inf where a log argument is <= 0.
+    The arguments broadcast.
+    """
+    shrink = gain * p_star_other + 1.0 - rho * rho
+    lin = p + rho * np.sqrt(s)
+    cond = base - lin * lin / (p + s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = np.log2(1.0 + p_star / s) - np.log2(shrink) + np.log2(cond)
+    return np.where((shrink <= 0) | (cond <= 0), np.inf, share)
 
 
 def _lockstep_descent(
@@ -574,8 +544,7 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     requests = tuple(requests)
     for ch, mu in requests:
         _require_regime(ch)
-        if mu <= 0:
-            raise ValueError(f"mu must be > 0, got {mu}")
+        _require_weight(mu)
     if not requests:
         return ()
 
@@ -590,7 +559,7 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
                 certs[ch] = _tight_sum_certificate(ch)
             cert = certs[ch]
             if cert is not None and sigma_feasible(ch, mu, cert):
-                x = np.array([cert.rho1, cert.rho2, cert.sigma1_sq, cert.sigma2_sq])
+                x = _genie_point(cert)
                 found.append((float(objective(x)), x))
         grid = grids.get((ch, mu >= 1.0))
         if grid is None:
@@ -620,16 +589,19 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
             lane += 1
         best.append((best_val, best_x))
 
-    xs = _MuObjective.of(requests).clamp(np.array([x for _, x in best]).T)
+    objective = _MuObjective.of(requests)
+    xs = objective.clamp(np.array([x for _, x in best]).T)
+    p1_stars, p2_stars = objective.effective(xs)
     lines = []
-    for (ch, mu), (val, _), x in zip(requests, best, xs.T.tolist()):
-        gp = GenieParams(rho1=x[0], rho2=x[1], sigma1_sq=x[2], sigma2_sq=x[3])
+    for (_, mu), (val, _), x, p1_star, p2_star in zip(
+        requests, best, xs.T.tolist(), p1_stars.tolist(), p2_stars.tolist()
+    ):
         lines.append(SupportingLine(
             kind=WeightKind.MU,
             weight=mu,
             value=val,
-            genie=gp,
-            effective=effective_powers(ch, mu, gp),
+            genie=GenieParams(rho1=x[0], rho2=x[1], sigma1_sq=x[2], sigma2_sq=x[3]),
+            effective=(p1_star, p2_star),
         ))
     return tuple(lines)
 

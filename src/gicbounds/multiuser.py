@@ -9,7 +9,7 @@ parameters rho_i in (0, 1) exist satisfying, for every receiver i,
 with Q_i the total interference power at receiver i.  ``find_rho`` searches
 for such a vector (a miss is not a proof of infeasibility, except for the
 annotated uniform-channel case); ``oracle_grid_feasibility`` is a brute-force
-cross-check used by the tests.
+cross-check, run by ``gicbounds murate --oracle-resolution`` and the tests.
 """
 
 from __future__ import annotations
@@ -309,8 +309,9 @@ def find_rho(ch: MUserChannel, max_evals: int = _MAX_EVALS) -> MUserVerdict:
 def oracle_grid_feasibility(ch: MUserChannel, resolution: int) -> MUserVerdict:
     """Exhaustive feasibility check over the grid rho_i in {k/(res+1)}.
 
-    Test-only brute-force oracle; refuses m > 4 or resolution > 64 to keep
-    the resolution^m grid bounded.  The scan order is lexicographic, so the
+    Brute-force oracle behind ``gicbounds murate --oracle-resolution`` and a
+    cross-check in the tests; refuses m > 4 or resolution > 64 to keep the
+    resolution^m grid bounded.  The scan order is lexicographic, so the
     returned witness (first feasible point) is deterministic.
     """
     if ch.m > 4:

@@ -97,6 +97,29 @@ class TestClassifyCommand:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"a": None, "b": 0.1, "p1": 1, "p2": 1}, "a must be numeric"),
+            ({"a": [1], "b": 0.1, "p1": 1, "p2": 1}, "a must be numeric"),
+            ({"gains": [[1, 0.1], [0.1, 1]], "powers": {"x": 1}}, "powers must be numeric"),
+            # 10^400 overflows a float
+            (
+                {"gains": [[0, 4000, 1], [1, 0, 1], [1, 1, 0]], "powers": [1, 1, 1],
+                 "units": "db"},
+                "4000.0 dB is too large",
+            ),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_bad_config_exit_one(self, capsys, tmp_path, payload, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "classify", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
 
 class TestRegionCommand:
     def test_csv_shape_and_determinism(self, capsys, tmp_path):

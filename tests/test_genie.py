@@ -69,6 +69,18 @@ class TestSigmaFeasible:
         with pytest.raises(ValueError):
             sigma_feasible(FIG1, 0.0, gp)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_rejects_non_finite_mu(self, mu):
+        # nan used to pass the mu <= 0 check; the search then found no
+        # feasible start and raised RuntimeError
+        for call in (
+            lambda: sigma_limits(FIG1, mu, 0.1, 0.1),
+            lambda: optimize_constraint1(FIG1, mu),
+            lambda: optimize_constraint1_many(FIG1, (1.0, mu)),
+        ):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                call()
+
     def test_small_mu_caps_sigma1(self):
         ch = TwoUserChannel(0.5, 0.5, 1, 1)
         assert sigma_feasible(ch, 0.5, GenieParams(0.0, 0.0, 2.0, 50.0))
@@ -99,6 +111,18 @@ class TestEffectivePowers:
         ch = TwoUserChannel(0.5, 0.5, 1, 1)
         with pytest.raises(ValueError):
             effective_powers(ch, 2.0, GenieParams(0.0, 0.0, 1.0, 2.5))
+
+    @pytest.mark.parametrize(
+        "ch, mu",
+        [
+            (TwoUserChannel(0.3, 0.0, 1, 1), 2.0),  # used to divide by b = 0
+            (TwoUserChannel(0.0, 0.3, 1, 1), 0.5),  # used to divide by a = 0
+            (TwoUserChannel(1.5, 0.3, 1, 1), 2.0),  # used to return a number
+        ],
+    )
+    def test_rejects_channels_outside_the_regime(self, ch, mu):
+        with pytest.raises(ValueError, match="MU bound requires"):
+            effective_powers(ch, mu, GenieParams(0.0, 0.0, 0.5, 0.5))
 
     def test_branch_continuity(self):
         rng = np.random.default_rng(3)
@@ -165,6 +189,26 @@ class TestEvalConstraint1:
         val = eval_constraint1(ch, 0.5, gp)
         assert math.isinf(val) and val > 0
         assert val > 1e9  # +inf compares correctly against finite bounds
+
+
+class TestPinnedScalarApi:
+    # Recorded from the former scalar math implementation of the MU bound at
+    # 200 seeded feasible points (gains 1e-3..0.99, powers e^-3..e^8, weights
+    # below, at and above 1) plus one degenerate +inf point each; pytest's
+    # approx of +inf matches only +inf.
+    pinned = json.loads((Path(__file__).parent / "data" / "mu_scalar.json").read_text())
+
+    def test_effective_powers_and_bound(self):
+        for a, b, p1, p2, mu, r1, r2, s1, s2, value, p1s, p2s in self.pinned["mu"]:
+            ch = TwoUserChannel(a, b, p1, p2)
+            gp = GenieParams(r1, r2, s1, s2)
+            assert effective_powers(ch, mu, gp) == (p1s, p2s)
+            assert eval_constraint1(ch, mu, gp) == pytest.approx(value, rel=1e-12, abs=0)
+
+    def test_user1_genie_bound(self):
+        for a, b, p1, p2, rho1, sigma1, value in self.pinned["user1"]:
+            got = user1_genie_bound(TwoUserChannel(a, b, p1, p2), rho1, sigma1)
+            assert got == pytest.approx(value, rel=1e-12, abs=0)
 
 
 class TestEvalConstraint2:
