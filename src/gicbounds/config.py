@@ -91,8 +91,17 @@ def channel_from_flags(
         raise ConfigError(str(exc)) from exc
 
 
+def _is_json_number(v) -> bool:
+    """A JSON number, or a (nested) list of them; booleans and strings are not."""
+    if isinstance(v, list):
+        return all(_is_json_number(x) for x in v)
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _numeric(raw: dict, key: str, convert):
     try:
+        if not _is_json_number(raw[key]):
+            raise TypeError
         return convert(raw[key])
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be numeric, got {raw[key]!r}") from None

@@ -179,10 +179,13 @@ def user1_genie_bound(ch: TwoUserChannel, rho1: float, sigma1: float) -> float:
 
     For fixed rho1 this is minimized over sigma1 at rho1*sigma1 = 1 + a*p2,
     where it equals user 1's single-user-detection rate.  +inf where a log
-    argument is <= 0.
+    argument is <= 0.  rho1 must lie in [0, 1] and sigma1 be finite and > 0,
+    as in ``GenieParams``.
     """
-    if sigma1 <= 0:
-        raise ValueError(f"sigma1 must be > 0, got {sigma1}")
+    if not 0.0 <= rho1 <= 1.0:
+        raise ValueError(f"rho1 must lie in [0, 1], got {rho1}")
+    if not (math.isfinite(sigma1) and sigma1 > 0.0):
+        raise ValueError(f"sigma1 must be finite and > 0, got {sigma1}")
     base = 1.0 + ch.p1 + ch.a * ch.p2
     share = _user_share(ch.p1, ch.p1, ch.a, ch.p2, base, rho1, sigma1 * sigma1)
     return float(0.5 * share)

@@ -6,9 +6,11 @@ parameters rho_i in (0, 1) exist satisfying, for every receiver i,
     sum_{j != i} c_ji (1 + Q_j)^2 / rho_j^2  <=  1 - rho_i^2
     sum_{j != i} c_ij / (1 + Q_j - rho_j^2)  <=  1 / (P_i + (1 + Q_i)^2 / rho_i^2)
 
-with Q_i the total interference power at receiver i.  ``find_rho`` searches
-for such a vector (a miss is not a proof of infeasibility, except for the
-annotated uniform-channel case); ``oracle_grid_feasibility`` is a brute-force
+with Q_i the total interference power at receiver i.  One condition model
+per channel holds the terms free of rho; ``check_conditions``, ``find_rho``
+and the oracle each build it once.  ``find_rho`` searches for such a vector
+(a miss is not a proof of infeasibility, except for the annotated
+uniform-channel case); ``oracle_grid_feasibility`` is a brute-force
 cross-check, run by ``gicbounds murate --oracle-resolution`` and the tests.
 """
 
@@ -61,31 +63,41 @@ def noisy_sum_capacity(ch: MUserChannel) -> float:
     return float(np.sum(0.5 * np.log2(1.0 + ch.powers / (1.0 + q))))
 
 
-def _slacks_batch(ch: MUserChannel, rho: np.ndarray) -> np.ndarray:
-    """Condition slacks for a batch of rho vectors.
+class _Conditions:
+    """Both condition families of one channel.  The terms free of rho (Q,
+    the off-diagonal gains c_ij, (1 + Q)^2 and M1) are computed once; a call
+    on an (n, m) batch of rho vectors returns the (n, m, 2) slacks."""
 
-    rho has shape (n, m); the result has shape (n, m, 2).
-    """
-    m = ch.m
-    q = m_user_interference_powers(ch)
-    gains_offdiag = ch.gains.copy()
-    np.fill_diagonal(gains_offdiag, 0.0)
+    def __init__(self, ch: MUserChannel):
+        self.m, self.powers = ch.m, ch.powers
+        self.q = m_user_interference_powers(ch)
+        self.gains_offdiag = ch.gains.copy()
+        np.fill_diagonal(self.gains_offdiag, 0.0)
+        self.one_q = 1.0 + self.q
+        self.one_q_sq = np.square(self.one_q)
+        # First family: M1[j, i] = c_ji (1 + Q_j)^2, LHS_i = sum_j inv_rho_sq_j M1[j, i].
+        self.m1 = self.gains_offdiag * self.one_q_sq[:, None]
 
-    rho_sq = rho * rho
-    inv_rho_sq = 1.0 / rho_sq
+    def __call__(self, rho: np.ndarray) -> np.ndarray:
+        rho_sq = rho * rho
+        inv_rho_sq = 1.0 / rho_sq
+        slack1 = inv_rho_sq @ self.m1 - (1.0 - rho_sq)
+        # Second family: LHS_i = sum_j c_ij / (1 + Q_j - rho_j^2).
+        denom = self.one_q[None, :] - rho_sq  # (n, m), positive since rho_j < 1
+        lhs2 = (1.0 / denom) @ self.gains_offdiag.T
+        rhs2 = 1.0 / (self.powers[None, :] + self.one_q_sq[None, :] * inv_rho_sq)
+        return np.stack([slack1, lhs2 - rhs2], axis=-1)
 
-    # First family: M1[j, i] = c_ji (1 + Q_j)^2, LHS_i = sum_j inv_rho_sq_j M1[j, i].
-    m1 = gains_offdiag * np.square(1.0 + q)[:, None]
-    lhs1 = inv_rho_sq @ m1
-    slack1 = lhs1 - (1.0 - rho_sq)
+    def at(self, rho: np.ndarray) -> np.ndarray:
+        """The (m, 2) slacks of one rho vector."""
+        return self(rho[None, :])[0]
 
-    # Second family: LHS_i = sum_j c_ij / (1 + Q_j - rho_j^2).
-    denom = 1.0 + q[None, :] - rho_sq  # (n, m), positive since rho_j < 1
-    lhs2 = (1.0 / denom) @ gains_offdiag.T
-    rhs2 = 1.0 / (ch.powers[None, :] + np.square(1.0 + q)[None, :] * inv_rho_sq)
-    slack2 = lhs2 - rhs2
 
-    return np.stack([slack1, slack2], axis=-1)
+def _grid_scan(model: _Conditions, axis: np.ndarray):
+    """The grid axis^m in lexicographic order, its slacks and max slacks."""
+    grid = np.array(list(itertools.product(axis, repeat=model.m)))
+    slacks = model(grid)
+    return grid, slacks, slacks.reshape(len(grid), -1).max(axis=1)
 
 
 def check_conditions(ch: MUserChannel, rho) -> np.ndarray:
@@ -97,9 +109,14 @@ def check_conditions(ch: MUserChannel, rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (ch.m,):
         raise ValueError(f"rho must have shape ({ch.m},), got {rho.shape}")
-    if np.any(rho <= 0.0) or np.any(rho >= 1.0):
+    if not np.all((rho > 0.0) & (rho < 1.0)):
         raise ValueError("all rho entries must lie strictly in (0, 1)")
-    return _slacks_batch(ch, rho[None, :])[0]
+    return _Conditions(ch).at(rho)
+
+
+def _above_uniform_cut(m: int, c: float) -> bool:
+    """Uniform gain c > 1/(4(m-1)): no positive power admits noisy interference."""
+    return bool(c > 1.0 / (4.0 * (m - 1)))
 
 
 def symmetric_threshold(m: int, c: float) -> float:
@@ -115,7 +132,7 @@ def symmetric_threshold(m: int, c: float) -> float:
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"gain must be finite and > 0, got {c}")
     s = (m - 1) * c
-    if c > 1.0 / (4.0 * (m - 1)):
+    if _above_uniform_cut(m, c):
         return 0.0
     return (math.sqrt(s) - 2.0 * s) / (2.0 * s * s)
 
@@ -156,7 +173,7 @@ def _uniform_seed(ch: MUserChannel) -> np.ndarray | None:
     return np.full(ch.m, math.sqrt(rho_sq))
 
 
-def _two_user_seed(ch: MUserChannel) -> np.ndarray | None:
+def _two_user_seed(model: _Conditions) -> np.ndarray | None:
     """Analytic witness for m = 2.
 
     With A = sqrt(c_21)(1+Q_2) and B = sqrt(c_12)(1+Q_1) the conditions are
@@ -166,14 +183,13 @@ def _two_user_seed(ch: MUserChannel) -> np.ndarray | None:
     rho_2^2 converts the strict margin of the second condition into slack
     for both.
     """
-    if ch.m != 2:
+    if model.m != 2:
         return None
-    q = m_user_interference_powers(ch)
-    a21, c12 = ch.gains[1, 0], ch.gains[0, 1]
+    a21, c12 = model.gains_offdiag[1, 0], model.gains_offdiag[0, 1]
     if a21 <= 0.0 or c12 <= 0.0:
         return None
-    big_a = math.sqrt(a21) * (1.0 + q[1])
-    big_b = math.sqrt(c12) * (1.0 + q[0])
+    big_a = math.sqrt(a21) * (1.0 + model.q[1])
+    big_b = math.sqrt(c12) * (1.0 + model.q[0])
     if big_a >= 1.0:
         return None
     margin = (1.0 - big_a) - big_b
@@ -191,33 +207,29 @@ def _two_user_seed(ch: MUserChannel) -> np.ndarray | None:
     return np.array([math.sqrt(rho1_sq), math.sqrt(rho2_sq)])
 
 
-def _heuristic_seed(ch: MUserChannel) -> np.ndarray | None:
+def _heuristic_seed(model: _Conditions) -> np.ndarray | None:
     """Per-user generalization of the uniform minimizer."""
-    q = m_user_interference_powers(ch)
-    gains_offdiag = ch.gains.copy()
-    np.fill_diagonal(gains_offdiag, 0.0)
-    into = gains_offdiag.sum(axis=0)  # total gain into each receiver
-    rho_sq = np.sqrt(np.maximum(into, 1e-300)) * (1.0 + q)
-    rho_sq = np.clip(rho_sq, 1e-6, 1.0 - 1e-6)
-    return np.sqrt(rho_sq)
+    into = model.gains_offdiag.sum(axis=0)  # total gain into each receiver
+    rho_sq = np.sqrt(np.maximum(into, 1e-300)) * (1.0 + model.q)
+    return np.sqrt(np.clip(rho_sq, 1e-6, 1.0 - 1e-6))
 
 
 def _descend_max_slack(
-    ch: MUserChannel, start: np.ndarray, budget: list[int]
-) -> tuple[float, np.ndarray]:
+    model: _Conditions, start: np.ndarray, budget: list[int]
+) -> np.ndarray:
     """Coordinate descent on the maximum slack, stopping early once every
     slack is <= 0."""
 
     def f(rho: np.ndarray) -> float:
         budget[0] -= 1
-        return float(np.max(_slacks_batch(ch, rho[None, :])[0]))
+        return float(np.max(model.at(rho)))
 
     x = np.clip(start, 1e-6, 1.0 - 1e-6)
     val = f(x)
     step = 0.1
     while step > 1e-10 and budget[0] > 0 and val > 0.0:
         improved = False
-        for idx in range(ch.m):
+        for idx in range(model.m):
             for sign in (1.0, -1.0):
                 while budget[0] > 0:
                     cand = x.copy()
@@ -227,12 +239,12 @@ def _descend_max_slack(
                         x, val = cand, cand_val
                         improved = True
                         if val <= 0.0:
-                            return val, x
+                            return x
                     else:
                         break
         if not improved:
             step *= 0.5
-    return val, x
+    return x
 
 
 def find_rho(ch: MUserChannel, max_evals: int = _MAX_EVALS) -> MUserVerdict:
@@ -251,27 +263,20 @@ def find_rho(ch: MUserChannel, max_evals: int = _MAX_EVALS) -> MUserVerdict:
         rho = np.array([0.5])
         return _verdict_from_probe(ch, rho, check_conditions(ch, rho))
 
-    provable = False
-    note = ""
-    if ch.is_uniform():
-        c = ch.gains[0, 1]
-        if c > 1.0 / (4.0 * (ch.m - 1)):
-            provable = True
-            note = "provably infeasible by the symmetric reduction"
+    provable = ch.is_uniform() and _above_uniform_cut(ch.m, ch.gains[0, 1])
+    note = "provably infeasible by the symmetric reduction" if provable else ""
 
-    seeds: list[np.ndarray] = []
-    for seed in (_uniform_seed(ch), _two_user_seed(ch), _heuristic_seed(ch)):
-        if seed is not None:
-            seeds.append(seed)
+    model = _Conditions(ch)
+    candidates = (_uniform_seed(ch), _two_user_seed(model), _heuristic_seed(model))
+    seeds = [seed for seed in candidates if seed is not None]
 
     budget = [max_evals]
-    best_slacks = None
-    best_rho = None
+    best_slacks = best_rho = None
     best_max = math.inf
 
     def consider(rho: np.ndarray) -> bool:
         nonlocal best_slacks, best_rho, best_max
-        slacks = _slacks_batch(ch, rho[None, :])[0]
+        slacks = model.at(rho)
         mx = float(np.max(slacks))
         if mx < best_max:
             best_max, best_rho, best_slacks = mx, rho.copy(), slacks
@@ -284,21 +289,16 @@ def find_rho(ch: MUserChannel, max_evals: int = _MAX_EVALS) -> MUserVerdict:
 
     # Coarse grid, sized to the evaluation budget.
     pts = 9 if ch.m <= 3 else max(k for k in (5, 4, 3, 2) if k**ch.m <= 70_000)
-    axis = np.linspace(0.1, 0.9, pts)
-    grid = np.array(list(itertools.product(axis, repeat=ch.m)))
+    grid, _, max_all = _grid_scan(model, np.linspace(0.1, 0.9, pts))
     budget[0] -= len(grid)
-    slacks_all = _slacks_batch(ch, grid)
-    max_all = slacks_all.reshape(len(grid), -1).max(axis=1)
     order = np.argsort(max_all, kind="stable")
     if consider(grid[order[0]]):
         return _verdict_from_probe(ch, best_rho, best_slacks)
 
-    starts = [grid[i] for i in order[:3]] + seeds
-    for start in starts:
+    for start in [grid[i] for i in order[:3]] + seeds:
         if budget[0] <= 0:
             break
-        val, refined = _descend_max_slack(ch, start, budget)
-        if consider(refined):
+        if consider(_descend_max_slack(model, start, budget)):
             return _verdict_from_probe(ch, best_rho, best_slacks)
 
     return _verdict_from_probe(
@@ -319,9 +319,7 @@ def oracle_grid_feasibility(ch: MUserChannel, resolution: int) -> MUserVerdict:
     if resolution > 64 or resolution < 1:
         raise ValueError(f"resolution must be in [1, 64], got {resolution}")
     axis = np.arange(1, resolution + 1, dtype=float) / (resolution + 1)
-    grid = np.array(list(itertools.product(axis, repeat=ch.m)))
-    slacks_all = _slacks_batch(ch, grid)
-    max_all = slacks_all.reshape(len(grid), -1).max(axis=1)
+    grid, slacks_all, max_all = _grid_scan(_Conditions(ch), axis)
     feas = np.flatnonzero(max_all <= 0.0)
     idx = int(feas[0]) if len(feas) else int(np.argmin(max_all))
     return _verdict_from_probe(ch, grid[idx], slacks_all[idx])

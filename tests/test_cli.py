@@ -109,6 +109,11 @@ class TestClassifyCommand:
                  "units": "db"},
                 "4000.0 dB is too large",
             ),
+            # JSON booleans and strings are not numbers, in either form
+            ({"a": True, "b": 0.1, "p1": 1, "p2": 1}, "a must be numeric"),
+            ({"a": "0.1", "b": 0.1, "p1": 1, "p2": 1}, "a must be numeric"),
+            ({"gains": [[1, True], [0.1, 1]], "powers": [1, 1]}, "gains must be numeric"),
+            ({"gains": [[1, 0.1], [0.1, 1]], "powers": [1, "2"]}, "powers must be numeric"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -318,6 +323,21 @@ class TestMurateCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["feasible"] and payload["oracle"]["feasible"]
+
+    def test_pinned_verdicts(self, capsys, tmp_path):
+        # murate --json of the benchmark's m-user channels (every m <= 4
+        # entry, one per m = 8 and m = 12 stratum), and with the resolution-16
+        # oracle where pinned, byte for byte.
+        pinned = json.loads((Path(__file__).parent / "data" / "murate.json").read_text())
+        cfg = tmp_path / "ch.json"
+        for entry in pinned["entries"]:
+            cfg.write_text(json.dumps({"gains": entry["gains"], "powers": entry["powers"]}))
+            runs = [([], entry["stdout"])]
+            if "oracle16_stdout" in entry:
+                runs.append((["--oracle-resolution", "16"], entry["oracle16_stdout"]))
+            for extra, expected in runs:
+                code, out, err = run(capsys, "murate", "--config", str(cfg), "--json", *extra)
+                assert (code, out, err) == (0, expected, ""), (entry["id"], extra)
 
     def test_two_user_flags(self, capsys):
         code, out, _ = run(capsys, "murate", *FIG1_ARGS)

@@ -195,7 +195,9 @@ class TestPinnedScalarApi:
     # Recorded from the former scalar math implementation of the MU bound at
     # 200 seeded feasible points (gains 1e-3..0.99, powers e^-3..e^8, weights
     # below, at and above 1) plus one degenerate +inf point each; pytest's
-    # approx of +inf matches only +inf.
+    # approx of +inf matches only +inf.  The user1_genie_bound +inf point, a
+    # one-sided channel at rho1 = 1, was recorded with the vectorized
+    # objective once rho1 > 1 became an error.
     pinned = json.loads((Path(__file__).parent / "data" / "mu_scalar.json").read_text())
 
     def test_effective_powers_and_bound(self):
@@ -386,3 +388,17 @@ class TestSingleUserGenieBound:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             user1_genie_bound(FIG1, 0.5, 0.0)
+
+    @pytest.mark.parametrize("rho1", [math.nan, -0.5, 2.0, math.inf])
+    def test_rejects_correlation_outside_unit_interval(self, rho1):
+        with pytest.raises(ValueError, match=r"rho1 must lie in \[0, 1\]"):
+            user1_genie_bound(FIG1, rho1, 1.0)
+
+    @pytest.mark.parametrize("sigma1", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma1):
+        with pytest.raises(ValueError, match="sigma1 must be finite"):
+            user1_genie_bound(FIG1, 0.5, sigma1)
+
+    def test_unit_interval_ends_are_accepted(self):
+        assert math.isfinite(user1_genie_bound(FIG1, 0.0, 1.0))
+        assert math.isfinite(user1_genie_bound(FIG1, 1.0, 1.0))

@@ -76,7 +76,7 @@ class TestCheckConditions:
         with pytest.raises(ValueError):
             check_conditions(ch, [0.5, 0.5])
 
-    @pytest.mark.parametrize("rho", [[0.0, 0.5], [0.5, 1.0], [-0.1, 0.5]])
+    @pytest.mark.parametrize("rho", [[0.0, 0.5], [0.5, 1.0], [-0.1, 0.5], [math.nan, 0.5]])
     def test_rho_domain(self, rho):
         ch = MUserChannel.from_two_user(FIG1)
         with pytest.raises(ValueError):
