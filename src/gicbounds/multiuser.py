@@ -12,11 +12,16 @@ and the oracle each build it once.  ``find_rho`` searches for such a vector
 (a miss is not a proof of infeasibility, except for the annotated
 uniform-channel case); ``oracle_grid_feasibility`` is a brute-force
 cross-check, run by ``gicbounds murate --oracle-resolution`` and the tests.
+
+Every value the search decides on is a one-point evaluation of the model.
+The coordinate descent screens each sweep's moves in one batched
+evaluation and rejects a move there only when a rounding band proves its
+one-point value no lower than the current one, so batching changes the
+cost of the search and not its probes or verdicts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +39,9 @@ __all__ = [
 ]
 
 _MAX_EVALS = 100_000
+_RHO_MIN, _RHO_MAX = 1e-6, 1.0 - 1e-6
+_UNIT_ROUNDOFF = 2.0**-53
+_SUBNORMAL_MIN = 2.0**-1074
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,24 +86,67 @@ class _Conditions:
         # First family: M1[j, i] = c_ji (1 + Q_j)^2, LHS_i = sum_j inv_rho_sq_j M1[j, i].
         self.m1 = self.gains_offdiag * self.one_q_sq[:, None]
 
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
+    def _sides(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """LHS and RHS of both families on an (n, m) batch, each (n, m, 2)."""
         rho_sq = rho * rho
         inv_rho_sq = 1.0 / rho_sq
-        slack1 = inv_rho_sq @ self.m1 - (1.0 - rho_sq)
-        # Second family: LHS_i = sum_j c_ij / (1 + Q_j - rho_j^2).
-        denom = self.one_q[None, :] - rho_sq  # (n, m), positive since rho_j < 1
-        lhs2 = (1.0 / denom) @ self.gains_offdiag.T
-        rhs2 = 1.0 / (self.powers[None, :] + self.one_q_sq[None, :] * inv_rho_sq)
-        return np.stack([slack1, lhs2 - rhs2], axis=-1)
+        lhs = np.empty(rho.shape + (2,))
+        rhs = np.empty_like(lhs)
+        lhs[..., 0] = inv_rho_sq @ self.m1
+        rhs[..., 0] = 1.0 - rho_sq
+        # Second family: LHS_i = sum_j c_ij / (1 + Q_j - rho_j^2), the
+        # denominators positive since rho_j < 1.
+        lhs[..., 1] = (1.0 / (self.one_q - rho_sq)) @ self.gains_offdiag.T
+        rhs[..., 1] = 1.0 / (self.powers + self.one_q_sq * inv_rho_sq)
+        return lhs, rhs
+
+    def __call__(self, rho: np.ndarray) -> np.ndarray:
+        lhs, rhs = self._sides(rho)
+        return np.subtract(lhs, rhs, out=lhs)
 
     def at(self, rho: np.ndarray) -> np.ndarray:
         """The (m, 2) slacks of one rho vector."""
         return self(rho[None, :])[0]
 
+    def banded(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (n, m, 2) slacks of a batch and a rounding band for each.
+
+        A batch goes through a BLAS matrix-matrix product, one vector through
+        a matrix-vector product, and the two may sum in different orders, so
+        a row's slacks can differ from ``at`` of that row in the last bits.
+        The band bounds that difference.  Each LHS is a dot product of m
+        non-negative terms whose factors (1/rho_j^2 or 1/(1 + Q_j - rho_j^2),
+        and the channel's fixed matrix) are elementwise results with the same
+        bits in both paths, and the RHS R is elementwise too.  With u the
+        unit roundoff and gamma_m = m u / (1 - m u), a dot product of
+        non-negative terms computed in any order, with or without fused
+        multiply-add, is within gamma_m L of its exact value L (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 3.5).
+        So the two computed LHS differ by at most 2 gamma_m L <=
+        2 gamma_m / (1 - gamma_m) Lhat for either computed value Lhat, and
+        rounding the slack Lhat - R adds at most u (Lhat + R) in each path:
+
+            |slack_batch - slack_at| <= (2m + 2) u (Lhat + R) + O(m^2 u^2) Lhat.
+
+        The band (2m + 4) u (Lhat + R) covers this, its surplus 2u (Lhat + R)
+        absorbing the second-order term and the rounding of the band itself
+        for m <= 16.  Products that underflow carry an absolute error of at
+        most half the least subnormal instead, m of them per dot product and
+        path; the floor 2m times the least subnormal covers those.
+        """
+        lhs, rhs = self._sides(rho)
+        band = (2 * self.m + 4) * _UNIT_ROUNDOFF * (lhs + rhs) + 2 * self.m * _SUBNORMAL_MIN
+        return np.subtract(lhs, rhs, out=lhs), band
+
 
 def _grid_scan(model: _Conditions, axis: np.ndarray):
     """The grid axis^m in lexicographic order, its slacks and max slacks."""
-    grid = np.array(list(itertools.product(axis, repeat=model.m)))
+    # Row-major np.indices varies the last coordinate fastest, as
+    # itertools.product does; the smallest index type keeps the oracle's
+    # 64^4 grid at one byte per index.
+    shape = (len(axis),) * model.m
+    index = np.indices(shape, dtype=np.min_scalar_type(len(axis))).reshape(model.m, -1)
+    grid = axis[index.T.copy()]
     slacks = model(grid)
     return grid, slacks, slacks.reshape(len(grid), -1).max(axis=1)
 
@@ -211,37 +262,71 @@ def _heuristic_seed(model: _Conditions) -> np.ndarray | None:
     """Per-user generalization of the uniform minimizer."""
     into = model.gains_offdiag.sum(axis=0)  # total gain into each receiver
     rho_sq = np.sqrt(np.maximum(into, 1e-300)) * (1.0 + model.q)
-    return np.sqrt(np.clip(rho_sq, 1e-6, 1.0 - 1e-6))
+    return np.sqrt(np.clip(rho_sq, _RHO_MIN, _RHO_MAX))
 
 
 def _descend_max_slack(
     model: _Conditions, start: np.ndarray, budget: list[int]
 ) -> np.ndarray:
     """Coordinate descent on the maximum slack, stopping early once every
-    slack is <= 0."""
+    slack is <= 0.
 
-    def f(rho: np.ndarray) -> float:
-        budget[0] -= 1
-        return float(np.max(model.at(rho)))
+    A sweep tries the moves rho_idx +/- step for idx = 0..m-1 in that order,
+    repeating a move while it lowers the maximum slack val; a sweep without
+    a lowering move halves the step.  Each tried move costs one unit of
+    ``budget``.  The probe sequence, the accepted points and their values
+    are those of trying one move per ``model.at`` call, but the moves are
+    screened in batches: from the current point, every remaining move of
+    the sweep (as many as the budget pays for) goes into one
+    ``model.banded`` call, and the moves are consumed in order:
 
-    x = np.clip(start, 1e-6, 1.0 - 1e-6)
-    val = f(x)
+    * a move that the clamp to [1e-6, 1 - 1e-6] turns into no move is
+      rejected unevaluated (it would return val itself);
+    * a move with a batched slack that stays above val after subtracting
+      its rounding band is rejected, since its ``model.at`` value is at
+      least that large (rounding is monotone and val is a float, so a
+      computed difference above val means the exact one is too);
+    * any other move is evaluated by ``model.at`` and decided on that value,
+      so an accepted point's val is always a one-point value.
+
+    After an accepted move the rest of the batch is stale, and the next
+    batch starts from the new point with the same move.
+    """
+    moves_idx = np.repeat(np.arange(model.m), 2)
+    moves_sign = np.tile([1.0, -1.0], model.m)
+    x = np.clip(start, _RHO_MIN, _RHO_MAX)
+    budget[0] -= 1
+    val = float(model.at(x).max())
     step = 0.1
     while step > 1e-10 and budget[0] > 0 and val > 0.0:
         improved = False
-        for idx in range(model.m):
-            for sign in (1.0, -1.0):
-                while budget[0] > 0:
-                    cand = x.copy()
-                    cand[idx] = min(max(cand[idx] + sign * step, 1e-6), 1.0 - 1e-6)
-                    cand_val = f(cand)
-                    if cand_val < val:
-                        x, val = cand, cand_val
-                        improved = True
-                        if val <= 0.0:
-                            return x
-                    else:
-                        break
+        k = 0  # the next move of the sweep
+        while k < len(moves_idx) and budget[0] > 0:
+            idx = moves_idx[k : k + budget[0]]
+            here = x[idx]
+            moved = (here + moves_sign[k : k + budget[0]] * step).clip(_RHO_MIN, _RHO_MAX)
+            live = (moved != here).nonzero()[0]
+            batch = np.repeat(x[None, :], len(live), axis=0)
+            batch[np.arange(len(live)), idx[live]] = moved[live]
+            slacks, band = model.banded(batch)
+            floors = (slacks - band).max(axis=(1, 2))
+            accepted = None
+            for row, j in enumerate(live.tolist()):
+                if floors[row] > val:
+                    continue
+                cand = batch[row].copy()
+                cand_val = float(model.at(cand).max())
+                if cand_val < val:
+                    x, val, improved, accepted = cand, cand_val, True, j
+                    break
+            if accepted is None:
+                budget[0] -= len(idx)
+                k += len(idx)
+                continue
+            budget[0] -= accepted + 1
+            if val <= 0.0:
+                return x
+            k += accepted  # try the accepted move again, from x
         if not improved:
             step *= 0.5
     return x
@@ -252,7 +337,11 @@ def find_rho(ch: MUserChannel, max_evals: int = _MAX_EVALS) -> MUserVerdict:
 
     Probe order: the uniform-channel collapse (exact for symmetric
     channels), the m = 2 analytic witness, a per-user heuristic, then a
-    coarse grid with coordinate-descent refinement of the best starts.  A
+    coarse grid with coordinate-descent refinement of the best starts.
+    ``max_evals`` caps the probes: each seed, grid point and descent move
+    counts one.  The descent screens its moves in batches but decides each
+    one on its one-point value (``_descend_max_slack``), so the verdict,
+    witness and best probe are those of a one-move-at-a-time search.  A
     'not found' verdict is not a proof of infeasibility except for uniform
     channels whose gain exceeds 1/(4(m-1)), where the common-rho reduction
     is both necessary and sufficient.

@@ -91,7 +91,7 @@ def test_criterion_4_two_user_reduction_grid():
                 verdict = find_rho(MUserChannel.from_two_user(ch))
                 assert verdict.feasible == holds, (a, b, p, slack)
                 checked += 1
-    _report("4 two-user reduction", t0, 120.0, f"{checked} grid cells")
+    _report("4 two-user reduction", t0, 60.0, f"{checked} grid cells")
 
 
 def test_criterion_5_oracle_equivalence():

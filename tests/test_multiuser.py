@@ -1,4 +1,7 @@
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from gicbounds import (
     symmetric_threshold,
     tin_rates,
 )
+from gicbounds.multiuser import _Conditions, _grid_scan
 
 FIG1 = TwoUserChannel(a=0.04, b=0.09, p1=10, p2=20)
 
@@ -191,6 +195,64 @@ class TestFindRho:
     def test_rejects_large_m(self):
         with pytest.raises(ValueError):
             find_rho(MUserChannel.symmetric(17, 0.001, 1.0))
+
+
+class TestFindRhoPinned:
+    def test_verdicts_bit_identical(self):
+        # Every m-user channel of the benchmark verdicts pool, 100 seeded
+        # random channels and budget cuts at m = 4, 8, 12, recorded with the
+        # one-candidate-per-call descent.
+        pinned = json.loads((Path(__file__).parent / "data" / "find_rho.json").read_text())
+        for entry in pinned["entries"]:
+            ch = MUserChannel(gains=np.array(entry["gains"]), powers=np.array(entry["powers"]))
+            if entry["max_evals"] is None:
+                v = find_rho(ch)
+            else:
+                v = find_rho(ch, max_evals=entry["max_evals"])
+            got = {
+                "feasible": v.feasible,
+                "rho": None if v.rho is None else list(v.rho),
+                "best_probe": None if v.best_probe is None else list(v.best_probe),
+                "slacks": v.slacks.tobytes().hex(),
+                "max_slack": repr(v.max_slack),
+                "note": v.note,
+                "provably_infeasible": v.provably_infeasible,
+            }
+            assert got == entry["verdict"], entry["id"]
+
+
+class TestConditionModel:
+    def test_rounding_band_covers_one_point_slacks(self):
+        rng = np.random.default_rng(31)
+        for m in range(2, 17):
+            gains = rng.uniform(0.0, 2.0 / m, (m, m)) * (rng.uniform(size=(m, m)) < 0.8)
+            np.fill_diagonal(gains, 1.0)
+            powers = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), m))
+            model = _Conditions(MUserChannel(gains=gains, powers=powers))
+            for n in range(1, 2 * m + 1):
+                batch = rng.uniform(1e-6, 1.0 - 1e-6, (n, m))
+                edge = rng.uniform(size=(n, m))
+                batch[edge < 0.15] = 1e-6
+                batch[edge > 0.85] = 1.0 - 1e-6
+                slacks, band = model.banded(batch)
+                assert np.array_equal(slacks, model(batch))
+                assert np.all(band > 0)
+                for row in range(n):
+                    exact = model.at(batch[row].copy())
+                    assert np.all(np.abs(slacks[row] - exact) <= band[row]), (m, n, row)
+                    assert abs(slacks[row].max() - exact.max()) <= band[row].max()
+                    assert (slacks[row] - band[row]).max() <= exact.max()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_grid_is_lexicographic_product(self, m):
+        model = _Conditions(MUserChannel(gains=np.eye(m), powers=np.ones(m)))
+        for res in (1, 2, 5, 9):
+            axis = np.linspace(0.1, 0.9, res)
+            grid, slacks, max_all = _grid_scan(model, axis)
+            assert np.array_equal(grid, np.array(list(itertools.product(axis, repeat=m))))
+            assert grid.flags["C_CONTIGUOUS"]
+            assert slacks.shape == (res**m, m, 2)
+            assert np.array_equal(max_all, slacks.max(axis=(1, 2)))
 
 
 class TestOracle:
