@@ -17,6 +17,7 @@ so callers can see how far the channel is from each regime.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -221,28 +222,25 @@ def symmetric_noisy_power_limit(a: float) -> float:
     return symmetric_threshold(2, a)
 
 
-def symmetric_noisy_threshold(p: float, tol: float = 1e-12) -> float:
+def symmetric_noisy_threshold(p: float) -> float:
     """Largest symmetric gain a = b (<= 1/4) whose noisy-interference power
     limit still admits power p1 = p2 = p.
 
-    The power limit (sqrt(a) - 2a)/(2a^2) decreases in a on (0, 1/4]
-    (verified: its derivative is negative for a < 9/16), so bisection on a
-    converges; absolute tolerance ``tol`` on the returned gain.
+    With t = sqrt(a), limit (sqrt(a) - 2a)/(2a^2) = p is the cubic
+    2p t^3 + 2t - 1 = 0, whose one real root is the cancellation-free
+    t = 2/sqrt(3p) * sinh(asinh(0.75*sqrt(3p))/3).  The limit decreases in
+    a on (0, 1/4], so stepping a down one float at a time until the limit
+    admits p puts the result on the feasible side of the boundary.  Powers
+    above about 2.7e230, whose threshold squares below the normal floats,
+    cannot be checked that way and raise ValueError.
     """
     if not (math.isfinite(p) and p > 0):
         raise ValueError(f"power must be finite and > 0, got {p}")
-    hi = 0.25
-    if symmetric_noisy_power_limit(hi) >= p:
-        return hi
-    lo = min(0.25, 1.0 / (p * p)) * 1e-6
-    while symmetric_noisy_power_limit(lo) < p:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise RuntimeError("failed to bracket the threshold")  # unreachable
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if symmetric_noisy_power_limit(mid) >= p:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    x = math.sqrt(3.0 * p)
+    t = 2.0 / x * math.sinh(math.asinh(0.75 * x) / 3.0)
+    a = min(t * t, 0.25)
+    if not a * a >= sys.float_info.min:
+        raise ValueError(f"power {p} is too large for a representable gain threshold")
+    while symmetric_noisy_power_limit(a) < p:
+        a = math.nextafter(a, 0.0)
+    return a

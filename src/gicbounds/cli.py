@@ -20,6 +20,7 @@ from pathlib import Path
 from . import capacity, genie, multiuser, region
 from .channel import MUserChannel, TwoUserChannel, tin_rates
 from .config import (
+    SWEEP_PARAMS,
     ConfigError,
     SweepSpec,
     channel_from_flags,
@@ -139,20 +140,6 @@ def _cmd_region(args) -> int:
     return 0
 
 
-def _sweep_channel(base: TwoUserChannel, parameter: str, value: float) -> TwoUserChannel:
-    if parameter == "a":
-        return TwoUserChannel(value, base.b, base.p1, base.p2)
-    if parameter == "b":
-        return TwoUserChannel(base.a, value, base.p1, base.p2)
-    if parameter == "p1":
-        return TwoUserChannel(base.a, base.b, value, base.p2)
-    if parameter == "p2":
-        return TwoUserChannel(base.a, base.b, base.p1, value)
-    if parameter == "symmetric-a":
-        return TwoUserChannel(value, value, base.p1, base.p2)
-    return TwoUserChannel(base.a, base.b, value, value)  # symmetric-p
-
-
 def _point_metric(ch: TwoUserChannel, metric: str) -> str:
     if metric == "sum-tin":
         return _fmt(tin_rates(ch).sum)
@@ -167,29 +154,22 @@ def sweep_rows(
 ) -> list[tuple[float, str]]:
     """Evaluate the sweep metric over the grid; (value, metric) rows.
 
-    Every grid channel is built first, so the first bad value raises
-    ConfigError before any metric is computed.  The sum-upper points are
-    bounded together by one genie.sum_upper_bounds call, whose MU searches
-    share one lockstep descent; the other metrics are computed point by
-    point.  With gains_in_db, gain-parameter grids are interpreted (and
-    echoed) in dB.  Grid points where no bound family applies give "n/a".
+    ``spec.channels`` builds every grid channel first, so the first bad
+    value raises ConfigError before any metric is computed; with
+    gains_in_db, gain-parameter grids are interpreted (and echoed) in dB.
+    The sum-upper points are bounded together by one genie.sum_upper_bounds
+    call, whose MU searches share one lockstep descent; the other metrics
+    are computed point by point.  Grid points where no bound family applies
+    give "n/a".
     """
-    gain_param = spec.parameter in ("a", "b", "symmetric-a")
-    grid = spec.grid()
-    channels = []
-    for raw in map(float, grid):
-        value = db_to_linear(raw) if (gains_in_db and gain_param) else raw
-        try:
-            channels.append(_sweep_channel(base, spec.parameter, value))
-        except ValueError as exc:
-            raise ConfigError(f"sweep value {value} invalid: {exc}") from exc
+    channels = spec.channels(base, gains_in_db)
     if spec.metric == "sum-upper":
         metrics = [
             "n/a" if ub is None else _fmt(ub) for ub in genie.sum_upper_bounds(channels)
         ]
     else:
         metrics = [_point_metric(ch, spec.metric) for ch in channels]
-    return list(zip(grid, metrics))
+    return list(zip(spec.grid(), metrics))
 
 
 def _cmd_sweep(args) -> int:
@@ -286,7 +266,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="one-parameter metric sweep CSV")
     _add_channel_flags(p)
     p.add_argument("--param", required=True, metavar="NAME",
-                   help="a, b, p1, p2, symmetric-a or symmetric-p")
+                   help=", ".join(SWEEP_PARAMS[:-1]) + " or " + SWEEP_PARAMS[-1])
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--points", type=int, required=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,11 @@ __all__ = [
     "channel_from_flags",
 ]
 
-SWEEP_PARAMS = ("a", "b", "p1", "p2", "symmetric-a", "symmetric-p")
+SWEEP_FIELDS = {  # each sweep parameter and the channel fields it sets
+    "a": ("a",), "b": ("b",), "p1": ("p1",), "p2": ("p2",),
+    "symmetric-a": ("a", "b"), "symmetric-p": ("p1", "p2"),
+}
+SWEEP_PARAMS = tuple(SWEEP_FIELDS)
 SWEEP_METRICS = ("sum-upper", "sum-tin", "tdm-best", "verdict")
 
 
@@ -49,7 +53,8 @@ def linear_to_db(x: float) -> float:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-parameter sweep: which knob to move, its grid, and the metric."""
+    """One-parameter sweep: which knob to move (a key of SWEEP_FIELDS), its
+    grid, and the metric; ``channels`` builds the grid's channels."""
 
     parameter: str
     start: float
@@ -78,6 +83,23 @@ class SweepSpec:
         if self.log_spacing:
             return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
+
+    def channels(
+        self, base: TwoUserChannel, gains_in_db: bool = False
+    ) -> list[TwoUserChannel]:
+        """``base`` with the parameter's fields set to each grid value, the
+        grid read in dB with gains_in_db if every such field is a gain;
+        ConfigError at the first value that makes an invalid channel."""
+        fields = SWEEP_FIELDS[self.parameter]
+        in_db = gains_in_db and set(fields) <= {"a", "b"}
+        channels = []
+        for raw in map(float, self.grid()):
+            value = db_to_linear(raw) if in_db else raw
+            try:
+                channels.append(replace(base, **dict.fromkeys(fields, value)))
+            except ValueError as exc:
+                raise ConfigError(f"sweep value {value} invalid: {exc}") from exc
+        return channels
 
 
 def channel_from_flags(

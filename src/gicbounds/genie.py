@@ -503,36 +503,22 @@ def _tight_sum_certificate(ch: TwoUserChannel) -> "GenieParams | None":
         return None
 
 
-def _probe_grid(ch: TwoUserChannel, mu: float) -> np.ndarray:
+def _probe_grid(ch: TwoUserChannel, objective: _MuObjective) -> np.ndarray:
     """Coarse feasible probes, (4, n): 8 points per parameter (sigma^2
-    log-spaced), then the manifold where both variance caps bind."""
+    log-spaced), then the manifold where both variance caps bind (the
+    closed-form tight point lives there; it often holds the minimizer).
+    ``objective.clamp`` puts a point past the capped variance's limit on
+    that limit, in the box of the objective's weight."""
     smax = 10.0 * max(ch.p1, ch.p2, 1.0 / ch.a, 1.0 / ch.b)
     rho_axis = np.linspace(0.0, _RHO_MAX, _GRID_POINTS)
     sig_axis = np.geomspace(_SIGMA_FLOOR, smax, _GRID_POINTS)
-    r1g, r2g, s1g, s2g = np.meshgrid(
-        rho_axis, rho_axis, sig_axis, sig_axis, indexing="ij"
-    )
-    r1g, r2g = r1g.ravel(), r2g.ravel()
-    s1g, s2g = s1g.ravel(), s2g.ravel()
-    # Clamp the capped variance onto its rho-dependent limit instead of
-    # discarding the grid point.
-    if mu >= 1.0:
-        s2g = np.minimum(s2g, (1.0 - r1g * r1g) / ch.a)
-    else:
-        s1g = np.minimum(s1g, (1.0 - r2g * r2g) / ch.b)
-
-    # Extra structured probes on the manifold where both variance caps bind
-    # (the closed-form tight point lives there); often holds the minimizer.
+    grid = np.meshgrid(rho_axis, rho_axis, sig_axis, sig_axis, indexing="ij")
     rho_fine = np.linspace(0.0, _RHO_MAX, 2 * _GRID_POINTS)
     r1m, r2m = map(np.ravel, np.meshgrid(rho_fine, rho_fine, indexing="ij"))
-    s1m = (1.0 - r2m * r2m) / ch.b
-    s2m = (1.0 - r1m * r1m) / ch.a
-    return np.array([
-        np.concatenate([r1g, r1m]),
-        np.concatenate([r2g, r2m]),
-        np.concatenate([s1g, s1m]),
-        np.concatenate([s2g, s2m]),
-    ])
+    manifold = (r1m, r2m, (1.0 - r2m * r2m) / ch.b, (1.0 - r1m * r1m) / ch.a)
+    return objective.clamp(np.array([
+        np.concatenate([g.ravel(), m]) for g, m in zip(grid, manifold)
+    ]))
 
 
 def _mu_lines(requests) -> tuple[SupportingLine, ...]:
@@ -542,7 +528,9 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     Per request the candidates are the closed-form tight parameters (at
     mu == 1 on a noisy-interference channel), then the 4 best points of the
     channel's probe grid; each is the start of one lane.  The best start or
-    lane end wins, the first strict improvement in candidate order.
+    lane end wins, the first strict improvement in candidate order.  Each
+    probe grid is built and clamped once per (channel, mu >= 1) pair and
+    shared by every weight of that side, whose boxes are the same.
     """
     requests = tuple(requests)
     for ch, mu in requests:
@@ -566,7 +554,7 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
                 found.append((float(objective(x)), x))
         grid = grids.get((ch, mu >= 1.0))
         if grid is None:
-            grid = grids[ch, mu >= 1.0] = _probe_grid(ch, mu)
+            grid = grids[ch, mu >= 1.0] = _probe_grid(ch, objective)
         vals = objective(grid)
         for i in np.argsort(vals, kind="stable")[:4]:
             if math.isfinite(vals[i]):

@@ -267,9 +267,9 @@ def _heuristic_seed(model: _Conditions) -> np.ndarray | None:
 
 def _descend_max_slack(
     model: _Conditions, start: np.ndarray, budget: list[int]
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate descent on the maximum slack, stopping early once every
-    slack is <= 0.
+    slack is <= 0.  Returns the end point and its one-point slacks.
 
     A sweep tries the moves rho_idx +/- step for idx = 0..m-1 in that order,
     repeating a move while it lowers the maximum slack val; a sweep without
@@ -296,7 +296,8 @@ def _descend_max_slack(
     moves_sign = np.tile([1.0, -1.0], model.m)
     x = np.clip(start, _RHO_MIN, _RHO_MAX)
     budget[0] -= 1
-    val = float(model.at(x).max())
+    slacks_x = model.at(x)
+    val = float(slacks_x.max())
     step = 0.1
     while step > 1e-10 and budget[0] > 0 and val > 0.0:
         improved = False
@@ -315,9 +316,11 @@ def _descend_max_slack(
                 if floors[row] > val:
                     continue
                 cand = batch[row].copy()
-                cand_val = float(model.at(cand).max())
+                cand_slacks = model.at(cand)
+                cand_val = float(cand_slacks.max())
                 if cand_val < val:
-                    x, val, improved, accepted = cand, cand_val, True, j
+                    x, slacks_x, val = cand, cand_slacks, cand_val
+                    improved, accepted = True, j
                     break
             if accepted is None:
                 budget[0] -= len(idx)
@@ -325,11 +328,11 @@ def _descend_max_slack(
                 continue
             budget[0] -= accepted + 1
             if val <= 0.0:
-                return x
+                return x, slacks_x
             k += accepted  # try the accepted move again, from x
         if not improved:
             step *= 0.5
-    return x
+    return x, slacks_x
 
 
 def find_rho(ch: MUserChannel, max_evals: int = _MAX_EVALS) -> MUserVerdict:
@@ -363,9 +366,8 @@ def find_rho(ch: MUserChannel, max_evals: int = _MAX_EVALS) -> MUserVerdict:
     best_slacks = best_rho = None
     best_max = math.inf
 
-    def consider(rho: np.ndarray) -> bool:
+    def consider(rho: np.ndarray, slacks: np.ndarray) -> bool:
         nonlocal best_slacks, best_rho, best_max
-        slacks = model.at(rho)
         mx = float(np.max(slacks))
         if mx < best_max:
             best_max, best_rho, best_slacks = mx, rho.copy(), slacks
@@ -373,7 +375,7 @@ def find_rho(ch: MUserChannel, max_evals: int = _MAX_EVALS) -> MUserVerdict:
 
     for seed in seeds:
         budget[0] -= 1
-        if consider(seed):
+        if consider(seed, model.at(seed)):
             return _verdict_from_probe(ch, best_rho, best_slacks)
 
     # Coarse grid, sized to the evaluation budget.
@@ -381,13 +383,13 @@ def find_rho(ch: MUserChannel, max_evals: int = _MAX_EVALS) -> MUserVerdict:
     grid, _, max_all = _grid_scan(model, np.linspace(0.1, 0.9, pts))
     budget[0] -= len(grid)
     order = np.argsort(max_all, kind="stable")
-    if consider(grid[order[0]]):
+    if consider(grid[order[0]], model.at(grid[order[0]])):
         return _verdict_from_probe(ch, best_rho, best_slacks)
 
     for start in [grid[i] for i in order[:3]] + seeds:
         if budget[0] <= 0:
             break
-        if consider(_descend_max_slack(model, start, budget)):
+        if consider(*_descend_max_slack(model, start, budget)):
             return _verdict_from_probe(ch, best_rho, best_slacks)
 
     return _verdict_from_probe(

@@ -13,6 +13,7 @@ from gicbounds import (
     noisy_certificate,
     noisy_condition,
     optimize_constraint1,
+    sigma_feasible,
     symmetric_noisy_threshold,
     tin_rates,
 )
@@ -93,6 +94,21 @@ class TestNoisyCertificate:
             assert eval_constraint1(ch, 1.0, cert) == pytest.approx(
                 tin_rates(ch).sum, abs=1e-9
             )
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the certificate's root formulas cancel at low power: the "
+        "returned pair misses its targets and lies just outside the box",
+    )
+    def test_low_power_certificate_is_feasible(self):
+        ch = TwoUserChannel(
+            3.1143703952630876e-08,
+            0.00018410758470855643,
+            8.607408930826086e-05,
+            0.0007410614819028871,
+        )
+        assert sigma_feasible(ch, 1.0, classify(ch).certificate)
 
 
 class TestMixedCondition:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -308,6 +309,46 @@ class TestSweepCommand:
             "--from", "2", "--to", "1", "--points", "5", "--metric", "sum-tin",
         )
         assert code == 1 and err
+
+
+# Each sweep parameter and the channel fields it sets.
+SWEEP_SETS = {
+    "a": ("a",),
+    "b": ("b",),
+    "p1": ("p1",),
+    "p2": ("p2",),
+    "symmetric-a": ("a", "b"),
+    "symmetric-p": ("p1", "p2"),
+}
+
+
+class TestSweepParameters:
+    @pytest.mark.parametrize("db", [False, True], ids=["linear", "db"])
+    @pytest.mark.parametrize("param", list(SWEEP_SETS))
+    def test_parameter_sets_its_fields(self, capsys, param, db):
+        # --db reads the base gains and a gain parameter's grid in dB, and
+        # leaves a power parameter's grid linear.
+        fields = SWEEP_SETS[param]
+        gain_grid_in_db = db and set(fields) <= {"a", "b"}
+        if db:
+            base_flags = ["--a", "-14", "--b", "-10.5", "--p1", "10", "--p2", "20", "--db"]
+            base = TwoUserChannel(10.0 ** (-14.0 / 10.0), 10.0 ** (-10.5 / 10.0), 10.0, 20.0)
+        else:
+            base_flags = FIG1_ARGS
+            base = TwoUserChannel(0.04, 0.09, 10.0, 20.0)
+        start, stop = ("-20", "-10") if gain_grid_in_db else ("0.05", "2")
+        code, out, err = run(
+            capsys, "sweep", *base_flags, "--param", param,
+            "--from", start, "--to", stop, "--points", "3", "--metric", "sum-tin",
+        )
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert rows[0] == f"{param},sum-tin" and len(rows) == 4
+        for row in rows[1:]:
+            raw, metric = map(float, row.split(","))
+            value = 10.0 ** (raw / 10.0) if gain_grid_in_db else raw
+            ch = dataclasses.replace(base, **dict.fromkeys(fields, value))
+            assert metric == tin_rates(ch).sum, row
 
 
 class TestMurateCommand:

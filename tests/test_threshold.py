@@ -1,0 +1,98 @@
+"""The symmetric gain threshold: its closed form against a 50-digit root of
+the cubic, the feasible-side guarantee over the whole power range, and the
+CLI outputs pinned from the bisection it replaced."""
+
+import json
+import math
+import sys
+from decimal import Decimal, localcontext
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from gicbounds import symmetric_noisy_threshold
+from gicbounds.capacity import symmetric_noisy_power_limit
+from gicbounds.cli import main
+from gicbounds.config import linear_to_db
+
+# p log-uniform in [1e-8, 1e12]
+POWERS = st.floats(math.log(1e-8), math.log(1e12)).map(math.exp)
+PINNED = json.loads((Path(__file__).parent / "data" / "threshold_p.json").read_text())
+
+
+def decimal_threshold(p: float) -> Decimal:
+    """a = t^2 at the real root of 2p t^3 + 2t - 1 = 0, by Newton's method in
+    50-digit arithmetic.  The cubic is convex for t > 0 and positive at
+    t = 1/2, so the iterates from there fall monotonically to the root."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p = Decimal(p)
+        t = Decimal("0.5")
+        while True:
+            step = (2 * p * t**3 + 2 * t - 1) / (6 * p * t * t + 2)
+            t -= step
+            if step <= t * Decimal("1e-45"):
+                return t * t
+
+
+@given(POWERS)
+def test_threshold_admits_the_power(p):
+    assert symmetric_noisy_power_limit(symmetric_noisy_threshold(p)) >= p
+
+
+@given(POWERS)
+def test_threshold_matches_decimal_root(p):
+    exact = decimal_threshold(p)
+    assert abs(Decimal(symmetric_noisy_threshold(p)) - exact) <= Decimal("1e-13") * exact
+
+
+@given(POWERS, POWERS)
+def test_threshold_nonincreasing_in_power(p, q):
+    lo, hi = sorted((p, q))
+    assert symmetric_noisy_threshold(lo) >= symmetric_noisy_threshold(hi)
+
+
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_every_positive_power_is_answered_or_rejected(p):
+    try:
+        a = symmetric_noisy_threshold(p)
+    except ValueError:
+        assert p > 1e230
+    else:
+        assert 0.0 < a <= 0.25
+        assert symmetric_noisy_power_limit(a) >= p
+
+
+def test_largest_float_power_is_rejected():
+    with pytest.raises(ValueError, match="too large"):
+        symmetric_noisy_threshold(sys.float_info.max)
+
+
+@pytest.mark.parametrize("case", PINNED["cases"], ids=lambda case: case["argv"][2])
+def test_cli_matches_the_pinned_bisection(capsys, case):
+    assert main(case["argv"]) == 0
+    out = capsys.readouterr()
+    got, pinned = json.loads(out.out), json.loads(case["stdout"])
+    assert out.err == ""
+    assert got.keys() == pinned.keys()
+    assert got["p"] == pinned["p"]
+    assert abs(got["a_star"] - pinned["a_star"]) <= 1e-12
+    assert got["a_star_db"] == linear_to_db(got["a_star"])
+
+
+@pytest.mark.parametrize("p", ["1e-300", "1e200"])
+def test_cli_extreme_powers(capsys, p):
+    assert main(["threshold", "--p", p]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.startswith("a* = ")
+
+
+def test_cli_power_beyond_the_range_exit_one(capsys):
+    assert main(["threshold", "--p", "1e300"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
