@@ -12,6 +12,7 @@ input, 2 for an internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -247,6 +248,10 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
+# Built on first use, so importing the module stays cheap, and then shared
+# by every call of ``main``: parse_args only reads the parser, so calls in
+# concurrent threads may share it.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gicbounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -295,7 +295,7 @@ def _descent_moves() -> np.ndarray:
     and halve together while either exceeds _STEP_FLOOR.  The factors come
     from math.exp, not numpy's vectorized exp, which may round differently,
     and the steps from repeated halving: the lines depend on every bit of
-    each move.  A last row of null moves serves lanes that have finished.
+    each move.
     """
     rows = []
     up_down = (1.0, -1.0)
@@ -307,12 +307,13 @@ def _descent_moves() -> np.ndarray:
         )
         rho_step *= 0.5
         log_step *= 0.5
-    rows.append([0.0] * 4 + [1.0] * 4)
     return np.array(rows)
 
 
 _MOVES = _descent_moves()
-_HALVINGS = len(_MOVES) - 1  # halvings after which a descent round ends
+_HALVINGS = len(_MOVES)  # halvings after which a descent round ends
+_CHAIN_MAX = 64  # most repeats of an accepted move polled in one call
+_LOOKAHEAD = 32  # halvings polled ahead per call, shared by the quiet lanes
 
 
 class _MuObjective:
@@ -353,6 +354,10 @@ class _MuObjective:
     def of(cls, requests) -> "_MuObjective":
         """One entry per (channel, mu) request."""
         return cls(*np.array([(ch.a, ch.b, ch.p1, ch.p2, mu) for ch, mu in requests]).T)
+
+    def take(self, idx) -> "_MuObjective":
+        """The entries ``idx`` of an objective with one entry per lane."""
+        return _MuObjective(self.a[idx], self.b[idx], self.p1[idx], self.p2[idx], self.mu[idx])
 
     def caps(self, r1, r2):
         """Upper limits (s1_max, s2_max) of the feasibility box; +inf where
@@ -447,47 +452,151 @@ def _lockstep_descent(
     into the feasibility box.  A sweep that gains less than _SWEEP_TOL
     halves the lane's steps; once they pass _STEP_FLOOR the lane restarts
     once more with fresh steps, unless that round gained less than
-    _SWEEP_TOL.  All lanes advance together, one candidate each per step,
-    so each step is one objective call over all lanes and the search takes
-    as many calls as its longest lane.  A lane is a (channel, weight, start)
-    triple: ``obj`` holds each lane's own channel and weight, so lanes of
-    different channels share the steps.  ``starts`` is (4, lanes); returns
-    the (values, points) the lanes end at.
+    _SWEEP_TOL.  A lane is a (channel, weight, start) triple: ``obj`` holds
+    each lane's own channel and weight, so lanes of different channels share
+    the objective calls.  ``starts`` is (4, lanes); returns the (values,
+    points) the lanes end at.
+
+    Each step is one objective call that polls, for every live lane, every
+    move it might take next from its point: a chain of repeats of its
+    current move, then one step of each later move of the sweep.  The lane
+    takes the leading chain points that each improve on the one before or,
+    if the first does not improve, the first later move that does: exactly
+    the moves, in the same order, that a search testing one candidate per
+    call accepts.  The chain has one point unless the lane accepted on its last
+    step; it doubles while the whole chain is accepted, up to _CHAIN_MAX.
+    A lane whose last sweep took no move, back at the start of a sweep,
+    also polls every move of its next halvings (the quiet lanes of a call
+    share _LOOKAHEAD of them, none past the end of the round): should this
+    sweep take no move, it gains nothing, so the next one starts from the
+    same point with half the steps, and a move polled there is the point
+    that sweep tests.  A lane leaves the batch when it finishes.
+
+    Why chain point k is the point k single steps reach.  Its moved
+    coordinate is the k-fold np.add.accumulate (rho) or
+    np.multiply.accumulate (sigma^2) of the step: the roundings of k single
+    steps, while the clamp leaves that coordinate alone.  The clamp acts on
+    each coordinate on its own and every point is clamped already, so an
+    unmoved rho stays put, and so does an unmoved sigma^2 when the other
+    sigma^2 moves, since the caps depend on the correlations only.  That
+    leaves the capped sigma^2 s when the other user's rho r moves.  Along
+    the chain r is monotone (rounding a sum or product with a fixed step
+    is, and so is the clamp to [0, _RHO_MAX]), hence so is the rounded cap
+    (1 - r*r)/gain.  With r <= _RHO_MAX and gain < 1 the cap is at least
+    1 - _RHO_MAX**2 > 1.99e-6, above the sigma^2 floor of 1e-6, so s >= 1e-6
+    and the floor never binds.  Single steps give s_k = min(s_{k-1}, cap_k):
+    min(s_0, cap_k) for a falling cap, and s_0 = min(s_0, cap_k) for a
+    rising one, since s_0 <= cap_0.  Clamping chain point k on its own gives
+    min(s_0, cap_k), the same bits, as min and max round nothing.  Once the
+    clamp changes the moved coordinate, it puts it on the same bound (0,
+    _RHO_MAX, the floor or the cap, which that move leaves alone) at every
+    later chain point, and with it the capped sigma^2: all of them are the
+    first such point, cannot improve on it, and so cut the chain there, as
+    a single step from that point, which returns it, stops the repeats.
     """
     x = obj.clamp(starts)
     val = obj(x)
-    lanes = np.arange(x.shape[1])
-    move = np.zeros_like(lanes)  # column of _MOVES: 2*parameter + direction
-    halvings = np.zeros_like(lanes)
-    restarted = np.zeros(lanes.shape, dtype=bool)
-    active = np.ones(lanes.shape, dtype=bool)
+    out_val, out_x = val.copy(), x.copy()
+    ids = np.arange(x.shape[1])  # lane of each live entry
+    move = np.zeros_like(ids)  # column of _MOVES: 2*parameter + direction
+    chain = np.ones_like(ids)  # repeats of the current move to poll
+    halvings = np.zeros_like(ids)
+    restarted = np.zeros(ids.shape, dtype=bool)
+    quiet = np.zeros(ids.shape, dtype=bool)  # last sweep took no move
     sweep_start = val
     round_start = val
-    while np.count_nonzero(active):
-        param = move >> 1
-        step = _MOVES[halvings, move]
-        cur = x[param, lanes]
-        cand = x.copy()
-        cand[param, lanes] = np.where(param < 2, cur + step, cur * step)
-        cand = obj.clamp(cand)
-        cand_val = obj(cand)
-        better = active & (cand_val < val)
-        x = np.where(better, cand, x)
-        val = np.where(better, cand_val, val)
-        move = move + (active & ~better)
-        swept = move == 8
+    while ids.size:
+        # One step of each move from the current one to the end of the
+        # sweep, lane by lane, the first being the chain's first point; for
+        # a quiet lane at the start of a sweep, also every move of its next
+        # ``ahead`` halvings.  Column 8*level + move of the grid is a move
+        # ``level`` halvings ahead.
+        idle = quiet & (move == 0) & (sweep_start == val)
+        ahead = np.where(idle, np.minimum(
+            _LOOKAHEAD // max(1, np.count_nonzero(idle)), _HALVINGS - 1 - halvings
+        ), 0)
+        grid = np.arange(8 * (1 + ahead.max()))
+        lane, col = np.nonzero((grid >= move[:, None]) & (grid >> 3 <= ahead[:, None]))
+        cand_move, level = col & 7, col >> 3
+        n_single = lane.size
+        count = 8 * (1 + ahead) - move
+        first = np.cumsum(count) - count
+        cur = x[cand_move >> 1, lane]
+        step = _MOVES[halvings[lane] + level, cand_move]
+        moved = np.where(cand_move < 4, cur + step, cur * step)
+        # Repeats 2..chain of the current move, lane by lane, for the lanes
+        # that accepted it on their last step.
+        hot = np.flatnonzero(chain > 1)
+        if hot.size:
+            param = move[hot] >> 1
+            walk = np.empty((hot.size, chain[hot].max() + 1))
+            walk[:, 0] = x[param, hot]
+            walk[:, 1:] = _MOVES[halvings[hot], move[hot]][:, None]
+            walk = np.where(
+                (param < 2)[:, None],
+                np.add.accumulate(walk, axis=1),
+                np.multiply.accumulate(walk, axis=1),
+            )
+            repeats = np.arange(walk.shape[1])
+            hot_row, rep = np.nonzero((repeats >= 2) & (repeats <= chain[hot][:, None]))
+            lane = np.concatenate([lane, hot[hot_row]])
+            cand_move = np.concatenate([cand_move, move[hot][hot_row]])
+            level = np.concatenate([level, np.zeros_like(hot_row)])
+            moved = np.concatenate([moved, walk[hot_row, rep]])
+        cols = np.arange(lane.size)
+        cand = x[:, lane]
+        cand[cand_move >> 1, cols] = moved
+        cand_obj = obj.take(ids[lane])
+        cand = cand_obj.clamp(cand)
+        cand_val = cand_obj(cand)
+
+        # Chain points taken: leading points that each improve on the last.
+        better = cand_val[:n_single] < val[lane[:n_single]]
+        taken = better[first].astype(int)
+        after = first  # candidate holding the last chain point taken
+        if hot.size:
+            extra = cand_val[n_single:]
+            last = np.empty_like(extra)
+            last[1:] = extra[:-1]
+            n_extra = chain[hot] - 1
+            segment = np.cumsum(n_extra) - n_extra
+            last[segment] = cand_val[first[hot]]
+            miss = np.minimum.reduceat(np.where(extra < last, _CHAIN_MAX + 1, rep), segment)
+            taken[hot] *= np.minimum(miss - 1, chain[hot])
+            after = first.copy()
+            after[hot] = np.where(taken[hot] > 1, n_single + segment + taken[hot] - 2, first[hot])
+        # Otherwise the first later move that improves.
+        later_at = np.minimum.reduceat(np.where(better, cols[:n_single], n_single), first)
+        later = (taken == 0) & (later_at < n_single)
+        pick = np.where(later, later_at, after)
+        moves = later | (taken > 0)
+        x = np.where(moves, cand[:, pick], x)
+        val = np.where(moves, cand_val[pick], val)
+        whole = taken == chain
+        move = cand_move[pick] + (~whole & ~later)
+        chain = np.where(whole, np.minimum(2 * chain, _CHAIN_MAX), np.where(later, 2, 1))
+        halvings = halvings + np.where(moves, level[pick], ahead)
+        swept = ~moves | (move == 8)
         if np.count_nonzero(swept):
             halvings = halvings + (swept & (sweep_start - val < _SWEEP_TOL))
             ended = swept & (halvings == _HALVINGS)
             done = ended & (restarted | (round_start - val < _SWEEP_TOL))
             fresh = ended & ~done
-            active = active & ~done
             restarted = restarted | fresh
             round_start = np.where(fresh, val, round_start)
             halvings = np.where(fresh, 0, halvings)
+            quiet = np.where(swept, sweep_start == val, quiet)
             move = np.where(swept, 0, move)
             sweep_start = np.where(swept, val, sweep_start)
-    return val, x
+            if np.count_nonzero(done):
+                out_val[ids[done]] = val[done]
+                out_x[:, ids[done]] = x[:, done]
+                keep = ~done
+                ids, x, val = ids[keep], x[:, keep], val[keep]
+                move, chain, halvings = move[keep], chain[keep], halvings[keep]
+                restarted, quiet = restarted[keep], quiet[keep]
+                sweep_start, round_start = sweep_start[keep], round_start[keep]
+    return out_val, out_x
 
 
 def _tight_sum_certificate(ch: TwoUserChannel) -> "GenieParams | None":
@@ -519,6 +628,17 @@ def _probe_grid(ch: TwoUserChannel, objective: _MuObjective) -> np.ndarray:
     return objective.clamp(np.array([
         np.concatenate([g.ravel(), m]) for g, m in zip(grid, manifold)
     ]))
+
+
+def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` smallest of ``vals`` (at least k entries, no
+    nan), ties in index order: ``np.argsort(vals, kind="stable")[:k]``
+    without sorting the rest.  Every entry up to the k-th smallest value is
+    among those at or below it, which keep their index order for the stable
+    sort."""
+    kth = np.partition(vals, k - 1)[k - 1]
+    near = np.flatnonzero(vals <= kth)
+    return near[np.argsort(vals[near], kind="stable")[:k]]
 
 
 def _mu_lines(requests) -> tuple[SupportingLine, ...]:
@@ -556,7 +676,7 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
         if grid is None:
             grid = grids[ch, mu >= 1.0] = _probe_grid(ch, objective)
         vals = objective(grid)
-        for i in np.argsort(vals, kind="stable")[:4]:
+        for i in _smallest(vals, 4):
             if math.isfinite(vals[i]):
                 found.append((float(vals[i]), grid[:, i]))
         if not found:
@@ -605,10 +725,11 @@ def optimize_constraint1_many(
 
     Each line is exactly ``optimize_constraint1(ch, mu)``: the same grid
     probes and starts per weight, and the same winner.  The descents of all
-    (weight, start) pairs, about 4 per weight, run in lockstep, one
-    objective call per search step over all of them, so a 65-weight region
-    takes about as many calls as its longest descent (some hundreds), not
-    one per step of every descent (about 160,000).
+    (weight, start) pairs, about 4 per weight, run in lockstep: each search
+    step is one objective call that polls every move each descent may take
+    next, so a 65-weight region takes about as many calls as its longest
+    descent (about 200), not one per candidate of every descent (about
+    160,000).
     """
     _require_regime(ch)
     return _mu_lines((ch, mu) for mu in mus)
@@ -621,11 +742,12 @@ def optimize_constraint1(ch: TwoUserChannel, mu: float) -> SupportingLine:
     parameter, sigma^2 log-spaced), then coordinate descent from the 4 best
     grid points.  When mu == 1 and the channel has noisy interference, the
     closed-form tight parameters are a fifth start, so the returned value
-    is exact there.  The descents run in lockstep: each search step makes
-    one objective call over all starts, so the search costs about as many
-    calls as its longest descent (some hundreds) rather than the sum over
-    the starts.  The result is always an upper bound on R1 + mu*R2 (every
-    probe is feasible) and never exceeds the bound at any probed point.
+    is exact there.  The descents run in lockstep: each search step is one
+    objective call that polls every move each start's descent may take
+    next, so the search costs about as many calls as its longest descent
+    (typically 60-100) rather than one per candidate of every start.  The
+    result is always an upper bound on R1 + mu*R2 (every probe is feasible)
+    and never exceeds the bound at any probed point.
 
     Equal to ``optimize_constraint1_many(ch, (mu,))[0]``; searching many
     weights in one optimize_constraint1_many call is much faster than one
@@ -641,9 +763,11 @@ def sum_upper_bounds(channels) -> tuple[float | None, ...]:
     The MU family is evaluated at weight 1; the one-sided families
     contribute at the admissible weight closest to 1 (weights >= 1 bound the
     sum directly, weights < 1 need the R2 cap to top up).  The weight-1 MU
-    searches of all channels run as one lockstep descent, so a call costs
-    about as many objective calls as its longest descent, not the sum over
-    the channels.  Each bound equals ``sum_upper_bound`` of its channel.
+    searches of all channels run as one lockstep descent, each of whose
+    objective calls polls the next moves of every channel's descents, so a
+    call costs about as many objective calls as its longest descent, not
+    the sum over the channels.  Each bound equals ``sum_upper_bound`` of its
+    channel.
     """
     channels = tuple(channels)
     regime = [0.0 < ch.a < 1.0 and 0.0 < ch.b < 1.0 for ch in channels]

@@ -435,6 +435,26 @@ class TestExitCodes:
         assert code == 2 and "internal" in err
 
 
+class TestParserReuse:
+    def test_failed_parse_leaves_later_calls_unchanged(self, capsys):
+        import gicbounds.cli as cli_mod
+
+        calls = (
+            ["classify", *FIG1_ARGS],
+            ["threshold", "--p", "5000"],
+            ["sweep", *FIG1_ARGS, "--param", "p1", "--from", "1", "--to", "4",
+             "--points", "3", "--metric", "sum-upper"],
+        )
+        fresh = []
+        for argv in calls:
+            cli_mod._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert all(code == 0 for code, _, _ in fresh)
+        code, out, err = run(capsys, "classify", "--a", "nope", *FIG1_ARGS[2:])
+        assert code == 1 and not out and err.startswith("error:")
+        assert [run(capsys, *argv) for argv in calls] == fresh
+
+
 class TestConfigHelpers:
     def test_db_round_trip_full_precision(self):
         for x in (0.04, 0.09, 1.0, 123.456):

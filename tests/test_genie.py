@@ -25,10 +25,11 @@ from gicbounds import (
     tin_rates,
     user1_genie_bound,
 )
+from gicbounds import genie
 from gicbounds.genie import sigma_limits
 from gicbounds.region import build_outer_region
 
-from helpers import sample_regime_channel
+from helpers import one_candidate_descent, sample_regime_channel
 
 FIG1 = TwoUserChannel(a=0.04, b=0.09, p1=10, p2=20)
 
@@ -349,6 +350,77 @@ class TestOptimizeConstraint1Many:
                 for ln in region.lines if ln.kind is WeightKind.MU
             ]
             assert got == entry["lines"], name
+
+
+def count_objective_calls(monkeypatch) -> list[int]:
+    """Count every MU objective evaluation from here on, in a one-item list."""
+    calls = [0]
+    evaluate = genie._MuObjective.__call__
+
+    def counted(self, x):
+        calls[0] += 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(genie._MuObjective, "__call__", counted)
+    return calls
+
+
+class TestLockstepDescent:
+    def test_matches_one_candidate_descent(self, monkeypatch):
+        # Per channel and weight: rhos at and past their bounds, both caps
+        # binding, and a random point; sigma^2 starts up to e^5 away from 1
+        # give long walks, and so long chains of repeated moves.
+        rng = np.random.default_rng(1)
+        lanes, starts = [], []
+        for _ in range(4):
+            ch = sample_regime_channel(rng)
+            for mu in (0.4, 1.0, 2.5):
+                r1, r2 = rng.uniform(0, 1, 2)
+                s1, s2 = np.exp(rng.uniform(-5, 5, 2))
+                caps = ((1 - r2 * r2) / ch.b, (1 - r1 * r1) / ch.a)
+                for start in ((0.0, 1.0, s1, s2), (1.5, -0.5, s2, s1), (r1, r2, *caps), (r1, r2, s1, s2)):
+                    lanes.append((ch, mu))
+                    starts.append(start)
+        obj = genie._MuObjective.of(lanes)
+        starts = np.array(starts).T
+        calls = count_objective_calls(monkeypatch)
+        values, points = genie._lockstep_descent(obj, starts)
+        polled = calls[0]
+        want_values, want_points = one_candidate_descent(obj, starts)
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(points, want_points)
+        assert polled * 20 < calls[0] - polled
+
+    @pytest.mark.parametrize("vals", [
+        np.array([3.0, 1.0, 1.0, 2.0, 1.0, 1.0, 0.5, 1.0]),
+        np.array([np.inf, 2.0, np.inf, np.inf, 2.0, np.inf]),
+        np.array([np.inf] * 9),
+        np.array([1.0, np.inf, 1.0, np.inf]),
+        np.random.default_rng(4).integers(0, 3, 4352).astype(float),
+        np.where(np.random.default_rng(5).random(4352) < 0.999, np.inf, 1.0),
+    ])
+    def test_smallest_is_the_stable_argsort_head(self, vals):
+        assert np.array_equal(genie._smallest(vals, 4), np.argsort(vals, kind="stable")[:4])
+
+
+class TestGreedyWalkTail:
+    """A channel on which one descent lane accepts tiny moves hundreds of
+    thousands of times; its line is pinned from the one-candidate search."""
+
+    def test_pinned_line_within_call_budget(self, monkeypatch):
+        pinned = json.loads((Path(__file__).parent / "data" / "mu_tail.json").read_text())
+        calls = count_objective_calls(monkeypatch)
+        line = optimize_constraint1(TwoUserChannel(*pinned["channel"]), pinned["weight"])
+        g = line.genie
+        assert line.value == pinned["value"]
+        assert [g.rho1, g.rho2, g.sigma1_sq, g.sigma2_sq] == pinned["genie"]
+        assert list(line.effective) == pinned["effective"]
+        assert calls[0] <= 20_000
+
+    def test_default_region_call_budget(self, monkeypatch):
+        calls = count_objective_calls(monkeypatch)
+        build_outer_region(FIG1)
+        assert calls[0] <= 300
 
 
 class TestSumUpperBounds:
