@@ -201,6 +201,8 @@ def _cmd_murate(args) -> int:
     ch = _channel_from_args(args)
     if isinstance(ch, TwoUserChannel):
         ch = MUserChannel.from_two_user(ch)
+    if args.oracle_resolution is not None:
+        multiuser.check_oracle_request(ch.m, args.oracle_resolution)
     verdict = multiuser.find_rho(ch)
     payload = _muser_verdict_json(ch, verdict)
     if args.oracle_resolution is not None:

@@ -15,15 +15,19 @@ cross-check, run by ``gicbounds murate --oracle-resolution`` and the tests.
 
 Every value the search decides on is a one-point evaluation of the model.
 The coordinate descent screens each sweep's moves in one batched
-evaluation and rejects a move there only when a rounding band proves its
-one-point value no lower than the current one, so batching changes the
-cost of the search and not its probes or verdicts.
+evaluation and rejects a move there only when a rounding band, or a slack
+at the current value that the move cannot change, proves its one-point
+value no lower than the current one, so batching changes the cost of the
+search and not its probes or verdicts.  The probe grid of ``find_rho`` and
+of the oracle is scanned from per-value tables of the rho terms, without
+building the grid: its memory is three (n, m) arrays for n grid points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +39,7 @@ __all__ = [
     "find_rho",
     "symmetric_threshold",
     "oracle_grid_feasibility",
+    "check_oracle_request",
     "noisy_sum_capacity",
 ]
 
@@ -72,9 +77,16 @@ def noisy_sum_capacity(ch: MUserChannel) -> float:
 
 
 class _Conditions:
-    """Both condition families of one channel.  The terms free of rho (Q,
-    the off-diagonal gains c_ij, (1 + Q)^2 and M1) are computed once; a call
-    on an (n, m) batch of rho vectors returns the (n, m, 2) slacks."""
+    """Both condition families of one channel.
+
+    The terms free of rho (Q, the off-diagonal gains c_ij, (1 + Q)^2 and the
+    weight matrices M1, M2) are computed once.  Family f's LHS is the product
+    T_f @ M_f of an (n, m) table of rho terms with its weight matrix, and its
+    RHS is elementwise in rho; ``_terms`` is the one place those rho formulas
+    live, and serves both a batch of rho vectors (``_sides``) and the grid
+    scan's per-value tables (``_grid_scan``).  A call on an (n, m) batch of
+    rho vectors returns the (n, m, 2) slacks.
+    """
 
     def __init__(self, ch: MUserChannel):
         self.m, self.powers = ch.m, ch.powers
@@ -83,21 +95,48 @@ class _Conditions:
         np.fill_diagonal(self.gains_offdiag, 0.0)
         self.one_q = 1.0 + self.q
         self.one_q_sq = np.square(self.one_q)
-        # First family: M1[j, i] = c_ji (1 + Q_j)^2, LHS_i = sum_j inv_rho_sq_j M1[j, i].
+        # First family: M1[j, i] = c_ji (1 + Q_j)^2, LHS_i = sum_j M1[j, i] / rho_j^2.
         self.m1 = self.gains_offdiag * self.one_q_sq[:, None]
+        # Second family: M2[j, i] = c_ij, LHS_i = sum_j M2[j, i] / (1 + Q_j - rho_j^2).
+        self.m2 = self.gains_offdiag.T
+
+    @cached_property
+    def blind(self) -> np.ndarray:
+        """(m, m, 2) mask: ``blind[j, i, f]`` is True when slack (i, f) does
+        not read rho_j, that is j != i and the computed weight M_f[j, i] is
+        zero.  Built on first use, by the descent."""
+        off = ~np.eye(self.m, dtype=bool)
+        return np.stack([(self.m1 == 0.0) & off, (self.m2 == 0.0) & off], axis=2)
+
+    def frozen(self, slacks: np.ndarray) -> np.ndarray:
+        """The coordinates j, as an (m,) mask, such that some slack at the
+        maximum of one point's (m, 2) ``slacks`` does not read rho_j; moving
+        rho_j alone cannot lower that maximum (``_descend_max_slack``)."""
+        return self.blind[:, slacks == slacks.max()].any(axis=1)
+
+    def _terms(self, rho: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The rho terms of an (n, m) array of rho values, elementwise: the
+        LHS factors 1/rho^2 and 1/(1 + Q - rho^2) of the two families, then
+        their RHS 1 - rho^2 and 1/(P + (1 + Q)^2/rho^2).  The denominators
+        1 + Q - rho^2 are positive since rho < 1."""
+        rho_sq = rho * rho
+        inv_rho_sq = 1.0 / rho_sq
+        return (
+            inv_rho_sq,
+            1.0 / (self.one_q - rho_sq),
+            1.0 - rho_sq,
+            1.0 / (self.powers + self.one_q_sq * inv_rho_sq),
+        )
 
     def _sides(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """LHS and RHS of both families on an (n, m) batch, each (n, m, 2)."""
-        rho_sq = rho * rho
-        inv_rho_sq = 1.0 / rho_sq
+        inv_rho_sq, inv_den, rhs1, rhs2 = self._terms(rho)
         lhs = np.empty(rho.shape + (2,))
         rhs = np.empty_like(lhs)
         lhs[..., 0] = inv_rho_sq @ self.m1
-        rhs[..., 0] = 1.0 - rho_sq
-        # Second family: LHS_i = sum_j c_ij / (1 + Q_j - rho_j^2), the
-        # denominators positive since rho_j < 1.
-        lhs[..., 1] = (1.0 / (self.one_q - rho_sq)) @ self.gains_offdiag.T
-        rhs[..., 1] = 1.0 / (self.powers + self.one_q_sq * inv_rho_sq)
+        lhs[..., 1] = inv_den @ self.m2
+        rhs[..., 0] = rhs1
+        rhs[..., 1] = rhs2
         return lhs, rhs
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
@@ -140,15 +179,63 @@ class _Conditions:
 
 
 def _grid_scan(model: _Conditions, axis: np.ndarray):
-    """The grid axis^m in lexicographic order, its slacks and max slacks."""
-    # Row-major np.indices varies the last coordinate fastest, as
-    # itertools.product does; the smallest index type keeps the oracle's
-    # 64^4 grid at one byte per index.
-    shape = (len(axis),) * model.m
-    index = np.indices(shape, dtype=np.min_scalar_type(len(axis))).reshape(model.m, -1)
-    grid = axis[index.T.copy()]
-    slacks = model(grid)
-    return grid, slacks, slacks.reshape(len(grid), -1).max(axis=1)
+    """Slacks of every point of the grid axis^m, in lexicographic order
+    (the last coordinate varying fastest, as in itertools.product; row r is
+    ``_grid_point(axis, m, r)``).  Returns the (n, m) slacks of each family
+    and the (n,) max slacks.
+
+    No grid is built: each rho term depends on one coordinate, so
+    ``model._terms`` computes it once per axis value and coordinate, in a
+    (len(axis), m) table, and the grid's (n, m) array of a term is spread
+    from its table.  Each LHS operand holds the values ``_sides`` would
+    compute on the grid, in the same shape and C order, so the product
+    makes the same BLAS call; the RHS are subtracted elementwise and max is
+    exact, so every slack and max slack has the bits of ``model(grid)`` on
+    the materialized grid.  One buffer serves every spread term.
+    """
+    pts, m = len(axis), model.m
+    inv_rho_sq, inv_den, rhs1, rhs2 = model._terms(np.repeat(axis[:, None], m, axis=1))
+    buf = np.empty((pts**m, m))
+
+    def spread(table: np.ndarray) -> np.ndarray:
+        # Row r of the grid takes table[k, i] in column i, k the i-th digit
+        # of r in base pts.  The rows of coordinates i..m-1 are pts copies
+        # of those of i+1..m-1, one per value of coordinate i.
+        block = 1
+        for i in reversed(range(m)):
+            chunks = buf[: block * pts].reshape(pts, block, m)
+            chunks[1:] = chunks[0]
+            chunks[:, :, i] = table[:, i, None]
+            block *= pts
+        return buf
+
+    def slacks(factors: np.ndarray, weights: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        lhs = spread(factors) @ weights
+        return np.subtract(lhs, spread(rhs), out=lhs)
+
+    s1 = slacks(inv_rho_sq, model.m1, rhs1)
+    s2 = slacks(inv_den, model.m2, rhs2)
+    max_all = s1[:, 0].copy()
+    for col in (*s1.T[1:], *s2.T):
+        np.maximum(max_all, col, out=max_all)
+    return s1, s2, max_all
+
+
+def _grid_point(axis: np.ndarray, m: int, row: int) -> np.ndarray:
+    """Row ``row`` of the grid axis^m in lexicographic order (for an array
+    of k rows, an (m, k) array with one column per row)."""
+    return axis[np.array(np.unravel_index(row, (len(axis),) * m))]
+
+
+def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` smallest of ``vals`` (at least k entries, no
+    nan), ties in index order: ``np.argsort(vals, kind="stable")[:k]``
+    without sorting the rest.  Every entry up to the k-th smallest value is
+    among those at or below it, which keep their index order for the stable
+    sort."""
+    kth = np.partition(vals, k - 1)[k - 1]
+    near = np.flatnonzero(vals <= kth)
+    return near[np.argsort(vals[near], kind="stable")[:k]]
 
 
 def check_conditions(ch: MUserChannel, rho) -> np.ndarray:
@@ -277,16 +364,25 @@ def _descend_max_slack(
     ``budget``.  The probe sequence, the accepted points and their values
     are those of trying one move per ``model.at`` call, but the moves are
     screened in batches: from the current point, every remaining move of
-    the sweep (as many as the budget pays for) goes into one
-    ``model.banded`` call, and the moves are consumed in order:
+    the sweep (as many as the budget pays for) is screened at once, and the
+    moves are consumed in order:
 
     * a move that the clamp to [1e-6, 1 - 1e-6] turns into no move is
       rejected unevaluated (it would return val itself);
-    * a move with a batched slack that stays above val after subtracting
-      its rounding band is rejected, since its ``model.at`` value is at
-      least that large (rounding is monotone and val is a float, so a
-      computed difference above val means the exact one is too);
-    * any other move is evaluated by ``model.at`` and decided on that value,
+    * a move of rho_j is rejected unevaluated when some slack (i, f) of the
+      current point equals val and does not read rho_j (``model.frozen``:
+      j != i and the computed weight M_f[j, i] is zero).  The move changes
+      only rho_j, and the one-point slack (i, f) reads it only through the
+      product of its finite positive term with M_f[j, i] = +0.  That product
+      is +0 whatever the summation order, and fused multiply-add adds it
+      exactly too, so every other input and partial sum keeps its bits and
+      the slack is val again: the move cannot lower val;
+    * of the other moves, one ``model.banded`` call rejects those whose
+      batched slack stays above val after subtracting its rounding band,
+      since their ``model.at`` value is at least that large (rounding is
+      monotone and val is a float, so a computed difference above val means
+      the exact one is too);
+    * each move left is evaluated by ``model.at`` and decided on that value,
       so an accepted point's val is always a one-point value.
 
     After an accepted move the rest of the batch is stale, and the next
@@ -298,6 +394,7 @@ def _descend_max_slack(
     budget[0] -= 1
     slacks_x = model.at(x)
     val = float(slacks_x.max())
+    frozen = model.frozen(slacks_x)
     step = 0.1
     while step > 1e-10 and budget[0] > 0 and val > 0.0:
         improved = False
@@ -306,21 +403,20 @@ def _descend_max_slack(
             idx = moves_idx[k : k + budget[0]]
             here = x[idx]
             moved = (here + moves_sign[k : k + budget[0]] * step).clip(_RHO_MIN, _RHO_MAX)
-            live = (moved != here).nonzero()[0]
+            live = ((moved != here) & ~frozen[idx]).nonzero()[0]
             batch = np.repeat(x[None, :], len(live), axis=0)
             batch[np.arange(len(live)), idx[live]] = moved[live]
             slacks, band = model.banded(batch)
-            floors = (slacks - band).max(axis=(1, 2))
+            screened = ((slacks - band).max(axis=(1, 2)) <= val).nonzero()[0]
             accepted = None
-            for row, j in enumerate(live.tolist()):
-                if floors[row] > val:
-                    continue
+            for row in screened.tolist():
                 cand = batch[row].copy()
                 cand_slacks = model.at(cand)
                 cand_val = float(cand_slacks.max())
                 if cand_val < val:
                     x, slacks_x, val = cand, cand_slacks, cand_val
-                    improved, accepted = True, j
+                    frozen = model.frozen(slacks_x)
+                    improved, accepted = True, int(live[row])
                     break
             if accepted is None:
                 budget[0] -= len(idx)
@@ -380,13 +476,14 @@ def find_rho(ch: MUserChannel, max_evals: int = _MAX_EVALS) -> MUserVerdict:
 
     # Coarse grid, sized to the evaluation budget.
     pts = 9 if ch.m <= 3 else max(k for k in (5, 4, 3, 2) if k**ch.m <= 70_000)
-    grid, _, max_all = _grid_scan(model, np.linspace(0.1, 0.9, pts))
-    budget[0] -= len(grid)
-    order = np.argsort(max_all, kind="stable")
-    if consider(grid[order[0]], model.at(grid[order[0]])):
+    axis = np.linspace(0.1, 0.9, pts)
+    _, _, max_all = _grid_scan(model, axis)
+    budget[0] -= len(max_all)
+    starts = [_grid_point(axis, ch.m, row) for row in _smallest(max_all, 3)]
+    if consider(starts[0], model.at(starts[0])):
         return _verdict_from_probe(ch, best_rho, best_slacks)
 
-    for start in [grid[i] for i in order[:3]] + seeds:
+    for start in starts + seeds:
         if budget[0] <= 0:
             break
         if consider(*_descend_max_slack(model, start, budget)):
@@ -397,20 +494,28 @@ def find_rho(ch: MUserChannel, max_evals: int = _MAX_EVALS) -> MUserVerdict:
     )
 
 
+def check_oracle_request(m: int, resolution: int) -> None:
+    """Refuse an oracle request over m > 4 users or a resolution outside
+    [1, 64], which keeps the resolution^m grid bounded."""
+    if m > 4:
+        raise ValueError(f"oracle supports m <= 4, got m={m}")
+    if resolution > 64 or resolution < 1:
+        raise ValueError(f"resolution must be in [1, 64], got {resolution}")
+
+
 def oracle_grid_feasibility(ch: MUserChannel, resolution: int) -> MUserVerdict:
     """Exhaustive feasibility check over the grid rho_i in {k/(res+1)}.
 
     Brute-force oracle behind ``gicbounds murate --oracle-resolution`` and a
-    cross-check in the tests; refuses m > 4 or resolution > 64 to keep the
-    resolution^m grid bounded.  The scan order is lexicographic, so the
-    returned witness (first feasible point) is deterministic.
+    cross-check in the tests; ``check_oracle_request`` bounds the request.
+    The scan order is lexicographic, so the returned witness (first
+    feasible point) is deterministic.
     """
-    if ch.m > 4:
-        raise ValueError(f"oracle supports m <= 4, got m={ch.m}")
-    if resolution > 64 or resolution < 1:
-        raise ValueError(f"resolution must be in [1, 64], got {resolution}")
+    check_oracle_request(ch.m, resolution)
     axis = np.arange(1, resolution + 1, dtype=float) / (resolution + 1)
-    grid, slacks_all, max_all = _grid_scan(_Conditions(ch), axis)
-    feas = np.flatnonzero(max_all <= 0.0)
-    idx = int(feas[0]) if len(feas) else int(np.argmin(max_all))
-    return _verdict_from_probe(ch, grid[idx], slacks_all[idx])
+    s1, s2, max_all = _grid_scan(_Conditions(ch), axis)
+    feasible = max_all <= 0.0
+    idx = int(np.argmax(feasible)) if feasible.any() else int(np.argmin(max_all))
+    return _verdict_from_probe(
+        ch, _grid_point(axis, ch.m, idx), np.stack([s1[idx], s2[idx]], axis=1)
+    )

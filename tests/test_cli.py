@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from scipy.optimize import minimize_scalar
 
-from gicbounds import TwoUserChannel, tdm_fdm_sum_rate, tin_rates
+from gicbounds import TwoUserChannel, multiuser, tdm_fdm_sum_rate, tin_rates
 from gicbounds.cli import main
 from gicbounds.config import (
     ConfigError,
@@ -389,6 +389,25 @@ class TestMurateCommand:
         code, out, err = run(capsys, "murate", *FIG1_ARGS, "--oracle-resolution", "0")
         assert code == 1 and not out
         assert err.startswith("error:") and "resolution" in err
+
+    @pytest.mark.parametrize("m, resolution, message", [
+        (5, "8", "oracle supports m <= 4, got m=5"),
+        (2, "65", "resolution must be in [1, 64], got 65"),
+    ])
+    def test_oracle_request_refused_before_search(
+        self, capsys, tmp_path, monkeypatch, m, resolution, message
+    ):
+        def search(ch, *args, **kwargs):
+            raise AssertionError("find_rho ran for a refused oracle request")
+
+        monkeypatch.setattr(multiuser, "find_rho", search)
+        cfg = tmp_path / "ch.json"
+        gains = [[1.0 if i == j else 0.01 for j in range(m)] for i in range(m)]
+        cfg.write_text(json.dumps({"gains": gains, "powers": [1.0] * m}))
+        code, out, err = run(
+            capsys, "murate", "--config", str(cfg), "--oracle-resolution", resolution
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestThresholdCommand:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,49 @@ from gicbounds import (
     symmetric_threshold,
     tin_rates,
 )
-from gicbounds.multiuser import _Conditions, _grid_scan
+from gicbounds.multiuser import (
+    _Conditions,
+    _descend_max_slack,
+    _grid_point,
+    _grid_scan,
+    _heuristic_seed,
+    _smallest,
+    _two_user_seed,
+    _uniform_seed,
+)
+from helpers import band_screened_descent, materialized_grid_scan
 
 FIG1 = TwoUserChannel(a=0.04, b=0.09, p1=10, p2=20)
+PINNED = Path(__file__).parent / "data" / "find_rho.json"
+
+
+def pinned_channels(prefix=""):
+    """(id, channel) of the find_rho.json entries whose id starts with prefix;
+    the "mu-" entries are the m-user channels of the benchmark verdicts pool."""
+    for entry in json.loads(PINNED.read_text())["entries"]:
+        if entry["id"].startswith(prefix) and entry["max_evals"] is None:
+            gains, powers = np.array(entry["gains"]), np.array(entry["powers"])
+            yield entry["id"], MUserChannel(gains=gains, powers=powers)
+
+
+def sparse_channel(rng, m):
+    """Random channel with about half of its crosstalk gains zero, the rest
+    log-uniform from 1e-9 to 1/(m-1), and powers log-uniform from 1e-8 to 1e6."""
+    gains = np.exp(rng.uniform(math.log(1e-9), math.log(1.0 / (m - 1)), (m, m)))
+    gains *= rng.uniform(size=(m, m)) < 0.5
+    np.fill_diagonal(gains, 1.0)
+    powers = np.exp(rng.uniform(math.log(1e-8), math.log(1e6), m))
+    return MUserChannel(gains=gains, powers=powers)
+
+
+def search_axis(m):
+    """The probe-grid axis of find_rho."""
+    pts = 9 if m <= 3 else max(k for k in (5, 4, 3, 2) if k**m <= 70_000)
+    return np.linspace(0.1, 0.9, pts)
+
+
+def oracle_axis(resolution):
+    return np.arange(1, resolution + 1, dtype=float) / (resolution + 1)
 
 
 def naive_slacks(ch, rho):
@@ -245,14 +286,111 @@ class TestConditionModel:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_grid_is_lexicographic_product(self, m):
-        model = _Conditions(MUserChannel(gains=np.eye(m), powers=np.ones(m)))
+        rng = np.random.default_rng(m)
+        gains = rng.uniform(0.0, 0.3, (m, m))
+        np.fill_diagonal(gains, 1.0)
+        model = _Conditions(MUserChannel(gains=gains, powers=np.exp(rng.uniform(-1, 3, m))))
         for res in (1, 2, 5, 9):
             axis = np.linspace(0.1, 0.9, res)
-            grid, slacks, max_all = _grid_scan(model, axis)
-            assert np.array_equal(grid, np.array(list(itertools.product(axis, repeat=m))))
-            assert grid.flags["C_CONTIGUOUS"]
-            assert slacks.shape == (res**m, m, 2)
+            s1, s2, max_all = _grid_scan(model, axis)
+            points = list(itertools.product(axis, repeat=m))
+            assert [tuple(_grid_point(axis, m, r)) for r in range(res**m)] == points
+            assert s1.shape == s2.shape == (res**m, m)
+            slacks = model(np.array(points))
+            assert np.array_equal(s1, slacks[..., 0]) and np.array_equal(s2, slacks[..., 1])
             assert np.array_equal(max_all, slacks.max(axis=(1, 2)))
+
+
+class TestScanAndDescentMatchReference:
+    """The table scan and the descent against the materialized-grid scan
+    and the band-only descent they replace, compared with ==."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(41)
+        for cid, ch in pinned_channels("mu-"):
+            yield cid, ch
+        for m in range(2, 13):
+            for k in range(4):
+                yield f"sparse-m{m}-{k}", sparse_channel(rng, m)
+
+    def assert_scans_match(self, model, axis, cid):
+        grid, slacks, max_ref = materialized_grid_scan(model, axis)
+        s1, s2, max_all = _grid_scan(model, axis)
+        assert np.array_equal(s1, slacks[..., 0]), cid
+        assert np.array_equal(s2, slacks[..., 1]), cid
+        assert np.array_equal(max_all, max_ref), cid
+        assert np.array_equal(_grid_point(axis, model.m, np.arange(len(grid))).T, grid), cid
+        top = np.argsort(max_ref, kind="stable")[:3]
+        assert np.array_equal(_smallest(max_all, 3), top), cid
+
+    def test_grid_scans(self):
+        for cid, ch in self.cases():
+            model = _Conditions(ch)
+            self.assert_scans_match(model, search_axis(ch.m), cid)
+            if ch.m <= 4:
+                self.assert_scans_match(model, oracle_axis(16), (cid, 16))
+            if ch.m <= 2:
+                self.assert_scans_match(model, oracle_axis(64), (cid, 64))
+
+    def test_descents(self, monkeypatch):
+        at_calls = [0]
+        one_point = _Conditions.at
+
+        def counted(model, rho):
+            at_calls[0] += 1
+            return one_point(model, rho)
+
+        monkeypatch.setattr(_Conditions, "at", counted)
+        rng = np.random.default_rng(42)
+        calls = {"reference": 0, "descent": 0}
+        for cid, ch in self.cases():
+            if ch.m > 8 and not cid.startswith("sparse"):
+                continue  # the pool's m = 12 searches are pinned in find_rho.json
+            model = _Conditions(ch)
+            _, _, max_all = _grid_scan(model, search_axis(ch.m))
+            starts = [_grid_point(search_axis(ch.m), ch.m, r) for r in _smallest(max_all, 2)]
+            starts += [
+                seed
+                for seed in (_uniform_seed(ch), _two_user_seed(model), _heuristic_seed(model))
+                if seed is not None
+            ]
+            starts.append(rng.uniform(0.0, 1.0, ch.m))
+            for start, budget in itertools.product(starts, (1, 2, 5, 17, 3000)):
+                ends = []
+                for name, descend in (("reference", band_screened_descent),
+                                      ("descent", _descend_max_slack)):
+                    left = [budget]
+                    at_calls[0] = 0
+                    x, slacks = descend(model, start.copy(), left)
+                    calls[name] += at_calls[0]
+                    ends.append((x.tobytes(), slacks.tobytes(), left[0]))
+                assert ends[0] == ends[1], (cid, start, budget)
+        assert calls["descent"] < calls["reference"], calls
+
+
+class TestScanMemory:
+    """Traced peaks of the grid scan: numpy reports its buffers to
+    tracemalloc.  The materialized scan peaked at 36.6 and 18.3 MiB."""
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        fn(*args)  # imports and caches settle first
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_find_rho_on_an_infeasible_eight_user_channel(self):
+        # The first entry of the verdicts pool's m8/infeasible stratum.
+        ch = dict(pinned_channels("mu-m8-158"))["mu-m8-158"]
+        assert self.traced_peak(find_rho, ch) <= 16 * 2**20
+
+    def test_oracle_at_resolution_16(self):
+        ch = MUserChannel.symmetric(4, 0.05, 2.0)
+        assert self.traced_peak(oracle_grid_feasibility, ch, 16) <= 9 * 2**20
 
 
 class TestOracle:
