@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -314,7 +315,13 @@ def _descent_moves() -> np.ndarray:
 _MOVES = _descent_moves()
 _HALVINGS = len(_MOVES)  # halvings after which a descent round ends
 _CHAIN_MAX = 64  # most repeats of an accepted move polled in one call
-_LOOKAHEAD = 32  # halvings polled ahead per call, shared by the quiet lanes
+_LOOKAHEAD = 32  # sweeps polled ahead per call (see _lockstep_descent)
+# The constants of a _MuObjective with one value per entry, which ``take``
+# gathers.
+_ENTRY_VALUES = (
+    "a", "b", "p1", "p2", "mu", "half_mu", "b_mu", "hi_left", "hi_den",
+    "lo_left", "lo_den", "base1", "base2",
+)
 
 
 class _MuObjective:
@@ -356,9 +363,28 @@ class _MuObjective:
         """One entry per (channel, mu) request."""
         return cls(*np.array([(ch.a, ch.b, ch.p1, ch.p2, mu) for ch, mu in requests]).T)
 
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """The per-entry constants as rows of one array, ``_ENTRY_VALUES``
+        order, and the branch masks lo, one, hi as rows of another."""
+        return (
+            np.array([getattr(self, name) for name in _ENTRY_VALUES]),
+            np.array([self.lo, self.one, self.hi]),
+        )
+
     def take(self, idx) -> "_MuObjective":
-        """The entries ``idx`` of an objective with one entry per lane."""
-        return _MuObjective(self.a[idx], self.b[idx], self.p1[idx], self.p2[idx], self.mu[idx])
+        """The entries ``idx`` of an objective with one entry per lane,
+        gathered from its stacked constants.  The any_* flags stay this
+        objective's: a branch flagged for entries not taken is computed and
+        then discarded by np.where, which changes no value."""
+        values, masks = self._stacked
+        sub = object.__new__(_MuObjective)
+        # np.take returns C-ordered rows; values[:, idx] would be F-ordered,
+        # every row strided.
+        sub.__dict__.update(zip(_ENTRY_VALUES, np.take(values, idx, axis=1)))
+        sub.lo, sub.one, sub.hi = np.take(masks, idx, axis=1)
+        sub.any_lo, sub.any_one, sub.any_hi = self.any_lo, self.any_one, self.any_hi
+        return sub
 
     def caps(self, r1, r2):
         """Upper limits (s1_max, s2_max) of the feasibility box; +inf where
@@ -411,19 +437,32 @@ class _MuObjective:
                 p2_star = np.where(self.lo, sloped, p2_star)
         return p1_star, p2_star
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Objective values at points ``x``; points outside the box or at
-        degenerate parameters come out +inf."""
+    def in_box(self, x: np.ndarray) -> np.ndarray:
+        """Objective values at points ``x`` of the box; points at degenerate
+        parameters come out +inf.  Every evaluation of the objective goes
+        through here."""
         r1, r2, s1, s2 = x
-        s1_max, s2_max = self.caps(r1, r2)
         p1_star, p2_star = self.effective(x)
         val = 0.5 * _user_share(
             self.p1, p1_star, self.a, p2_star, self.base1, r1, s1
         ) + self.half_mu * _user_share(
             self.p2, p2_star, self.b, p1_star, self.base2, r2, s2
         )
-        bad = (s1 > s1_max) | (s2 > s2_max) | ~np.isfinite(val)
-        return np.where(bad, np.inf, val)
+        return np.where(np.isfinite(val), val, np.inf)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Objective values at points ``x``; points outside the box or at
+        degenerate parameters come out +inf."""
+        s1_max, s2_max = self.caps(x[0], x[1])
+        val = self.in_box(x)
+        return np.where((x[2] > s1_max) | (x[3] > s2_max), np.inf, val)
+
+    def clamped(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``clamp(x)`` and the objective values there, the caps computed
+        once: a clamped point lies in the box, so the box check of
+        ``__call__`` would change nothing."""
+        out = self.clamp(x)
+        return out, self.in_box(out)
 
 
 def _user_share(p, p_star, gain, p_star_other, base, rho, s):
@@ -460,18 +499,44 @@ def _lockstep_descent(
 
     Each step is one objective call that polls, for every live lane, every
     move it might take next from its point: a chain of repeats of its
-    current move, then one step of each later move of the sweep.  The lane
+    current move, then one step of each later move of the sweep, then the
+    moves of the sweeps that follow should none of these improve.  The lane
     takes the leading chain points that each improve on the one before or,
-    if the first does not improve, the first later move that does: exactly
-    the moves, in the same order, that a search testing one candidate per
-    call accepts.  The chain has one point unless the lane accepted on its last
-    step; it doubles while the whole chain is accepted, up to _CHAIN_MAX.
-    A lane whose last sweep took no move, back at the start of a sweep,
-    also polls every move of its next halvings (the quiet lanes of a call
-    share _LOOKAHEAD of them, none past the end of the round): should this
-    sweep take no move, it gains nothing, so the next one starts from the
-    same point with half the steps, and a move polled there is the point
-    that sweep tests.  A lane leaves the batch when it finishes.
+    if the first does not improve, the first other move that does, in
+    polling order: exactly the moves, in the same order, that a search
+    testing one candidate per call accepts.  The chain has one point unless
+    the lane accepted on its last step; it doubles while the whole chain is
+    accepted, up to _CHAIN_MAX.  A lane leaves the batch when it finishes.
+
+    The sweeps polled ahead.  A lane at halving h, in a sweep that started
+    at value sweep_start, polls sweeps k = 1..ahead after the rest of its
+    sweep: sweep 1 at halving h + d, d = (sweep_start - val < _SWEEP_TOL),
+    and each later one a halving further, the last no later than the last
+    halving of the round (ahead <= _HALVINGS - h - d).  The quiet lanes of a
+    call (their last sweep took no move and they are back at the start of a
+    sweep, so d = 1) share _LOOKAHEAD sweeps; every other lane gets
+    _LOOKAHEAD // (live lanes), so a wide batch polls ahead only its quiet
+    lanes.  Should no remaining move of its sweep improve, the one-candidate
+    search ends the sweep at the same point and value, adding d to h.  A
+    lane that polls ahead has h + d < _HALVINGS, so the round goes on: the
+    next sweep starts from the same point, with sweep_start = val, at
+    halving h + d.  If it takes no move
+    either, it gains nothing, so the one after is at halving h + d + 1, from
+    the same point, and so on.  A polled move of sweep k is thus the point
+    that sweep tests, with the same value.  For d = 0, sweep 1 repeats the
+    current halving, and its moves from the current one on are points that
+    the current sweep polls: they fail there, so they fail again and are not
+    polled twice.  Hence the first polled move that improves is the next
+    move the one-candidate search takes, and every point it tests before
+    fails.  Taking a move of sweep k >= 1 leaves the lane at halving
+    h + d + k - 1, at that move, with sweep_start its value before the move;
+    each sweep passed ended below _HALVINGS halvings, so no round ended and
+    restarted and round_start stay.  A lane that takes no move has passed
+    its sweep and ``ahead`` more, each after the first gaining nothing: it
+    is at halving h + d + ahead, at the start of a sweep from the same point
+    and value, and the round-end rule runs there once, as it runs after the
+    last of those sweeps (an earlier one ends at most h + d + ahead - 1 <
+    _HALVINGS halvings).
 
     Why chain point k is the point k single steps reach.  Its moved
     coordinate is the k-fold np.add.accumulate (rho) or
@@ -495,8 +560,7 @@ def _lockstep_descent(
     first such point, cannot improve on it, and so cut the chain there, as
     a single step from that point, which returns it, stops the repeats.
     """
-    x = obj.clamp(starts)
-    val = obj(x)
+    x, val = obj.clamped(starts)
     out_val, out_x = val.copy(), x.copy()
     ids = np.arange(x.shape[1])  # lane of each live entry
     move = np.zeros_like(ids)  # column of _MOVES: 2*parameter + direction
@@ -508,22 +572,25 @@ def _lockstep_descent(
     round_start = val
     while ids.size:
         # One step of each move from the current one to the end of the
-        # sweep, lane by lane, the first being the chain's first point; for
-        # a quiet lane at the start of a sweep, also every move of its next
-        # ``ahead`` halvings.  Column 8*level + move of the grid is a move
-        # ``level`` halvings ahead.
+        # sweep, lane by lane, the first being the chain's first point, then
+        # every move of the next ``ahead`` sweeps: column 8*k + move is a move
+        # of sweep k.  Sweep 1 of a lane whose sweep has gained _SWEEP_TOL
+        # keeps the current halving, so its columns 8 + move..15 would repeat
+        # polled points: that lane's columns skip them.
+        gained = ~(sweep_start - val < _SWEEP_TOL)
         idle = quiet & (move == 0) & (sweep_start == val)
-        ahead = np.where(idle, np.minimum(
-            _LOOKAHEAD // max(1, np.count_nonzero(idle)), _HALVINGS - 1 - halvings
-        ), 0)
-        grid = np.arange(8 * (1 + ahead.max()))
-        lane, col = np.nonzero((grid >= move[:, None]) & (grid >> 3 <= ahead[:, None]))
-        cand_move, level = col & 7, col >> 3
-        n_single = lane.size
-        count = 8 * (1 + ahead) - move
+        share = np.where(idle, _LOOKAHEAD // max(1, np.count_nonzero(idle)), _LOOKAHEAD // ids.size)
+        ahead = np.minimum(share, _HALVINGS - 1 + gained - halvings)
+        skip = np.where(gained & (ahead > 0), 8 - move, 0)
+        count = 8 * (1 + ahead) - move - skip
         first = np.cumsum(count) - count
+        lane = np.repeat(np.arange(ids.size), count)
+        pos = np.arange(lane.size) - first[lane]
+        col = pos + move[lane] + skip[lane] * (pos >= 8)
+        cand_move, sweep_k = col & 7, col >> 3
+        n_single = lane.size
         cur = x[cand_move >> 1, lane]
-        step = _MOVES[halvings[lane] + level, cand_move]
+        step = _MOVES[halvings[lane] + sweep_k - (gained[lane] & (sweep_k > 0)), cand_move]
         moved = np.where(cand_move < 4, cur + step, cur * step)
         # Repeats 2..chain of the current move, lane by lane, for the lanes
         # that accepted it on their last step.
@@ -542,14 +609,12 @@ def _lockstep_descent(
             hot_row, rep = np.nonzero((repeats >= 2) & (repeats <= chain[hot][:, None]))
             lane = np.concatenate([lane, hot[hot_row]])
             cand_move = np.concatenate([cand_move, move[hot][hot_row]])
-            level = np.concatenate([level, np.zeros_like(hot_row)])
+            sweep_k = np.concatenate([sweep_k, np.zeros_like(hot_row)])
             moved = np.concatenate([moved, walk[hot_row, rep]])
         cols = np.arange(lane.size)
         cand = x[:, lane]
         cand[cand_move >> 1, cols] = moved
-        cand_obj = obj.take(ids[lane])
-        cand = cand_obj.clamp(cand)
-        cand_val = cand_obj(cand)
+        cand, cand_val = obj.take(ids[lane]).clamped(cand)
 
         # Chain points taken: leading points that each improve on the last.
         better = cand_val[:n_single] < val[lane[:n_single]]
@@ -566,17 +631,22 @@ def _lockstep_descent(
             taken[hot] *= np.minimum(miss - 1, chain[hot])
             after = first.copy()
             after[hot] = np.where(taken[hot] > 1, n_single + segment + taken[hot] - 2, first[hot])
-        # Otherwise the first later move that improves.
+        # Otherwise the first other polled move that improves.
         later_at = np.minimum.reduceat(np.where(better, cols[:n_single], n_single), first)
         later = (taken == 0) & (later_at < n_single)
         pick = np.where(later, later_at, after)
         moves = later | (taken > 0)
+        jump = sweep_k[pick]  # sweep of the move taken, 0 without one
+        jumped = jump > 0
+        halvings = halvings + np.where(moves, jump - (gained & jumped), ahead)
+        # The last sweep passed is sweep jump - 1.
+        quiet = np.where(jumped, (jump > 1) | (sweep_start == val), quiet)
+        sweep_start = np.where(jumped, val, sweep_start)
         x = np.where(moves, cand[:, pick], x)
         val = np.where(moves, cand_val[pick], val)
         whole = taken == chain
         move = cand_move[pick] + (~whole & ~later)
         chain = np.where(whole, np.minimum(2 * chain, _CHAIN_MAX), np.where(later, 2, 1))
-        halvings = halvings + np.where(moves, level[pick], ahead)
         swept = ~moves | (move == 8)
         if np.count_nonzero(swept):
             halvings = halvings + (swept & (sweep_start - val < _SWEEP_TOL))
@@ -586,7 +656,7 @@ def _lockstep_descent(
             restarted = restarted | fresh
             round_start = np.where(fresh, val, round_start)
             halvings = np.where(fresh, 0, halvings)
-            quiet = np.where(swept, sweep_start == val, quiet)
+            quiet = np.where(swept, (sweep_start == val) | (~moves & (ahead > 0)), quiet)
             move = np.where(swept, 0, move)
             sweep_start = np.where(swept, val, sweep_start)
             if np.count_nonzero(done):
@@ -613,22 +683,39 @@ def _tight_sum_certificate(ch: TwoUserChannel) -> "GenieParams | None":
         return None
 
 
+def _probe_rhos() -> tuple[np.ndarray, np.ndarray]:
+    """The parts of the probe grid free of the channel: the (2, n) rho rows
+    of the 8^4 grid, then of the both-caps manifold, and the (2, 16^2) cap
+    numerators (1 - rho2^2, 1 - rho1^2) of the manifold."""
+    axis = np.linspace(0.0, _RHO_MAX, _GRID_POINTS)
+    fine = np.linspace(0.0, _RHO_MAX, 2 * _GRID_POINTS)
+    grid = np.array(np.meshgrid(axis, axis, indexing="ij")).reshape(2, -1)
+    manifold = np.array(np.meshgrid(fine, fine, indexing="ij")).reshape(2, -1)
+    rhos = np.concatenate([np.repeat(grid, _GRID_POINTS**2, axis=1), manifold], axis=1)
+    return rhos, 1.0 - manifold[::-1] * manifold[::-1]
+
+
+_PROBE_RHOS, _MANIFOLD_GAPS = _probe_rhos()
+
+
 def _probe_grid(ch: TwoUserChannel, objective: _MuObjective) -> np.ndarray:
     """Coarse feasible probes, (4, n): 8 points per parameter (sigma^2
     log-spaced), then the manifold where both variance caps bind (the
     closed-form tight point lives there; it often holds the minimizer).
     ``objective.clamp`` puts a point past the capped variance's limit on
-    that limit, in the box of the objective's weight."""
+    that limit, in the box of the objective's weight.  Only the sigma^2
+    axis and the manifold's caps depend on the channel."""
     smax = 10.0 * max(ch.p1, ch.p2, 1.0 / ch.a, 1.0 / ch.b)
-    rho_axis = np.linspace(0.0, _RHO_MAX, _GRID_POINTS)
     sig_axis = np.geomspace(_SIGMA_FLOOR, smax, _GRID_POINTS)
-    grid = np.meshgrid(rho_axis, rho_axis, sig_axis, sig_axis, indexing="ij")
-    rho_fine = np.linspace(0.0, _RHO_MAX, 2 * _GRID_POINTS)
-    r1m, r2m = map(np.ravel, np.meshgrid(rho_fine, rho_fine, indexing="ij"))
-    manifold = (r1m, r2m, (1.0 - r2m * r2m) / ch.b, (1.0 - r1m * r1m) / ch.a)
-    return objective.clamp(np.array([
-        np.concatenate([g.ravel(), m]) for g, m in zip(grid, manifold)
-    ]))
+    n = _GRID_POINTS**4
+    probes = np.empty((4, _PROBE_RHOS.shape[1]))
+    probes[:2] = _PROBE_RHOS
+    # Grid point ((i*8 + j)*8 + k)*8 + l has sigma1^2 = sig_axis[k] and
+    # sigma2^2 = sig_axis[l].
+    probes[2, :n].reshape(-1, _GRID_POINTS, _GRID_POINTS)[:] = sig_axis[:, None]
+    probes[3, :n].reshape(-1, _GRID_POINTS)[:] = sig_axis
+    np.divide(_MANIFOLD_GAPS, [[ch.b], [ch.a]], out=probes[2:, n:])
+    return objective.clamp(probes)
 
 
 def _mu_lines(requests) -> tuple[SupportingLine, ...]:
@@ -718,7 +805,7 @@ def optimize_constraint1_many(
     (weight, start) pairs, about 4 per weight, run in lockstep: each search
     step is one objective call that polls every move each descent may take
     next, so a 65-weight region takes about as many calls as its longest
-    descent (about 200), not one per candidate of every descent (about
+    descent (about 130), not one per candidate of every descent (about
     160,000).
     """
     _require_regime(ch)
@@ -735,7 +822,7 @@ def optimize_constraint1(ch: TwoUserChannel, mu: float) -> SupportingLine:
     is exact there.  The descents run in lockstep: each search step is one
     objective call that polls every move each start's descent may take
     next, so the search costs about as many calls as its longest descent
-    (typically 60-100) rather than one per candidate of every start.  The
+    (typically 30-55) rather than one per candidate of every start.  The
     result is always an upper bound on R1 + mu*R2 (every probe is feasible)
     and never exceeds the bound at any probed point.
 

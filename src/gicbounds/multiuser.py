@@ -86,17 +86,30 @@ class _Conditions:
     live, and serves both a batch of rho vectors (``_sides``) and the grid
     scan's per-value tables (``_grid_scan``).  A call on an (n, m) batch of
     rho vectors returns the (n, m, 2) slacks.
+
+    A channel whose Q, (1 + Q)^2 or first-family weights sum_j M1[j, i]
+    overflow is refused with a ValueError: an infinite (1 + Q_j)^2 times a
+    zero gain is nan, and an infinite weight sum makes LHS_i infinite at
+    every rho (each 1/rho_j^2 > 1), so no probe could be compared.
     """
 
     def __init__(self, ch: MUserChannel):
         self.m, self.powers = ch.m, ch.powers
-        self.q = m_user_interference_powers(ch)
         self.gains_offdiag = ch.gains.copy()
         np.fill_diagonal(self.gains_offdiag, 0.0)
-        self.one_q = 1.0 + self.q
-        self.one_q_sq = np.square(self.one_q)
-        # First family: M1[j, i] = c_ji (1 + Q_j)^2, LHS_i = sum_j M1[j, i] / rho_j^2.
-        self.m1 = self.gains_offdiag * self.one_q_sq[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.q = m_user_interference_powers(ch)
+            self.one_q = 1.0 + self.q
+            self.one_q_sq = np.square(self.one_q)
+            # First family: M1[j, i] = c_ji (1 + Q_j)^2, LHS_i = sum_j M1[j, i] / rho_j^2.
+            self.m1 = self.gains_offdiag * self.one_q_sq[:, None]
+            # Not finite if a (1 + Q)^2 or an entry of M1 is, or a column sum overflows.
+            weights = self.m1.sum(axis=0)
+        if not np.isfinite(weights).all():
+            raise ValueError(
+                "condition weights overflow: sum_j c_ji (1 + Q_j)^2 exceeds the "
+                f"float range (largest interference power Q = {self.q.max():g})"
+            )
         # Second family: M2[j, i] = c_ij, LHS_i = sum_j M2[j, i] / (1 + Q_j - rho_j^2).
         self.m2 = self.gains_offdiag.T
 

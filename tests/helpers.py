@@ -1,6 +1,6 @@
-"""Shared helpers for the test suite: channel samplers, geometry checks, a
-reference MU genie descent, and the reference m-user grid scan and
-descent."""
+"""Shared helpers for the test suite: channel samplers, geometry checks, an
+MU objective call counter, a reference MU genie descent, and the reference
+m-user grid scan and descent."""
 
 from __future__ import annotations
 
@@ -62,6 +62,21 @@ def vertex_defining_slacks(region) -> float:
         )
         worst = max(worst, slacks[1])
     return worst
+
+
+def count_objective_calls(monkeypatch) -> list[int]:
+    """Count every MU objective evaluation from here on, in a one-item list.
+    ``_MuObjective.in_box`` is the one method each evaluation goes through,
+    whether by ``__call__`` or by ``clamped``."""
+    calls = [0]
+    evaluate = _MuObjective.in_box
+
+    def counted(self, x):
+        calls[0] += 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(_MuObjective, "in_box", counted)
+    return calls
 
 
 def one_candidate_descent(

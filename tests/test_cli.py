@@ -410,6 +410,31 @@ class TestMurateCommand:
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+class TestOverflowingChannel:
+    """A channel whose (1 + Q)^2 overflows exits 1 with one error line."""
+
+    MESSAGE = "error: condition weights overflow"
+
+    def test_murate_flags(self, capsys):
+        for extra in ([], ["--oracle-resolution", "4"]):
+            code, out, err = run(
+                capsys, "murate", "--a", "0.1", "--b", "0.1", "--p1", "1e200", "--p2", "1", *extra
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith(self.MESSAGE) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["murate", "--json"], ["classify"]])
+    def test_m_user_config(self, capsys, tmp_path, command):
+        cfg = tmp_path / "ch.json"
+        cfg.write_text(json.dumps({
+            "gains": [[1, 0.1, 0.1], [0.1, 1, 0.1], [0.1, 0.1, 1]],
+            "powers": [1e200, 1, 1],
+        }))
+        code, out, err = run(capsys, command[0], "--config", str(cfg), *command[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith(self.MESSAGE) and err.count("\n") == 1
+
+
 class TestThresholdCommand:
     def test_gain_threshold(self, capsys):
         code, out, _ = run(capsys, "threshold", "--p", "5000", "--json")

@@ -29,7 +29,7 @@ from gicbounds import genie
 from gicbounds.genie import sigma_limits
 from gicbounds.region import build_outer_region
 
-from helpers import one_candidate_descent, sample_regime_channel
+from helpers import count_objective_calls, one_candidate_descent, sample_regime_channel
 
 FIG1 = TwoUserChannel(a=0.04, b=0.09, p1=10, p2=20)
 
@@ -352,37 +352,30 @@ class TestOptimizeConstraint1Many:
             assert got == entry["lines"], name
 
 
-def count_objective_calls(monkeypatch) -> list[int]:
-    """Count every MU objective evaluation from here on, in a one-item list."""
-    calls = [0]
-    evaluate = genie._MuObjective.__call__
+def descent_lanes():
+    """48 (channel, weight) lanes and their (4, 48) starts, 12 per channel.
 
-    def counted(self, x):
-        calls[0] += 1
-        return evaluate(self, x)
-
-    monkeypatch.setattr(genie._MuObjective, "__call__", counted)
-    return calls
+    Per channel and weight: rhos at and past their bounds, both caps
+    binding, and a random point; sigma^2 starts up to e^5 away from 1 give
+    long walks, and so long chains of repeated moves."""
+    rng = np.random.default_rng(1)
+    lanes, starts = [], []
+    for _ in range(4):
+        ch = sample_regime_channel(rng)
+        for mu in (0.4, 1.0, 2.5):
+            r1, r2 = rng.uniform(0, 1, 2)
+            s1, s2 = np.exp(rng.uniform(-5, 5, 2))
+            caps = ((1 - r2 * r2) / ch.b, (1 - r1 * r1) / ch.a)
+            for start in ((0.0, 1.0, s1, s2), (1.5, -0.5, s2, s1), (r1, r2, *caps), (r1, r2, s1, s2)):
+                lanes.append((ch, mu))
+                starts.append(start)
+    return lanes, np.array(starts).T
 
 
 class TestLockstepDescent:
     def test_matches_one_candidate_descent(self, monkeypatch):
-        # Per channel and weight: rhos at and past their bounds, both caps
-        # binding, and a random point; sigma^2 starts up to e^5 away from 1
-        # give long walks, and so long chains of repeated moves.
-        rng = np.random.default_rng(1)
-        lanes, starts = [], []
-        for _ in range(4):
-            ch = sample_regime_channel(rng)
-            for mu in (0.4, 1.0, 2.5):
-                r1, r2 = rng.uniform(0, 1, 2)
-                s1, s2 = np.exp(rng.uniform(-5, 5, 2))
-                caps = ((1 - r2 * r2) / ch.b, (1 - r1 * r1) / ch.a)
-                for start in ((0.0, 1.0, s1, s2), (1.5, -0.5, s2, s1), (r1, r2, *caps), (r1, r2, s1, s2)):
-                    lanes.append((ch, mu))
-                    starts.append(start)
+        lanes, starts = descent_lanes()
         obj = genie._MuObjective.of(lanes)
-        starts = np.array(starts).T
         calls = count_objective_calls(monkeypatch)
         values, points = genie._lockstep_descent(obj, starts)
         polled = calls[0]
@@ -390,6 +383,22 @@ class TestLockstepDescent:
         assert np.array_equal(values, want_values)
         assert np.array_equal(points, want_points)
         assert polled * 20 < calls[0] - polled
+
+    def test_matches_one_candidate_descent_at_narrow_widths(self):
+        # 48 lanes poll sweeps ahead only for their quiet lanes until fewer
+        # than 32 are left.  One lane alone polls up to 32 sweeps ahead,
+        # capped at the end of each round; a channel's 12 lanes, 2 each.
+        # The lanes of the one-candidate search do not interact, so its
+        # 48-lane run gives each lane's end.
+        lanes, starts = descent_lanes()
+        want_values, want_points = one_candidate_descent(genie._MuObjective.of(lanes), starts)
+        for width in (1, 12):
+            for lo in range(0, len(lanes), width):
+                part = slice(lo, lo + width)
+                obj = genie._MuObjective.of(lanes[part])
+                values, points = genie._lockstep_descent(obj, starts[:, part])
+                assert np.array_equal(values, want_values[part]), (width, lo)
+                assert np.array_equal(points, want_points[:, part]), (width, lo)
 
     @pytest.mark.parametrize("vals", [
         np.array([3.0, 1.0, 1.0, 2.0, 1.0, 1.0, 0.5, 1.0]),
@@ -420,24 +429,33 @@ class TestGreedyWalkTail:
     def test_default_region_call_budget(self, monkeypatch):
         calls = count_objective_calls(monkeypatch)
         build_outer_region(FIG1)
-        assert calls[0] <= 300
+        assert calls[0] <= 210
 
 
 class TestSumUpperBounds:
+    CHANNELS = (
+        TwoUserChannel(0.04, 0.04, 1, 1),  # noisy: certificate lane
+        FIG1,
+        TwoUserChannel(0.3, 0.3, 7, 7),  # no noisy interference
+        TwoUserChannel(0.0, 0.3, 2, 3),  # one-sided: ETA1 only
+        TwoUserChannel(1.5, 0.3, 2, 3),  # a > 1: ETA1 only
+        TwoUserChannel(1.0, 1.0, 2, 3),  # no family applies
+    )
+
     def test_matches_one_channel_calls(self):
-        channels = (
-            TwoUserChannel(0.04, 0.04, 1, 1),  # noisy: certificate lane
-            FIG1,
-            TwoUserChannel(0.3, 0.3, 7, 7),  # no noisy interference
-            TwoUserChannel(0.0, 0.3, 2, 3),  # one-sided: ETA1 only
-            TwoUserChannel(1.5, 0.3, 2, 3),  # a > 1: ETA1 only
-            TwoUserChannel(1.0, 1.0, 2, 3),  # no family applies
-        )
+        channels = self.CHANNELS
         bounds = sum_upper_bounds(channels)
         assert bounds == tuple(sum_upper_bound(ch) for ch in channels)
         for ch, bound in zip(channels[:2], bounds):
             assert bound == pytest.approx(tin_rates(ch).sum, abs=1e-9)
         assert bounds[-1] is None and None not in bounds[:-1]
+
+    def test_objective_call_count(self, monkeypatch):
+        # 3 probe grids, 2 certificate points, the descent's start values
+        # and its 35 steps.
+        calls = count_objective_calls(monkeypatch)
+        sum_upper_bounds(self.CHANNELS)
+        assert calls[0] == 41
 
     def test_empty(self):
         assert sum_upper_bounds(()) == ()

@@ -393,6 +393,39 @@ class TestScanMemory:
         assert self.traced_peak(oracle_grid_feasibility, ch, 16) <= 9 * 2**20
 
 
+class TestOverflowRefused:
+    """Channels whose Q, (1 + Q)^2, condition weights c_ji (1 + Q_j)^2 or
+    their sums overflow are refused by the condition model, with no
+    warning."""
+
+    CHANNELS = [
+        # (1 + Q_2)^2 = inf, times the zero diagonal gain: nan.
+        MUserChannel.from_two_user(TwoUserChannel(0.1, 0.1, 1e200, 1.0)),
+        # Every (1 + Q)^2 finite (Q = 1, 1e150, 0), c_10 (1 + Q_1)^2 = inf.
+        MUserChannel(gains=np.array([[1, 1e150, 0], [1e200, 1, 0], [0, 0, 1.0]]),
+                     powers=np.array([1.0, 1e-200, 1.0])),
+        # Q itself overflows.
+        MUserChannel.symmetric(3, 1e300, 1e10),
+        # Every c_ji (1 + Q_j)^2 finite, their sum into receiver 2 is not.
+        MUserChannel(gains=np.array([[1, 0, 1e308], [0, 1, 1e308], [0, 0, 1.0]]),
+                     powers=np.array([1e-300, 1e-300, 1.0])),
+    ]
+
+    @pytest.mark.parametrize("ch", CHANNELS)
+    def test_search_oracle_and_check_refuse(self, ch):
+        with pytest.raises(ValueError, match="overflow"):
+            find_rho(ch)
+        with pytest.raises(ValueError, match="overflow"):
+            oracle_grid_feasibility(ch, 4)
+        with pytest.raises(ValueError, match="overflow"):
+            check_conditions(ch, np.full(ch.m, 0.5))
+
+    def test_largest_finite_weights_are_searched(self):
+        ch = MUserChannel.from_two_user(TwoUserChannel(0.1, 0.1, 1e150, 1.0))
+        v = find_rho(ch)
+        assert not v.feasible and math.isfinite(v.max_slack)
+
+
 class TestOracle:
     def test_weak_symmetric_two_user(self):
         ch = MUserChannel.from_two_user(TwoUserChannel(0.04, 0.04, 1, 1))
