@@ -162,6 +162,7 @@ def tdm_fdm_sum_rate(ch: TwoUserChannel, alpha: float) -> float:
 
 
 def m_user_interference_powers(ch: MUserChannel) -> np.ndarray:
-    """Total interference power Q_i = sum_{j != i} c_ji * P_j at each receiver."""
-    q = ch.gains.T @ ch.powers - np.diag(ch.gains) * ch.powers
-    return q
+    """Total interference power Q_i = sum_{j != i} c_ji * P_j at each receiver,
+    summed over the crosstalk gains alone: subtracting c_ii P_i from the full
+    sum would cancel catastrophically when P_i dwarfs Q_i."""
+    return (ch.gains - np.diag(np.diag(ch.gains))).T @ ch.powers

@@ -92,6 +92,12 @@ def _muser_verdict_json(ch: MUserChannel, verdict: multiuser.MUserVerdict):
     }
 
 
+def _print_json(payload) -> None:
+    """Print ``payload`` as strict JSON: a non-finite number in it is a
+    ValueError, which ``main`` reports as bad input before anything prints."""
+    print(json.dumps(payload, indent=2, allow_nan=False))
+
+
 def _cmd_classify(args) -> int:
     ch = _channel_from_args(args)
     if isinstance(ch, MUserChannel):
@@ -107,7 +113,7 @@ def _cmd_classify(args) -> int:
                 k: (None if math.isinf(v) else v) for k, v in verdict.slacks.items()
             },
         }
-    print(json.dumps(payload, indent=2))
+    _print_json(payload)
     return 0
 
 
@@ -213,7 +219,7 @@ def _cmd_murate(args) -> int:
             "max_slack": oracle.max_slack,
         }
     if args.json:
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         if verdict.feasible:
             print(f"feasible: sum capacity {verdict.sum_capacity:.6f} bits/use")
@@ -235,7 +241,7 @@ def _cmd_threshold(args) -> int:
         a_star = capacity.symmetric_noisy_threshold(args.p)
         payload = {"p": args.p, "a_star": a_star, "a_star_db": linear_to_db(a_star)}
         if args.json:
-            print(json.dumps(payload, indent=2))
+            _print_json(payload)
         else:
             print(f"a* = {_fmt(a_star)} ({payload['a_star_db']:.4f} dB)")
         return 0
@@ -244,7 +250,7 @@ def _cmd_threshold(args) -> int:
     c = db_to_linear(args.c) if args.db else args.c
     p_star = multiuser.symmetric_threshold(args.m, c)
     if args.json:
-        print(json.dumps({"m": args.m, "c": c, "p_star": p_star}, indent=2))
+        _print_json({"m": args.m, "c": c, "p_star": p_star})
     else:
         print(f"P* = {_fmt(p_star)}")
     return 0

@@ -24,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from .channel import TwoUserChannel
-from .multiuser import _smallest
 
 __all__ = [
     "GenieParams",
@@ -696,6 +695,17 @@ def _probe_rhos() -> tuple[np.ndarray, np.ndarray]:
 
 
 _PROBE_RHOS, _MANIFOLD_GAPS = _probe_rhos()
+
+
+def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` smallest of ``vals`` (at least k entries, no
+    nan), ties in index order: ``np.argsort(vals, kind="stable")[:k]``
+    without sorting the rest.  Every entry up to the k-th smallest value is
+    among those at or below it, which keep their index order for the stable
+    sort."""
+    kth = np.partition(vals, k - 1)[k - 1]
+    near = np.flatnonzero(vals <= kth)
+    return near[np.argsort(vals[near], kind="stable")[:k]]
 
 
 def _probe_grid(ch: TwoUserChannel, objective: _MuObjective) -> np.ndarray:

@@ -8,26 +8,26 @@ parameters rho_i in (0, 1) exist satisfying, for every receiver i,
 
 with Q_i the total interference power at receiver i.  One condition model
 per channel holds the terms free of rho; ``check_conditions``, ``find_rho``
-and the oracle each build it once.  ``find_rho`` searches for such a vector
-(a miss is not a proof of infeasibility, except for the annotated
-uniform-channel case); ``oracle_grid_feasibility`` is a brute-force
-cross-check, run by ``gicbounds murate --oracle-resolution`` and the tests.
+and the oracle each build it once.  ``find_rho`` searches for such a
+vector (a 'not found' verdict is not a proof of infeasibility, except
+for the annotated uniform-channel case); ``oracle_grid_feasibility`` is a
+brute-force cross-check, run by ``gicbounds murate --oracle-resolution`` and
+the tests.
 
-Every value the search decides on is a one-point evaluation of the model.
-The coordinate descent screens each sweep's moves in one batched
-evaluation and rejects a move there only when a rounding band, or a slack
-at the current value that the move cannot change, proves its one-point
-value no lower than the current one, so batching changes the cost of the
-search and not its probes or verdicts.  The probe grid of ``find_rho`` and
-of the oracle is scanned from per-value tables of the rho terms, without
-building the grid: its memory is three (n, m) arrays for n grid points.
+In u = rho^2 every slack is a sum of one-variable convex terms (the one
+concave term, u_i/(P_i u_i + (1 + Q_i)^2), enters with a minus sign), so
+feasibility is a convex program.  ``find_rho`` solves its phase-I form,
+minimize t subject to every slack <= t, with a barrier Newton method, and
+accepts a witness only on a one-point evaluation of the model.  The
+oracle's grid is scanned from per-value tables of the rho terms, without
+building it: its memory is three (n, m) arrays for n grid points.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,10 +43,12 @@ __all__ = [
     "noisy_sum_capacity",
 ]
 
-_MAX_EVALS = 100_000
 _RHO_MIN, _RHO_MAX = 1e-6, 1.0 - 1e-6
-_UNIT_ROUNDOFF = 2.0**-53
-_SUBNORMAL_MIN = 2.0**-1074
+_U_MIN, _U_MAX = _RHO_MIN**2, _RHO_MAX**2
+_NEWTON_STEPS = 400  # phase-I Newton steps before the solve counts as stalled
+_CENTERED = 1e-6  # Newton decrement below which a phase-I point is centered
+_GAP = 1e-3  # relative duality gap at which the phase-I solve stops
+_GROWTH = 30.0  # growth of the phase-I barrier weight per centering
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +85,9 @@ class _Conditions:
     weight matrices M1, M2) are computed once.  Family f's LHS is the product
     T_f @ M_f of an (n, m) table of rho terms with its weight matrix, and its
     RHS is elementwise in rho; ``_terms`` is the one place those rho formulas
-    live, and serves both a batch of rho vectors (``_sides``) and the grid
-    scan's per-value tables (``_grid_scan``).  A call on an (n, m) batch of
-    rho vectors returns the (n, m, 2) slacks.
+    live.  It serves the slacks at u = rho^2 (``slacks_u``, behind a call on
+    rho and the phase-I solve) and the grid scan's per-value tables
+    (``_grid_scan``); their derivatives sit next to it (``_curvature``).
 
     A channel whose Q, (1 + Q)^2 or first-family weights sum_j M1[j, i]
     overflow is refused with a ValueError: an infinite (1 + Q_j)^2 times a
@@ -113,82 +115,49 @@ class _Conditions:
         # Second family: M2[j, i] = c_ij, LHS_i = sum_j M2[j, i] / (1 + Q_j - rho_j^2).
         self.m2 = self.gains_offdiag.T
 
-    @cached_property
-    def blind(self) -> np.ndarray:
-        """(m, m, 2) mask: ``blind[j, i, f]`` is True when slack (i, f) does
-        not read rho_j, that is j != i and the computed weight M_f[j, i] is
-        zero.  Built on first use, by the descent."""
-        off = ~np.eye(self.m, dtype=bool)
-        return np.stack([(self.m1 == 0.0) & off, (self.m2 == 0.0) & off], axis=2)
-
-    def frozen(self, slacks: np.ndarray) -> np.ndarray:
-        """The coordinates j, as an (m,) mask, such that some slack at the
-        maximum of one point's (m, 2) ``slacks`` does not read rho_j; moving
-        rho_j alone cannot lower that maximum (``_descend_max_slack``)."""
-        return self.blind[:, slacks == slacks.max()].any(axis=1)
-
-    def _terms(self, rho: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The rho terms of an (n, m) array of rho values, elementwise: the
-        LHS factors 1/rho^2 and 1/(1 + Q - rho^2) of the two families, then
-        their RHS 1 - rho^2 and 1/(P + (1 + Q)^2/rho^2).  The denominators
-        1 + Q - rho^2 are positive since rho < 1."""
-        rho_sq = rho * rho
-        inv_rho_sq = 1.0 / rho_sq
+    def _terms(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The rho terms of an (..., m) array of u = rho^2 values, elementwise:
+        the LHS factors 1/u and 1/(1 + Q - u) of the two families, then their
+        RHS 1 - u and 1/(P + (1 + Q)^2/u).  The denominators 1 + Q - u are
+        positive since u < 1."""
+        inv_u = 1.0 / u
         return (
-            inv_rho_sq,
-            1.0 / (self.one_q - rho_sq),
-            1.0 - rho_sq,
-            1.0 / (self.powers + self.one_q_sq * inv_rho_sq),
+            inv_u,
+            1.0 / (self.one_q - u),
+            1.0 - u,
+            1.0 / (self.powers + self.one_q_sq * inv_u),
         )
 
-    def _sides(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """LHS and RHS of both families on an (n, m) batch, each (n, m, 2)."""
-        inv_rho_sq, inv_den, rhs1, rhs2 = self._terms(rho)
-        lhs = np.empty(rho.shape + (2,))
-        rhs = np.empty_like(lhs)
-        lhs[..., 0] = inv_rho_sq @ self.m1
-        lhs[..., 1] = inv_den @ self.m2
-        rhs[..., 0] = rhs1
-        rhs[..., 1] = rhs2
-        return lhs, rhs
+    def _curvature(self, u: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+        """First and second u-derivatives of the non-linear terms of
+        ``_terms`` at one (m,) vector: 1/u, 1/(1 + Q - u) and the concave
+        1/(P + K/u) = u/(P u + K), K = (1 + Q)^2.  The term 1 - u has slope
+        -1 and no curvature."""
+        inv_u = 1.0 / u
+        inv_den = 1.0 / (self.one_q - u)
+        inv_rate = 1.0 / (self.powers * u + self.one_q_sq)
+        slope = self.one_q_sq * inv_rate * inv_rate
+        return (
+            (-inv_u * inv_u, inv_den * inv_den, slope),
+            (2.0 * inv_u**3, 2.0 * inv_den**3, -2.0 * self.powers * slope * inv_rate),
+        )
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
-        lhs, rhs = self._sides(rho)
-        return np.subtract(lhs, rhs, out=lhs)
+        """The (n, m, 2) slacks of an (n, m) batch of rho vectors."""
+        return self.slacks_u(rho * rho)
+
+    def slacks_u(self, u: np.ndarray) -> np.ndarray:
+        """The (..., m, 2) slacks at u = rho^2: of an (n, m) batch, or of one
+        (m,) vector through matrix-vector products."""
+        inv_u, inv_den, rhs1, rhs2 = self._terms(u)
+        slacks = np.empty(u.shape + (2,))
+        np.subtract(inv_u @ self.m1, rhs1, out=slacks[..., 0])
+        np.subtract(inv_den @ self.m2, rhs2, out=slacks[..., 1])
+        return slacks
 
     def at(self, rho: np.ndarray) -> np.ndarray:
         """The (m, 2) slacks of one rho vector."""
         return self(rho[None, :])[0]
-
-    def banded(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (n, m, 2) slacks of a batch and a rounding band for each.
-
-        A batch goes through a BLAS matrix-matrix product, one vector through
-        a matrix-vector product, and the two may sum in different orders, so
-        a row's slacks can differ from ``at`` of that row in the last bits.
-        The band bounds that difference.  Each LHS is a dot product of m
-        non-negative terms whose factors (1/rho_j^2 or 1/(1 + Q_j - rho_j^2),
-        and the channel's fixed matrix) are elementwise results with the same
-        bits in both paths, and the RHS R is elementwise too.  With u the
-        unit roundoff and gamma_m = m u / (1 - m u), a dot product of
-        non-negative terms computed in any order, with or without fused
-        multiply-add, is within gamma_m L of its exact value L (Higham,
-        Accuracy and Stability of Numerical Algorithms, 2nd ed., eq. 3.5).
-        So the two computed LHS differ by at most 2 gamma_m L <=
-        2 gamma_m / (1 - gamma_m) Lhat for either computed value Lhat, and
-        rounding the slack Lhat - R adds at most u (Lhat + R) in each path:
-
-            |slack_batch - slack_at| <= (2m + 2) u (Lhat + R) + O(m^2 u^2) Lhat.
-
-        The band (2m + 4) u (Lhat + R) covers this, its surplus 2u (Lhat + R)
-        absorbing the second-order term and the rounding of the band itself
-        for m <= 16.  Products that underflow carry an absolute error of at
-        most half the least subnormal instead, m of them per dot product and
-        path; the floor 2m times the least subnormal covers those.
-        """
-        lhs, rhs = self._sides(rho)
-        band = (2 * self.m + 4) * _UNIT_ROUNDOFF * (lhs + rhs) + 2 * self.m * _SUBNORMAL_MIN
-        return np.subtract(lhs, rhs, out=lhs), band
 
 
 def _grid_scan(model: _Conditions, axis: np.ndarray):
@@ -200,14 +169,14 @@ def _grid_scan(model: _Conditions, axis: np.ndarray):
     No grid is built: each rho term depends on one coordinate, so
     ``model._terms`` computes it once per axis value and coordinate, in a
     (len(axis), m) table, and the grid's (n, m) array of a term is spread
-    from its table.  Each LHS operand holds the values ``_sides`` would
+    from its table.  Each LHS operand holds the values a model call would
     compute on the grid, in the same shape and C order, so the product
     makes the same BLAS call; the RHS are subtracted elementwise and max is
     exact, so every slack and max slack has the bits of ``model(grid)`` on
     the materialized grid.  One buffer serves every spread term.
     """
     pts, m = len(axis), model.m
-    inv_rho_sq, inv_den, rhs1, rhs2 = model._terms(np.repeat(axis[:, None], m, axis=1))
+    inv_u, inv_den, rhs1, rhs2 = model._terms(np.repeat(axis[:, None] ** 2, m, axis=1))
     buf = np.empty((pts**m, m))
 
     def spread(table: np.ndarray) -> np.ndarray:
@@ -226,7 +195,7 @@ def _grid_scan(model: _Conditions, axis: np.ndarray):
         lhs = spread(factors) @ weights
         return np.subtract(lhs, spread(rhs), out=lhs)
 
-    s1 = slacks(inv_rho_sq, model.m1, rhs1)
+    s1 = slacks(inv_u, model.m1, rhs1)
     s2 = slacks(inv_den, model.m2, rhs2)
     max_all = s1[:, 0].copy()
     for col in (*s1.T[1:], *s2.T):
@@ -238,17 +207,6 @@ def _grid_point(axis: np.ndarray, m: int, row: int) -> np.ndarray:
     """Row ``row`` of the grid axis^m in lexicographic order (for an array
     of k rows, an (m, k) array with one column per row)."""
     return axis[np.array(np.unravel_index(row, (len(axis),) * m))]
-
-
-def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` smallest of ``vals`` (at least k entries, no
-    nan), ties in index order: ``np.argsort(vals, kind="stable")[:k]``
-    without sorting the rest.  Every entry up to the k-th smallest value is
-    among those at or below it, which keep their index order for the stable
-    sort."""
-    kth = np.partition(vals, k - 1)[k - 1]
-    near = np.flatnonzero(vals <= kth)
-    return near[np.argsort(vals[near], kind="stable")[:k]]
 
 
 def check_conditions(ch: MUserChannel, rho) -> np.ndarray:
@@ -314,8 +272,6 @@ def _uniform_seed(ch: MUserChannel) -> np.ndarray | None:
     """Common-rho probe for uniform channels: both condition families reduce
     to s(1+Q)^2/rho^2 <= 1 - rho^2 with s = (m-1)c, minimized at
     rho^2 = sqrt(s)(1+Q)."""
-    if ch.m < 2:
-        return None
     c = ch.gains[0, 1]
     q = (ch.m - 1) * c * ch.powers[0]
     rho_sq = math.sqrt((ch.m - 1) * c) * (1.0 + q)
@@ -325,138 +281,141 @@ def _uniform_seed(ch: MUserChannel) -> np.ndarray | None:
 
 
 def _two_user_seed(model: _Conditions) -> np.ndarray | None:
-    """Analytic witness for m = 2.
+    """Closed-form witness for m = 2, None when there is none.
 
-    With A = sqrt(c_21)(1+Q_2) and B = sqrt(c_12)(1+Q_1) the conditions are
-    A^2/rho_2^2 <= 1 - rho_1^2 and B^2/rho_1^2 <= 1 - rho_2^2 (both
-    families coincide at m = 2); they admit a solution iff A + B <= 1, with
-    rho_1^2 = 1 - A, rho_2^2 = A tight in the first one.  A small shift of
-    rho_2^2 converts the strict margin of the second condition into slack
-    for both.
+    With A = sqrt(c_21)(1 + Q_2) and B = sqrt(c_12)(1 + Q_1), the first
+    family reads A^2/u_2 <= 1 - u_1 and B^2/u_1 <= 1 - u_2 in u = rho^2, and
+    the second family is the same pair: cross-multiplied, its condition i
+    cancels the term c_ij P_i u_i and leaves the first family's condition j.
+    A solution needs A + B <= sqrt(u_2 (1 - u_1)) + sqrt(u_1 (1 - u_2)) <= 1
+    (Cauchy-Schwarz), and for A + B < 1, with s = (1 - A - B)/2, the point
+    u = (B + s, A + s) meets both strictly: its slacks are
+    -s (2A + s)/(A + s) and -s (2B + s)/(B + s).  That covers one-sided
+    channels (A or B zero) too, and u lies in [s, 1 - s], inside (0, 1).
     """
     if model.m != 2:
         return None
-    a21, c12 = model.gains_offdiag[1, 0], model.gains_offdiag[0, 1]
-    if a21 <= 0.0 or c12 <= 0.0:
+    big_a = math.sqrt(model.gains_offdiag[1, 0]) * model.one_q[1]
+    big_b = math.sqrt(model.gains_offdiag[0, 1]) * model.one_q[0]
+    s = 0.5 * ((1.0 - big_a) - big_b)
+    if not s > 0.0:
         return None
-    big_a = math.sqrt(a21) * (1.0 + model.q[1])
-    big_b = math.sqrt(c12) * (1.0 + model.q[0])
-    if big_a >= 1.0:
-        return None
-    margin = (1.0 - big_a) - big_b
-    if margin <= 0.0:
-        delta = 0.0
-    else:
-        delta = min(
-            0.5 * margin * (big_b + 1.0 - big_a) / (1.0 - big_a),
-            0.5 * (1.0 - big_a),
-        )
-    rho1_sq = 1.0 - big_a
-    rho2_sq = big_a + delta
-    if not (0.0 < rho1_sq < 1.0 and 0.0 < rho2_sq < 1.0):
-        return None
-    return np.array([math.sqrt(rho1_sq), math.sqrt(rho2_sq)])
+    return np.sqrt([big_b + s, big_a + s])
 
 
-def _heuristic_seed(model: _Conditions) -> np.ndarray | None:
+def _heuristic_seed(model: _Conditions) -> np.ndarray:
     """Per-user generalization of the uniform minimizer."""
     into = model.gains_offdiag.sum(axis=0)  # total gain into each receiver
     rho_sq = np.sqrt(np.maximum(into, 1e-300)) * (1.0 + model.q)
     return np.sqrt(np.clip(rho_sq, _RHO_MIN, _RHO_MAX))
 
 
-def _descend_max_slack(
-    model: _Conditions, start: np.ndarray, budget: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate descent on the maximum slack, stopping early once every
-    slack is <= 0.  Returns the end point and its one-point slacks.
+def _phase_one(model: _Conditions, start: np.ndarray) -> Iterator[np.ndarray]:
+    """Phase-I barrier method on the feasibility program in u = rho^2
+    (Boyd and Vandenberghe, Convex Optimization, 2004, sections 11.3-11.4):
 
-    A sweep tries the moves rho_idx +/- step for idx = 0..m-1 in that order,
-    repeating a move while it lowers the maximum slack val; a sweep without
-    a lowering move halves the step.  Each tried move costs one unit of
-    ``budget``.  The probe sequence, the accepted points and their values
-    are those of trying one move per ``model.at`` call, but the moves are
-    screened in batches: from the current point, every remaining move of
-    the sweep (as many as the budget pays for) is screened at once, and the
-    moves are consumed in order:
+        minimize t  subject to  g_k(u) <= t for the 2m slacks g_k,
+                                U_MIN < u_i < U_MAX (rho_i in (1e-6, 1 - 1e-6)).
 
-    * a move that the clamp to [1e-6, 1 - 1e-6] turns into no move is
-      rejected unevaluated (it would return val itself);
-    * a move of rho_j is rejected unevaluated when some slack (i, f) of the
-      current point equals val and does not read rho_j (``model.frozen``:
-      j != i and the computed weight M_f[j, i] is zero).  The move changes
-      only rho_j, and the one-point slack (i, f) reads it only through the
-      product of its finite positive term with M_f[j, i] = +0.  That product
-      is +0 whatever the summation order, and fused multiply-add adds it
-      exactly too, so every other input and partial sum keeps its bits and
-      the slack is val again: the move cannot lower val;
-    * of the other moves, one ``model.banded`` call rejects those whose
-      batched slack stays above val after subtracting its rounding band,
-      since their ``model.at`` value is at least that large (rounding is
-      monotone and val is a float, so a computed difference above val means
-      the exact one is too);
-    * each move left is evaluated by ``model.at`` and decided on that value,
-      so an accepted point's val is always a one-point value.
+    It starts at u = start^2, capped at 0.9 to keep off the box face, where
+    the barrier is steep, and t above every slack.  Each step is a damped
+    Newton step on
 
-    After an accepted move the rest of the batch is stale, and the next
-    batch starts from the new point with the same move.
+        tau t - sum_k log(t - g_k(u)) - sum_i log((u_i - U_MIN)(U_MAX - u_i)).
+
+    Every g_k is a sum of one-variable terms (``model._curvature``), so
+    with w_k = 1/(t - g_k) and G the (2m, m + 1) rows (grad g_k, -1), the
+    Newton matrix is G' diag(w^2) G plus a diagonal.  Once the Newton
+    decrement is small the point is centered, and its t is within the
+    duality gap n/tau of the least max slack t*, n = 4m the inequality
+    count; tau then grows by _GROWTH.
+
+    Yields rho = sqrt(u) of every iterate after the start; ``find_rho``
+    stops at the first witness.  The solve ends once a centered point's gap
+    is within 1e-3 of |t - gap| (for t - gap > 0 that puts t* > 0), or when
+    Newton stalls.
     """
-    moves_idx = np.repeat(np.arange(model.m), 2)
-    moves_sign = np.tile([1.0, -1.0], model.m)
-    x = np.clip(start, _RHO_MIN, _RHO_MAX)
-    budget[0] -= 1
-    slacks_x = model.at(x)
-    val = float(slacks_x.max())
-    frozen = model.frozen(slacks_x)
-    step = 0.1
-    while step > 1e-10 and budget[0] > 0 and val > 0.0:
-        improved = False
-        k = 0  # the next move of the sweep
-        while k < len(moves_idx) and budget[0] > 0:
-            idx = moves_idx[k : k + budget[0]]
-            here = x[idx]
-            moved = (here + moves_sign[k : k + budget[0]] * step).clip(_RHO_MIN, _RHO_MAX)
-            live = ((moved != here) & ~frozen[idx]).nonzero()[0]
-            batch = np.repeat(x[None, :], len(live), axis=0)
-            batch[np.arange(len(live)), idx[live]] = moved[live]
-            slacks, band = model.banded(batch)
-            screened = ((slacks - band).max(axis=(1, 2)) <= val).nonzero()[0]
-            accepted = None
-            for row in screened.tolist():
-                cand = batch[row].copy()
-                cand_slacks = model.at(cand)
-                cand_val = float(cand_slacks.max())
-                if cand_val < val:
-                    x, slacks_x, val = cand, cand_slacks, cand_val
-                    frozen = model.frozen(slacks_x)
-                    improved, accepted = True, int(live[row])
+    m = model.m
+    diag = np.arange(m)
+    jac = np.empty((2 * m, m + 1))  # G: family 1 rows, then family 2, as slacks_u(u).T
+    jac[:, m] = -1.0
+
+    def barrier(u: np.ndarray, t: float, g: np.ndarray) -> float:
+        return -float(np.log(t - g).sum() + np.log((u - _U_MIN) * (_U_MAX - u)).sum())
+
+    u = np.minimum(start * start, 0.9)
+    with np.errstate(all="ignore"):
+        g = model.slacks_u(u).T.ravel()
+        t = g.max() + max(1.0, abs(g.max()))
+        tau = float((1.0 / (t - g)).sum())
+    for _ in range(_NEWTON_STEPS):
+        # Overflow or nan ends the solve as a stall; no yield happens in here.
+        with np.errstate(all="ignore"):
+            w = 1.0 / (t - g)
+            slope, curve = model._curvature(u)
+            jac[:m, :m] = model.m1.T * slope[0]
+            jac[diag, diag] += 1.0
+            jac[m:, :m] = model.m2.T * slope[1]
+            jac[m + diag, diag] -= slope[2]
+            low, high = u - _U_MIN, _U_MAX - u
+            grad = w @ jac
+            grad[:m] += 1.0 / high - 1.0 / low
+            grad[m] += tau
+            scaled = w[:, None] * jac
+            hess = scaled.T @ scaled
+            hess[diag, diag] += (
+                curve[0] * (model.m1 @ w[:m])
+                + curve[1] * (model.m2 @ w[m:])
+                - curve[2] * w[m:]
+                + 1.0 / (low * low)
+                + 1.0 / (high * high)
+            )
+            norm = 1.0 / np.sqrt(hess.diagonal())
+            try:
+                step = -norm * np.linalg.solve(hess * norm * norm[:, None], grad * norm)
+            except np.linalg.LinAlgError:
+                break
+            decrement = -float(grad @ step)
+            if not decrement > _CENTERED:
+                if not decrement >= 0.0:
+                    break  # not finite: Newton stalls
+                gap = 4 * m / tau
+                if gap <= _GAP * abs(t - gap):
                     break
-            if accepted is None:
-                budget[0] -= len(idx)
-                k += len(idx)
+                tau *= _GROWTH
                 continue
-            budget[0] -= accepted + 1
-            if val <= 0.0:
-                return x, slacks_x
-            k += accepted  # try the accepted move again, from x
-        if not improved:
-            step *= 0.5
-    return x, slacks_x
+            value = tau * t + barrier(u, t, g)
+            size = 1.0
+            while size > 1e-12:
+                u_new, t_new = u + size * step[:m], t + size * step[m]
+                if np.all((u_new > _U_MIN) & (u_new < _U_MAX)):
+                    g_new = model.slacks_u(u_new).T.ravel()
+                    if np.all(g_new < t_new) and (
+                        tau * t_new + barrier(u_new, t_new, g_new)
+                        <= value - 0.25 * size * decrement
+                    ):
+                        break
+                size *= 0.5
+            else:
+                break  # Newton stalls
+            u, t, g = u_new, t_new, g_new
+        yield np.sqrt(u)
 
 
-def find_rho(ch: MUserChannel, max_evals: int = _MAX_EVALS) -> MUserVerdict:
+def find_rho(ch: MUserChannel) -> MUserVerdict:
     """Search for a rho vector satisfying both condition families.
 
     Probe order: the uniform-channel collapse (exact for symmetric
-    channels), the m = 2 analytic witness, a per-user heuristic, then a
-    coarse grid with coordinate-descent refinement of the best starts.
-    ``max_evals`` caps the probes: each seed, grid point and descent move
-    counts one.  The descent screens its moves in batches but decides each
-    one on its one-point value (``_descend_max_slack``), so the verdict,
-    witness and best probe are those of a one-move-at-a-time search.  A
-    'not found' verdict is not a proof of infeasibility except for uniform
-    channels whose gain exceeds 1/(4(m-1)), where the common-rho reduction
-    is both necessary and sufficient.
+    channels), the m = 2 closed form (a witness iff A + B < 1, see
+    ``_two_user_seed``), a per-user heuristic, then the phase-I barrier
+    solve of the convex program in u = rho^2 (``_phase_one``), started at
+    the heuristic.  Every probe is decided on its one-point slacks, the
+    check ``check_conditions`` makes.  A 'not found' verdict means the
+    solve bounded the least max slack above zero to a relative gap of
+    1e-3, or stalled; ``best_probe`` is then the probe of least max slack.
+    It is a proof of infeasibility only for uniform channels whose gain
+    exceeds 1/(4(m-1)), where the common-rho reduction is both necessary
+    and sufficient.
     """
     if ch.m > 16:
         raise ValueError(f"find_rho supports m <= 16, got m={ch.m}")
@@ -464,44 +423,25 @@ def find_rho(ch: MUserChannel, max_evals: int = _MAX_EVALS) -> MUserVerdict:
         rho = np.array([0.5])
         return _verdict_from_probe(ch, rho, check_conditions(ch, rho))
 
+    model = _Conditions(ch)
+    heuristic = _heuristic_seed(model)
+
+    def probes() -> Iterator[np.ndarray]:
+        for seed in (_uniform_seed(ch), _two_user_seed(model), heuristic):
+            if seed is not None:
+                yield seed
+        yield from _phase_one(model, heuristic)
+
+    best_rho = best_slacks = None
+    for rho in probes():
+        slacks = model.at(rho)
+        if slacks.max() <= 0.0:
+            return _verdict_from_probe(ch, rho, slacks)
+        if best_slacks is None or slacks.max() < best_slacks.max():
+            best_rho, best_slacks = rho, slacks
+
     provable = ch.is_uniform() and _above_uniform_cut(ch.m, ch.gains[0, 1])
     note = "provably infeasible by the symmetric reduction" if provable else ""
-
-    model = _Conditions(ch)
-    candidates = (_uniform_seed(ch), _two_user_seed(model), _heuristic_seed(model))
-    seeds = [seed for seed in candidates if seed is not None]
-
-    budget = [max_evals]
-    best_slacks = best_rho = None
-    best_max = math.inf
-
-    def consider(rho: np.ndarray, slacks: np.ndarray) -> bool:
-        nonlocal best_slacks, best_rho, best_max
-        mx = float(np.max(slacks))
-        if mx < best_max:
-            best_max, best_rho, best_slacks = mx, rho.copy(), slacks
-        return mx <= 0.0
-
-    for seed in seeds:
-        budget[0] -= 1
-        if consider(seed, model.at(seed)):
-            return _verdict_from_probe(ch, best_rho, best_slacks)
-
-    # Coarse grid, sized to the evaluation budget.
-    pts = 9 if ch.m <= 3 else max(k for k in (5, 4, 3, 2) if k**ch.m <= 70_000)
-    axis = np.linspace(0.1, 0.9, pts)
-    _, _, max_all = _grid_scan(model, axis)
-    budget[0] -= len(max_all)
-    starts = [_grid_point(axis, ch.m, row) for row in _smallest(max_all, 3)]
-    if consider(starts[0], model.at(starts[0])):
-        return _verdict_from_probe(ch, best_rho, best_slacks)
-
-    for start in starts + seeds:
-        if budget[0] <= 0:
-            break
-        if consider(*_descend_max_slack(model, start, budget)):
-            return _verdict_from_probe(ch, best_rho, best_slacks)
-
     return _verdict_from_probe(
         ch, best_rho, best_slacks, provably_infeasible=provable, note=note
     )

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: channel samplers, geometry checks, an
 MU objective call counter, a reference MU genie descent, and the reference
-m-user grid scan and descent."""
+m-user grid scan."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 from gicbounds import TwoUserChannel, noisy_condition
 from gicbounds.genie import _MOVES as _SEARCH_MOVES
 from gicbounds.genie import _SWEEP_TOL, _MuObjective
-from gicbounds.multiuser import _RHO_MAX, _RHO_MIN, _Conditions
+from gicbounds.multiuser import _Conditions
 
 # The search's move table plus a row of null moves for finished lanes, which
 # the reference descent below keeps stepping.
@@ -144,75 +144,3 @@ def materialized_grid_scan(model: _Conditions, axis: np.ndarray):
     grid = axis[index.T.copy()]
     slacks = model(grid)
     return grid, slacks, slacks.reshape(len(grid), -1).max(axis=1)
-
-
-def band_screened_descent(
-    model: _Conditions, start: np.ndarray, budget: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference for ``multiuser._descend_max_slack``, which also rejects
-    unevaluated the moves of a coordinate that a slack at val does not
-    read.  Coordinate descent on the maximum slack, stopping early once every
-    slack is <= 0.  Returns the end point and its one-point slacks.
-
-    A sweep tries the moves rho_idx +/- step for idx = 0..m-1 in that order,
-    repeating a move while it lowers the maximum slack val; a sweep without
-    a lowering move halves the step.  Each tried move costs one unit of
-    ``budget``.  The probe sequence, the accepted points and their values
-    are those of trying one move per ``model.at`` call, but the moves are
-    screened in batches: from the current point, every remaining move of
-    the sweep (as many as the budget pays for) goes into one
-    ``model.banded`` call, and the moves are consumed in order:
-
-    * a move that the clamp to [1e-6, 1 - 1e-6] turns into no move is
-      rejected unevaluated (it would return val itself);
-    * a move with a batched slack that stays above val after subtracting
-      its rounding band is rejected, since its ``model.at`` value is at
-      least that large (rounding is monotone and val is a float, so a
-      computed difference above val means the exact one is too);
-    * any other move is evaluated by ``model.at`` and decided on that value,
-      so an accepted point's val is always a one-point value.
-
-    After an accepted move the rest of the batch is stale, and the next
-    batch starts from the new point with the same move.
-    """
-    moves_idx = np.repeat(np.arange(model.m), 2)
-    moves_sign = np.tile([1.0, -1.0], model.m)
-    x = np.clip(start, _RHO_MIN, _RHO_MAX)
-    budget[0] -= 1
-    slacks_x = model.at(x)
-    val = float(slacks_x.max())
-    step = 0.1
-    while step > 1e-10 and budget[0] > 0 and val > 0.0:
-        improved = False
-        k = 0  # the next move of the sweep
-        while k < len(moves_idx) and budget[0] > 0:
-            idx = moves_idx[k : k + budget[0]]
-            here = x[idx]
-            moved = (here + moves_sign[k : k + budget[0]] * step).clip(_RHO_MIN, _RHO_MAX)
-            live = (moved != here).nonzero()[0]
-            batch = np.repeat(x[None, :], len(live), axis=0)
-            batch[np.arange(len(live)), idx[live]] = moved[live]
-            slacks, band = model.banded(batch)
-            floors = (slacks - band).max(axis=(1, 2))
-            accepted = None
-            for row, j in enumerate(live.tolist()):
-                if floors[row] > val:
-                    continue
-                cand = batch[row].copy()
-                cand_slacks = model.at(cand)
-                cand_val = float(cand_slacks.max())
-                if cand_val < val:
-                    x, slacks_x, val = cand, cand_slacks, cand_val
-                    improved, accepted = True, j
-                    break
-            if accepted is None:
-                budget[0] -= len(idx)
-                k += len(idx)
-                continue
-            budget[0] -= accepted + 1
-            if val <= 0.0:
-                return x, slacks_x
-            k += accepted  # try the accepted move again, from x
-        if not improved:
-            step *= 0.5
-    return x, slacks_x

@@ -78,6 +78,13 @@ class TestInterferencePowers:
         q = m_user_interference_powers(MUserChannel.from_two_user(FIG1))
         assert q == pytest.approx([FIG1.a * FIG1.p2, FIG1.b * FIG1.p1])
 
+    def test_strong_own_signal(self):
+        # Q_1 = c_21 P_2 exactly: subtracting c_11 P_1 = 9.7e9 from the full
+        # sum at receiver 1 would cancel away the interference's low bits.
+        ch = MUserChannel(gains=np.array([[1.0, 0.0], [0.999999, 1.0]]),
+                          powers=np.array([9.74480345e9, 1.0]))
+        assert m_user_interference_powers(ch).tolist() == [0.999999, 0.0]
+
 
 class TestInvariants:
     def test_tin_never_exceeds_single_user(self):

@@ -82,6 +82,15 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out)["kind"] == "NOISY_INTERFERENCE"
 
+    def test_non_finite_result_exit_one(self, capsys, tmp_path):
+        # The condition slack of these huge gains is inf, which strict JSON
+        # cannot carry: nothing goes to stdout and one error line to stderr.
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"gains": [[1, 1e300], [1e300, 1]], "powers": [1e10, 1e10]}))
+        code, out, err = run(capsys, "classify", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "JSON" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv",
         [
