@@ -6,7 +6,8 @@ murate (m-user feasibility search), threshold (symmetric noisy-interference
 thresholds).
 
 Exit status: 0 for success (any verdict, UNKNOWN included), 1 for bad
-input, 2 for an internal invariant violation.
+input or a stdout closed early (``gicbounds ... | head``), 2 for an
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -324,4 +326,16 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    """Console entry point: exit with the status of ``main``.  A reader that
+    closes stdout early ends the run with status 1 and no traceback.  As in
+    the Python docs' recipe (signal module, "Note on SIGPIPE"), stdout is
+    then pointed at devnull, so the interpreter's last flush cannot fail
+    again."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe fails here at the latest
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

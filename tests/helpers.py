@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: channel samplers, geometry checks, an
-MU objective call counter, a reference MU genie descent, and the reference
-m-user grid scan."""
+MU objective call counter, a reference MU genie descent, the reference
+m-user grid scan, and the stopping certificate of the m-user phase-I solve."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 from gicbounds import TwoUserChannel, noisy_condition
 from gicbounds.genie import _MOVES as _SEARCH_MOVES
 from gicbounds.genie import _SWEEP_TOL, _MuObjective
-from gicbounds.multiuser import _Conditions
+from gicbounds.multiuser import _Conditions, _heuristic_seed, _phase_one
 
 # The search's move table plus a row of null moves for finished lanes, which
 # the reference descent below keeps stepping.
@@ -144,3 +144,16 @@ def materialized_grid_scan(model: _Conditions, axis: np.ndarray):
     grid = axis[index.T.copy()]
     slacks = model(grid)
     return grid, slacks, slacks.reshape(len(grid), -1).max(axis=1)
+
+
+def phase_one_certificate(ch):
+    """The dual bound that ends the phase-I solve ``find_rho`` runs on ch,
+    from the same heuristic start, or None when the solve ends on its gap or
+    stall rule.  The solve is run to its end, past any witness."""
+    model = _Conditions(ch)
+    solve = _phase_one(model, _heuristic_seed(model))
+    while True:
+        try:
+            next(solve)
+        except StopIteration as stop:
+            return stop.value

@@ -1,11 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from scipy.optimize import minimize_scalar
 
+import gicbounds
 from gicbounds import TwoUserChannel, multiuser, tdm_fdm_sum_rate, tin_rates
 from gicbounds.cli import main
 from gicbounds.config import (
@@ -552,3 +556,24 @@ class TestConfigHelpers:
             SweepSpec("a", 0.1, 0.2, 5, "nope")
         with pytest.raises(ConfigError):
             SweepSpec("a", -0.1, 0.2, 5, "sum-tin", log_spacing=True)
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_one_without_traceback(self):
+        # The reader has closed the pipe before the first write, as when
+        # `gicbounds ... | head` exits early.  The child imports the package
+        # from the same directory as this test run.
+        src = str(Path(gicbounds.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gicbounds", "classify", *FIG1_ARGS],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gicbounds import (
@@ -23,9 +23,9 @@ from gicbounds import (
     symmetric_threshold,
     tin_rates,
 )
-from gicbounds.multiuser import _Conditions, _grid_point, _grid_scan
-from helpers import materialized_grid_scan
-from verify import is_exact_witness
+from gicbounds.multiuser import _BAND, _Conditions, _grid_point, _grid_scan
+from helpers import materialized_grid_scan, phase_one_certificate
+from verify import exact_dual_bound, is_exact_witness
 
 FIG1 = TwoUserChannel(a=0.04, b=0.09, p1=10, p2=20)
 PINNED = Path(__file__).parent / "data" / "find_rho.json"
@@ -297,6 +297,68 @@ class TestFindRhoPinned:
         for entry in witnesses:
             rho = entry["verdict"]["rho"]
             assert is_exact_witness(entry["gains"], entry["powers"], rho), entry["id"]
+
+
+@st.composite
+def sparse_channels(draw, sizes):
+    """sparse_channel-style channels over gains 1e-9 to 1 - 1e-6 and powers
+    1e-8 to 1e12: each crosstalk gain is zero or log-uniform.  One in four
+    is instead uniform at its threshold power P* scaled by 1 + delta,
+    |delta| from 1e-7 to 0.1, where the least max slack is near 0."""
+    m = draw(st.sampled_from(sizes))
+    if draw(st.integers(0, 3)) == 0:
+        c = draw(GAINS.filter(lambda c: 0 < symmetric_threshold(m, c) < 1e12))
+        delta = draw(st.floats(math.log(1e-7), math.log(0.1)).map(math.exp))
+        sign = draw(st.sampled_from([-1, 1]))
+        return MUserChannel.symmetric(m, c, symmetric_threshold(m, c) * (1 + sign * delta))
+    gains = np.eye(m)
+    for i, j in itertools.permutations(range(m), 2):
+        gains[i, j] = draw(st.one_of(st.just(0.0), GAINS))
+    powers = np.array([draw(POWERS) for _ in range(m)])
+    return MUserChannel(gains=gains, powers=powers)
+
+
+class TestDualCertificate:
+    """The phase-I solve stops at the first centered point whose dual bound
+    clears its rounding band.  Recomputed exactly from the stopping point
+    and weights, the bound must exceed the band's 2^-27: then no rho in
+    (0, 1)^m meets the conditions."""
+
+    @staticmethod
+    def assert_certified(ch, cid=None):
+        """None if the solve ends on its gap or stall rule; otherwise check
+        the certificate exactly and return its exact bound."""
+        cert = phase_one_certificate(ch)
+        if cert is None:
+            return None
+        lb = exact_dual_bound(ch.gains, ch.powers, cert.u, cert.w)
+        assert lb > _BAND > 0, cid
+        assert float(lb) == pytest.approx(cert.lb, rel=1e-9), cid
+        assert not find_rho(ch).feasible, cid
+        return lb
+
+    def test_pinned_not_found_verdicts_are_certified(self):
+        # Every not-found entry of find_rho.json, the verdicts pool's 60
+        # among them, stops on a certificate; feasible ones never do.
+        stops = 0
+        for entry in TestFindRhoPinned.ENTRIES:
+            ch = MUserChannel(gains=np.array(entry["gains"]), powers=np.array(entry["powers"]))
+            lb = self.assert_certified(ch, entry["id"])
+            assert (lb is not None) == (not entry["verdict"]["feasible"]), entry["id"]
+            stops += lb is not None
+        assert stops >= 99
+
+    @given(sparse_channels([2, 3, 4]))
+    def test_certified_channels_have_no_grid_witness(self, ch):
+        if self.assert_certified(ch) is not None:
+            assert not oracle_grid_feasibility(ch, 16).feasible
+
+    @pytest.mark.slow
+    @settings(max_examples=500)
+    @given(sparse_channels([2, 3, 4, 6, 8, 12]))
+    def test_certificates_up_to_twelve_users(self, ch):
+        if self.assert_certified(ch) is not None and ch.m <= 4:
+            assert not oracle_grid_feasibility(ch, 16).feasible
 
 
 class TestConditionModel:
