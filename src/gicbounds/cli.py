@@ -167,7 +167,7 @@ def sweep_rows(
     value raises ConfigError before any metric is computed; with
     gains_in_db, gain-parameter grids are interpreted (and echoed) in dB.
     The sum-upper points are bounded together by one genie.sum_upper_bounds
-    call, whose MU searches share one lockstep descent; the other metrics
+    call, whose MU searches share one lockstep search; the other metrics
     are computed point by point.  Grid points where no bound family applies
     give "n/a".
     """

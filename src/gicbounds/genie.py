@@ -16,6 +16,7 @@ calls yield identical certificates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -187,8 +188,7 @@ def user1_genie_bound(ch: TwoUserChannel, rho1: float, sigma1: float) -> float:
         raise ValueError(f"rho1 must lie in [0, 1], got {rho1}")
     if not (math.isfinite(sigma1) and sigma1 > 0.0):
         raise ValueError(f"sigma1 must be finite and > 0, got {sigma1}")
-    base = 1.0 + ch.p1 + ch.a * ch.p2
-    share = _user_share(ch.p1, ch.p1, ch.a, ch.p2, base, rho1, sigma1 * sigma1)
+    share = _user_share(ch.p1, ch.p1, ch.a, ch.p2, ch.p2, rho1, sigma1 * sigma1)
     return float(0.5 * share)
 
 
@@ -283,43 +283,22 @@ def eval_constraint3(ch: TwoUserChannel, eta2: float) -> SupportingLine:
 _GRID_POINTS = 8
 _RHO_MAX = 1.0 - 1e-6
 _SIGMA_FLOOR = 1e-4
-_SWEEP_TOL = 1e-9  # bits; convergence threshold for one descent sweep
-_STEP_FLOOR = 1e-9
-
-
-def _descent_moves() -> np.ndarray:
-    """Move table of the coordinate descent, one row per halving count.
-
-    Column 2*idx + k is the move of parameter idx in direction k (0 up,
-    1 down): an additive step for the correlations, a factor
-    exp(+-log_step) for the variances.  The steps start at 0.15 and log(3)
-    and halve together while either exceeds _STEP_FLOOR.  The factors come
-    from math.exp, not numpy's vectorized exp, which may round differently,
-    and the steps from repeated halving: the lines depend on every bit of
-    each move.
-    """
-    rows = []
-    up_down = (1.0, -1.0)
-    rho_step, log_step = 0.15, math.log(3.0)
-    while rho_step > _STEP_FLOOR or log_step > _STEP_FLOOR:
-        rows.append(
-            [sign * rho_step for sign in up_down] * 2
-            + [math.exp(sign * log_step) for sign in up_down] * 2
-        )
-        rho_step *= 0.5
-        log_step *= 0.5
-    return np.array(rows)
-
-
-_MOVES = _descent_moves()
-_HALVINGS = len(_MOVES)  # halvings after which a descent round ends
-_CHAIN_MAX = 64  # most repeats of an accepted move polled in one call
-_LOOKAHEAD = 32  # sweeps polled ahead per call (see _lockstep_descent)
+_STEP_FLOOR = 1e-9  # log step below which a pattern-search lane stops
+_POLL_CAP = 140  # most polls of one pattern-search lane
+_LOG_STEP = math.log(3.0)  # first step of the variances' logs
+_FIRST_STEPS = np.array([[0.15], [0.15], [_LOG_STEP], [_LOG_STEP]])
+# The 32 unit moves of the pattern search, as columns: the 8 axis moves
+# +-e_i, then the 24 diagonal moves +-e_i +- e_j, i < j.
+_EYE = np.eye(4)
+_POLL = np.array([*_EYE, *-_EYE] + [
+    s * _EYE[i] + t * _EYE[j]
+    for i, j in itertools.combinations(range(4), 2) for s in (1, -1) for t in (1, -1)
+]).T
 # The constants of a _MuObjective with one value per entry, which ``take``
 # gathers.
 _ENTRY_VALUES = (
     "a", "b", "p1", "p2", "mu", "half_mu", "b_mu", "hi_left", "hi_den",
-    "lo_left", "lo_den", "base1", "base2",
+    "lo_left", "lo_den",
 )
 
 
@@ -332,7 +311,7 @@ class _MuObjective:
     Points are arrays with rows (rho1, rho2, sigma1_sq, sigma2_sq), or one
     such column.  The channel parameters and ``mu`` broadcast against a row:
     scalars for the probe grid of one channel at one weight, or one value
-    per lane of the lockstep descent, whose lanes may belong to different
+    per lane of the pattern search, whose lanes may belong to different
     channels.  Only the branches of the weights present are evaluated.  The
     sub-expressions free of the point are computed once, with the same
     operations in the same order as a one-point call, so each entry is
@@ -354,8 +333,6 @@ class _MuObjective:
         self.hi_den = self.b_mu - b
         self.lo_left = (mu - 1.0) * p2
         self.lo_den = a - a * mu
-        self.base1 = 1.0 + p1 + a * p2
-        self.base2 = 1.0 + p2 + b * p1
 
     @classmethod
     def of(cls, requests) -> "_MuObjective":
@@ -443,9 +420,9 @@ class _MuObjective:
         r1, r2, s1, s2 = x
         p1_star, p2_star = self.effective(x)
         val = 0.5 * _user_share(
-            self.p1, p1_star, self.a, p2_star, self.base1, r1, s1
+            self.p1, p1_star, self.a, self.p2, p2_star, r1, s1
         ) + self.half_mu * _user_share(
-            self.p2, p2_star, self.b, p1_star, self.base2, r2, s2
+            self.p2, p2_star, self.b, self.p1, p1_star, r2, s2
         )
         return np.where(np.isfinite(val), val, np.inf)
 
@@ -464,208 +441,82 @@ class _MuObjective:
         return out, self.in_box(out)
 
 
-def _user_share(p, p_star, gain, p_star_other, base, rho, s):
+def _user_share(p, p_star, gain, p_other, p_star_other, rho, s):
     """Twice one user's share of the MU bound, in bits:
 
         log2(1 + p_star/s) - log2(gain*p_star_other + 1 - rho^2)
-      + log2(base - (p + rho*sqrt(s))^2/(p + s)),
+      + log2(1 + p + gain*p_other - (p + rho*sqrt(s))^2/(p + s)),
 
-    with base = 1 + p + gain*p_other; +inf where a log argument is <= 0.
-    The arguments broadcast.
+    +inf where a log argument is <= 0.  The arguments broadcast.  The last
+    argument is evaluated as (p*((sqrt(s) - rho)^2 + k) + s*k)/(p + s) with
+    k = gain*p_other + 1 - rho^2, a sum of terms >= 0: the difference as
+    written loses about p*2^-53 to cancellation, which at large powers
+    would put the bound below the rate it bounds.
     """
-    shrink = gain * p_star_other + 1.0 - rho * rho
-    lin = p + rho * np.sqrt(s)
-    cond = base - lin * lin / (p + s)
+    gap = (1.0 - rho) * (1.0 + rho)
+    shrink = gain * p_star_other + gap
+    k = gain * p_other + gap
+    dev = np.sqrt(s) - rho
+    cond = (p * (dev * dev + k) + s * k) / (p + s)
     with np.errstate(divide="ignore", invalid="ignore"):
         share = np.log2(1.0 + p_star / s) - np.log2(shrink) + np.log2(cond)
     return np.where((shrink <= 0) | (cond <= 0), np.inf, share)
 
 
-def _lockstep_descent(
+def _cap_rows(obj: _MuObjective, x: np.ndarray) -> np.ndarray:
+    """(1 - rho2^2)/b and (1 - rho1^2)/a at points ``x``: the caps of
+    sigma1_sq and sigma2_sq, whichever one the weight puts in force."""
+    r = x[1::-1]
+    return (1.0 - r * r) / np.array([obj.b, obj.a])
+
+
+def _pattern_search(
     obj: _MuObjective, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative-free coordinate descent from every start ("lane") at once.
+    """Pattern search from every start ("lane") at once; ``starts`` is
+    (4, lanes), and ``obj`` holds each lane's own channel and weight, so
+    lanes of different channels and weights share the objective calls.
+    Returns the (values, points) the lanes end at.
 
-    Each lane cycles through the four parameters, moving each one up and
-    then down while that lowers its value, with every candidate clamped back
-    into the feasibility box.  A sweep that gains less than _SWEEP_TOL
-    halves the lane's steps; once they pass _STEP_FLOOR the lane restarts
-    once more with fresh steps, unless that round gained less than
-    _SWEEP_TOL.  A lane is a (channel, weight, start) triple: ``obj`` holds
-    each lane's own channel and weight, so lanes of different channels share
-    the objective calls.  ``starts`` is (4, lanes); returns the (values,
-    points) the lanes end at.
-
-    Each step is one objective call that polls, for every live lane, every
-    move it might take next from its point: a chain of repeats of its
-    current move, then one step of each later move of the sweep, then the
-    moves of the sweeps that follow should none of these improve.  The lane
-    takes the leading chain points that each improve on the one before or,
-    if the first does not improve, the first other move that does, in
-    polling order: exactly the moves, in the same order, that a search
-    testing one candidate per call accepts.  The chain has one point unless
-    the lane accepted on its last step; it doubles while the whole chain is
-    accepted, up to _CHAIN_MAX.  A lane leaves the batch when it finishes.
-
-    The sweeps polled ahead.  A lane at halving h, in a sweep that started
-    at value sweep_start, polls sweeps k = 1..ahead after the rest of its
-    sweep: sweep 1 at halving h + d, d = (sweep_start - val < _SWEEP_TOL),
-    and each later one a halving further, the last no later than the last
-    halving of the round (ahead <= _HALVINGS - h - d).  The quiet lanes of a
-    call (their last sweep took no move and they are back at the start of a
-    sweep, so d = 1) share _LOOKAHEAD sweeps; every other lane gets
-    _LOOKAHEAD // (live lanes), so a wide batch polls ahead only its quiet
-    lanes.  Should no remaining move of its sweep improve, the one-candidate
-    search ends the sweep at the same point and value, adding d to h.  A
-    lane that polls ahead has h + d < _HALVINGS, so the round goes on: the
-    next sweep starts from the same point, with sweep_start = val, at
-    halving h + d.  If it takes no move
-    either, it gains nothing, so the one after is at halving h + d + 1, from
-    the same point, and so on.  A polled move of sweep k is thus the point
-    that sweep tests, with the same value.  For d = 0, sweep 1 repeats the
-    current halving, and its moves from the current one on are points that
-    the current sweep polls: they fail there, so they fail again and are not
-    polled twice.  Hence the first polled move that improves is the next
-    move the one-candidate search takes, and every point it tests before
-    fails.  Taking a move of sweep k >= 1 leaves the lane at halving
-    h + d + k - 1, at that move, with sweep_start its value before the move;
-    each sweep passed ended below _HALVINGS halvings, so no round ended and
-    restarted and round_start stay.  A lane that takes no move has passed
-    its sweep and ``ahead`` more, each after the first gaining nothing: it
-    is at halving h + d + ahead, at the start of a sweep from the same point
-    and value, and the round-end rule runs there once, as it runs after the
-    last of those sweeps (an earlier one ends at most h + d + ahead - 1 <
-    _HALVINGS halvings).
-
-    Why chain point k is the point k single steps reach.  Its moved
-    coordinate is the k-fold np.add.accumulate (rho) or
-    np.multiply.accumulate (sigma^2) of the step: the roundings of k single
-    steps, while the clamp leaves that coordinate alone.  The clamp acts on
-    each coordinate on its own and every point is clamped already, so an
-    unmoved rho stays put, and so does an unmoved sigma^2 when the other
-    sigma^2 moves, since the caps depend on the correlations only.  That
-    leaves the capped sigma^2 s when the other user's rho r moves.  Along
-    the chain r is monotone (rounding a sum or product with a fixed step
-    is, and so is the clamp to [0, _RHO_MAX]), hence so is the rounded cap
-    (1 - r*r)/gain.  With r <= _RHO_MAX and gain < 1 the cap is at least
-    1 - _RHO_MAX**2 > 1.99e-6, above the sigma^2 floor of 1e-6, so s >= 1e-6
-    and the floor never binds.  Single steps give s_k = min(s_{k-1}, cap_k):
-    min(s_0, cap_k) for a falling cap, and s_0 = min(s_0, cap_k) for a
-    rising one, since s_0 <= cap_0.  Clamping chain point k on its own gives
-    min(s_0, cap_k), the same bits, as min and max round nothing.  Once the
-    clamp changes the moved coordinate, it puts it on the same bound (0,
-    _RHO_MAX, the floor or the cap, which that move leaves alone) at every
-    later chain point, and with it the capped sigma^2: all of them are the
-    first such point, cannot improve on it, and so cut the chain there, as
-    a single step from that point, which returns it, stops the repeats.
+    A lane moves in cap-scaled coordinates y = (rho1, rho2, log(sigma1_sq /
+    cap1), log(sigma2_sq / cap2)), caps as in ``_cap_rows``, with the
+    correlations in [0, _RHO_MAX] and the capped variance's log at most 0:
+    a move of a correlation carries that variance along its cap.  Each step
+    is one objective call that polls, for every live lane, the 32 moves of
+    ``_POLL`` scaled by the lane's steps.  The lane takes its best strict
+    improvement; if there is none, both steps shrink by 4.  They start at
+    0.15 and log(3); a lane stops once its log step is below _STEP_FLOOR,
+    or after _POLL_CAP polls.  Every polled point is ``clamp``ed and its
+    value is the objective there, so every end is a valid bound.
     """
     x, val = obj.clamped(starts)
+    y = x.copy()
+    y[2:] = np.log(x[2:] / _cap_rows(obj, x))
     out_val, out_x = val.copy(), x.copy()
     ids = np.arange(x.shape[1])  # lane of each live entry
-    move = np.zeros_like(ids)  # column of _MOVES: 2*parameter + direction
-    chain = np.ones_like(ids)  # repeats of the current move to poll
-    halvings = np.zeros_like(ids)
-    restarted = np.zeros(ids.shape, dtype=bool)
-    quiet = np.zeros(ids.shape, dtype=bool)  # last sweep took no move
-    sweep_start = val
-    round_start = val
-    while ids.size:
-        # One step of each move from the current one to the end of the
-        # sweep, lane by lane, the first being the chain's first point, then
-        # every move of the next ``ahead`` sweeps: column 8*k + move is a move
-        # of sweep k.  Sweep 1 of a lane whose sweep has gained _SWEEP_TOL
-        # keeps the current halving, so its columns 8 + move..15 would repeat
-        # polled points: that lane's columns skip them.
-        gained = ~(sweep_start - val < _SWEEP_TOL)
-        idle = quiet & (move == 0) & (sweep_start == val)
-        share = np.where(idle, _LOOKAHEAD // max(1, np.count_nonzero(idle)), _LOOKAHEAD // ids.size)
-        ahead = np.minimum(share, _HALVINGS - 1 + gained - halvings)
-        skip = np.where(gained & (ahead > 0), 8 - move, 0)
-        count = 8 * (1 + ahead) - move - skip
-        first = np.cumsum(count) - count
-        lane = np.repeat(np.arange(ids.size), count)
-        pos = np.arange(lane.size) - first[lane]
-        col = pos + move[lane] + skip[lane] * (pos >= 8)
-        cand_move, sweep_k = col & 7, col >> 3
-        n_single = lane.size
-        cur = x[cand_move >> 1, lane]
-        step = _MOVES[halvings[lane] + sweep_k - (gained[lane] & (sweep_k > 0)), cand_move]
-        moved = np.where(cand_move < 4, cur + step, cur * step)
-        # Repeats 2..chain of the current move, lane by lane, for the lanes
-        # that accepted it on their last step.
-        hot = np.flatnonzero(chain > 1)
-        if hot.size:
-            param = move[hot] >> 1
-            walk = np.empty((hot.size, chain[hot].max() + 1))
-            walk[:, 0] = x[param, hot]
-            walk[:, 1:] = _MOVES[halvings[hot], move[hot]][:, None]
-            walk = np.where(
-                (param < 2)[:, None],
-                np.add.accumulate(walk, axis=1),
-                np.multiply.accumulate(walk, axis=1),
-            )
-            repeats = np.arange(walk.shape[1])
-            hot_row, rep = np.nonzero((repeats >= 2) & (repeats <= chain[hot][:, None]))
-            lane = np.concatenate([lane, hot[hot_row]])
-            cand_move = np.concatenate([cand_move, move[hot][hot_row]])
-            sweep_k = np.concatenate([sweep_k, np.zeros_like(hot_row)])
-            moved = np.concatenate([moved, walk[hot_row, rep]])
-        cols = np.arange(lane.size)
-        cand = x[:, lane]
-        cand[cand_move >> 1, cols] = moved
-        cand, cand_val = obj.take(ids[lane]).clamped(cand)
-
-        # Chain points taken: leading points that each improve on the last.
-        better = cand_val[:n_single] < val[lane[:n_single]]
-        taken = better[first].astype(int)
-        after = first  # candidate holding the last chain point taken
-        if hot.size:
-            extra = cand_val[n_single:]
-            last = np.empty_like(extra)
-            last[1:] = extra[:-1]
-            n_extra = chain[hot] - 1
-            segment = np.cumsum(n_extra) - n_extra
-            last[segment] = cand_val[first[hot]]
-            miss = np.minimum.reduceat(np.where(extra < last, _CHAIN_MAX + 1, rep), segment)
-            taken[hot] *= np.minimum(miss - 1, chain[hot])
-            after = first.copy()
-            after[hot] = np.where(taken[hot] > 1, n_single + segment + taken[hot] - 2, first[hot])
-        # Otherwise the first other polled move that improves.
-        later_at = np.minimum.reduceat(np.where(better, cols[:n_single], n_single), first)
-        later = (taken == 0) & (later_at < n_single)
-        pick = np.where(later, later_at, after)
-        moves = later | (taken > 0)
-        jump = sweep_k[pick]  # sweep of the move taken, 0 without one
-        jumped = jump > 0
-        halvings = halvings + np.where(moves, jump - (gained & jumped), ahead)
-        # The last sweep passed is sweep jump - 1.
-        quiet = np.where(jumped, (jump > 1) | (sweep_start == val), quiet)
-        sweep_start = np.where(jumped, val, sweep_start)
-        x = np.where(moves, cand[:, pick], x)
-        val = np.where(moves, cand_val[pick], val)
-        whole = taken == chain
-        move = cand_move[pick] + (~whole & ~later)
-        chain = np.where(whole, np.minimum(2 * chain, _CHAIN_MAX), np.where(later, 2, 1))
-        swept = ~moves | (move == 8)
-        if np.count_nonzero(swept):
-            halvings = halvings + (swept & (sweep_start - val < _SWEEP_TOL))
-            ended = swept & (halvings == _HALVINGS)
-            done = ended & (restarted | (round_start - val < _SWEEP_TOL))
-            fresh = ended & ~done
-            restarted = restarted | fresh
-            round_start = np.where(fresh, val, round_start)
-            halvings = np.where(fresh, 0, halvings)
-            quiet = np.where(swept, (sweep_start == val) | (~moves & (ahead > 0)), quiet)
-            move = np.where(swept, 0, move)
-            sweep_start = np.where(swept, val, sweep_start)
-            if np.count_nonzero(done):
-                out_val[ids[done]] = val[done]
-                out_x[:, ids[done]] = x[:, done]
-                keep = ~done
-                ids, x, val = ids[keep], x[:, keep], val[keep]
-                move, chain, halvings = move[keep], chain[keep], halvings[keep]
-                restarted, quiet = restarted[keep], quiet[keep]
-                sweep_start, round_start = sweep_start[keep], round_start[keep]
+    shrinks = np.zeros(ids.size)
+    for _ in range(_POLL_CAP):
+        # Candidates are (4, live lanes, moves); each lane's entry of the
+        # objective broadcasts over its moves.
+        polled = obj.take(ids[:, None])
+        steps = _FIRST_STEPS * 0.25**shrinks
+        cand = y[:, :, None] + steps[:, :, None] * _POLL[:, None, :]
+        np.clip(cand[:2], 0.0, _RHO_MAX, out=cand[:2])
+        # sigma1_sq is capped for mu < 1, sigma2_sq otherwise.
+        cand[2:] = np.where([polled.lo, ~polled.lo], np.minimum(cand[2:], 0.0), cand[2:])
+        cand_x = np.concatenate([cand[:2], np.exp(cand[2:]) * _cap_rows(polled, cand)])
+        cand_x, cand_val = polled.clamped(cand_x)
+        lane, best = np.arange(ids.size), np.argmin(cand_val, axis=1)
+        better = cand_val[lane, best] < val
+        y = np.where(better, cand[:, lane, best], y)
+        x = np.where(better, cand_x[:, lane, best], x)
+        val = np.where(better, cand_val[lane, best], val)
+        shrinks += ~better
+        out_val[ids], out_x[:, ids] = val, x
+        live = _LOG_STEP * 0.25**shrinks >= _STEP_FLOOR
+        if not live.any():
+            break
+        ids, y, x, val, shrinks = ids[live], y[:, live], x[:, live], val[live], shrinks[live]
     return out_val, out_x
 
 
@@ -729,15 +580,19 @@ def _probe_grid(ch: TwoUserChannel, objective: _MuObjective) -> np.ndarray:
 
 
 def _mu_lines(requests) -> tuple[SupportingLine, ...]:
-    """MU lines of (channel, mu) requests, in order, from one lockstep
-    descent over the lanes of every request.
+    """MU lines of (channel, mu) requests, in order, from one pattern
+    search over the lanes of every request (``_pattern_search``).
 
     Per request the candidates are the closed-form tight parameters (at
     mu == 1 on a noisy-interference channel), then the 4 best points of the
     channel's probe grid; each is the start of one lane.  The best start or
     lane end wins, the first strict improvement in candidate order.  Each
     probe grid is built and clamped once per (channel, mu >= 1) pair and
-    shared by every weight of that side, whose boxes are the same.
+    shared by every weight of that side, whose boxes are the same.  A line
+    reports its winner as it is: grid points and lane ends lie in the
+    search's box, and the tight parameters, which may have a correlation
+    above _RHO_MAX, pass ``sigma_feasible``; its value is the objective
+    there.
     """
     requests = tuple(requests)
     for ch, mu in requests:
@@ -772,7 +627,7 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
 
     lanes = [req for req, found in zip(requests, candidates) for _ in found]
     starts = np.array([x for found in candidates for _, x in found]).T
-    ends, points = _lockstep_descent(_MuObjective.of(lanes), starts)
+    ends, points = _pattern_search(_MuObjective.of(lanes), starts)
 
     best = []
     lane = 0
@@ -788,7 +643,7 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
         best.append((best_val, best_x))
 
     objective = _MuObjective.of(requests)
-    xs = objective.clamp(np.array([x for _, x in best]).T)
+    xs = np.array([x for _, x in best]).T
     p1_stars, p2_stars = objective.effective(xs)
     lines = []
     for (_, mu), (val, _), x, p1_star, p2_star in zip(
@@ -811,12 +666,12 @@ def optimize_constraint1_many(
     at each weight of ``mus``; one line per weight, in order.
 
     Each line is exactly ``optimize_constraint1(ch, mu)``: the same grid
-    probes and starts per weight, and the same winner.  The descents of all
-    (weight, start) pairs, about 4 per weight, run in lockstep: each search
-    step is one objective call that polls every move each descent may take
-    next, so a 65-weight region takes about as many calls as its longest
-    descent (about 130), not one per candidate of every descent (about
-    160,000).
+    probes and starts per weight, and the same winner.  The pattern
+    searches of all (weight, start) pairs, about 4 per weight, run in
+    lockstep: each search step is one objective call that polls the 32
+    moves of every live lane, so the searches of a 65-weight region take
+    at most 140 calls, the cap of one lane; FIG1's default region takes
+    207 calls in all, against 2,992 as 65 separate calls.
     """
     _require_regime(ch)
     return _mu_lines((ch, mu) for mu in mus)
@@ -826,13 +681,13 @@ def optimize_constraint1(ch: TwoUserChannel, mu: float) -> SupportingLine:
     """Minimize the MU-family bound on R1 + mu*R2 over the genie parameters.
 
     Deterministic multi-start search: a coarse feasible grid (8 points per
-    parameter, sigma^2 log-spaced), then coordinate descent from the 4 best
-    grid points.  When mu == 1 and the channel has noisy interference, the
-    closed-form tight parameters are a fifth start, so the returned value
-    is exact there.  The descents run in lockstep: each search step is one
-    objective call that polls every move each start's descent may take
-    next, so the search costs about as many calls as its longest descent
-    (typically 30-55) rather than one per candidate of every start.  The
+    parameter, sigma^2 log-spaced), then a pattern search in cap-scaled
+    coordinates (``_pattern_search``) from the 4 best grid points.  When
+    mu == 1 and the channel has noisy interference, the closed-form tight
+    parameters are a fifth start, so the returned value is exact there.
+    The searches run in lockstep, each step one objective call that polls
+    32 moves per start, so a weight costs as many calls as its longest
+    search (at most 140; 37-142 on FIG1's default weights, median 43).  The
     result is always an upper bound on R1 + mu*R2 (every probe is feasible)
     and never exceeds the bound at any probed point.
 
@@ -850,10 +705,10 @@ def sum_upper_bounds(channels) -> tuple[float | None, ...]:
     The MU family is evaluated at weight 1; the one-sided families
     contribute at the admissible weight closest to 1 (weights >= 1 bound the
     sum directly, weights < 1 need the R2 cap to top up).  The weight-1 MU
-    searches of all channels run as one lockstep descent, each of whose
-    objective calls polls the next moves of every channel's descents, so a
-    call costs about as many objective calls as its longest descent, not
-    the sum over the channels.  Each bound equals ``sum_upper_bound`` of its
+    searches of all channels run as one lockstep pattern search, each of
+    whose objective calls polls the moves of every channel's lanes, so a
+    call costs as many objective calls as its longest search, not the sum
+    over the channels.  Each bound equals ``sum_upper_bound`` of its
     channel.
     """
     channels = tuple(channels)

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: channel samplers, geometry checks, an
-MU objective call counter, a reference MU genie descent, the reference
-m-user grid scan, and the stopping certificate of the m-user phase-I solve."""
+MU objective call counter, the reference m-user grid scan, and the stopping
+certificate of the m-user phase-I solve."""
 
 from __future__ import annotations
 
@@ -9,14 +9,8 @@ import math
 import numpy as np
 
 from gicbounds import TwoUserChannel, noisy_condition
-from gicbounds.genie import _MOVES as _SEARCH_MOVES
-from gicbounds.genie import _SWEEP_TOL, _MuObjective
+from gicbounds.genie import _MuObjective
 from gicbounds.multiuser import _Conditions, _heuristic_seed, _phase_one
-
-# The search's move table plus a row of null moves for finished lanes, which
-# the reference descent below keeps stepping.
-_MOVES = np.vstack([_SEARCH_MOVES, [0.0] * 4 + [1.0] * 4])
-_HALVINGS = len(_MOVES) - 1
 
 
 def sample_regime_channel(rng: np.random.Generator) -> TwoUserChannel:
@@ -77,60 +71,6 @@ def count_objective_calls(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(_MuObjective, "in_box", counted)
     return calls
-
-
-def one_candidate_descent(
-    obj: _MuObjective, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference for ``genie._lockstep_descent``: the same descent with one
-    candidate per lane per objective call.
-
-    Each lane cycles through the four parameters, moving each one up and
-    then down while that lowers its value, with every candidate clamped back
-    into the feasibility box.  A sweep that gains less than _SWEEP_TOL
-    halves the lane's steps; once they pass _STEP_FLOOR the lane restarts
-    once more with fresh steps, unless that round gained less than
-    _SWEEP_TOL.  All lanes advance together, one candidate each per step,
-    so each step is one objective call over all lanes and the search takes
-    as many calls as its longest lane.  A lane is a (channel, weight, start)
-    triple: ``obj`` holds each lane's own channel and weight, so lanes of
-    different channels share the steps.  ``starts`` is (4, lanes); returns
-    the (values, points) the lanes end at.
-    """
-    x = obj.clamp(starts)
-    val = obj(x)
-    lanes = np.arange(x.shape[1])
-    move = np.zeros_like(lanes)  # column of _MOVES: 2*parameter + direction
-    halvings = np.zeros_like(lanes)
-    restarted = np.zeros(lanes.shape, dtype=bool)
-    active = np.ones(lanes.shape, dtype=bool)
-    sweep_start = val
-    round_start = val
-    while np.count_nonzero(active):
-        param = move >> 1
-        step = _MOVES[halvings, move]
-        cur = x[param, lanes]
-        cand = x.copy()
-        cand[param, lanes] = np.where(param < 2, cur + step, cur * step)
-        cand = obj.clamp(cand)
-        cand_val = obj(cand)
-        better = active & (cand_val < val)
-        x = np.where(better, cand, x)
-        val = np.where(better, cand_val, val)
-        move = move + (active & ~better)
-        swept = move == 8
-        if np.count_nonzero(swept):
-            halvings = halvings + (swept & (sweep_start - val < _SWEEP_TOL))
-            ended = swept & (halvings == _HALVINGS)
-            done = ended & (restarted | (round_start - val < _SWEEP_TOL))
-            fresh = ended & ~done
-            active = active & ~done
-            restarted = restarted | fresh
-            round_start = np.where(fresh, val, round_start)
-            halvings = np.where(fresh, 0, halvings)
-            move = np.where(swept, 0, move)
-            sweep_start = np.where(swept, val, sweep_start)
-    return val, x
 
 
 def materialized_grid_scan(model: _Conditions, axis: np.ndarray):
