@@ -160,10 +160,6 @@ def mixed_condition(ch: TwoUserChannel) -> tuple[bool, float]:
     return False, math.inf
 
 
-def _noisy_sum_capacity(ch: TwoUserChannel) -> float:
-    return tin_rates(ch).sum
-
-
 def classify(ch: TwoUserChannel) -> CapacityVerdict:
     """Dispatch to the known sum-rate capacity regimes.
 
@@ -176,7 +172,7 @@ def classify(ch: TwoUserChannel) -> CapacityVerdict:
     slacks = {"noisy": noisy_slack, "mixed": mixed_slack}
 
     if noisy_holds:
-        capacity = _noisy_sum_capacity(ch)
+        capacity = tin_rates(ch).sum
         if ch.a == 0.0 or ch.b == 0.0:
             return CapacityVerdict(
                 kind=VerdictKind.ZIC_NOISY,

@@ -316,6 +316,10 @@ class _MuObjective:
     sub-expressions free of the point are computed once, with the same
     operations in the same order as a one-point call, so each entry is
     bit-for-bit the value of a one-point call on its own channel.
+
+    A call is the one way to evaluate it, at points of the feasibility box
+    only: the search ``clamp``s every point it polls, and the one-point
+    callers check theirs with ``sigma_feasible``.
     """
 
     def __init__(self, a, b, p1, p2, mu):
@@ -362,9 +366,12 @@ class _MuObjective:
         sub.any_lo, sub.any_one, sub.any_hi = self.any_lo, self.any_one, self.any_hi
         return sub
 
-    def caps(self, r1, r2):
-        """Upper limits (s1_max, s2_max) of the feasibility box; +inf where
-        the weight leaves that variance uncapped."""
+    def clamp(self, x: np.ndarray) -> np.ndarray:
+        """Project points (rows rho1, rho2, s1, s2) into the feasibility box,
+        whose variance caps s1_max, s2_max are +inf where the weight leaves
+        that variance uncapped."""
+        out = np.empty_like(x)
+        r1, r2 = np.minimum(np.maximum(x[:2], 0.0), _RHO_MAX, out=out[:2])
         s1_max = s2_max = np.inf
         if self.any_lo:
             s1_max = (1.0 - r2 * r2) / self.b
@@ -374,13 +381,6 @@ class _MuObjective:
             s2_max = (1.0 - r1 * r1) / self.a
             if self.any_lo:
                 s2_max = np.where(self.lo, np.inf, s2_max)
-        return s1_max, s2_max
-
-    def clamp(self, x: np.ndarray) -> np.ndarray:
-        """Project points (rows rho1, rho2, s1, s2) into the feasibility box."""
-        out = np.empty_like(x)
-        np.minimum(np.maximum(x[:2], 0.0), _RHO_MAX, out=out[:2])
-        s1_max, s2_max = self.caps(out[0], out[1])
         np.minimum(np.maximum(x[2], _SIGMA_FLOOR * 1e-2), s1_max, out=out[2])
         np.minimum(np.maximum(x[3], _SIGMA_FLOOR * 1e-2), s2_max, out=out[3])
         return out
@@ -413,10 +413,10 @@ class _MuObjective:
                 p2_star = np.where(self.lo, sloped, p2_star)
         return p1_star, p2_star
 
-    def in_box(self, x: np.ndarray) -> np.ndarray:
-        """Objective values at points ``x`` of the box; points at degenerate
-        parameters come out +inf.  Every evaluation of the objective goes
-        through here."""
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Objective values at points ``x``, which must lie in the box: put
+        them there with ``clamp`` or check them with ``sigma_feasible``.
+        Points at degenerate parameters come out +inf."""
         r1, r2, s1, s2 = x
         p1_star, p2_star = self.effective(x)
         val = 0.5 * _user_share(
@@ -425,20 +425,6 @@ class _MuObjective:
             self.p2, p2_star, self.b, self.p1, p1_star, r2, s2
         )
         return np.where(np.isfinite(val), val, np.inf)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Objective values at points ``x``; points outside the box or at
-        degenerate parameters come out +inf."""
-        s1_max, s2_max = self.caps(x[0], x[1])
-        val = self.in_box(x)
-        return np.where((x[2] > s1_max) | (x[3] > s2_max), np.inf, val)
-
-    def clamped(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``clamp(x)`` and the objective values there, the caps computed
-        once: a clamped point lies in the box, so the box check of
-        ``__call__`` would change nothing."""
-        out = self.clamp(x)
-        return out, self.in_box(out)
 
 
 def _user_share(p, p_star, gain, p_other, p_star_other, rho, s):
@@ -489,7 +475,8 @@ def _pattern_search(
     or after _POLL_CAP polls.  Every polled point is ``clamp``ed and its
     value is the objective there, so every end is a valid bound.
     """
-    x, val = obj.clamped(starts)
+    x = obj.clamp(starts)
+    val = obj(x)
     y = x.copy()
     y[2:] = np.log(x[2:] / _cap_rows(obj, x))
     out_val, out_x = val.copy(), x.copy()
@@ -505,7 +492,8 @@ def _pattern_search(
         # sigma1_sq is capped for mu < 1, sigma2_sq otherwise.
         cand[2:] = np.where([polled.lo, ~polled.lo], np.minimum(cand[2:], 0.0), cand[2:])
         cand_x = np.concatenate([cand[:2], np.exp(cand[2:]) * _cap_rows(polled, cand)])
-        cand_x, cand_val = polled.clamped(cand_x)
+        cand_x = polled.clamp(cand_x)
+        cand_val = polled(cand_x)
         lane, best = np.arange(ids.size), np.argmin(cand_val, axis=1)
         better = cand_val[lane, best] < val
         y = np.where(better, cand[:, lane, best], y)

@@ -22,8 +22,8 @@ minimize t subject to every slack <= t, with a barrier Newton method, and
 accepts a witness only on a one-point evaluation of the model.  At each
 centered point of the solve a dual bound, checked against a proven
 rounding band, can prove that no witness exists and end it.  The
-oracle's grid is scanned from per-value tables of the rho terms, without
-building it: its memory is three (n, m) arrays for n grid points.
+oracle scans its grid in slabs, one per value of the first coordinate,
+each evaluated by one model call.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class _Conditions:
     T_f @ M_f of an (n, m) table of rho terms with its weight matrix, and its
     RHS is elementwise in rho; ``_terms`` is the one place those rho formulas
     live.  It serves the slacks at u = rho^2 (``slacks_u``, behind a call on
-    rho and the phase-I solve) and the grid scan's per-value tables
-    (``_grid_scan``); their derivatives sit next to it (``_curvature``).
+    rho, which the oracle's grid scan makes, and the phase-I solve); their
+    derivatives sit next to it (``_curvature``).
 
     A channel whose Q, (1 + Q)^2 or first-family weights sum_j M1[j, i]
     overflow is refused with a ValueError: an infinite (1 + Q_j)^2 times a
@@ -164,49 +164,6 @@ class _Conditions:
     def at(self, rho: np.ndarray) -> np.ndarray:
         """The (m, 2) slacks of one rho vector."""
         return self(rho[None, :])[0]
-
-
-def _grid_scan(model: _Conditions, axis: np.ndarray):
-    """Slacks of every point of the grid axis^m, in lexicographic order
-    (the last coordinate varying fastest, as in itertools.product; row r is
-    ``_grid_point(axis, m, r)``).  Returns the (n, m) slacks of each family
-    and the (n,) max slacks.
-
-    No grid is built: each rho term depends on one coordinate, so
-    ``model._terms`` computes it once per axis value and coordinate, in a
-    (len(axis), m) table, and the grid's (n, m) array of a term is spread
-    from its table.  Each LHS operand holds the values a model call would
-    compute on the grid, in the same shape and C order, so the product
-    makes the same BLAS call; the RHS are subtracted elementwise and max is
-    exact, so every slack and max slack has the bits of ``model(grid)`` on
-    the materialized grid.  One buffer serves every spread term.
-    """
-    pts, m = len(axis), model.m
-    inv_u, inv_den, rhs1, rhs2 = model._terms(np.repeat(axis[:, None] ** 2, m, axis=1))
-    buf = np.empty((pts**m, m))
-
-    def spread(table: np.ndarray) -> np.ndarray:
-        # Row r of the grid takes table[k, i] in column i, k the i-th digit
-        # of r in base pts.  The rows of coordinates i..m-1 are pts copies
-        # of those of i+1..m-1, one per value of coordinate i.
-        block = 1
-        for i in reversed(range(m)):
-            chunks = buf[: block * pts].reshape(pts, block, m)
-            chunks[1:] = chunks[0]
-            chunks[:, :, i] = table[:, i, None]
-            block *= pts
-        return buf
-
-    def slacks(factors: np.ndarray, weights: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        lhs = spread(factors) @ weights
-        return np.subtract(lhs, spread(rhs), out=lhs)
-
-    s1 = slacks(inv_u, model.m1, rhs1)
-    s2 = slacks(inv_den, model.m2, rhs2)
-    max_all = s1[:, 0].copy()
-    for col in (*s1.T[1:], *s2.T):
-        np.maximum(max_all, col, out=max_all)
-    return s1, s2, max_all
 
 
 def _grid_point(axis: np.ndarray, m: int, row: int) -> np.ndarray:
@@ -561,13 +518,32 @@ def oracle_grid_feasibility(ch: MUserChannel, resolution: int) -> MUserVerdict:
     Brute-force oracle behind ``gicbounds murate --oracle-resolution`` and a
     cross-check in the tests; ``check_oracle_request`` bounds the request.
     The scan order is lexicographic, so the returned witness (first
-    feasible point) is deterministic.
+    feasible point) is deterministic; with none, the probe is the first
+    point of least max slack.  The grid is scanned in slabs, one model call
+    per value of the first coordinate, up to the first feasible slab.  That
+    a row's slacks do not depend on the slab height rests on the BLAS
+    kernels, not on a proof; the tests compare the scan with one call on
+    the whole grid, with ==.
     """
     check_oracle_request(ch.m, resolution)
     axis = np.arange(1, resolution + 1, dtype=float) / (resolution + 1)
-    s1, s2, max_all = _grid_scan(_Conditions(ch), axis)
-    feasible = max_all <= 0.0
-    idx = int(np.argmax(feasible)) if feasible.any() else int(np.argmin(max_all))
-    return _verdict_from_probe(
-        ch, _grid_point(axis, ch.m, idx), np.stack([s1[idx], s2[idx]], axis=1)
-    )
+    model = _Conditions(ch)
+    # C order: the model's matrix products see the layout of a materialized grid.
+    slab = _grid_point(axis, ch.m, np.arange(resolution ** (ch.m - 1))).T.copy()
+    best = None  # max slack, rho and slacks of the first point of least max slack
+    for value in axis:
+        slab[:, 0] = value
+        slacks = model(slab)
+        # Column by column: numpy's max over a row of 2m entries is slower.
+        columns = slacks.reshape(len(slab), -1).T
+        max_slack = columns[0].copy()
+        for column in columns[1:]:
+            np.maximum(max_slack, column, out=max_slack)
+        feasible = max_slack <= 0.0
+        if feasible.any():
+            idx = int(np.argmax(feasible))
+            return _verdict_from_probe(ch, slab[idx], slacks[idx].copy())
+        idx = int(np.argmin(max_slack))
+        if best is None or max_slack[idx] < best[0]:
+            best = max_slack[idx], slab[idx].copy(), slacks[idx].copy()
+    return _verdict_from_probe(ch, best[1], best[2])

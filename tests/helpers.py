@@ -60,22 +60,22 @@ def vertex_defining_slacks(region) -> float:
 
 def count_objective_calls(monkeypatch) -> list[int]:
     """Count every MU objective evaluation from here on, in a one-item list.
-    ``_MuObjective.in_box`` is the one method each evaluation goes through,
-    whether by ``__call__`` or by ``clamped``."""
+    A call of a ``_MuObjective`` is the one way to evaluate it."""
     calls = [0]
-    evaluate = _MuObjective.in_box
+    evaluate = _MuObjective.__call__
 
     def counted(self, x):
         calls[0] += 1
         return evaluate(self, x)
 
-    monkeypatch.setattr(_MuObjective, "in_box", counted)
+    monkeypatch.setattr(_MuObjective, "__call__", counted)
     return calls
 
 
 def materialized_grid_scan(model: _Conditions, axis: np.ndarray):
-    """Reference for ``multiuser._grid_scan``, which builds no grid: the
-    grid axis^m in lexicographic order, its slacks and max slacks."""
+    """Reference for ``multiuser.oracle_grid_feasibility``, which scans its
+    grid in slabs: the grid axis^m in lexicographic order, its slacks and
+    max slacks from one model call."""
     # Row-major np.indices varies the last coordinate fastest, as
     # itertools.product does; the smallest index type keeps the oracle's
     # 64^4 grid at one byte per index.
