@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .channel import TwoUserChannel, tin_rates
-from .genie import GenieParams
+from .genie import GenieParams, sigma_feasible
 from .multiuser import symmetric_threshold
 
 __all__ = [
@@ -89,11 +89,17 @@ def noisy_certificate(ch: TwoUserChannel) -> GenieParams:
     """Closed-form genie parameters that make the weight-1 MU bound collapse
     to the single-user-detection sum rate.
 
-    The variances are roots of coupled quadratics; both share the same
-    discriminant.  Root signs are chosen deterministically: among the sign
-    pairs giving sigma_i^2 > 0 and rho_i in [0, 1], prefer the pair with
-    rho1*sigma1 = 1 + a*p2 and rho2*sigma2 = 1 + b*p1 (the per-user bounds
-    are minimized exactly there); (+,+) is probed first.
+    With u = a*(1 + b*p1)^2, v = b*(1 + a*p2)^2, k1 = 1 + v - u,
+    k2 = 1 + u - v and root = sqrt(k1^2 - 4v) = sqrt(k2^2 - 4u), the
+    variances are the (+,+) roots s1 = (k1 + root)/(2b), s2 = (k2 + root)/(2a)
+    and the correlations rho1 = sqrt(2v/(k1 + root)), rho2 =
+    sqrt(2u/(k2 + root)), each capped at 1.  Then rho1^2*s1 = (1 + a*p2)^2
+    and rho2^2*s2 = (1 + b*p1)^2, where the per-user bounds are minimized,
+    with no subtraction to cancel.  In exact arithmetic a*s2 = 1 - rho1^2
+    puts the point on the weight-1 box's cap, so the larger of rho1^2 and
+    a*s2 is stepped down one float at a time until the point passes
+    ``sigma_feasible`` and lies in the exact box, a*s2 <= 1 - rho1^2 as
+    rationals.
     """
     holds, slack = noisy_condition(ch)
     if not holds:
@@ -105,8 +111,8 @@ def noisy_certificate(ch: TwoUserChannel) -> GenieParams:
             "the genie construction needs strictly positive crosstalk gains"
         )
     a, b = ch.a, ch.b
-    u = a * (b * ch.p1 + 1.0) ** 2  # a*(1+b*p1)^2
-    v = b * (a * ch.p2 + 1.0) ** 2  # b*(1+a*p2)^2
+    u = a * (b * ch.p1 + 1.0) ** 2
+    v = b * (a * ch.p2 + 1.0) ** 2
     k1 = v - u + 1.0
     k2 = u - v + 1.0
     disc = k1 * k1 - 4.0 * v  # equals k2*k2 - 4*u
@@ -117,30 +123,26 @@ def noisy_certificate(ch: TwoUserChannel) -> GenieParams:
             )
         disc = 0.0
     root = math.sqrt(disc)
-
-    target1 = 1.0 + a * ch.p2  # rho1*sigma1 should equal this
-    target2 = 1.0 + b * ch.p1
-    fallback = None
-    for sign1 in (1.0, -1.0):
-        s1 = (k1 + sign1 * root) / (2.0 * b)
-        if s1 <= 0.0 or b * s1 > 1.0:
-            continue
-        rho2 = math.sqrt(max(1.0 - b * s1, 0.0))
-        for sign2 in (1.0, -1.0):
-            s2 = (k2 + sign2 * root) / (2.0 * a)
-            if s2 <= 0.0 or a * s2 > 1.0:
-                continue
-            rho1 = math.sqrt(max(1.0 - a * s2, 0.0))
-            gp = GenieParams(rho1=rho1, rho2=rho2, sigma1_sq=s1, sigma2_sq=s2)
-            ok1 = abs(rho1 * math.sqrt(s1) - target1) <= 1e-9 * max(1.0, target1)
-            ok2 = abs(rho2 * math.sqrt(s2) - target2) <= 1e-9 * max(1.0, target2)
-            if ok1 and ok2:
-                return gp
-            if fallback is None:
-                fallback = gp
-    if fallback is not None:
-        return fallback
-    raise CertificateUnavailableError("no feasible root combination")
+    s1 = (k1 + root) / (2.0 * b)
+    s2 = (k2 + root) / (2.0 * a)
+    if not (s1 < math.inf and s2 < math.inf):
+        raise CertificateUnavailableError("the certificate's variances overflow")
+    rho1 = min(math.sqrt(2.0 * v / (k1 + root)), 1.0)
+    rho2 = min(math.sqrt(2.0 * u / (k2 + root)), 1.0)
+    na, da = a.as_integer_ratio()
+    while True:
+        gp = GenieParams(rho1, rho2, s1, s2)
+        # Each float is an integer over a power of 2: compare exactly.
+        (ns, ds), (nr, dr) = s2.as_integer_ratio(), rho1.as_integer_ratio()
+        if sigma_feasible(ch, 1.0, gp) and na * ns * dr * dr <= (dr * dr - nr * nr) * da * ds:
+            return gp
+        # rho1^2 + a*s2 is 1 up to rounding; a float step down of the larger
+        # term lowers it by 2^-54 or more, so a few steps move each target by
+        # a few ulps (stepping s2 alone takes thousands where rho1 is near 1).
+        if rho1 * rho1 > 0.5:
+            rho1 = math.nextafter(rho1, 0.0)
+        else:
+            s2 = math.nextafter(s2, 0.0)
 
 
 def mixed_condition(ch: TwoUserChannel) -> tuple[bool, float]:

@@ -512,8 +512,7 @@ def _tight_sum_certificate(ch: TwoUserChannel) -> "GenieParams | None":
     # Local import: capacity builds on this module.
     from .capacity import CertificateUnavailableError, noisy_certificate, noisy_condition
 
-    holds, _ = noisy_condition(ch)
-    if not holds or ch.a == 0.0 or ch.b == 0.0:
+    if not noisy_condition(ch)[0]:
         return None
     try:
         return noisy_certificate(ch)
@@ -568,19 +567,18 @@ def _probe_grid(ch: TwoUserChannel, objective: _MuObjective) -> np.ndarray:
 
 
 def _mu_lines(requests) -> tuple[SupportingLine, ...]:
-    """MU lines of (channel, mu) requests, in order, from one pattern
-    search over the lanes of every request (``_pattern_search``).
+    """MU lines of (channel, mu) requests, in order.
 
-    Per request the candidates are the closed-form tight parameters (at
-    mu == 1 on a noisy-interference channel), then the 4 best points of the
-    channel's probe grid; each is the start of one lane.  The best start or
-    lane end wins, the first strict improvement in candidate order.  Each
-    probe grid is built and clamped once per (channel, mu >= 1) pair and
-    shared by every weight of that side, whose boxes are the same.  A line
-    reports its winner as it is: grid points and lane ends lie in the
-    search's box, and the tight parameters, which may have a correlation
-    above _RHO_MAX, pass ``sigma_feasible``; its value is the objective
-    there.
+    A request at mu == 1 on a noisy-interference channel takes the
+    closed-form certificate (``capacity.noisy_certificate``), which lies in
+    the box, as its line: its value is the achievable single-user-detection
+    sum rate up to rounding, so no search can go lower.  All certificates
+    are evaluated in one objective call.  Every other request starts one
+    lane of a pattern search (``_pattern_search``, over the lanes of every
+    such request) from each of the 4 best points of its channel's probe
+    grid; the first of the best starts and lane ends wins.  A probe grid is
+    built once per (channel, mu >= 1) pair and shared by every weight of
+    that side, whose boxes are the same.
     """
     requests = tuple(requests)
     for ch, mu in requests:
@@ -591,44 +589,40 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
 
     certs: dict[TwoUserChannel, GenieParams | None] = {}
     grids: dict[tuple[TwoUserChannel, bool], np.ndarray] = {}
-    candidates: list[list[tuple[float, np.ndarray]]] = []
-    for ch, mu in requests:
-        objective = _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mu)
-        found = []
+    tight, searched, candidates = [], [], []
+    for i, (ch, mu) in enumerate(requests):
         if mu == 1.0:
             if ch not in certs:
                 certs[ch] = _tight_sum_certificate(ch)
-            cert = certs[ch]
-            if cert is not None and sigma_feasible(ch, mu, cert):
-                x = _genie_point(cert)
-                found.append((float(objective(x)), x))
+            if certs[ch] is not None:
+                tight.append(i)
+                continue
+        objective = _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mu)
         grid = grids.get((ch, mu >= 1.0))
         if grid is None:
             grid = grids[ch, mu >= 1.0] = _probe_grid(ch, objective)
         vals = objective(grid)
-        for i in _smallest(vals, 4):
-            if math.isfinite(vals[i]):
-                found.append((float(vals[i]), grid[:, i]))
+        found = [
+            (float(vals[j]), grid[:, j]) for j in _smallest(vals, 4) if math.isfinite(vals[j])
+        ]
         if not found:
             raise RuntimeError("no feasible genie parameters found")  # unreachable
+        searched.append(i)
         candidates.append(found)
 
-    lanes = [req for req, found in zip(requests, candidates) for _ in found]
-    starts = np.array([x for found in candidates for _, x in found]).T
-    ends, points = _pattern_search(_MuObjective.of(lanes), starts)
-
-    best = []
-    lane = 0
-    for found in candidates:
-        best_val, best_x = found[0]
-        for val, x in found:
-            if val < best_val:
-                best_val, best_x = val, x
-        for _ in found:
-            if ends[lane] < best_val:
-                best_val, best_x = float(ends[lane]), points[:, lane]
-            lane += 1
-        best.append((best_val, best_x))
+    best: list = [None] * len(requests)
+    if tight:
+        xs = np.array([_genie_point(certs[requests[i][0]]) for i in tight]).T
+        vals = _MuObjective.of([requests[i] for i in tight])(xs)
+        for i, val, x in zip(tight, vals.tolist(), xs.T):
+            best[i] = (val, x)
+    if searched:
+        lanes = [requests[i] for i, found in zip(searched, candidates) for _ in found]
+        starts = np.array([x for found in candidates for _, x in found]).T
+        ends, points = _pattern_search(_MuObjective.of(lanes), starts)
+        lane_ends = zip(ends.tolist(), points.T)
+        for i, found in zip(searched, candidates):
+            best[i] = min(found + [next(lane_ends) for _ in found], key=lambda c: c[0])
 
     objective = _MuObjective.of(requests)
     xs = np.array([x for _, x in best]).T
@@ -659,7 +653,7 @@ def optimize_constraint1_many(
     lockstep: each search step is one objective call that polls the 32
     moves of every live lane, so the searches of a 65-weight region take
     at most 140 calls, the cap of one lane; FIG1's default region takes
-    207 calls in all, against 2,992 as 65 separate calls.
+    206 calls in all, against 2,956 as 65 separate calls.
     """
     _require_regime(ch)
     return _mu_lines((ch, mu) for mu in mus)
@@ -668,16 +662,17 @@ def optimize_constraint1_many(
 def optimize_constraint1(ch: TwoUserChannel, mu: float) -> SupportingLine:
     """Minimize the MU-family bound on R1 + mu*R2 over the genie parameters.
 
-    Deterministic multi-start search: a coarse feasible grid (8 points per
-    parameter, sigma^2 log-spaced), then a pattern search in cap-scaled
-    coordinates (``_pattern_search``) from the 4 best grid points.  When
-    mu == 1 and the channel has noisy interference, the closed-form tight
-    parameters are a fifth start, so the returned value is exact there.
-    The searches run in lockstep, each step one objective call that polls
-    32 moves per start, so a weight costs as many calls as its longest
-    search (at most 140; 37-142 on FIG1's default weights, median 43).  The
-    result is always an upper bound on R1 + mu*R2 (every probe is feasible)
-    and never exceeds the bound at any probed point.
+    When mu == 1 and the channel has noisy interference, the line is the
+    closed-form certificate (``capacity.noisy_certificate``), whose value is
+    the single-user-detection sum rate up to rounding: one objective call
+    and no search.  Otherwise a deterministic multi-start search: a coarse
+    feasible grid (8 points per parameter, sigma^2 log-spaced), then a
+    pattern search in cap-scaled coordinates (``_pattern_search``) from the
+    4 best grid points.  The searches run in lockstep, each step one
+    objective call that polls 32 moves per start, so a weight costs as many
+    calls as its longest search (at most 142; median 43 on FIG1's default
+    weights).  The result is always an upper bound on R1 + mu*R2 (every
+    probe is feasible) and never exceeds the bound at any probed point.
 
     Equal to ``optimize_constraint1_many(ch, (mu,))[0]``; searching many
     weights in one optimize_constraint1_many call is much faster than one
@@ -692,12 +687,13 @@ def sum_upper_bounds(channels) -> tuple[float | None, ...]:
 
     The MU family is evaluated at weight 1; the one-sided families
     contribute at the admissible weight closest to 1 (weights >= 1 bound the
-    sum directly, weights < 1 need the R2 cap to top up).  The weight-1 MU
-    searches of all channels run as one lockstep pattern search, each of
-    whose objective calls polls the moves of every channel's lanes, so a
-    call costs as many objective calls as its longest search, not the sum
-    over the channels.  Each bound equals ``sum_upper_bound`` of its
-    channel.
+    sum directly, weights < 1 need the R2 cap to top up).  Noisy-interference
+    channels take their closed-form certificates, all evaluated in one
+    objective call; the weight-1 MU searches of the other channels run as
+    one lockstep pattern search, each of whose objective calls polls the
+    moves of every channel's lanes, so a call costs as many objective calls
+    as its longest search, not the sum over the channels.  Each bound equals
+    ``sum_upper_bound`` of its channel.
     """
     channels = tuple(channels)
     regime = [0.0 < ch.a < 1.0 and 0.0 < ch.b < 1.0 for ch in channels]

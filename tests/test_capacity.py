@@ -1,7 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from gicbounds import (
     CertificateUnavailableError,
@@ -20,8 +23,31 @@ from gicbounds import (
 from gicbounds.capacity import symmetric_noisy_power_limit
 
 from helpers import sample_noisy_channel
+from verify import in_exact_box
 
 FIG1 = TwoUserChannel(a=0.04, b=0.09, p1=10, p2=20)
+
+# The north star's domain: gains in [1e-9, 1 - 1e-6] and powers in
+# [1e-8, 1e12], both log-uniform.
+GAINS = st.floats(math.log(1e-9), math.log1p(-1e-6)).map(math.exp)
+POWERS = st.floats(math.log(1e-8), math.log(1e12)).map(math.exp)
+
+
+def certificate_errors(ch):
+    """The certificate of a noisy channel, the larger relative miss of its
+    targets rho_i*sigma_i = 1 + gain*p_other, and the gap of its weight-1
+    value to the single-user-detection sum, relative to max(1, sum): at
+    powers near 1e-8 the sum is about 1e-8 bits, and both sides carry the
+    absolute rounding of log2(1 + x)."""
+    cert = noisy_certificate(ch)
+    t1, t2 = 1.0 + ch.a * ch.p2, 1.0 + ch.b * ch.p1
+    miss = max(
+        abs(cert.rho1 * math.sqrt(cert.sigma1_sq) - t1) / t1,
+        abs(cert.rho2 * math.sqrt(cert.sigma2_sq) - t2) / t2,
+    )
+    tin = tin_rates(ch).sum
+    gap = abs(eval_constraint1(ch, 1.0, cert) - tin) / max(1.0, tin)
+    return cert, miss, gap
 
 
 class TestNoisyCondition:
@@ -95,20 +121,56 @@ class TestNoisyCertificate:
                 tin_rates(ch).sum, abs=1e-9
             )
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="the certificate's root formulas cancel at low power: the "
-        "returned pair misses its targets and lies just outside the box",
-    )
     def test_low_power_certificate_is_feasible(self):
+        # Low powers: root formulas with a subtraction cancel here, and
+        # the point misses its targets and leaves the box.
         ch = TwoUserChannel(
             3.1143703952630876e-08,
             0.00018410758470855643,
             8.607408930826086e-05,
             0.0007410614819028871,
         )
-        assert sigma_feasible(ch, 1.0, classify(ch).certificate)
+        cert = classify(ch).certificate
+        assert sigma_feasible(ch, 1.0, cert)
+        assert in_exact_box(ch, 1.0, cert)
+
+    def test_unavailable_when_variances_overflow(self):
+        with pytest.raises(CertificateUnavailableError):
+            noisy_certificate(TwoUserChannel(5e-324, 0.1, 1, 1))
+
+    @given(GAINS, GAINS, POWERS, POWERS)
+    # rho1 near 1: stepping sigma2^2 alone into the box takes 30,517 float
+    # steps here and misses its target by 1.8e-12.
+    @example(1e-9, 0.9999367554404722, 1e-8, 1e-8)
+    def test_certificate_is_exact_in_the_box(self, a, b, p1, p2):
+        ch = TwoUserChannel(a, b, p1, p2)
+        assume(noisy_condition(ch)[0])
+        cert, miss, gap = certificate_errors(ch)
+        assert miss <= 1e-14
+        assert in_exact_box(ch, 1.0, cert)
+        assert gap <= 2e-15
+
+
+@pytest.mark.slow
+def test_certificate_survey():
+    # 20,000 noisy channels, gains log-uniform in [1e-9, 0.25] and powers
+    # in [1e-8, 1e12]: no certificate misses its targets by more than
+    # 1e-14 relative or leaves the exact box.
+    rng = random.Random(7)
+
+    def draw(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    misses = outside = seen = 0
+    while seen < 20000:
+        ch = TwoUserChannel(draw(1e-9, 0.25), draw(1e-9, 0.25), draw(1e-8, 1e12), draw(1e-8, 1e12))
+        if not noisy_condition(ch)[0]:
+            continue
+        seen += 1
+        cert, miss, gap = certificate_errors(ch)
+        misses += miss > 1e-14 or gap > 2e-15
+        outside += not (sigma_feasible(ch, 1.0, cert) and in_exact_box(ch, 1.0, cert))
+    assert (misses, outside) == (0, 0)
 
 
 class TestMixedCondition:

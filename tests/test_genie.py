@@ -31,7 +31,7 @@ from gicbounds import genie
 from gicbounds.genie import sigma_limits
 from gicbounds.region import build_outer_region
 
-from helpers import count_objective_calls, sample_regime_channel
+from helpers import count_objective_calls, sample_noisy_channel, sample_regime_channel
 
 FIG1 = TwoUserChannel(a=0.04, b=0.09, p1=10, p2=20)
 PINNED_LINES = json.loads((Path(__file__).parent / "data" / "mu_lines.json").read_text())
@@ -340,8 +340,8 @@ class TestOptimizeConstraint1Many:
             lines = optimize_constraint1_many(ch, mus)
             assert lines == tuple(optimize_constraint1(ch, mu) for mu in mus)
             if ch is FIG1:
-                # Noisy interference: the weight-1 lane starting from the
-                # closed-form certificate makes that line tight.
+                # Noisy interference: the closed-form certificate is the
+                # weight-1 line, tight.
                 assert lines[2].value == pytest.approx(tin_rates(ch).sum, abs=1e-9)
 
     def test_rejects_nonpositive_weight(self):
@@ -461,7 +461,7 @@ class TestTailChannel:
 
 class TestSumUpperBounds:
     CHANNELS = (
-        TwoUserChannel(0.04, 0.04, 1, 1),  # noisy: certificate lane
+        TwoUserChannel(0.04, 0.04, 1, 1),  # noisy: the certificate is the line
         FIG1,
         TwoUserChannel(0.3, 0.3, 7, 7),  # no noisy interference
         TwoUserChannel(0.0, 0.3, 2, 3),  # one-sided: ETA1 only
@@ -478,16 +478,25 @@ class TestSumUpperBounds:
         assert bounds[-1] is None and None not in bounds[:-1]
 
     def test_objective_call_count(self, monkeypatch):
-        # 3 probe grids, 2 certificate points, the search's start values
-        # and its 49 polls; one search per channel pays the start values
-        # and its own polls each time.
+        # The 2 certificate points in one call, then 1 probe grid, the
+        # search's start values and its 29 polls; one search per channel
+        # pays the start values and its own polls each time.
         calls = count_objective_calls(monkeypatch)
         sum_upper_bounds(self.CHANNELS)
-        assert calls[0] == 55
+        assert calls[0] == 32
         batched = calls[0]
         for ch in self.CHANNELS:
             sum_upper_bound(ch)
         assert batched < calls[0] - batched
+
+    def test_certified_channels_take_one_call(self, monkeypatch):
+        # Noisy channels need no search: their certificates are the lines.
+        channels = [sample_noisy_channel(np.random.default_rng(seed)) for seed in range(6)]
+        calls = count_objective_calls(monkeypatch)
+        bounds = sum_upper_bounds(channels)
+        assert calls[0] == 1
+        for ch, bound in zip(channels, bounds):
+            assert bound == eval_constraint1(ch, 1.0, noisy_certificate(ch))
 
     def test_empty(self):
         assert sum_upper_bounds(()) == ()

@@ -1,17 +1,31 @@
-"""Exact checks of m-user witnesses and stopping certificates, in rational
-arithmetic.
+"""Exact checks of two-user genie points, m-user witnesses and stopping
+certificates, in rational arithmetic.
 
-Every float is a dyadic rational, so ``fractions.Fraction`` evaluates both
-condition families at a float rho vector with no rounding at all: a
-witness passes when every exact slack is <= 0.  A stopping certificate of
-the phase-I solve, a point u and weights w, passes when its dual bound,
-recomputed exactly, is positive.  Test-side only; the package does not
-import it.
+Every float is a dyadic rational, so ``fractions.Fraction`` evaluates the
+MU feasibility box at a float genie point, and both condition families at
+a float rho vector, with no rounding at all: a genie point passes when it
+lies in the exact box, and a witness when every exact slack is <= 0.  A
+stopping certificate of the phase-I solve, a point u and weights w, passes
+when its dual bound, recomputed exactly, is positive.  Test-side only; the
+package does not import it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def in_exact_box(ch, mu: float, gp) -> bool:
+    """Whether genie parameters lie in the weight-``mu`` box exactly:
+    correlations in [0, 1], variances > 0, and the capped variance at most
+    its cap, a*sigma2_sq <= 1 - rho1^2 for mu >= 1 and b*sigma1_sq <=
+    1 - rho2^2 for mu < 1 (no cap where that gain is 0)."""
+    rho1, rho2, s1, s2 = (Fraction(x) for x in (gp.rho1, gp.rho2, gp.sigma1_sq, gp.sigma2_sq))
+    if not (0 <= rho1 <= 1 and 0 <= rho2 <= 1 and s1 > 0 and s2 > 0):
+        return False
+    if mu >= 1.0:
+        return Fraction(ch.a) * s2 <= 1 - rho1**2
+    return Fraction(ch.b) * s1 <= 1 - rho2**2
 
 
 def _exact_channel(gains, powers):
