@@ -4,7 +4,8 @@ Three families of supporting lines R1 + w*R2 <= v are computed:
 
 * MU: a genie gives each receiver a noisy look at its own transmit signal
   (correlation rho_i, variance sigma_i^2); the bound is minimized over the
-  four genie parameters subject to a weight-dependent feasibility box.
+  four genie parameters subject to a weight-dependent feasibility box, one
+  variance in closed form and the other three by a search.
 * ETA1 / ETA2: a genie hands one receiver the other transmitter's signal,
   reducing the channel to a one-sided one; the bounds are closed forms in
   the weight, valid on a bounded weight interval.
@@ -116,10 +117,16 @@ def sigma_limits(
     """
     _require_weight(mu)
     if mu >= 1.0:
-        s2_max = (1.0 - rho1 * rho1) / ch.a if ch.a > 0 else math.inf
-        return math.inf, s2_max
-    s1_max = (1.0 - rho2 * rho2) / ch.b if ch.b > 0 else math.inf
-    return s1_max, math.inf
+        return math.inf, (_gap(rho1) / ch.a if ch.a > 0 else math.inf)
+    return (_gap(rho2) / ch.b if ch.b > 0 else math.inf), math.inf
+
+
+def _gap(r):
+    """1 - r^2 for r in [0, 1], as (1 - r)*(1 + r), floats or arrays.  For r
+    in [1/2, 1] the difference 1 - r is exact (Sterbenz), so the product is
+    within two roundings of 1 - r^2 however near 1 r lies; 1 - r*r loses the
+    absolute rounding of r*r, about 2^-53, to the cancellation."""
+    return (1.0 - r) * (1.0 + r)
 
 
 def sigma_feasible(ch: TwoUserChannel, mu: float, gp: GenieParams) -> bool:
@@ -285,20 +292,20 @@ _RHO_MAX = 1.0 - 1e-6
 _SIGMA_FLOOR = 1e-4
 _STEP_FLOOR = 1e-9  # log step below which a pattern-search lane stops
 _POLL_CAP = 140  # most polls of one pattern-search lane
-_LOG_STEP = math.log(3.0)  # first step of the variances' logs
-_FIRST_STEPS = np.array([[0.15], [0.15], [_LOG_STEP], [_LOG_STEP]])
-# The 32 unit moves of the pattern search, as columns: the 8 axis moves
-# +-e_i, then the 24 diagonal moves +-e_i +- e_j, i < j.
-_EYE = np.eye(4)
+_LOG_STEP = math.log(3.0)  # first step of the free variance's log
+_CAP_SHRINK = 1.0 - 2.0**-50  # rounds a float variance cap into the exact box
+_FIRST_STEPS = np.array([[0.15], [0.15], [_LOG_STEP]])
+# The 18 unit moves of the pattern search, as columns: the 6 axis moves
+# +-e_i, then the 12 diagonal moves +-e_i +- e_j, i < j.
+_EYE = np.eye(3)
 _POLL = np.array([*_EYE, *-_EYE] + [
     s * _EYE[i] + t * _EYE[j]
-    for i, j in itertools.combinations(range(4), 2) for s in (1, -1) for t in (1, -1)
+    for i, j in itertools.combinations(range(3), 2) for s in (1, -1) for t in (1, -1)
 ]).T
-# The constants of a _MuObjective with one value per entry, which ``take``
-# gathers.
+# The constants of a _MuObjective with one value per entry, which ``take`` gathers.
 _ENTRY_VALUES = (
     "a", "b", "p1", "p2", "mu", "half_mu", "b_mu", "hi_left", "hi_den",
-    "lo_left", "lo_den",
+    "lo_left", "lo_den", "gain", "tight",
 )
 
 
@@ -308,18 +315,17 @@ class _MuObjective:
     search and, at one point, by ``eval_constraint1``, ``effective_powers``
     and (through ``_user_share``) ``user1_genie_bound``.
 
-    Points are arrays with rows (rho1, rho2, sigma1_sq, sigma2_sq), or one
-    such column.  The channel parameters and ``mu`` broadcast against a row:
-    scalars for the probe grid of one channel at one weight, or one value
-    per lane of the pattern search, whose lanes may belong to different
-    channels.  Only the branches of the weights present are evaluated.  The
-    sub-expressions free of the point are computed once, with the same
-    operations in the same order as a one-point call, so each entry is
-    bit-for-bit the value of a one-point call on its own channel.
-
-    A call is the one way to evaluate it, at points of the feasibility box
-    only: the search ``clamp``s every point it polls, and the one-point
-    callers check theirs with ``sigma_feasible``.
+    Points are arrays with rows (rho1, rho2, sigma1_sq, sigma2_sq).  The
+    channel parameters and ``mu`` broadcast against a row: scalars for one
+    channel's probe grid, a column of the weights of one side of 1 for that
+    grid's values at each, or one value per lane of the pattern search,
+    whose lanes may belong to different channels.  Only the branches of the
+    weights present are evaluated, and the terms free of the point are
+    computed once, in the order of a one-point call, so each entry is
+    bit-for-bit the value of a one-point call on its own channel.  A call is
+    the one way to evaluate it, at points of the feasibility box only: the
+    search ``clamp``s every point it polls, and the one-point callers check
+    theirs with ``sigma_feasible``.
     """
 
     def __init__(self, a, b, p1, p2, mu):
@@ -327,9 +333,8 @@ class _MuObjective:
         # mu < 1 caps sigma1_sq; mu >= 1 caps sigma2_sq, and mu == 1 has no
         # sloped branch in its effective power.
         self.lo, self.one, self.hi = mu < 1.0, mu == 1.0, mu > 1.0
-        self.any_lo, self.any_one, self.any_hi = (
-            bool(self.lo.any()), bool(self.one.any()), bool(self.hi.any())
-        )
+        masks = self.lo, self.one, self.hi
+        self.any_lo, self.any_one, self.any_hi = (bool(m.any()) for m in masks)
         self.a, self.b, self.p1, self.p2, self.mu = a, b, p1, p2, mu
         self.half_mu = 0.5 * mu
         self.b_mu = b * mu
@@ -337,6 +342,9 @@ class _MuObjective:
         self.hi_den = self.b_mu - b
         self.lo_left = (mu - 1.0) * p2
         self.lo_den = a - a * mu
+        # g and 1 + g*q of the capped variance's user; see ``place``.
+        self.gain = np.where(self.lo, a, b)
+        self.tight = np.where(self.lo, a * p2, b * p1) + 1.0
 
     @classmethod
     def of(cls, requests) -> "_MuObjective":
@@ -347,10 +355,8 @@ class _MuObjective:
     def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """The per-entry constants as rows of one array, ``_ENTRY_VALUES``
         order, and the branch masks lo, one, hi as rows of another."""
-        return (
-            np.array([getattr(self, name) for name in _ENTRY_VALUES]),
-            np.array([self.lo, self.one, self.hi]),
-        )
+        values = np.array([getattr(self, name) for name in _ENTRY_VALUES])
+        return values, np.array([self.lo, self.one, self.hi])
 
     def take(self, idx) -> "_MuObjective":
         """The entries ``idx`` of an objective with one entry per lane,
@@ -366,24 +372,62 @@ class _MuObjective:
         sub.any_lo, sub.any_one, sub.any_hi = self.any_lo, self.any_one, self.any_hi
         return sub
 
+    def _pick(self, lo, hi):
+        """``lo`` at the entries of weights below 1, ``hi`` at the others."""
+        if not self.any_lo:
+            return hi
+        if not (self.any_one or self.any_hi):
+            return lo
+        return np.where(self.lo, lo, hi)
+
     def clamp(self, x: np.ndarray) -> np.ndarray:
-        """Project points (rows rho1, rho2, s1, s2) into the feasibility box,
-        whose variance caps s1_max, s2_max are +inf where the weight leaves
-        that variance uncapped."""
+        """Project points (rows rho1, rho2, s1, s2) into the feasibility box:
+        the correlations into [0, _RHO_MAX], the variances above a floor and
+        the capped one, s2 for mu >= 1 and s1 for mu < 1, below its cap
+        (1 - r^2)/g, with r and g the other user's correlation and gain.
+
+        The cap is rounded down into the exact box: 1 - r, 1 + r, their
+        product and the quotient are rounded once each at most, so the float
+        (1 - r)*(1 + r)/g is at most (1 + u)^4 times the exact cap, u =
+        2^-53, and _CAP_SHRINK = 1 - 8u leaves (1 + u)^5*(1 - 8u) < 1."""
         out = np.empty_like(x)
         r1, r2 = np.minimum(np.maximum(x[:2], 0.0), _RHO_MAX, out=out[:2])
-        s1_max = s2_max = np.inf
+        s1, s2 = np.maximum(x[2:], _SIGMA_FLOOR * 1e-2, out=out[2:])
+        cap = _gap(self._pick(r2, r1)) / self._pick(self.b, self.a) * _CAP_SHRINK
         if self.any_lo:
-            s1_max = (1.0 - r2 * r2) / self.b
-            if self.any_one or self.any_hi:
-                s1_max = np.where(self.lo, s1_max, np.inf)
+            np.minimum(s1, self._pick(cap, np.inf), out=s1)
         if self.any_one or self.any_hi:
-            s2_max = (1.0 - r1 * r1) / self.a
-            if self.any_lo:
-                s2_max = np.where(self.lo, np.inf, s2_max)
-        np.minimum(np.maximum(x[2], _SIGMA_FLOOR * 1e-2), s1_max, out=out[2])
-        np.minimum(np.maximum(x[3], _SIGMA_FLOOR * 1e-2), s2_max, out=out[3])
+            np.minimum(s2, self._pick(np.inf, cap), out=s2)
         return out
+
+    def place(self, y: np.ndarray) -> np.ndarray:
+        """The box points at search coordinates y = (rho1, rho2, t): the free
+        variance is exp(t)*(1 - rho^2)/g and the capped one is ``clamp``ed
+        from ((1 + g*q)/rho)^2, where rho and g are the correlation and gain
+        of the capped variance's user and q is the other user's power: rho2,
+        b and p1 for mu >= 1, rho1, a and p2 for mu < 1.
+
+        That capped variance minimizes the objective at fixed correlations
+        and free variance.  It, s = sigma^2, enters only its own user's
+        share, at full power p (the effective powers move only the other
+        user's power, and do not depend on s):
+
+            log2(1 + p/s) + log2((p*((sigma - rho)^2 + k) + s*k)/(p + s))
+              = log2(p*(1 - rho*u)^2 + p*k*u^2 + k),
+
+        with u = 1/sigma and k = g*q + 1 - rho^2.  This quadratic in u has
+        leading coefficient p*(rho^2 + k) > 0 and its least value at u =
+        rho/(rho^2 + k), that is sigma = (1 + g*q)/rho, and it is monotone on
+        either side.  The box bounds s by its cap alone, and the floor of
+        ``clamp`` lies below ((1 + g*q)/rho)^2 >= 1, so the constrained
+        minimizer is that value clipped to the cap: the cap at rho = 0.
+        """
+        r1, r2, t = y
+        rho = self._pick(r1, r2)
+        free = np.exp(t) * _gap(rho) / self.gain
+        with np.errstate(divide="ignore", over="ignore"):
+            capped = np.square(self.tight / rho)
+        return self.clamp(np.array([r1, r2, self._pick(capped, free), self._pick(free, capped)]))
 
     def effective(self, x: np.ndarray):
         """Effective powers (p1_star, p2_star) at points ``x``; see
@@ -393,7 +437,7 @@ class _MuObjective:
         p1_star, p2_star = p1, p2
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.any_hi or self.any_one:
-                gap2 = 1.0 - r2 * r2
+                gap2 = _gap(r2)
             if self.any_hi:
                 left = np.maximum(self.hi_left + gap2 / self.b_mu, 0.0)
                 right = gap2 / self.b_mu
@@ -401,11 +445,9 @@ class _MuObjective:
                 sloped = np.where(s1 <= left, p1, np.where(s1 <= right, mid, 0.0))
                 p1_star = np.where(self.hi, sloped, p1_star)
             if self.any_one:
-                p1_star = np.where(
-                    self.one, np.where(b * s1 <= gap2, p1, 0.0), p1_star
-                )
+                p1_star = np.where(self.one, np.where(b * s1 <= gap2, p1, 0.0), p1_star)
             if self.any_lo:
-                gap1 = 1.0 - r1 * r1
+                gap1 = _gap(r1)
                 left = np.maximum(self.lo_left + self.mu * gap1 / a, 0.0)
                 right = self.mu * gap1 / a
                 mid = (self.mu * gap1 - a * s2) / self.lo_den
@@ -419,10 +461,8 @@ class _MuObjective:
         Points at degenerate parameters come out +inf."""
         r1, r2, s1, s2 = x
         p1_star, p2_star = self.effective(x)
-        val = 0.5 * _user_share(
-            self.p1, p1_star, self.a, self.p2, p2_star, r1, s1
-        ) + self.half_mu * _user_share(
-            self.p2, p2_star, self.b, self.p1, p1_star, r2, s2
+        val = 0.5 * _user_share(self.p1, p1_star, self.a, self.p2, p2_star, r1, s1) + (
+            self.half_mu * _user_share(self.p2, p2_star, self.b, self.p1, p1_star, r2, s2)
         )
         return np.where(np.isfinite(val), val, np.inf)
 
@@ -439,7 +479,7 @@ def _user_share(p, p_star, gain, p_other, p_star_other, rho, s):
     written loses about p*2^-53 to cancellation, which at large powers
     would put the bound below the rate it bounds.
     """
-    gap = (1.0 - rho) * (1.0 + rho)
+    gap = _gap(rho)
     shrink = gain * p_star_other + gap
     k = gain * p_other + gap
     dev = np.sqrt(s) - rho
@@ -447,13 +487,6 @@ def _user_share(p, p_star, gain, p_other, p_star_other, rho, s):
     with np.errstate(divide="ignore", invalid="ignore"):
         share = np.log2(1.0 + p_star / s) - np.log2(shrink) + np.log2(cond)
     return np.where((shrink <= 0) | (cond <= 0), np.inf, share)
-
-
-def _cap_rows(obj: _MuObjective, x: np.ndarray) -> np.ndarray:
-    """(1 - rho2^2)/b and (1 - rho1^2)/a at points ``x``: the caps of
-    sigma1_sq and sigma2_sq, whichever one the weight puts in force."""
-    r = x[1::-1]
-    return (1.0 - r * r) / np.array([obj.b, obj.a])
 
 
 def _pattern_search(
@@ -464,35 +497,32 @@ def _pattern_search(
     lanes of different channels and weights share the objective calls.
     Returns the (values, points) the lanes end at.
 
-    A lane moves in cap-scaled coordinates y = (rho1, rho2, log(sigma1_sq /
-    cap1), log(sigma2_sq / cap2)), caps as in ``_cap_rows``, with the
-    correlations in [0, _RHO_MAX] and the capped variance's log at most 0:
-    a move of a correlation carries that variance along its cap.  Each step
-    is one objective call that polls, for every live lane, the 32 moves of
-    ``_POLL`` scaled by the lane's steps.  The lane takes its best strict
-    improvement; if there is none, both steps shrink by 4.  They start at
-    0.15 and log(3); a lane stops once its log step is below _STEP_FLOOR,
+    A lane moves in the coordinates (rho1, rho2, t) of ``place``, with the
+    correlations in [0, _RHO_MAX]: t is the log of the free variance over
+    (1 - rho^2)/g, the point where the free variance's effective power
+    reaches 0 at weight 1, so a move of rho carries that variance along.
+    Each step is one objective call that polls, for every live lane, the 18
+    moves of ``_POLL`` scaled by the lane's steps.  The lane takes its best
+    strict improvement; if there is none, its steps shrink by 4.  They start
+    at 0.15 and log(3); a lane stops once its log step is below _STEP_FLOOR,
     or after _POLL_CAP polls.  Every polled point is ``clamp``ed and its
     value is the objective there, so every end is a valid bound.
     """
     x = obj.clamp(starts)
     val = obj(x)
-    y = x.copy()
-    y[2:] = np.log(x[2:] / _cap_rows(obj, x))
+    free = obj._pick(x[3], x[2]) * obj.gain / _gap(obj._pick(x[0], x[1]))
+    y = np.array([x[0], x[1], np.log(free)])
     out_val, out_x = val.copy(), x.copy()
     ids = np.arange(x.shape[1])  # lane of each live entry
     shrinks = np.zeros(ids.size)
     for _ in range(_POLL_CAP):
-        # Candidates are (4, live lanes, moves); each lane's entry of the
+        # Candidates are (3, live lanes, moves); each lane's entry of the
         # objective broadcasts over its moves.
         polled = obj.take(ids[:, None])
         steps = _FIRST_STEPS * 0.25**shrinks
         cand = y[:, :, None] + steps[:, :, None] * _POLL[:, None, :]
         np.clip(cand[:2], 0.0, _RHO_MAX, out=cand[:2])
-        # sigma1_sq is capped for mu < 1, sigma2_sq otherwise.
-        cand[2:] = np.where([polled.lo, ~polled.lo], np.minimum(cand[2:], 0.0), cand[2:])
-        cand_x = np.concatenate([cand[:2], np.exp(cand[2:]) * _cap_rows(polled, cand)])
-        cand_x = polled.clamp(cand_x)
+        cand_x = polled.place(cand)
         cand_val = polled(cand_x)
         lane, best = np.arange(ids.size), np.argmin(cand_val, axis=1)
         better = cand_val[lane, best] < val
@@ -512,58 +542,36 @@ def _tight_sum_certificate(ch: TwoUserChannel) -> "GenieParams | None":
     # Local import: capacity builds on this module.
     from .capacity import CertificateUnavailableError, noisy_certificate, noisy_condition
 
-    if not noisy_condition(ch)[0]:
-        return None
     try:
-        return noisy_certificate(ch)
+        return noisy_certificate(ch) if noisy_condition(ch)[0] else None
     except CertificateUnavailableError:
         return None
-
-
-def _probe_rhos() -> tuple[np.ndarray, np.ndarray]:
-    """The parts of the probe grid free of the channel: the (2, n) rho rows
-    of the 8^4 grid, then of the both-caps manifold, and the (2, 16^2) cap
-    numerators (1 - rho2^2, 1 - rho1^2) of the manifold."""
-    axis = np.linspace(0.0, _RHO_MAX, _GRID_POINTS)
-    fine = np.linspace(0.0, _RHO_MAX, 2 * _GRID_POINTS)
-    grid = np.array(np.meshgrid(axis, axis, indexing="ij")).reshape(2, -1)
-    manifold = np.array(np.meshgrid(fine, fine, indexing="ij")).reshape(2, -1)
-    rhos = np.concatenate([np.repeat(grid, _GRID_POINTS**2, axis=1), manifold], axis=1)
-    return rhos, 1.0 - manifold[::-1] * manifold[::-1]
-
-
-_PROBE_RHOS, _MANIFOLD_GAPS = _probe_rhos()
 
 
 def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` smallest of ``vals`` (at least k entries, no
     nan), ties in index order: ``np.argsort(vals, kind="stable")[:k]``
-    without sorting the rest.  Every entry up to the k-th smallest value is
-    among those at or below it, which keep their index order for the stable
-    sort."""
+    without sorting the rest, for the k smallest are among the entries at
+    or below the k-th smallest value, which keep their index order."""
     kth = np.partition(vals, k - 1)[k - 1]
     near = np.flatnonzero(vals <= kth)
     return near[np.argsort(vals[near], kind="stable")[:k]]
 
 
 def _probe_grid(ch: TwoUserChannel, objective: _MuObjective) -> np.ndarray:
-    """Coarse feasible probes, (4, n): 8 points per parameter (sigma^2
-    log-spaced), then the manifold where both variance caps bind (the
-    closed-form tight point lives there; it often holds the minimizer).
-    ``objective.clamp`` puts a point past the capped variance's limit on
-    that limit, in the box of the objective's weight.  Only the sigma^2
-    axis and the manifold's caps depend on the channel."""
+    """Coarse feasible probes, (4, n), ``place``d: 8 points per correlation
+    and 8 log-spaced free variances, then a 16 x 16 manifold of correlations
+    with the free variance at its scale, t = 0 (where the closed-form tight
+    point of weight 1 lives; it often holds the minimizer).  The capped
+    variance is in closed form, so the probes depend on the side of weight 1
+    the objective's weight is on, not on the weight."""
     smax = 10.0 * max(ch.p1, ch.p2, 1.0 / ch.a, 1.0 / ch.b)
-    sig_axis = np.geomspace(_SIGMA_FLOOR, smax, _GRID_POINTS)
-    n = _GRID_POINTS**4
-    probes = np.empty((4, _PROBE_RHOS.shape[1]))
-    probes[:2] = _PROBE_RHOS
-    # Grid point ((i*8 + j)*8 + k)*8 + l has sigma1^2 = sig_axis[k] and
-    # sigma2^2 = sig_axis[l].
-    probes[2, :n].reshape(-1, _GRID_POINTS, _GRID_POINTS)[:] = sig_axis[:, None]
-    probes[3, :n].reshape(-1, _GRID_POINTS)[:] = sig_axis
-    np.divide(_MANIFOLD_GAPS, [[ch.b], [ch.a]], out=probes[2:, n:])
-    return objective.clamp(probes)
+    axis, fine = (np.linspace(0.0, _RHO_MAX, n) for n in (_GRID_POINTS, 2 * _GRID_POINTS))
+    free = np.geomspace(_SIGMA_FLOOR, smax, _GRID_POINTS)
+    grid = np.array(np.meshgrid(axis, axis, free, indexing="ij")).reshape(3, -1)
+    grid[2] = np.log(grid[2] * objective.gain / _gap(objective._pick(grid[0], grid[1])))
+    manifold = np.array(np.meshgrid(fine, fine, [0.0], indexing="ij")).reshape(3, -1)
+    return objective.place(np.concatenate([grid, manifold], axis=1))
 
 
 def _mu_lines(requests) -> tuple[SupportingLine, ...]:
@@ -577,8 +585,9 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     lane of a pattern search (``_pattern_search``, over the lanes of every
     such request) from each of the 4 best points of its channel's probe
     grid; the first of the best starts and lane ends wins.  A probe grid is
-    built once per (channel, mu >= 1) pair and shared by every weight of
-    that side, whose boxes are the same.
+    built once per (channel, mu >= 1) pair, a side, and evaluated at every
+    weight of that side in one objective call, with the weights as a
+    column: the probes of a side do not depend on its weights.
     """
     requests = tuple(requests)
     for ch, mu in requests:
@@ -587,58 +596,45 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     if not requests:
         return ()
 
-    certs: dict[TwoUserChannel, GenieParams | None] = {}
-    grids: dict[tuple[TwoUserChannel, bool], np.ndarray] = {}
-    tight, searched, candidates = [], [], []
-    for i, (ch, mu) in enumerate(requests):
-        if mu == 1.0:
-            if ch not in certs:
-                certs[ch] = _tight_sum_certificate(ch)
-            if certs[ch] is not None:
-                tight.append(i)
-                continue
-        objective = _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mu)
-        grid = grids.get((ch, mu >= 1.0))
-        if grid is None:
-            grid = grids[ch, mu >= 1.0] = _probe_grid(ch, objective)
-        vals = objective(grid)
-        found = [
-            (float(vals[j]), grid[:, j]) for j in _smallest(vals, 4) if math.isfinite(vals[j])
-        ]
-        if not found:
-            raise RuntimeError("no feasible genie parameters found")  # unreachable
-        searched.append(i)
-        candidates.append(found)
-
+    certs = {ch: _tight_sum_certificate(ch) for ch in {ch for ch, mu in requests if mu == 1.0}}
+    tight = [i for i, (ch, mu) in enumerate(requests) if mu == 1.0 and certs[ch] is not None]
     best: list = [None] * len(requests)
     if tight:
         xs = np.array([_genie_point(certs[requests[i][0]]) for i in tight]).T
         vals = _MuObjective.of([requests[i] for i in tight])(xs)
         for i, val, x in zip(tight, vals.tolist(), xs.T):
             best[i] = (val, x)
-    if searched:
-        lanes = [requests[i] for i, found in zip(searched, candidates) for _ in found]
-        starts = np.array([x for found in candidates for _, x in found]).T
-        ends, points = _pattern_search(_MuObjective.of(lanes), starts)
-        lane_ends = zip(ends.tolist(), points.T)
-        for i, found in zip(searched, candidates):
-            best[i] = min(found + [next(lane_ends) for _ in found], key=lambda c: c[0])
-
-    objective = _MuObjective.of(requests)
+    sides: dict[tuple[TwoUserChannel, bool], list[int]] = {}
+    for i, (ch, mu) in enumerate(requests):
+        if best[i] is None:
+            sides.setdefault((ch, mu >= 1.0), []).append(i)
+    found: dict[int, list] = {}
+    for (ch, _), side in sides.items():
+        mus = np.array([requests[i][1] for i in side])
+        grid = _probe_grid(ch, _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mus[0]))
+        for i, vals in zip(side, _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mus[:, None])(grid)):
+            found[i] = [
+                (float(vals[j]), grid[:, j]) for j in _smallest(vals, 4) if math.isfinite(vals[j])
+            ]
+            if not found[i]:
+                raise RuntimeError("no feasible genie parameters found")  # unreachable
+    if found:
+        searched = sorted(found)
+        lanes = [requests[i] for i in searched for _ in found[i]]
+        starts = np.array([x for i in searched for _, x in found[i]]).T
+        values, points = _pattern_search(_MuObjective.of(lanes), starts)
+        ends = zip(values.tolist(), points.T)
+        for i in searched:
+            best[i] = min(found[i] + [next(ends) for _ in found[i]], key=lambda c: c[0])
     xs = np.array([x for _, x in best]).T
-    p1_stars, p2_stars = objective.effective(xs)
-    lines = []
-    for (_, mu), (val, _), x, p1_star, p2_star in zip(
-        requests, best, xs.T.tolist(), p1_stars.tolist(), p2_stars.tolist()
-    ):
-        lines.append(SupportingLine(
-            kind=WeightKind.MU,
-            weight=mu,
-            value=val,
-            genie=GenieParams(rho1=x[0], rho2=x[1], sigma1_sq=x[2], sigma2_sq=x[3]),
-            effective=(p1_star, p2_star),
-        ))
-    return tuple(lines)
+    p1_stars, p2_stars = _MuObjective.of(requests).effective(xs)
+    return tuple(
+        SupportingLine(kind=WeightKind.MU, weight=mu, value=val, genie=GenieParams(*x),
+                       effective=(p1_star, p2_star))
+        for (_, mu), (val, _), x, p1_star, p2_star in zip(
+            requests, best, xs.T.tolist(), p1_stars.tolist(), p2_stars.tolist()
+        )
+    )
 
 
 def optimize_constraint1_many(
@@ -648,12 +644,14 @@ def optimize_constraint1_many(
     at each weight of ``mus``; one line per weight, in order.
 
     Each line is exactly ``optimize_constraint1(ch, mu)``: the same grid
-    probes and starts per weight, and the same winner.  The pattern
-    searches of all (weight, start) pairs, about 4 per weight, run in
-    lockstep: each search step is one objective call that polls the 32
-    moves of every live lane, so the searches of a 65-weight region take
-    at most 140 calls, the cap of one lane; FIG1's default region takes
-    206 calls in all, against 2,956 as 65 separate calls.
+    probes and starts per weight, and the same winner.  The probe grid of
+    each side of weight 1 is evaluated at all of that side's weights in one
+    objective call, and the pattern searches of all (weight, start) pairs,
+    about 4 per weight, run in lockstep: each search step is one objective
+    call that polls the 18 moves of every live lane, so the searches of a
+    65-weight region take at most 141 calls (the start values, then at most
+    140 polls, the cap of one lane).  FIG1's default region takes 144 calls
+    in all, against 3,061 as 65 separate calls.
     """
     _require_regime(ch)
     return _mu_lines((ch, mu) for mu in mus)
@@ -665,14 +663,16 @@ def optimize_constraint1(ch: TwoUserChannel, mu: float) -> SupportingLine:
     When mu == 1 and the channel has noisy interference, the line is the
     closed-form certificate (``capacity.noisy_certificate``), whose value is
     the single-user-detection sum rate up to rounding: one objective call
-    and no search.  Otherwise a deterministic multi-start search: a coarse
-    feasible grid (8 points per parameter, sigma^2 log-spaced), then a
-    pattern search in cap-scaled coordinates (``_pattern_search``) from the
-    4 best grid points.  The searches run in lockstep, each step one
-    objective call that polls 32 moves per start, so a weight costs as many
-    calls as its longest search (at most 142; median 43 on FIG1's default
-    weights).  The result is always an upper bound on R1 + mu*R2 (every
-    probe is feasible) and never exceeds the bound at any probed point.
+    and no search.  Otherwise a deterministic multi-start search over
+    (rho1, rho2, free variance), with the capped variance in closed form
+    (``_MuObjective.place``): a coarse feasible grid (8 points per
+    coordinate, the variance log-spaced, plus a 16 x 16 manifold), then a
+    pattern search (``_pattern_search``) from the 4 best grid points.  The
+    searches run in lockstep, each step one objective call that polls 18
+    moves per start, so a weight costs as many calls as its longest search
+    (at most 142; median 44 on FIG1's default weights).  The result is
+    always an upper bound on R1 + mu*R2 (every probe is feasible) and never
+    exceeds the bound at any probed point.
 
     Equal to ``optimize_constraint1_many(ch, (mu,))[0]``; searching many
     weights in one optimize_constraint1_many call is much faster than one
@@ -689,17 +689,16 @@ def sum_upper_bounds(channels) -> tuple[float | None, ...]:
     contribute at the admissible weight closest to 1 (weights >= 1 bound the
     sum directly, weights < 1 need the R2 cap to top up).  Noisy-interference
     channels take their closed-form certificates, all evaluated in one
-    objective call; the weight-1 MU searches of the other channels run as
-    one lockstep pattern search, each of whose objective calls polls the
-    moves of every channel's lanes, so a call costs as many objective calls
-    as its longest search, not the sum over the channels.  Each bound equals
-    ``sum_upper_bound`` of its channel.
+    objective call; every other channel's probe grid takes one call, and
+    their weight-1 MU searches run as one lockstep pattern search, each of
+    whose objective calls polls the 18 moves of every channel's lanes, so
+    the searches cost as many objective calls as the longest of them, not
+    the sum over the channels.  Each bound equals ``sum_upper_bound`` of its
+    channel.
     """
     channels = tuple(channels)
     regime = [0.0 < ch.a < 1.0 and 0.0 < ch.b < 1.0 for ch in channels]
-    mu_lines = iter(_mu_lines(
-        (ch, 1.0) for ch, ok in zip(channels, regime) if ok
-    ))
+    mu_lines = iter(_mu_lines((ch, 1.0) for ch, ok in zip(channels, regime) if ok))
     out = []
     for ch, ok in zip(channels, regime):
         bounds = [next(mu_lines).value] if ok else []

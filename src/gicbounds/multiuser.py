@@ -89,11 +89,12 @@ class _Conditions:
 
     The terms free of rho (Q, the off-diagonal gains c_ij, (1 + Q)^2 and the
     weight matrices M1, M2) are computed once.  Family f's LHS is the product
-    T_f @ M_f of an (n, m) table of rho terms with its weight matrix, and its
-    RHS is elementwise in rho; ``_terms`` is the one place those rho formulas
-    live.  It serves the slacks at u = rho^2 (``slacks_u``, behind a call on
-    rho, which the oracle's grid scan makes, and the phase-I solve); their
-    derivatives sit next to it (``_curvature``).
+    of a table of rho terms with its weight matrix M_f, and its RHS is
+    elementwise in rho; ``_terms`` is the one place those rho formulas live.
+    It serves the slacks of rho vectors as columns (``columns``, which the
+    oracle's grid scan calls) and at u = rho^2 of one vector (``slacks_u``,
+    which the phase-I solve calls); their derivatives sit next to it
+    (``_curvature``).
 
     A channel whose Q, (1 + Q)^2 or first-family weights sum_j M1[j, i]
     overflow is refused with a ValueError: an infinite (1 + Q_j)^2 times a
@@ -121,17 +122,21 @@ class _Conditions:
         # Second family: M2[j, i] = c_ij, LHS_i = sum_j M2[j, i] / (1 + Q_j - rho_j^2).
         self.m2 = self.gains_offdiag.T
 
-    def _terms(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The rho terms of an (..., m) array of u = rho^2 values, elementwise:
-        the LHS factors 1/u and 1/(1 + Q - u) of the two families, then their
-        RHS 1 - u and 1/(P + (1 + Q)^2/u).  The denominators 1 + Q - u are
-        positive since u < 1."""
+    def _terms(self, u: np.ndarray, per_column: bool = False) -> tuple[np.ndarray, ...]:
+        """The rho terms of u = rho^2 values, elementwise: the LHS factors
+        1/u and 1/(1 + Q - u) of the two families, then their RHS 1 - u and
+        1/(P + (1 + Q)^2/u).  ``u`` is an (..., m) array, or with
+        ``per_column`` an (m, n) array with one vector per column.  The
+        denominators 1 + Q - u are positive since u < 1."""
+        one_q, powers, one_q_sq = self.one_q, self.powers, self.one_q_sq
+        if per_column:
+            one_q, powers, one_q_sq = one_q[:, None], powers[:, None], one_q_sq[:, None]
         inv_u = 1.0 / u
         return (
             inv_u,
-            1.0 / (self.one_q - u),
+            1.0 / (one_q - u),
             1.0 - u,
-            1.0 / (self.powers + self.one_q_sq * inv_u),
+            1.0 / (powers + one_q_sq * inv_u),
         )
 
     def _curvature(self, u: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -148,13 +153,20 @@ class _Conditions:
             (2.0 * inv_u**3, 2.0 * inv_den**3, -2.0 * self.powers * slope * inv_rate),
         )
 
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        """The (n, m, 2) slacks of an (n, m) batch of rho vectors."""
-        return self.slacks_u(rho * rho)
+    def columns(self, rho: np.ndarray) -> np.ndarray:
+        """The (2, m, n) slacks of the n rho vectors that are the columns of
+        an (m, n) array: family 1, then family 2.  Every elementwise loop
+        runs along n, and the weights multiply from the left; an (n, m)
+        layout would broadcast the (m,) terms over rows of m entries."""
+        inv_u, inv_den, rhs1, rhs2 = self._terms(rho * rho, per_column=True)
+        slacks = np.empty((2,) + rho.shape)
+        np.subtract(self.m1.T @ inv_u, rhs1, out=slacks[0])
+        np.subtract(self.m2.T @ inv_den, rhs2, out=slacks[1])
+        return slacks
 
     def slacks_u(self, u: np.ndarray) -> np.ndarray:
-        """The (..., m, 2) slacks at u = rho^2: of an (n, m) batch, or of one
-        (m,) vector through matrix-vector products."""
+        """The (..., m, 2) slacks at u = rho^2 of one (m,) vector, or of a
+        (1, m) row, through vector-matrix products."""
         inv_u, inv_den, rhs1, rhs2 = self._terms(u)
         slacks = np.empty(u.shape + (2,))
         np.subtract(inv_u @ self.m1, rhs1, out=slacks[..., 0])
@@ -163,7 +175,7 @@ class _Conditions:
 
     def at(self, rho: np.ndarray) -> np.ndarray:
         """The (m, 2) slacks of one rho vector."""
-        return self(rho[None, :])[0]
+        return self.slacks_u((rho * rho)[None, :])[0]
 
 
 def _grid_point(axis: np.ndarray, m: int, row: int) -> np.ndarray:
@@ -521,29 +533,29 @@ def oracle_grid_feasibility(ch: MUserChannel, resolution: int) -> MUserVerdict:
     feasible point) is deterministic; with none, the probe is the first
     point of least max slack.  The grid is scanned in slabs, one model call
     per value of the first coordinate, up to the first feasible slab.  That
-    a row's slacks do not depend on the slab height rests on the BLAS
+    a point's slacks do not depend on the slab width rests on the BLAS
     kernels, not on a proof; the tests compare the scan with one call on
     the whole grid, with ==.
     """
     check_oracle_request(ch.m, resolution)
     axis = np.arange(1, resolution + 1, dtype=float) / (resolution + 1)
     model = _Conditions(ch)
-    # C order: the model's matrix products see the layout of a materialized grid.
-    slab = _grid_point(axis, ch.m, np.arange(resolution ** (ch.m - 1))).T.copy()
+    # One grid point per column, as the model's column layout takes them.
+    slab = _grid_point(axis, ch.m, np.arange(resolution ** (ch.m - 1)))
     best = None  # max slack, rho and slacks of the first point of least max slack
     for value in axis:
-        slab[:, 0] = value
-        slacks = model(slab)
-        # Column by column: numpy's max over a row of 2m entries is slower.
-        columns = slacks.reshape(len(slab), -1).T
-        max_slack = columns[0].copy()
-        for column in columns[1:]:
-            np.maximum(max_slack, column, out=max_slack)
+        slab[0] = value
+        slacks = model.columns(slab)
+        # Row by row: numpy's max over a column of 2m entries is slower.
+        rows = slacks.reshape(2 * ch.m, -1)
+        max_slack = rows[0].copy()
+        for row in rows[1:]:
+            np.maximum(max_slack, row, out=max_slack)
         feasible = max_slack <= 0.0
         if feasible.any():
             idx = int(np.argmax(feasible))
-            return _verdict_from_probe(ch, slab[idx], slacks[idx].copy())
+            return _verdict_from_probe(ch, slab[:, idx], slacks[:, :, idx].T.copy())
         idx = int(np.argmin(max_slack))
         if best is None or max_slack[idx] < best[0]:
-            best = max_slack[idx], slab[idx].copy(), slacks[idx].copy()
+            best = max_slack[idx], slab[:, idx].copy(), slacks[:, :, idx].T.copy()
     return _verdict_from_probe(ch, best[1], best[2])

@@ -81,9 +81,9 @@ def materialized_grid_scan(model: _Conditions, axis: np.ndarray):
     # 64^4 grid at one byte per index.
     shape = (len(axis),) * model.m
     index = np.indices(shape, dtype=np.min_scalar_type(len(axis))).reshape(model.m, -1)
-    grid = axis[index.T.copy()]
-    slacks = model(grid)
-    return grid, slacks, slacks.reshape(len(grid), -1).max(axis=1)
+    columns = axis[index]  # one grid point per column, as the oracle's slabs
+    slacks = model.columns(columns).transpose(2, 1, 0)
+    return columns.T, slacks, slacks.reshape(columns.shape[1], -1).max(axis=1)
 
 
 def phase_one_certificate(ch):
