@@ -117,8 +117,10 @@ def sigma_limits(
     """
     _require_weight(mu)
     if mu >= 1.0:
-        return math.inf, (_gap(rho1) / ch.a if ch.a > 0 else math.inf)
-    return (_gap(rho2) / ch.b if ch.b > 0 else math.inf), math.inf
+        s2_max = _gap(rho1) / ch.a if ch.a > 0 else math.inf
+        return math.inf, s2_max
+    s1_max = _gap(rho2) / ch.b if ch.b > 0 else math.inf
+    return s1_max, math.inf
 
 
 def _gap(r):
@@ -195,7 +197,8 @@ def user1_genie_bound(ch: TwoUserChannel, rho1: float, sigma1: float) -> float:
         raise ValueError(f"rho1 must lie in [0, 1], got {rho1}")
     if not (math.isfinite(sigma1) and sigma1 > 0.0):
         raise ValueError(f"sigma1 must be finite and > 0, got {sigma1}")
-    share = _user_share(ch.p1, ch.p1, ch.a, ch.p2, ch.p2, rho1, sigma1 * sigma1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = _user_share(ch.p1, ch.p1, ch.a, ch.p2, ch.p2, rho1, sigma1 * sigma1)
     return float(0.5 * share)
 
 
@@ -291,21 +294,25 @@ _GRID_POINTS = 8
 _RHO_MAX = 1.0 - 1e-6
 _SIGMA_FLOOR = 1e-4
 _STEP_FLOOR = 1e-9  # log step below which a pattern-search lane stops
-_POLL_CAP = 140  # most polls of one pattern-search lane
+_POLL_CAP = 300  # most polls of one pattern-search lane
+_ANCHOR_POLLS = 8  # polls between a lane's choices of the kink its t starts at
 _LOG_STEP = math.log(3.0)  # first step of the free variance's log
 _CAP_SHRINK = 1.0 - 2.0**-50  # rounds a float variance cap into the exact box
 _FIRST_STEPS = np.array([[0.15], [0.15], [_LOG_STEP]])
+_MAX_SHRINKS = math.floor(math.log(_LOG_STEP / _STEP_FLOOR, 4))  # shrinks of a live lane
 # The 18 unit moves of the pattern search, as columns: the 6 axis moves
-# +-e_i, then the 12 diagonal moves +-e_i +- e_j, i < j.
+# +-e_i, then the 12 diagonal moves +-e_i +- e_j, i < j.  Each poll adds
+# one more, twice the lane's last accepted move.
 _EYE = np.eye(3)
 _POLL = np.array([*_EYE, *-_EYE] + [
     s * _EYE[i] + t * _EYE[j]
     for i, j in itertools.combinations(range(3), 2) for s in (1, -1) for t in (1, -1)
 ]).T
-# The constants of a _MuObjective with one value per entry, which ``take`` gathers.
+# The constants of a _MuObjective with one value per entry, which ``take``
+# gathers.
 _ENTRY_VALUES = (
     "a", "b", "p1", "p2", "mu", "half_mu", "b_mu", "hi_left", "hi_den",
-    "lo_left", "lo_den", "gain", "tight",
+    "lo_left", "lo_den", "gain", "tight", "ratio", "offset",
 )
 
 
@@ -315,17 +322,19 @@ class _MuObjective:
     search and, at one point, by ``eval_constraint1``, ``effective_powers``
     and (through ``_user_share``) ``user1_genie_bound``.
 
-    Points are arrays with rows (rho1, rho2, sigma1_sq, sigma2_sq).  The
-    channel parameters and ``mu`` broadcast against a row: scalars for one
-    channel's probe grid, a column of the weights of one side of 1 for that
-    grid's values at each, or one value per lane of the pattern search,
-    whose lanes may belong to different channels.  Only the branches of the
-    weights present are evaluated, and the terms free of the point are
-    computed once, in the order of a one-point call, so each entry is
-    bit-for-bit the value of a one-point call on its own channel.  A call is
-    the one way to evaluate it, at points of the feasibility box only: the
-    search ``clamp``s every point it polls, and the one-point callers check
-    theirs with ``sigma_feasible``.
+    Points are arrays with rows (rho1, rho2, sigma1_sq, sigma2_sq), or one
+    such column.  The channel parameters and ``mu`` broadcast against a row:
+    scalars for the probe grid of one channel at one weight, a column of
+    weights for that grid at each of them, or one value per lane of the
+    pattern search, whose lanes may belong to different channels.  Only the
+    branches of the weights present are evaluated.  The sub-expressions free
+    of the point are computed once, with the same operations in the same
+    order as a one-point call, so each entry is bit-for-bit the value of a
+    one-point call on its own channel.
+
+    A call is the one way to evaluate it, at points of the feasibility box
+    only: the search ``clamp``s every point it polls, and the one-point
+    callers check theirs with ``sigma_feasible``.
     """
 
     def __init__(self, a, b, p1, p2, mu):
@@ -333,8 +342,9 @@ class _MuObjective:
         # mu < 1 caps sigma1_sq; mu >= 1 caps sigma2_sq, and mu == 1 has no
         # sloped branch in its effective power.
         self.lo, self.one, self.hi = mu < 1.0, mu == 1.0, mu > 1.0
-        masks = self.lo, self.one, self.hi
-        self.any_lo, self.any_one, self.any_hi = (bool(m.any()) for m in masks)
+        self.any_lo, self.any_one, self.any_hi = (
+            bool(self.lo.any()), bool(self.one.any()), bool(self.hi.any())
+        )
         self.a, self.b, self.p1, self.p2, self.mu = a, b, p1, p2, mu
         self.half_mu = 0.5 * mu
         self.b_mu = b * mu
@@ -345,6 +355,11 @@ class _MuObjective:
         # g and 1 + g*q of the capped variance's user; see ``place``.
         self.gain = np.where(self.lo, a, b)
         self.tight = np.where(self.lo, a * p2, b * p1) + 1.0
+        # The free variance's effective power falls between L = max(offset +
+        # R, 0) and R = ratio*(1 - rho^2)/g; see ``_scale``.
+        self.ratio = np.where(self.lo, mu, 1.0 / mu)
+        self.offset = np.where(self.lo, self.lo_left, self.hi_left)
+        self.at_left = np.False_  # where t = 0 lies at L; the search sets it per lane
 
     @classmethod
     def of(cls, requests) -> "_MuObjective":
@@ -355,8 +370,10 @@ class _MuObjective:
     def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """The per-entry constants as rows of one array, ``_ENTRY_VALUES``
         order, and the branch masks lo, one, hi as rows of another."""
-        values = np.array([getattr(self, name) for name in _ENTRY_VALUES])
-        return values, np.array([self.lo, self.one, self.hi])
+        return (
+            np.array([getattr(self, name) for name in _ENTRY_VALUES]),
+            np.array([self.lo, self.one, self.hi]),
+        )
 
     def take(self, idx) -> "_MuObjective":
         """The entries ``idx`` of an objective with one entry per lane,
@@ -401,11 +418,13 @@ class _MuObjective:
         return out
 
     def place(self, y: np.ndarray) -> np.ndarray:
-        """The box points at search coordinates y = (rho1, rho2, t): the free
-        variance is exp(t)*(1 - rho^2)/g and the capped one is ``clamp``ed
-        from ((1 + g*q)/rho)^2, where rho and g are the correlation and gain
-        of the capped variance's user and q is the other user's power: rho2,
-        b and p1 for mu >= 1, rho1, a and p2 for mu < 1.
+        """The box points at search coordinates y = (r, w, t).  Let rho be
+        the correlation of the capped variance's user, g its gain and q the
+        other user's power, and r the other correlation: rho2, b, p1 and
+        rho1 for mu >= 1, rho1, a, p2 and rho2 for mu < 1.  Then rho is
+        w/sqrt(1 - r^2), at most _RHO_MAX, the free variance is
+        exp(t)*(1 - rho^2)/g, and the capped one is ``clamp``ed from
+        ((1 + g*q)/rho)^2.
 
         That capped variance minimizes the objective at fixed correlations
         and free variance.  It, s = sigma^2, enters only its own user's
@@ -421,13 +440,49 @@ class _MuObjective:
         either side.  The box bounds s by its cap alone, and the floor of
         ``clamp`` lies below ((1 + g*q)/rho)^2 >= 1, so the constrained
         minimizer is that value clipped to the cap: the cap at rho = 0.
+
+        The coordinates lay kinks of the objective on planes, where a lane
+        at a kink moves along it by axis moves; in (rho1, rho2, log of the
+        free variance) they are curved, and no poll move may descend along
+        them.  The capped variance leaves its cap (1 - r^2)/g' (g' the other
+        gain) where w = (1 + g*q)*sqrt(g'), whatever r is.  The free
+        variance's effective power falls between L and R (see ``_scale``):
+        R lies at t = log(mu) (mu < 1) or -log(mu), and L at t = 0 at the
+        entries ``at_left``.
         """
-        r1, r2, t = y
-        rho = self._pick(r1, r2)
-        free = np.exp(t) * _gap(rho) / self.gain
+        r, w, t = y
+        rho = np.minimum(w / np.sqrt(_gap(r)), _RHO_MAX)
+        free = np.exp(t) * self._scale(rho)
         with np.errstate(divide="ignore", over="ignore"):
             capped = np.square(self.tight / rho)
+        r1, r2 = self._pick(rho, r), self._pick(r, rho)
         return self.clamp(np.array([r1, r2, self._pick(capped, free), self._pick(free, capped)]))
+
+    def coordinates(self, x: np.ndarray) -> np.ndarray:
+        """The search coordinates (r, w, t) of box points ``x``; see ``place``."""
+        r1, r2, s1, s2 = x
+        rho, r = self._pick(r1, r2), self._pick(r2, r1)
+        t = np.log(self._pick(s2, s1) / self._scale(rho))
+        return np.array([r, rho * np.sqrt(_gap(r)), t])
+
+    def _scale(self, rho):
+        """The free variance at t = 0: (1 - rho^2)/g, or L = max(offset + R,
+        0) at the entries ``at_left``.  The free variance's effective power
+        starts to fall at L and reaches 0 at R = ratio*(1 - rho^2)/g: the
+        left and right of ``effective``."""
+        scale = _gap(rho) / self.gain
+        if not self.at_left.any():
+            return scale
+        return np.where(self.at_left, np.maximum(self.offset + self.ratio * scale, 0.0), scale)
+
+    def nearer_left(self, x: np.ndarray) -> np.ndarray:
+        """Whether the free variance of points ``x`` lies nearer L than R, in
+        log; False where L = 0.  See ``_scale``."""
+        rho = self._pick(x[0], x[1])
+        free = self._pick(x[3], x[2])
+        right = self.ratio * _gap(rho) / self.gain
+        left = np.maximum(self.offset + right, 0.0)
+        return (left > 0.0) & (free * free < left * right)
 
     def effective(self, x: np.ndarray):
         """Effective powers (p1_star, p2_star) at points ``x``; see
@@ -445,7 +500,9 @@ class _MuObjective:
                 sloped = np.where(s1 <= left, p1, np.where(s1 <= right, mid, 0.0))
                 p1_star = np.where(self.hi, sloped, p1_star)
             if self.any_one:
-                p1_star = np.where(self.one, np.where(b * s1 <= gap2, p1, 0.0), p1_star)
+                p1_star = np.where(
+                    self.one, np.where(b * s1 <= gap2, p1, 0.0), p1_star
+                )
             if self.any_lo:
                 gap1 = _gap(r1)
                 left = np.maximum(self.lo_left + self.mu * gap1 / a, 0.0)
@@ -461,9 +518,12 @@ class _MuObjective:
         Points at degenerate parameters come out +inf."""
         r1, r2, s1, s2 = x
         p1_star, p2_star = self.effective(x)
-        val = 0.5 * _user_share(self.p1, p1_star, self.a, self.p2, p2_star, r1, s1) + (
-            self.half_mu * _user_share(self.p2, p2_star, self.b, self.p1, p1_star, r2, s2)
-        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = 0.5 * _user_share(
+                self.p1, p1_star, self.a, self.p2, p2_star, r1, s1
+            ) + self.half_mu * _user_share(
+                self.p2, p2_star, self.b, self.p1, p1_star, r2, s2
+            )
         return np.where(np.isfinite(val), val, np.inf)
 
 
@@ -477,15 +537,15 @@ def _user_share(p, p_star, gain, p_other, p_star_other, rho, s):
     argument is evaluated as (p*((sqrt(s) - rho)^2 + k) + s*k)/(p + s) with
     k = gain*p_other + 1 - rho^2, a sum of terms >= 0: the difference as
     written loses about p*2^-53 to cancellation, which at large powers
-    would put the bound below the rate it bounds.
+    would put the bound below the rate it bounds.  Callers ignore numpy's
+    divide and invalid warnings, which the +inf cases raise.
     """
     gap = _gap(rho)
     shrink = gain * p_star_other + gap
     k = gain * p_other + gap
     dev = np.sqrt(s) - rho
     cond = (p * (dev * dev + k) + s * k) / (p + s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        share = np.log2(1.0 + p_star / s) - np.log2(shrink) + np.log2(cond)
+    share = np.log2(1.0 + p_star / s) - np.log2(shrink) + np.log2(cond)
     return np.where((shrink <= 0) | (cond <= 0), np.inf, share)
 
 
@@ -497,44 +557,58 @@ def _pattern_search(
     lanes of different channels and weights share the objective calls.
     Returns the (values, points) the lanes end at.
 
-    A lane moves in the coordinates (rho1, rho2, t) of ``place``, with the
-    correlations in [0, _RHO_MAX]: t is the log of the free variance over
-    (1 - rho^2)/g, the point where the free variance's effective power
-    reaches 0 at weight 1, so a move of rho carries that variance along.
-    Each step is one objective call that polls, for every live lane, the 18
-    moves of ``_POLL`` scaled by the lane's steps.  The lane takes its best
-    strict improvement; if there is none, its steps shrink by 4.  They start
-    at 0.15 and log(3); a lane stops once its log step is below _STEP_FLOOR,
-    or after _POLL_CAP polls.  Every polled point is ``clamp``ed and its
-    value is the objective there, so every end is a valid bound.
+    A lane moves in the coordinates (r, w, t) of ``place``, with r in
+    [0, _RHO_MAX] and w in [0, _RHO_MAX*sqrt(1 - r^2)].  Every _ANCHOR_POLLS
+    polls it takes t = 0 afresh at the kink of the free variance's effective
+    power nearer its point (``nearer_left``), so that a lane on that kink
+    moves along it by axis moves.  Each step is one objective call that
+    polls, for every live lane, the 18 moves of ``_POLL`` scaled by the
+    lane's steps and twice its last accepted move (the pattern move of Hooke
+    and Jeeves, which speeds a lane along a valley).  The lane takes its
+    best strict improvement; if there is none, its steps shrink by 4.  They
+    start at 0.15 and log(3); a lane stops once its log step is below
+    _STEP_FLOOR, or after _POLL_CAP polls.  Every polled point is
+    ``clamp``ed and its value is the objective there, so every end is a
+    valid bound.
     """
     x = obj.clamp(starts)
     val = obj(x)
-    free = obj._pick(x[3], x[2]) * obj.gain / _gap(obj._pick(x[0], x[1]))
-    y = np.array([x[0], x[1], np.log(free)])
     out_val, out_x = val.copy(), x.copy()
     ids = np.arange(x.shape[1])  # lane of each live entry
     shrinks = np.zeros(ids.size)
-    for _ in range(_POLL_CAP):
+    moved = np.zeros((3, ids.size))  # each lane's last accepted move; 0 after a failed poll
+    for poll in range(_POLL_CAP):
         # Candidates are (3, live lanes, moves); each lane's entry of the
         # objective broadcasts over its moves.
         polled = obj.take(ids[:, None])
+        if poll % _ANCHOR_POLLS == 0:
+            polled.at_left = at_left = polled.nearer_left(x[:, :, None])
+            y = polled.coordinates(x[:, :, None])[:, :, 0]
+        else:
+            polled.at_left = at_left
         steps = _FIRST_STEPS * 0.25**shrinks
-        cand = y[:, :, None] + steps[:, :, None] * _POLL[:, None, :]
-        np.clip(cand[:2], 0.0, _RHO_MAX, out=cand[:2])
+        moves = np.concatenate([steps[:, :, None] * _POLL[:, None, :], 2.0 * moved[:, :, None]], axis=2)
+        cand = y[:, :, None] + moves
+        r, w = np.maximum(cand[:2], 0.0, out=cand[:2])
+        np.minimum(r, _RHO_MAX, out=r)
+        np.minimum(w, _RHO_MAX * np.sqrt(_gap(r)), out=w)
         cand_x = polled.place(cand)
         cand_val = polled(cand_x)
-        lane, best = np.arange(ids.size), np.argmin(cand_val, axis=1)
-        better = cand_val[lane, best] < val
-        y = np.where(better, cand[:, lane, best], y)
+        lane, best = np.arange(ids.size), cand_val.argmin(axis=1)
+        best_val = cand_val[lane, best]
+        better = best_val < val
+        chosen = cand[:, lane, best]
+        moved = np.where(better, chosen - y, 0.0)
+        y = np.where(better, chosen, y)
         x = np.where(better, cand_x[:, lane, best], x)
-        val = np.where(better, cand_val[lane, best], val)
+        val = np.where(better, best_val, val)
         shrinks += ~better
         out_val[ids], out_x[:, ids] = val, x
-        live = _LOG_STEP * 0.25**shrinks >= _STEP_FLOOR
+        live = shrinks <= _MAX_SHRINKS
         if not live.any():
             break
-        ids, y, x, val, shrinks = ids[live], y[:, live], x[:, live], val[live], shrinks[live]
+        ids, x, y, val = ids[live], x[:, live], y[:, live], val[live]
+        shrinks, moved, at_left = shrinks[live], moved[:, live], at_left[live]
     return out_val, out_x
 
 
@@ -542,8 +616,10 @@ def _tight_sum_certificate(ch: TwoUserChannel) -> "GenieParams | None":
     # Local import: capacity builds on this module.
     from .capacity import CertificateUnavailableError, noisy_certificate, noisy_condition
 
+    if not noisy_condition(ch)[0]:
+        return None
     try:
-        return noisy_certificate(ch) if noisy_condition(ch)[0] else None
+        return noisy_certificate(ch)
     except CertificateUnavailableError:
         return None
 
@@ -551,8 +627,9 @@ def _tight_sum_certificate(ch: TwoUserChannel) -> "GenieParams | None":
 def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` smallest of ``vals`` (at least k entries, no
     nan), ties in index order: ``np.argsort(vals, kind="stable")[:k]``
-    without sorting the rest, for the k smallest are among the entries at
-    or below the k-th smallest value, which keep their index order."""
+    without sorting the rest.  Every entry up to the k-th smallest value is
+    among those at or below it, which keep their index order for the stable
+    sort."""
     kth = np.partition(vals, k - 1)[k - 1]
     near = np.flatnonzero(vals <= kth)
     return near[np.argsort(vals[near], kind="stable")[:k]]
@@ -568,9 +645,10 @@ def _probe_grid(ch: TwoUserChannel, objective: _MuObjective) -> np.ndarray:
     smax = 10.0 * max(ch.p1, ch.p2, 1.0 / ch.a, 1.0 / ch.b)
     axis, fine = (np.linspace(0.0, _RHO_MAX, n) for n in (_GRID_POINTS, 2 * _GRID_POINTS))
     free = np.geomspace(_SIGMA_FLOOR, smax, _GRID_POINTS)
-    grid = np.array(np.meshgrid(axis, axis, free, indexing="ij")).reshape(3, -1)
-    grid[2] = np.log(grid[2] * objective.gain / _gap(objective._pick(grid[0], grid[1])))
-    manifold = np.array(np.meshgrid(fine, fine, [0.0], indexing="ij")).reshape(3, -1)
+    r, rho, s = np.array(np.meshgrid(axis, axis, free, indexing="ij")).reshape(3, -1)
+    grid = [r, rho * np.sqrt(_gap(r)), np.log(s * objective.gain / _gap(rho))]
+    r, rho = np.array(np.meshgrid(fine, fine, indexing="ij")).reshape(2, -1)
+    manifold = [r, rho * np.sqrt(_gap(r)), np.zeros_like(r)]
     return objective.place(np.concatenate([grid, manifold], axis=1))
 
 
@@ -626,15 +704,21 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
         ends = zip(values.tolist(), points.T)
         for i in searched:
             best[i] = min(found[i] + [next(ends) for _ in found[i]], key=lambda c: c[0])
+    objective = _MuObjective.of(requests)
     xs = np.array([x for _, x in best]).T
-    p1_stars, p2_stars = _MuObjective.of(requests).effective(xs)
-    return tuple(
-        SupportingLine(kind=WeightKind.MU, weight=mu, value=val, genie=GenieParams(*x),
-                       effective=(p1_star, p2_star))
-        for (_, mu), (val, _), x, p1_star, p2_star in zip(
-            requests, best, xs.T.tolist(), p1_stars.tolist(), p2_stars.tolist()
-        )
-    )
+    p1_stars, p2_stars = objective.effective(xs)
+    lines = []
+    for (_, mu), (val, _), x, p1_star, p2_star in zip(
+        requests, best, xs.T.tolist(), p1_stars.tolist(), p2_stars.tolist()
+    ):
+        lines.append(SupportingLine(
+            kind=WeightKind.MU,
+            weight=mu,
+            value=val,
+            genie=GenieParams(rho1=x[0], rho2=x[1], sigma1_sq=x[2], sigma2_sq=x[3]),
+            effective=(p1_star, p2_star),
+        ))
+    return tuple(lines)
 
 
 def optimize_constraint1_many(
@@ -648,10 +732,10 @@ def optimize_constraint1_many(
     each side of weight 1 is evaluated at all of that side's weights in one
     objective call, and the pattern searches of all (weight, start) pairs,
     about 4 per weight, run in lockstep: each search step is one objective
-    call that polls the 18 moves of every live lane, so the searches of a
-    65-weight region take at most 141 calls (the start values, then at most
-    140 polls, the cap of one lane).  FIG1's default region takes 144 calls
-    in all, against 3,061 as 65 separate calls.
+    call that polls the 19 moves of every live lane, so the searches of a
+    65-weight region take at most 301 calls (the start values, then at most
+    300 polls, the cap of one lane).  FIG1's default region takes 58 calls
+    in all, against 2,821 as 65 separate calls.
     """
     _require_regime(ch)
     return _mu_lines((ch, mu) for mu in mus)
@@ -668,9 +752,9 @@ def optimize_constraint1(ch: TwoUserChannel, mu: float) -> SupportingLine:
     (``_MuObjective.place``): a coarse feasible grid (8 points per
     coordinate, the variance log-spaced, plus a 16 x 16 manifold), then a
     pattern search (``_pattern_search``) from the 4 best grid points.  The
-    searches run in lockstep, each step one objective call that polls 18
+    searches run in lockstep, each step one objective call that polls 19
     moves per start, so a weight costs as many calls as its longest search
-    (at most 142; median 44 on FIG1's default weights).  The result is
+    (at most 302; median 43 on FIG1's default weights).  The result is
     always an upper bound on R1 + mu*R2 (every probe is feasible) and never
     exceeds the bound at any probed point.
 
@@ -691,14 +775,16 @@ def sum_upper_bounds(channels) -> tuple[float | None, ...]:
     channels take their closed-form certificates, all evaluated in one
     objective call; every other channel's probe grid takes one call, and
     their weight-1 MU searches run as one lockstep pattern search, each of
-    whose objective calls polls the 18 moves of every channel's lanes, so
+    whose objective calls polls the 19 moves of every channel's lanes, so
     the searches cost as many objective calls as the longest of them, not
     the sum over the channels.  Each bound equals ``sum_upper_bound`` of its
     channel.
     """
     channels = tuple(channels)
     regime = [0.0 < ch.a < 1.0 and 0.0 < ch.b < 1.0 for ch in channels]
-    mu_lines = iter(_mu_lines((ch, 1.0) for ch, ok in zip(channels, regime) if ok))
+    mu_lines = iter(_mu_lines(
+        (ch, 1.0) for ch, ok in zip(channels, regime) if ok
+    ))
     out = []
     for ch, ok in zip(channels, regime):
         bounds = [next(mu_lines).value] if ok else []
