@@ -21,7 +21,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -151,12 +150,14 @@ def _genie_point(gp: GenieParams) -> np.ndarray:
 def _objective_at(
     ch: TwoUserChannel, mu: float, gp: GenieParams
 ) -> tuple["_MuObjective", np.ndarray]:
-    """The MU objective of ``ch`` at weight ``mu``, and ``gp`` as its point;
-    ValueError outside the MU regime or the feasibility box."""
+    """The MU objective of ``ch`` at weight ``mu``, and ``gp`` as its point,
+    in the objective's (free user, capped user) order; ValueError outside
+    the MU regime or the feasibility box."""
     _require_regime(ch)
     if not sigma_feasible(ch, mu, gp):
         raise ValueError("genie parameters are outside the feasibility box")
-    return _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mu), _genie_point(gp)
+    objective = _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mu)
+    return objective, _with_gaps(objective.order(_genie_point(gp)))
 
 
 def effective_powers(
@@ -171,7 +172,8 @@ def effective_powers(
     and only the two outer branches remain.
     """
     objective, x = _objective_at(ch, mu, gp)
-    p1_star, p2_star = objective.effective(x)
+    with np.errstate(all="ignore"):
+        p1_star, p2_star = objective.order(objective.effective(x))
     return float(p1_star), float(p2_star)
 
 
@@ -179,7 +181,8 @@ def eval_constraint1(ch: TwoUserChannel, mu: float, gp: GenieParams) -> float:
     """MU-family bound on R1 + mu*R2 at one feasible genie parameter point
     (no minimization).  Returns +inf at degenerate boundary parameters."""
     objective, x = _objective_at(ch, mu, gp)
-    return float(objective(x))
+    with np.errstate(all="ignore"):
+        return float(objective(x))
 
 
 def user1_genie_bound(ch: TwoUserChannel, rho1: float, sigma1: float) -> float:
@@ -190,16 +193,16 @@ def user1_genie_bound(ch: TwoUserChannel, rho1: float, sigma1: float) -> float:
 
     For fixed rho1 this is minimized over sigma1 at rho1*sigma1 = 1 + a*p2,
     where it equals user 1's single-user-detection rate.  +inf where a log
-    argument is <= 0.  rho1 must lie in [0, 1] and sigma1 be finite and > 0,
-    as in ``GenieParams``.
+    argument is <= 0 or a term overflows.  rho1 must lie in [0, 1] and
+    sigma1 be finite and > 0, as in ``GenieParams``.
     """
     if not 0.0 <= rho1 <= 1.0:
         raise ValueError(f"rho1 must lie in [0, 1], got {rho1}")
     if not (math.isfinite(sigma1) and sigma1 > 0.0):
         raise ValueError(f"sigma1 must be finite and > 0, got {sigma1}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        share = _user_share(ch.p1, ch.p1, ch.a, ch.p2, ch.p2, rho1, sigma1 * sigma1)
-    return float(0.5 * share)
+    with np.errstate(all="ignore"):
+        share = _user_share(ch.p1, ch.p1, ch.a, ch.p2, ch.p2, rho1, _gap(rho1), sigma1 * sigma1)
+    return float(0.5 * share) if np.isfinite(share) else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +313,24 @@ _POLL = np.array([*_EYE, *-_EYE] + [
 ]).T
 # The constants of a _MuObjective with one value per entry, which ``take``
 # gathers.
-_ENTRY_VALUES = (
-    "a", "b", "p1", "p2", "mu", "half_mu", "b_mu", "hi_left", "hi_den",
-    "lo_left", "lo_den", "gain", "tight", "ratio", "offset",
-)
+_ENTRY_VALUES = ("p_a", "p_b", "g_a", "g_b", "w_a", "w_b", "c", "d", "off", "den", "tight", "ratio")
+
+
+def _mirror(mirrored, first, second):
+    """(first, second) at the entries not ``mirrored``, else (second, first);
+    not broadcast against ``mirrored`` where all its entries agree, so that
+    terms of a probe grid free of the weight are computed once per point."""
+    if not mirrored.any():
+        return first, second
+    if mirrored.all():
+        return second, first
+    return np.where(mirrored, second, first), np.where(mirrored, first, second)
+
+
+def _with_gaps(x: np.ndarray) -> np.ndarray:
+    """Points (r_A, r_B, s_A, s_B) with rows 1 - r_A^2 and 1 - r_B^2 added:
+    the points a _MuObjective takes."""
+    return np.concatenate([x, _gap(x[:2])])
 
 
 class _MuObjective:
@@ -322,43 +339,48 @@ class _MuObjective:
     search and, at one point, by ``eval_constraint1``, ``effective_powers``
     and (through ``_user_share``) ``user1_genie_bound``.
 
-    Points are arrays with rows (rho1, rho2, sigma1_sq, sigma2_sq), or one
-    such column.  The channel parameters and ``mu`` broadcast against a row:
-    scalars for the probe grid of one channel at one weight, a column of
-    weights for that grid at each of them, or one value per lane of the
-    pattern search, whose lanes may belong to different channels.  Only the
-    branches of the weights present are evaluated.  The sub-expressions free
-    of the point are computed once, with the same operations in the same
-    order as a one-point call, so each entry is bit-for-bit the value of a
-    one-point call on its own channel.
+    Each entry orders its users as (A, B): the free user A, whose effective
+    power moves, and the capped user B, whose variance the box caps.  A is
+    user 1 for mu >= 1 and user 2 for mu < 1 (the ``mirrored`` entries).
+    Exchanging the users maps one side of weight 1 to the other: the bound
+    of the channel (b, a, p2, p1) at weight 1/mu, times mu, is the bound at
+    mu.  So with each entry's constants in its own order (powers p_A, p_B,
+    gains g_A, g_B, user 1's being a, share weights w_A, w_B, and those of
+    ``effective``) one code path serves both sides.  ``order`` maps rows in
+    user order to this order and back.
+
+    Points are arrays with rows (r_A, r_B, s_A, s_B, 1 - r_A^2, 1 - r_B^2),
+    or one such column.  The constants broadcast against a row: scalars for
+    the probe grid of one channel at one weight, a column of weights for
+    that grid at each of them, or one value per lane of the pattern search.
+    Each entry is bit-for-bit the value of a one-point call on its own
+    channel: its constants take the same operations in the same order.
 
     A call is the one way to evaluate it, at points of the feasibility box
-    only: the search ``clamp``s every point it polls, and the one-point
-    callers check theirs with ``sigma_feasible``.
+    only: the search ``clamp``s or ``place``s every point it polls, and the
+    one-point callers check theirs with ``sigma_feasible``.  Callers ignore
+    numpy's floating-point warnings, which its +inf cases raise.
     """
 
     def __init__(self, a, b, p1, p2, mu):
         mu = np.asarray(mu, dtype=float)
-        # mu < 1 caps sigma1_sq; mu >= 1 caps sigma2_sq, and mu == 1 has no
-        # sloped branch in its effective power.
-        self.lo, self.one, self.hi = mu < 1.0, mu == 1.0, mu > 1.0
-        self.any_lo, self.any_one, self.any_hi = (
-            bool(self.lo.any()), bool(self.one.any()), bool(self.hi.any())
-        )
-        self.a, self.b, self.p1, self.p2, self.mu = a, b, p1, p2, mu
-        self.half_mu = 0.5 * mu
-        self.b_mu = b * mu
-        self.hi_left = (1.0 - mu) * p1 / mu
-        self.hi_den = self.b_mu - b
-        self.lo_left = (mu - 1.0) * p2
-        self.lo_den = a - a * mu
-        # g and 1 + g*q of the capped variance's user; see ``place``.
-        self.gain = np.where(self.lo, a, b)
-        self.tight = np.where(self.lo, a * p2, b * p1) + 1.0
-        # The free variance's effective power falls between L = max(offset +
-        # R, 0) and R = ratio*(1 - rho^2)/g; see ``_scale``.
-        self.ratio = np.where(self.lo, mu, 1.0 / mu)
-        self.offset = np.where(self.lo, self.lo_left, self.hi_left)
+        self.mirrored = mu < 1.0
+        # mu == 1 has no sloped branch in its effective power.
+        self.one = mu == 1.0
+        self.any_one = bool(self.one.any())
+        self.p_a, self.p_b = _mirror(self.mirrored, p1, p2)
+        self.g_a, self.g_b = _mirror(self.mirrored, a, b)
+        self.w_a, self.w_b = _mirror(self.mirrored, 0.5, 0.5 * mu)
+        b_mu = b * mu
+        self.c = np.where(self.mirrored, mu, 1.0)
+        self.d = np.where(self.mirrored, a, b_mu)
+        self.off = np.where(self.mirrored, (mu - 1.0) * p2, (1.0 - mu) * p1 / mu)
+        self.den = np.where(self.mirrored, a - a * mu, b_mu - b)
+        # 1 + g_B*p_A; see ``place``.
+        self.tight = self.g_b * self.p_a + 1.0
+        # The free variance's effective power falls between L = max(off + R,
+        # 0) and R = ratio*(1 - r_B^2)/g_B; see ``_scale``.
+        self.ratio = np.where(self.mirrored, mu, 1.0 / mu)
         self.at_left = np.False_  # where t = 0 lies at L; the search sets it per lane
 
     @classmethod
@@ -366,70 +388,54 @@ class _MuObjective:
         """One entry per (channel, mu) request."""
         return cls(*np.array([(ch.a, ch.b, ch.p1, ch.p2, mu) for ch, mu in requests]).T)
 
-    @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """The per-entry constants as rows of one array, ``_ENTRY_VALUES``
-        order, and the branch masks lo, one, hi as rows of another."""
-        return (
-            np.array([getattr(self, name) for name in _ENTRY_VALUES]),
-            np.array([self.lo, self.one, self.hi]),
-        )
+    def order(self, x) -> np.ndarray:
+        """Rows of ``x`` in pairs (user 1, user 2) as pairs (A, B), or pairs
+        (A, B) as pairs (user 1, user 2): the map is its own inverse."""
+        return np.array([v for pair in zip(x[::2], x[1::2]) for v in _mirror(self.mirrored, *pair)])
 
     def take(self, idx) -> "_MuObjective":
-        """The entries ``idx`` of an objective with one entry per lane,
-        gathered from its stacked constants.  The any_* flags stay this
-        objective's: a branch flagged for entries not taken is computed and
-        then discarded by np.where, which changes no value."""
-        values, masks = self._stacked
+        """The entries ``idx`` of an objective with one entry per lane.  Lanes
+        of both sides of weight 1 share the gathered rows: each entry's
+        constants are already in its own (A, B) order."""
         sub = object.__new__(_MuObjective)
+        values = np.array(np.broadcast_arrays(*(getattr(self, name) for name in _ENTRY_VALUES)))
         # np.take returns C-ordered rows; values[:, idx] would be F-ordered,
         # every row strided.
         sub.__dict__.update(zip(_ENTRY_VALUES, np.take(values, idx, axis=1)))
-        sub.lo, sub.one, sub.hi = np.take(masks, idx, axis=1)
-        sub.any_lo, sub.any_one, sub.any_hi = self.any_lo, self.any_one, self.any_hi
+        sub.one = np.take(self.one, idx)
+        sub.any_one = bool(sub.one.any())
+        sub.at_left = np.False_
         return sub
 
-    def _pick(self, lo, hi):
-        """``lo`` at the entries of weights below 1, ``hi`` at the others."""
-        if not self.any_lo:
-            return hi
-        if not (self.any_one or self.any_hi):
-            return lo
-        return np.where(self.lo, lo, hi)
-
     def clamp(self, x: np.ndarray) -> np.ndarray:
-        """Project points (rows rho1, rho2, s1, s2) into the feasibility box:
-        the correlations into [0, _RHO_MAX], the variances above a floor and
-        the capped one, s2 for mu >= 1 and s1 for mu < 1, below its cap
-        (1 - r^2)/g, with r and g the other user's correlation and gain.
+        """Project points (rows r_A, r_B, s_A, s_B; further rows are ignored)
+        into the feasibility box: the correlations into [0, _RHO_MAX], then
+        ``_boxed``."""
+        r_a, r_b = np.minimum(np.maximum(x[:2], 0.0), _RHO_MAX)
+        return self._boxed(r_a, r_b, x[2], x[3], _gap(r_a), _gap(r_b))
+
+    def _boxed(self, r_a, r_b, s_a, s_b, gap_a, gap_b) -> np.ndarray:
+        """The points at correlations in [0, _RHO_MAX], their gaps, and the
+        variances above a floor and s_B below its cap (1 - r_A^2)/g_A.
 
         The cap is rounded down into the exact box: 1 - r, 1 + r, their
         product and the quotient are rounded once each at most, so the float
         (1 - r)*(1 + r)/g is at most (1 + u)^4 times the exact cap, u =
         2^-53, and _CAP_SHRINK = 1 - 8u leaves (1 + u)^5*(1 - 8u) < 1."""
-        out = np.empty_like(x)
-        r1, r2 = np.minimum(np.maximum(x[:2], 0.0), _RHO_MAX, out=out[:2])
-        s1, s2 = np.maximum(x[2:], _SIGMA_FLOOR * 1e-2, out=out[2:])
-        cap = _gap(self._pick(r2, r1)) / self._pick(self.b, self.a) * _CAP_SHRINK
-        if self.any_lo:
-            np.minimum(s1, self._pick(cap, np.inf), out=s1)
-        if self.any_one or self.any_hi:
-            np.minimum(s2, self._pick(np.inf, cap), out=s2)
-        return out
+        floor = _SIGMA_FLOOR * 1e-2
+        cap = gap_a / self.g_a * _CAP_SHRINK
+        s_b = np.minimum(np.maximum(s_b, floor), cap)
+        return np.array([r_a, r_b, np.maximum(s_a, floor), s_b, gap_a, gap_b])
 
     def place(self, y: np.ndarray) -> np.ndarray:
-        """The box points at search coordinates y = (r, w, t).  Let rho be
-        the correlation of the capped variance's user, g its gain and q the
-        other user's power, and r the other correlation: rho2, b, p1 and
-        rho1 for mu >= 1, rho1, a, p2 and rho2 for mu < 1.  Then rho is
-        w/sqrt(1 - r^2), at most _RHO_MAX, the free variance is
-        exp(t)*(1 - rho^2)/g, and the capped one is ``clamp``ed from
-        ((1 + g*q)/rho)^2.
+        """The box points at search coordinates y = (r, w, t), clipped in
+        place to r in [0, _RHO_MAX] and w in [0, _RHO_MAX*sqrt(1 - r^2)]:
+        r_A = r, r_B = w/sqrt(1 - r^2), at most _RHO_MAX, s_A = exp(t)*(1 -
+        r_B^2)/g_B, and s_B ``clamp``ed from ((1 + g_B*p_A)/r_B)^2.
 
-        That capped variance minimizes the objective at fixed correlations
-        and free variance.  It, s = sigma^2, enters only its own user's
-        share, at full power p (the effective powers move only the other
-        user's power, and do not depend on s):
+        That s_B minimizes the objective at fixed correlations and s_A.  It,
+        s = sigma^2, enters only B's share, at full power p = p_B (only A's
+        power moves, and not with s); with rho = r_B, g = g_B and q = p_A:
 
             log2(1 + p/s) + log2((p*((sigma - rho)^2 + k) + s*k)/(p + s))
               = log2(p*(1 - rho*u)^2 + p*k*u^2 + k),
@@ -442,120 +448,107 @@ class _MuObjective:
         minimizer is that value clipped to the cap: the cap at rho = 0.
 
         The coordinates lay kinks of the objective on planes, where a lane
-        at a kink moves along it by axis moves; in (rho1, rho2, log of the
-        free variance) they are curved, and no poll move may descend along
-        them.  The capped variance leaves its cap (1 - r^2)/g' (g' the other
-        gain) where w = (1 + g*q)*sqrt(g'), whatever r is.  The free
-        variance's effective power falls between L and R (see ``_scale``):
-        R lies at t = log(mu) (mu < 1) or -log(mu), and L at t = 0 at the
-        entries ``at_left``.
+        at a kink moves along it by axis moves; in (r_A, r_B, log s_A) they
+        are curved.  s_B leaves its cap where w = (1 + g*q)*sqrt(g_A),
+        whatever r is.  A's effective power falls between L and R (see
+        ``_scale``): R lies at t = log(mu) (mu < 1) or -log(mu), and L at t
+        = 0 at the entries ``at_left``.
         """
         r, w, t = y
-        rho = np.minimum(w / np.sqrt(_gap(r)), _RHO_MAX)
-        free = np.exp(t) * self._scale(rho)
-        with np.errstate(divide="ignore", over="ignore"):
-            capped = np.square(self.tight / rho)
-        r1, r2 = self._pick(rho, r), self._pick(r, rho)
-        return self.clamp(np.array([r1, r2, self._pick(capped, free), self._pick(free, capped)]))
+        np.minimum(np.maximum(r, 0.0, out=r), _RHO_MAX, out=r)
+        np.maximum(w, 0.0, out=w)
+        gap_a = _gap(r)
+        root = np.sqrt(gap_a)
+        np.minimum(w, _RHO_MAX * root, out=w)
+        rho = np.minimum(w / root, _RHO_MAX)
+        gap_b = _gap(rho)
+        free = np.exp(t) * self._scale(gap_b)
+        capped = np.square(self.tight / rho)
+        return self._boxed(r, rho, free, capped, gap_a, gap_b)
 
     def coordinates(self, x: np.ndarray) -> np.ndarray:
         """The search coordinates (r, w, t) of box points ``x``; see ``place``."""
-        r1, r2, s1, s2 = x
-        rho, r = self._pick(r1, r2), self._pick(r2, r1)
-        t = np.log(self._pick(s2, s1) / self._scale(rho))
-        return np.array([r, rho * np.sqrt(_gap(r)), t])
+        t = np.log(x[2] / self._scale(x[5]))
+        return np.array([x[0], x[1] * np.sqrt(x[4]), t])
 
-    def _scale(self, rho):
-        """The free variance at t = 0: (1 - rho^2)/g, or L = max(offset + R,
-        0) at the entries ``at_left``.  The free variance's effective power
-        starts to fall at L and reaches 0 at R = ratio*(1 - rho^2)/g: the
-        left and right of ``effective``."""
-        scale = _gap(rho) / self.gain
+    def _scale(self, gap_b):
+        """The free variance at t = 0, from gap_b = 1 - r_B^2: gap_b/g_B, or
+        L = max(off + R, 0) at the entries ``at_left``.  The free variance's
+        effective power starts to fall at L and reaches 0 at R =
+        ratio*gap_b/g_B: the left and right of ``effective``."""
+        scale = gap_b / self.g_b
         if not self.at_left.any():
             return scale
-        return np.where(self.at_left, np.maximum(self.offset + self.ratio * scale, 0.0), scale)
+        return np.where(self.at_left, np.maximum(self.off + self.ratio * scale, 0.0), scale)
 
     def nearer_left(self, x: np.ndarray) -> np.ndarray:
         """Whether the free variance of points ``x`` lies nearer L than R, in
         log; False where L = 0.  See ``_scale``."""
-        rho = self._pick(x[0], x[1])
-        free = self._pick(x[3], x[2])
-        right = self.ratio * _gap(rho) / self.gain
-        left = np.maximum(self.offset + right, 0.0)
-        return (left > 0.0) & (free * free < left * right)
+        right = self.ratio * x[5] / self.g_b
+        left = np.maximum(self.off + right, 0.0)
+        return (left > 0.0) & (x[2] * x[2] < left * right)
 
     def effective(self, x: np.ndarray):
-        """Effective powers (p1_star, p2_star) at points ``x``; see
-        ``effective_powers``.  Points must lie in the box."""
-        a, b, p1, p2 = self.a, self.b, self.p1, self.p2
-        r1, r2, s1, s2 = x
-        p1_star, p2_star = p1, p2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.any_hi or self.any_one:
-                gap2 = _gap(r2)
-            if self.any_hi:
-                left = np.maximum(self.hi_left + gap2 / self.b_mu, 0.0)
-                right = gap2 / self.b_mu
-                mid = (gap2 - self.b_mu * s1) / self.hi_den
-                sloped = np.where(s1 <= left, p1, np.where(s1 <= right, mid, 0.0))
-                p1_star = np.where(self.hi, sloped, p1_star)
-            if self.any_one:
-                p1_star = np.where(
-                    self.one, np.where(b * s1 <= gap2, p1, 0.0), p1_star
-                )
-            if self.any_lo:
-                gap1 = _gap(r1)
-                left = np.maximum(self.lo_left + self.mu * gap1 / a, 0.0)
-                right = self.mu * gap1 / a
-                mid = (self.mu * gap1 - a * s2) / self.lo_den
-                sloped = np.where(s2 <= left, p2, np.where(s2 <= right, mid, 0.0))
-                p2_star = np.where(self.lo, sloped, p2_star)
-        return p1_star, p2_star
+        """Effective powers (A's, B's) at box points ``x``; see
+        ``effective_powers``.  B's stays p_B.  A's is p_A up to left =
+        max(off + right, 0), then (c*(1 - r_B^2) - d*s_A)/den, down to 0 at
+        right = c*(1 - r_B^2)/d, with (c, d, off, den) = (1, b*mu, (1 -
+        mu)*p1/mu, b*mu - b) for mu >= 1 and (mu, a, (mu - 1)*p2, a - a*mu),
+        those of the mirror at 1/mu scaled by mu, for mu < 1.  At mu == 1 it
+        is p_A where g_B*s_A <= 1 - r_B^2, else 0."""
+        s_a = x[2]
+        cg = self.c * x[5]
+        ds = self.d * s_a
+        right = cg / self.d
+        left = np.maximum(self.off + right, 0.0)
+        p_a = np.where(s_a <= left, self.p_a, np.where(s_a <= right, (cg - ds) / self.den, 0.0))
+        if self.any_one:
+            p_a = np.where(self.one, np.where(ds <= cg, self.p_a, 0.0), p_a)
+        return p_a, self.p_b
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Objective values at points ``x``, which must lie in the box: put
         them there with ``clamp`` or check them with ``sigma_feasible``.
         Points at degenerate parameters come out +inf."""
-        r1, r2, s1, s2 = x
-        p1_star, p2_star = self.effective(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = 0.5 * _user_share(
-                self.p1, p1_star, self.a, self.p2, p2_star, r1, s1
-            ) + self.half_mu * _user_share(
-                self.p2, p2_star, self.b, self.p1, p1_star, r2, s2
-            )
+        r_a, r_b, s_a, s_b, gap_a, gap_b = x
+        p_a, p_b = self.effective(x)
+        val = self.w_a * _user_share(
+            self.p_a, p_a, self.g_a, self.p_b, p_b, r_a, gap_a, s_a
+        ) + self.w_b * _user_share(
+            self.p_b, p_b, self.g_b, self.p_a, p_a, r_b, gap_b, s_b
+        )
         return np.where(np.isfinite(val), val, np.inf)
 
 
-def _user_share(p, p_star, gain, p_other, p_star_other, rho, s):
-    """Twice one user's share of the MU bound, in bits:
+def _user_share(p, p_star, gain, p_other, p_star_other, rho, gap, s):
+    """Twice one user's share of the MU bound, in bits, with gap = 1 - rho^2:
 
-        log2(1 + p_star/s) - log2(gain*p_star_other + 1 - rho^2)
-      + log2(1 + p + gain*p_other - (p + rho*sqrt(s))^2/(p + s)),
+        log2(1 + p_star/s) - log2(gain*p_star_other + gap)
+      + log2(1 + p + gain*p_other - (p + rho*sqrt(s))^2/(p + s)).
 
-    +inf where a log argument is <= 0.  The arguments broadcast.  The last
-    argument is evaluated as (p*((sqrt(s) - rho)^2 + k) + s*k)/(p + s) with
-    k = gain*p_other + 1 - rho^2, a sum of terms >= 0: the difference as
-    written loses about p*2^-53 to cancellation, which at large powers
-    would put the bound below the rate it bounds.  Callers ignore numpy's
-    divide and invalid warnings, which the +inf cases raise.
+    The arguments broadcast.  The last argument is evaluated as
+    (p*((sqrt(s) - rho)^2 + k) + s*k)/(p + s) with k = gain*p_other + gap, a
+    sum of terms >= 0: the difference as written loses about p*2^-53 to
+    cancellation, which at large powers would put the bound below the rate
+    it bounds.  Where a log argument is <= 0 or a term overflows the share
+    is not finite, and callers read it as +inf; they ignore numpy's
+    floating-point warnings.
     """
-    gap = _gap(rho)
-    shrink = gain * p_star_other + gap
-    k = gain * p_other + gap
     dev = np.sqrt(s) - rho
+    k = gain * p_other + gap
     cond = (p * (dev * dev + k) + s * k) / (p + s)
-    share = np.log2(1.0 + p_star / s) - np.log2(shrink) + np.log2(cond)
-    return np.where((shrink <= 0) | (cond <= 0), np.inf, share)
+    return np.log2(1.0 + p_star / s) - np.log2(gain * p_star_other + gap) + np.log2(cond)
 
 
 def _pattern_search(
     obj: _MuObjective, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pattern search from every start ("lane") at once; ``starts`` is
-    (4, lanes), and ``obj`` holds each lane's own channel and weight, so
-    lanes of different channels and weights share the objective calls.
-    Returns the (values, points) the lanes end at.
+    (4, lanes) or (6, lanes), in the objective's (A, B) order, and ``obj``
+    holds each lane's own channel and weight, so lanes of different
+    channels, weights and sides of weight 1 share the objective calls.
+    Returns the (values, points) the lanes end at.  Callers ignore numpy's
+    floating-point warnings.
 
     A lane moves in the coordinates (r, w, t) of ``place``, with r in
     [0, _RHO_MAX] and w in [0, _RHO_MAX*sqrt(1 - r^2)].  Every _ANCHOR_POLLS
@@ -568,8 +561,9 @@ def _pattern_search(
     best strict improvement; if there is none, its steps shrink by 4.  They
     start at 0.15 and log(3); a lane stops once its log step is below
     _STEP_FLOOR, or after _POLL_CAP polls.  Every polled point is
-    ``clamp``ed and its value is the objective there, so every end is a
-    valid bound.
+    ``place``d in the box and its value is the objective there, so every
+    end is a valid bound.  The live lanes' constants are gathered again only
+    when a lane stops.
     """
     x = obj.clamp(starts)
     val = obj(x)
@@ -577,21 +571,18 @@ def _pattern_search(
     ids = np.arange(x.shape[1])  # lane of each live entry
     shrinks = np.zeros(ids.size)
     moved = np.zeros((3, ids.size))  # each lane's last accepted move; 0 after a failed poll
+    polled = obj.take(ids[:, None])  # each lane's entry broadcasts over its moves
     for poll in range(_POLL_CAP):
-        # Candidates are (3, live lanes, moves); each lane's entry of the
-        # objective broadcasts over its moves.
-        polled = obj.take(ids[:, None])
         if poll % _ANCHOR_POLLS == 0:
-            polled.at_left = at_left = polled.nearer_left(x[:, :, None])
+            polled.at_left = polled.nearer_left(x[:, :, None])
             y = polled.coordinates(x[:, :, None])[:, :, 0]
-        else:
-            polled.at_left = at_left
+        # Candidates are (3, live lanes, moves): the scaled poll moves, then
+        # the pattern move, each from its lane's point.
         steps = _FIRST_STEPS * 0.25**shrinks
-        moves = np.concatenate([steps[:, :, None] * _POLL[:, None, :], 2.0 * moved[:, :, None]], axis=2)
-        cand = y[:, :, None] + moves
-        r, w = np.maximum(cand[:2], 0.0, out=cand[:2])
-        np.minimum(r, _RHO_MAX, out=r)
-        np.minimum(w, _RHO_MAX * np.sqrt(_gap(r)), out=w)
+        cand = np.empty((3, ids.size, _POLL.shape[1] + 1))
+        np.multiply(steps[:, :, None], _POLL[:, None, :], out=cand[:, :, :-1])
+        cand[:, :, -1] = 2.0 * moved
+        cand += y[:, :, None]
         cand_x = polled.place(cand)
         cand_val = polled(cand_x)
         lane, best = np.arange(ids.size), cand_val.argmin(axis=1)
@@ -605,10 +596,14 @@ def _pattern_search(
         shrinks += ~better
         out_val[ids], out_x[:, ids] = val, x
         live = shrinks <= _MAX_SHRINKS
+        if live.all():
+            continue
         if not live.any():
             break
         ids, x, y, val = ids[live], x[:, live], y[:, live], val[live]
-        shrinks, moved, at_left = shrinks[live], moved[:, live], at_left[live]
+        shrinks, moved, at_left = shrinks[live], moved[:, live], polled.at_left[live]
+        polled = obj.take(ids[:, None])
+        polled.at_left = at_left
     return out_val, out_x
 
 
@@ -636,17 +631,17 @@ def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
 
 
 def _probe_grid(ch: TwoUserChannel, objective: _MuObjective) -> np.ndarray:
-    """Coarse feasible probes, (4, n), ``place``d: 8 points per correlation
-    and 8 log-spaced free variances, then a 16 x 16 manifold of correlations
-    with the free variance at its scale, t = 0 (where the closed-form tight
-    point of weight 1 lives; it often holds the minimizer).  The capped
-    variance is in closed form, so the probes depend on the side of weight 1
-    the objective's weight is on, not on the weight."""
+    """Coarse feasible probes, ``place``d: 8 points per correlation and 8
+    log-spaced free variances, then a 16 x 16 manifold of correlations with
+    the free variance at its scale, t = 0 (where the closed-form tight point
+    of weight 1 lives; it often holds the minimizer).  The capped variance
+    is in closed form, so the probes depend on the side of weight 1 the
+    objective's weight is on, not on the weight."""
     smax = 10.0 * max(ch.p1, ch.p2, 1.0 / ch.a, 1.0 / ch.b)
     axis, fine = (np.linspace(0.0, _RHO_MAX, n) for n in (_GRID_POINTS, 2 * _GRID_POINTS))
     free = np.geomspace(_SIGMA_FLOOR, smax, _GRID_POINTS)
     r, rho, s = np.array(np.meshgrid(axis, axis, free, indexing="ij")).reshape(3, -1)
-    grid = [r, rho * np.sqrt(_gap(r)), np.log(s * objective.gain / _gap(rho))]
+    grid = [r, rho * np.sqrt(_gap(r)), np.log(s * objective.g_b / _gap(rho))]
     r, rho = np.array(np.meshgrid(fine, fine, indexing="ij")).reshape(2, -1)
     manifold = [r, rho * np.sqrt(_gap(r)), np.zeros_like(r)]
     return objective.place(np.concatenate([grid, manifold], axis=1))
@@ -665,7 +660,8 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     grid; the first of the best starts and lane ends wins.  A probe grid is
     built once per (channel, mu >= 1) pair, a side, and evaluated at every
     weight of that side in one objective call, with the weights as a
-    column: the probes of a side do not depend on its weights.
+    column: the probes of a side do not depend on its weights.  ValueError
+    where the bound overflows at every probe, at powers past about 1e154.
     """
     requests = tuple(requests)
     for ch, mu in requests:
@@ -677,39 +673,41 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     certs = {ch: _tight_sum_certificate(ch) for ch in {ch for ch, mu in requests if mu == 1.0}}
     tight = [i for i, (ch, mu) in enumerate(requests) if mu == 1.0 and certs[ch] is not None]
     best: list = [None] * len(requests)
-    if tight:
-        xs = np.array([_genie_point(certs[requests[i][0]]) for i in tight]).T
-        vals = _MuObjective.of([requests[i] for i in tight])(xs)
-        for i, val, x in zip(tight, vals.tolist(), xs.T):
-            best[i] = (val, x)
-    sides: dict[tuple[TwoUserChannel, bool], list[int]] = {}
-    for i, (ch, mu) in enumerate(requests):
-        if best[i] is None:
-            sides.setdefault((ch, mu >= 1.0), []).append(i)
-    found: dict[int, list] = {}
-    for (ch, _), side in sides.items():
-        mus = np.array([requests[i][1] for i in side])
-        grid = _probe_grid(ch, _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mus[0]))
-        for i, vals in zip(side, _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mus[:, None])(grid)):
-            found[i] = [
-                (float(vals[j]), grid[:, j]) for j in _smallest(vals, 4) if math.isfinite(vals[j])
-            ]
-            if not found[i]:
-                raise RuntimeError("no feasible genie parameters found")  # unreachable
-    if found:
-        searched = sorted(found)
-        lanes = [requests[i] for i in searched for _ in found[i]]
-        starts = np.array([x for i in searched for _, x in found[i]]).T
-        values, points = _pattern_search(_MuObjective.of(lanes), starts)
-        ends = zip(values.tolist(), points.T)
-        for i in searched:
-            best[i] = min(found[i] + [next(ends) for _ in found[i]], key=lambda c: c[0])
-    objective = _MuObjective.of(requests)
-    xs = np.array([x for _, x in best]).T
-    p1_stars, p2_stars = objective.effective(xs)
+    with np.errstate(all="ignore"):
+        if tight:
+            certified = _MuObjective.of([requests[i] for i in tight])
+            points = np.array([_genie_point(certs[requests[i][0]]) for i in tight]).T
+            xs = _with_gaps(certified.order(points))
+            for i, val, x in zip(tight, certified(xs).tolist(), xs.T):
+                best[i] = (val, x)
+        sides: dict[tuple[TwoUserChannel, bool], list[int]] = {}
+        for i, (ch, mu) in enumerate(requests):
+            if best[i] is None:
+                sides.setdefault((ch, mu >= 1.0), []).append(i)
+        found: dict[int, list] = {}
+        for (ch, _), side in sides.items():
+            mus = np.array([requests[i][1] for i in side])
+            grid = _probe_grid(ch, _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mus[0]))
+            for i, vals in zip(side, _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mus[:, None])(grid)):
+                found[i] = [(float(vals[j]), grid[:, j])
+                            for j in _smallest(vals, 4) if math.isfinite(vals[j])]
+                if not found[i]:
+                    raise ValueError(f"the MU bound overflows at every genie probe at p1={ch.p1}, "
+                                     f"p2={ch.p2}: powers this large are out of range")
+        if found:
+            searched = sorted(found)
+            lanes = [requests[i] for i in searched for _ in found[i]]
+            starts = np.array([x for i in searched for _, x in found[i]]).T
+            values, points = _pattern_search(_MuObjective.of(lanes), starts)
+            ends = zip(values.tolist(), points.T)
+            for i in searched:
+                best[i] = min(found[i] + [next(ends) for _ in found[i]], key=lambda c: c[0])
+        objective = _MuObjective.of(requests)
+        xs = np.array([x for _, x in best]).T
+        genie, effective = objective.order(xs[:4]), objective.order(objective.effective(xs))
     lines = []
-    for (_, mu), (val, _), x, p1_star, p2_star in zip(
-        requests, best, xs.T.tolist(), p1_stars.tolist(), p2_stars.tolist()
+    for (_, mu), (val, _), x, (p1_star, p2_star) in zip(
+        requests, best, genie.T.tolist(), effective.T.tolist()
     ):
         lines.append(SupportingLine(
             kind=WeightKind.MU,

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: channel samplers, geometry checks, an
-MU objective call counter, the reference m-user grid scan, and the stopping
-certificate of the m-user phase-I solve."""
+MU objective call counter, the reference MU bound in user order, the
+reference m-user grid scan, and the stopping certificate of the m-user
+phase-I solve."""
 
 from __future__ import annotations
 
@@ -70,6 +71,49 @@ def count_objective_calls(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(_MuObjective, "__call__", counted)
     return calls
+
+
+def reference_mu_bound(ch, mu: float, x: np.ndarray):
+    """Reference for ``genie._MuObjective``, which evaluates both sides of
+    weight 1 in one (free user, capped user) order: the MU bound and its
+    effective powers at box points x = (rho1, rho2, sigma1_sq, sigma2_sq) of
+    ``ch`` at weight ``mu``, in user order, with one branch per side.
+    Returns (values, p1_star, p2_star), +inf where the bound is not finite.
+    Each branch takes the objective's operations in the objective's order,
+    so the two agree bit for bit."""
+    a, b, p1, p2 = ch.a, ch.b, ch.p1, ch.p2
+    r1, r2, s1, s2 = x
+    gap1, gap2 = (1.0 - r1) * (1.0 + r1), (1.0 - r2) * (1.0 + r2)
+    p1_star, p2_star = np.full_like(s1, p1), np.full_like(s2, p2)
+    with np.errstate(all="ignore"):
+        if mu > 1.0:
+            b_mu = b * mu
+            left = np.maximum((1.0 - mu) * p1 / mu + gap2 / b_mu, 0.0)
+            right = gap2 / b_mu
+            mid = (gap2 - b_mu * s1) / (b_mu - b)
+            p1_star = np.where(s1 <= left, p1, np.where(s1 <= right, mid, 0.0))
+        elif mu == 1.0:
+            p1_star = np.where(b * s1 <= gap2, p1, 0.0)
+        else:
+            left = np.maximum((mu - 1.0) * p2 + mu * gap1 / a, 0.0)
+            right = mu * gap1 / a
+            mid = (mu * gap1 - a * s2) / (a - a * mu)
+            p2_star = np.where(s2 <= left, p2, np.where(s2 <= right, mid, 0.0))
+        val = 0.5 * _reference_share(p1, p1_star, a, p2, p2_star, r1, gap1, s1) + (
+            0.5 * mu * _reference_share(p2, p2_star, b, p1, p1_star, r2, gap2, s2)
+        )
+    return np.where(np.isfinite(val), val, np.inf), p1_star, p2_star
+
+
+def _reference_share(p, p_star, gain, p_other, p_star_other, rho, gap, s):
+    """Twice one user's share of the MU bound, +inf where a log argument is
+    <= 0; see ``genie._user_share``."""
+    shrink = gain * p_star_other + gap
+    k = gain * p_other + gap
+    dev = np.sqrt(s) - rho
+    cond = (p * (dev * dev + k) + s * k) / (p + s)
+    share = np.log2(1.0 + p_star / s) - np.log2(shrink) + np.log2(cond)
+    return np.where((shrink <= 0) | (cond <= 0), np.inf, share)
 
 
 def materialized_grid_scan(model: _Conditions, axis: np.ndarray):

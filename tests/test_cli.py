@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,19 @@ class TestRegionCommand:
         )
         assert code == 1 and err
 
+    def test_overflowing_powers_exit_one(self, capsys, tmp_path):
+        # Past about 1e154 the MU bound overflows at every genie probe: bad
+        # input, one error line, no numpy warning (which would raise here).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "region", "--a", "0.01", "--b", "0.01", "--p1", "1e200",
+                "--p2", "1e200", "--out", str(tmp_path / "r.csv"),
+            )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the MU bound overflows") and err.count("\n") == 1
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestSweepCommand:
     def test_two_point_sweep(self, capsys):
@@ -262,6 +276,27 @@ class TestSweepCommand:
         rows = out.strip().splitlines()[1:]
         assert rows[0].split(",")[1] != "n/a"
         assert rows[1].split(",")[1] == "n/a"
+
+    def test_sum_upper_overflow(self, capsys):
+        # At powers of 1e200 the weight-1 MU search overflows at every probe,
+        # an error; at p1 = 1e300 some probes overflow, and no numpy warning
+        # reaches stderr (it would raise here).
+        channel = ["--a", "0.01", "--b", "0.01", "--p1", "1e200", "--p2", "1e200"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "sweep", *channel, "--param", "p1", "--from", "1e200", "--to", "2e200",
+                "--points", "2", "--metric", "sum-upper",
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith("error: the MU bound overflows") and err.count("\n") == 1
+            code, out, err = run(
+                capsys, "sweep", "--a", "0.5", "--b", "0.5", "--p1", "1e300", "--p2", "1",
+                "--param", "p2", "--from", "1", "--to", "2", "--points", "3",
+                "--metric", "sum-upper",
+            )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "p2,sum-upper" and len(out.splitlines()) == 4
 
     def test_pinned_sum_upper_sweeps(self, capsys):
         # sum-upper rows of three benchmark sweeps (the criterion-3 curve, a

@@ -32,7 +32,12 @@ from gicbounds import genie
 from gicbounds.genie import sigma_limits
 from gicbounds.region import build_outer_region
 
-from helpers import count_objective_calls, sample_noisy_channel, sample_regime_channel
+from helpers import (
+    count_objective_calls,
+    reference_mu_bound,
+    sample_noisy_channel,
+    sample_regime_channel,
+)
 from verify import in_exact_box
 
 FIG1 = TwoUserChannel(a=0.04, b=0.09, p1=10, p2=20)
@@ -391,7 +396,7 @@ class TestOptimizeConstraint1Many:
         # values and 54 polls.
         calls = count_objective_calls(monkeypatch)
         build_outer_region(FIG1)
-        assert calls[0] <= 58
+        assert calls[0] == 58
 
     @given(GAINS, GAINS, POWERS, POWERS, st.lists(WEIGHTS, min_size=1, max_size=3))
     def test_lines_are_feasible_bounds_above_weighted_tin(self, a, b, p1, p2, mus):
@@ -462,21 +467,20 @@ def test_lines_no_looser_than_the_four_coordinate_search():
 
 
 def reduced_values(ch, mu, y):
-    """The MU bound at points y = (rho1, rho2, log of the free variance),
-    (3, n), with the capped variance at min(cap, ((1 + g*q)/rho)^2): sigma2_sq
-    with g*q = b*p1 and rho = rho2 for mu >= 1, sigma1_sq with a*p2 and rho1
-    for mu < 1.  The correlations are clipped to [0, RHO_MAX] and the free
-    variance to at least 1e-6; the cap (1 - r^2)/g, evaluated as
-    (1 - r)*(1 + r)/g, is shrunk by 1e-15 into the exact box."""
+    """The MU bound at points y = (r_A, r_B, log of the free variance s_A),
+    (3, n), in the objective's (free user A, capped user B) order: A is user
+    1 for mu >= 1 and user 2 for mu < 1.  The capped variance s_B is
+    min(cap, ((1 + g_B*p_A)/r_B)^2).  The correlations are clipped to [0,
+    RHO_MAX] and the free variance to at least 1e-6; the cap (1 - r_A^2)/g_A,
+    evaluated as (1 - r_A)*(1 + r_A)/g_A, is shrunk by 1e-15 into the exact
+    box."""
     obj = genie._MuObjective(ch.a, ch.b, ch.p1, ch.p2, mu)
-    r1, r2 = np.clip(y[:2], 0.0, RHO_MAX)
+    r_a, r_b = np.clip(y[:2], 0.0, RHO_MAX)
     free = np.maximum(np.exp(y[2]), 1e-6)
-    rho, r, gq, gain = (r2, r1, ch.b * ch.p1, ch.a) if mu >= 1.0 else (r1, r2, ch.a * ch.p2, ch.b)
-    cap = (1.0 - r) * (1.0 + r) / gain * (1.0 - 1e-15)
-    with np.errstate(divide="ignore", over="ignore"):
-        capped = np.minimum(((1.0 + gq) / rho) ** 2, cap)
-    s1, s2 = (free, capped) if mu >= 1.0 else (capped, free)
-    return obj(np.array([r1, r2, s1, s2]))
+    cap = (1.0 - r_a) * (1.0 + r_a) / obj.g_a * (1.0 - 1e-15)
+    with np.errstate(all="ignore"):
+        capped = np.minimum(((1.0 + obj.g_b * obj.p_a) / r_b) ** 2, cap)
+        return obj(genie._with_gaps(np.array([r_a, r_b, free, capped])))
 
 
 def judge_value(ch, mu):
@@ -521,14 +525,16 @@ class TestPatternSearch:
         # cap, up to 1e-12 relative plus 1e-15 bits: near 1e-6 bits the
         # float bound's own rounding, about 1e-16 bits a log term, exceeds
         # 1e-12 relative.
+        # Points are in the objective's (A, B) order: the capped variance
+        # s_B is row 3 on both sides of weight 1.
         obj = genie._MuObjective(a, b, p1, p2, mu)
-        point = obj.place(np.array([[r], [w], [t]]))
-        row = 3 if mu >= 1.0 else 2
-        cap = obj.clamp(np.array([point[0], point[1], [np.inf], [np.inf]]))[row, 0]
-        scan = np.repeat(point, 2001, axis=1)
-        scan[row] = np.geomspace(1e-6, cap, 2001)
-        best = obj(obj.clamp(scan)).min()
-        assert obj(point)[0] <= best + 1e-12 * abs(best) + 1e-15
+        with np.errstate(all="ignore"):
+            point = obj.place(np.array([[r], [w], [t]]))
+            cap = obj.clamp(np.array([point[0], point[1], [np.inf], [np.inf]]))[3, 0]
+            scan = np.repeat(point, 2001, axis=1)
+            scan[3] = np.geomspace(1e-6, cap, 2001)
+            best = obj(obj.clamp(scan)).min()
+            assert obj(point)[0] <= best + 1e-12 * abs(best) + 1e-15
 
     @pytest.mark.parametrize("vals", [
         np.array([3.0, 1.0, 1.0, 2.0, 1.0, 1.0, 0.5, 1.0]),
@@ -551,12 +557,64 @@ class TestPatternSearch:
                 for start in ((0.0, 1.0, 1.0, 1.0), (1.5, -0.5, 1e3, 1e-9), (0.5, 0.5, 1e9, 1e9)):
                     lanes.append((ch, mu))
                     starts.append(start)
+        # The starts are (rho1, rho2, sigma1_sq, sigma2_sq); the search
+        # takes them in the objective's (A, B) order.
         obj = genie._MuObjective.of(lanes)
-        starts = np.array(starts).T
-        values, points = genie._pattern_search(obj, starts)
-        assert np.array_equal(obj.clamp(points), points)
-        assert np.array_equal(obj(points), values)
-        assert np.all(values < obj(obj.clamp(starts)))
+        starts = obj.order(np.array(starts).T)
+        with np.errstate(all="ignore"):
+            values, points = genie._pattern_search(obj, starts)
+            assert np.array_equal(obj.clamp(points), points)
+            assert np.array_equal(obj(points), values)
+            assert np.all(values < obj(obj.clamp(starts)))
+
+
+# A correlation of the box, often at either end, and a weight below, at or
+# above 1.
+CORRELATIONS = st.one_of(st.just(0.0), st.just(RHO_MAX), st.floats(0.0, RHO_MAX))
+SIDES = st.one_of(WEIGHTS, st.just(1.0))
+
+
+class TestReferenceObjective:
+    @given(GAINS, GAINS, POWERS, POWERS, st.lists(st.tuples(
+        SIDES, CORRELATIONS, CORRELATIONS, st.sampled_from(["L", "R", "between", "log"]),
+        st.sampled_from([-1, 0, 1]), st.floats(-20.0, 20.0),
+        st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+    ), min_size=1, max_size=8))
+    def test_values_and_effective_powers_equal_the_two_branch_form(self, a, b, p1, p2, points):
+        # The free variance (sigma1_sq for mu >= 1) lies on a kink L or R of
+        # its effective power, or one float off it, or between them, or is
+        # log-uniform; the capped one lies at its cap or below.  One
+        # objective holds the points of all weights, in its (A, B) order;
+        # the one-point API converts each point itself.
+        ch = TwoUserChannel(a, b, p1, p2)
+        requests, columns = [], []
+        for mu, r1, r2, kind, toward, log_free, frac in points:
+            gap1, gap2 = (1.0 - r1) * (1.0 + r1), (1.0 - r2) * (1.0 + r2)
+            if mu >= 1.0:
+                right = gap2 / (b * mu)
+                left = max((1.0 - mu) * p1 / mu + right, 0.0)
+            else:
+                right = mu * gap1 / a
+                left = max((mu - 1.0) * p2 + right, 0.0)
+            left = left or right  # L = 0 is no variance
+            between = math.exp(math.log(left) * frac + math.log(right) * (1.0 - frac))
+            free = {"L": left, "R": right, "between": between, "log": math.exp(log_free)}[kind]
+            if toward and kind in ("L", "R"):
+                free = math.nextafter(free, toward * math.inf)
+            cap = min(sigma_limits(ch, mu, r1, r2))
+            capped = cap if frac == 1.0 else cap * frac
+            requests.append((ch, mu))
+            columns.append((r1, r2, free, capped) if mu >= 1.0 else (r1, r2, capped, free))
+        obj = genie._MuObjective.of(requests)
+        with np.errstate(all="ignore"):
+            x = genie._with_gaps(obj.order(np.array(columns).T))
+            values, (p1_star, p2_star) = obj(x), obj.order(obj.effective(x))
+        for i, ((_, mu), column) in enumerate(zip(requests, columns)):
+            ref, ref_p1, ref_p2 = reference_mu_bound(ch, mu, np.array(column))
+            assert (values[i], p1_star[i], p2_star[i]) == (ref, ref_p1, ref_p2)
+            gp = GenieParams(*column)
+            assert eval_constraint1(ch, mu, gp) == ref
+            assert effective_powers(ch, mu, gp) == (ref_p1, ref_p2)
 
 
 class TestTailChannel:
@@ -567,7 +625,7 @@ class TestTailChannel:
         pinned = json.loads((Path(__file__).parent / "data" / "mu_tail.json").read_text())
         calls = count_objective_calls(monkeypatch)
         region = build_outer_region(TwoUserChannel(*pinned["channel"]))
-        assert calls[0] <= 56
+        assert calls[0] == 56
         (line,) = [ln for ln in region.lines if ln.weight == pinned["weight"]]
         g = line.genie
         assert line.value == pinned["value"]
