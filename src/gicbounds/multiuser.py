@@ -19,11 +19,12 @@ In u = rho^2 every slack is a sum of one-variable convex terms (the one
 concave term, u_i/(P_i u_i + (1 + Q_i)^2), enters with a minus sign), so
 feasibility is a convex program.  ``find_rho`` solves its phase-I form,
 minimize t subject to every slack <= t, with a barrier Newton method, and
-accepts a witness only on a one-point evaluation of the model.  At each
-centered point of the solve a dual bound, checked against a proven
-rounding band, can prove that no witness exists and end it.  The
-oracle scans its grid in slabs, one per value of the first coordinate,
-each evaluated by one model call.
+accepts a witness only on a one-point evaluation of the model.  Before
+the solve, two closed-form necessary conditions (a pair test and a
+receiver test) can prove that no witness exists, and at every iterate of
+the solve a dual bound can; each is checked against a proven rounding
+margin.  The oracle scans its grid in slabs, one per value of the first
+coordinate, each evaluated by one model call.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ _CENTERED = 1e-6  # Newton decrement below which a phase-I point is centered
 _GAP = 1e-3  # relative duality gap at which the phase-I solve stops
 _GROWTH = 30.0  # growth of the phase-I barrier weight per centering
 _BAND = 2.0**-27  # relative rounding band of the phase-I dual bound (see _phase_one)
+_NECESSARY = 1.0 + 2.0**-26  # float level of the closed-form necessary conditions
 _UNDERFLOW = 2.0**-980  # its underflow floor, per unit multiplier weight
 
 
@@ -96,10 +98,12 @@ class _Conditions:
     which the phase-I solve calls); their derivatives sit next to it
     (``_curvature``).
 
-    A channel whose Q, (1 + Q)^2 or first-family weights sum_j M1[j, i]
-    overflow is refused with a ValueError: an infinite (1 + Q_j)^2 times a
-    zero gain is nan, and an infinite weight sum makes LHS_i infinite at
-    every rho (each 1/rho_j^2 > 1), so no probe could be compared.
+    A channel whose Q, (1 + Q)^2 or first-family weights
+    W_i = sum_j M1[j, i] overflow is refused with a ValueError: an infinite
+    (1 + Q_j)^2 times a zero gain is nan, and an infinite weight sum makes
+    LHS_i infinite at every rho (each 1/rho_j^2 > 1), so no probe could be
+    compared.  The W_i are kept (``weights``) for the receiver test of
+    ``_necessary_bound``.
     """
 
     def __init__(self, ch: MUserChannel):
@@ -113,8 +117,8 @@ class _Conditions:
             # First family: M1[j, i] = c_ji (1 + Q_j)^2, LHS_i = sum_j M1[j, i] / rho_j^2.
             self.m1 = self.gains_offdiag * self.one_q_sq[:, None]
             # Not finite if a (1 + Q)^2 or an entry of M1 is, or a column sum overflows.
-            weights = self.m1.sum(axis=0)
-        if not np.isfinite(weights).all():
+            self.weights = self.m1.sum(axis=0)
+        if not np.isfinite(self.weights).all():
             raise ValueError(
                 "condition weights overflow: sum_j c_ji (1 + Q_j)^2 exceeds the "
                 f"float range (largest interference power Q = {self.q.max():g})"
@@ -270,12 +274,53 @@ def _two_user_seed(model: _Conditions) -> np.ndarray | None:
     """
     if model.m != 2:
         return None
-    big_a = math.sqrt(model.gains_offdiag[1, 0]) * model.one_q[1]
-    big_b = math.sqrt(model.gains_offdiag[0, 1]) * model.one_q[0]
+    roots = _pair_roots(model)
+    big_a, big_b = roots[1, 0], roots[0, 1]
     s = 0.5 * ((1.0 - big_a) - big_b)
     if not s > 0.0:
         return None
     return np.sqrt([big_b + s, big_a + s])
+
+
+def _pair_roots(model: _Conditions) -> np.ndarray:
+    """R[j, i] = sqrt(c_ji)(1 + Q_j), zero on the diagonal.  For users
+    i != j, A = R[j, i] and B = R[i, j] are the pair's terms of the
+    Cauchy-Schwarz step in ``_two_user_seed``."""
+    return np.sqrt(model.gains_offdiag) * model.one_q[:, None]
+
+
+def _necessary_bound(model: _Conditions) -> float:
+    """The larger of max_{i != j} (A + B) and max_i W_i, in floats.  With b
+    its exact value, the max slack s at every u = rho^2 in (0, 1)^m is at
+    least b - 1; ``find_rho`` skips the solve when the float value exceeds
+    _NECESSARY = 1 + 2^-26.
+
+    * Pair test.  Rows i and j of family 1, with their other terms (all
+      >= 0) dropped, read A^2/u_j <= 1 - u_i + s and B^2/u_i <= 1 - u_j + s,
+      so both right sides are >= 0 and, by Cauchy-Schwarz,
+
+          A + B <= sqrt(u_j (1 - u_i + s)) + sqrt(u_i (1 - u_j + s)) <= 1 + s:
+
+      the step of ``_two_user_seed``, carried with the slack s.
+    * Receiver test.  Row i of family 1 is
+      g_i(u) = sum_j c_ji (1 + Q_j)^2/u_j - (1 - u_i) > W_i - 1, since
+      every 1/u_j > 1 and u_i > 0; W_i are the model's ``weights``.
+
+    Margin.  In the notation of the ``_phase_one`` docstring, 1 + Q_j
+    carries gamma_{m+1}, the correctly rounded sqrt(c_ji) and the product
+    one rounding each, and the sum A + B one more, so the float A + B is
+    (A + B)(1 + theta) with |theta| <= gamma_{m+4}.  W_i sums m terms
+    c_ji K_j of 2m + 4 each, in any order, so it carries gamma_{3m+3}.
+    With m <= 16 both are below 2^-47, so a float value above 1 + 2^-26
+    proves an exact value above (1 + 2^-26)(1 - 2^-47) > 1 + 2^-27: the
+    max slack exceeds 2^-27 at every rho in (0, 1)^m.  A product that
+    underflows errs by at most 2^-1075, which that surplus absorbs.
+    Every point ``find_rho`` accepts has exact slacks below 2^-28
+    (``_phase_one``, accepted points), so when the bound fires no such
+    point exists and the verdict is the one the solve would reach.
+    """
+    roots = _pair_roots(model)
+    return float(max((roots + roots.T).max(), model.weights.max()))
 
 
 def _heuristic_seed(model: _Conditions) -> np.ndarray:
@@ -316,13 +361,13 @@ def _phase_one(
     decrement is small the point is centered; tau then grows by _GROWTH.
 
     Yields rho = sqrt(u) of every iterate after the start; ``find_rho``
-    stops at the first witness.  At each centered point the solve first
-    checks the dual bound below, and returns it as a ``_DualBound`` once it
-    proves that no rho in (0, 1)^m meets the conditions.  Otherwise it
-    ends, returning None, once the centered point's duality gap n/tau
-    (n = 4m inequalities) is within 1e-3 of |t - gap|, which covers least
-    max slacks t* near 0, where no dual bound is positive; or when Newton
-    stalls.
+    stops at the first witness.  At every iterate, the start included, the
+    solve first checks the dual bound below, before it forms the Newton
+    system, and returns it as a ``_DualBound`` once it proves that no rho
+    in (0, 1)^m meets the conditions.  Otherwise it ends, returning None,
+    once a centered point's duality gap n/tau (n = 4m inequalities) is
+    within 1e-3 of |t - gap|, which covers least max slacks t* near 0,
+    where no dual bound is positive; or when Newton stalls.
 
     Dual bound.  Let W = sum_k w_k at a point u_c, and L = sum_k w_k g_k / W.
     Every g_k is convex on (0, 1)^m, so L is, max_k g_k >= L, and L lies
@@ -332,7 +377,8 @@ def _phase_one(
         max_k g_k(u) >= lb = (w.g + sum_j min(-s_j u_j, s_j (1 - u_j))) / W,
 
     where g = g(u_c) and s = w @ J, J = ``jac[:, :m]`` the slacks' Jacobian
-    at u_c.  Any w >= 0 is valid; centering puts lb near t*.
+    at u_c.  Any w >= 0 is valid, so the bound holds at every iterate, not
+    only at centered ones; centering puts lb near t*.
 
     Rounding band.  The solve computes lb from float slacks g^ and Jacobian
     J^, so it stops only when
@@ -363,9 +409,10 @@ def _phase_one(
       errs by gamma_2 |s^_j|; the final sum has m + 1 terms.  So W lb^
       differs from W lb by at most gamma_{N*} (w.(|g^| + 2) +
       sum w_k |J^_kj|) (1 + O(gamma)), N* = 2 kappa (m + 1) + 9m + 18.
-    * Size.  Iterates keep u < U_MAX, and ``find_rho`` evaluates
-      u' = fl(sqrt(u)^2) <= U_MAX (1 + eps)^3 < 1 - 2^-19, so kappa < 2^19
-      at every point the model is evaluated; with m <= 16, N* < 2^25 and
+    * Size.  Every iterate, the start (u <= 0.9) included, keeps
+      u < U_MAX, and ``find_rho`` evaluates u' = fl(sqrt(u)^2) <=
+      U_MAX (1 + eps)^3 < 1 - 2^-19, so kappa < 2^19 at every iterate and
+      every point the model is evaluated; with m <= 16, N* < 2^25 and
       gamma_{N*} < 2^-28 (1 + 2^-27).  The factor 2^-27 leaves a surplus of
       2, which covers the O(gamma) terms, the exact W against its float
       sum, and the rounding of the test itself.
@@ -386,10 +433,17 @@ def _phase_one(
       infinite, and it fails.
     """
     m = model.m
-    diag = np.arange(m)
     jac = np.empty((2 * m, m + 1))  # G: family 1 rows, then family 2, as slacks_u(u).T
     jac[:, m] = -1.0
     slack_jac = jac[:, :m]
+    hess = np.empty((m + 1, m + 1))
+    # Strided views of the diagonals of jac's two (m, m) blocks and of the
+    # u-block of hess: entry (r, c) of a C-ordered array sits at
+    # r * columns + c of its flat view.
+    jac_flat = jac.reshape(-1)
+    jac_diag1 = jac_flat[: m * (m + 2) : m + 2]
+    jac_diag2 = jac_flat[m * (m + 1) :: m + 2]
+    hess_diag = hess.reshape(-1)[: m * (m + 2) : m + 2]
 
     def barrier(u: np.ndarray, t: float, g: np.ndarray) -> float:
         return -float(np.log(t - g).sum() + np.log((u - _U_MIN) * (_U_MAX - u)).sum())
@@ -399,22 +453,32 @@ def _phase_one(
         g = model.slacks_u(u).T.ravel()
         t = g.max() + max(1.0, abs(g.max()))
         tau = float((1.0 / (t - g)).sum())
+        phi = barrier(u, t, g)
     for _ in range(_NEWTON_STEPS):
         # Overflow or nan ends the solve as a stall; no yield happens in here.
         with np.errstate(all="ignore"):
             w = 1.0 / (t - g)
             slope, curve = model._curvature(u)
             jac[:m, :m] = model.m1.T * slope[0]
-            jac[diag, diag] += 1.0
+            jac_diag1 += 1.0
             jac[m:, :m] = model.m2.T * slope[1]
-            jac[m + diag, diag] -= slope[2]
+            jac_diag2 -= slope[2]
+            # The dual bound times W, against its rounding band.
+            s = w @ slack_jac
+            total = float(w.sum())
+            scaled_lb = float(w @ g + np.minimum(-s * u, s * (1.0 - u)).sum())
+            band = _BAND * float(
+                w @ (np.abs(g) + 4.0) + w @ np.abs(slack_jac).sum(axis=1)
+            ) + _UNDERFLOW * (total + 1.0)
+            if scaled_lb > band:
+                return _DualBound(u, w, scaled_lb / total)
             low, high = u - _U_MIN, _U_MAX - u
             grad = w @ jac
             grad[:m] += 1.0 / high - 1.0 / low
             grad[m] += tau
             scaled = w[:, None] * jac
-            hess = scaled.T @ scaled
-            hess[diag, diag] += (
+            np.matmul(scaled.T, scaled, out=hess)
+            hess_diag += (
                 curve[0] * (model.m1 @ w[:m])
                 + curve[1] * (model.m2 @ w[m:])
                 - curve[2] * w[m:]
@@ -430,35 +494,25 @@ def _phase_one(
             if not decrement > _CENTERED:
                 if not decrement >= 0.0:
                     break  # not finite: Newton stalls
-                # The dual bound times W, against its rounding band.
-                s = w @ slack_jac
-                total = float(w.sum())
-                scaled_lb = float(w @ g + np.minimum(-s * u, s * (1.0 - u)).sum())
-                band = _BAND * float(
-                    w @ (np.abs(g) + 4.0) + w @ np.abs(slack_jac).sum(axis=1)
-                ) + _UNDERFLOW * (total + 1.0)
-                if scaled_lb > band:
-                    return _DualBound(u, w, scaled_lb / total)
                 gap = 4 * m / tau
                 if gap <= _GAP * abs(t - gap):
                     break
                 tau *= _GROWTH
                 continue
-            value = tau * t + barrier(u, t, g)
+            value = tau * t + phi
             size = 1.0
             while size > 1e-12:
                 u_new, t_new = u + size * step[:m], t + size * step[m]
-                if np.all((u_new > _U_MIN) & (u_new < _U_MAX)):
+                if ((u_new > _U_MIN) & (u_new < _U_MAX)).all():
                     g_new = model.slacks_u(u_new).T.ravel()
-                    if np.all(g_new < t_new) and (
-                        tau * t_new + barrier(u_new, t_new, g_new)
-                        <= value - 0.25 * size * decrement
-                    ):
-                        break
+                    if (g_new < t_new).all():
+                        phi_new = barrier(u_new, t_new, g_new)
+                        if tau * t_new + phi_new <= value - 0.25 * size * decrement:
+                            break
                 size *= 0.5
             else:
                 break  # Newton stalls
-            u, t, g = u_new, t_new, g_new
+            u, t, g, phi = u_new, t_new, g_new, phi_new
         yield np.sqrt(u)
 
 
@@ -472,15 +526,20 @@ def find_rho(ch: MUserChannel) -> MUserVerdict:
     the heuristic.  Every probe is decided on its one-point slacks, the
     check ``check_conditions`` makes.  At m = 2 the closed form decides:
     for A + B >= 1 no witness exists and the solve is skipped.  For m > 2
-    a 'not found' verdict means that a dual bound of the solve proved that
+    the solve is skipped when the pair or receiver test of
+    ``_necessary_bound`` proves that the max slack exceeds 2^-27 at every
+    rho in (0, 1)^m.  So for m > 2 a 'not found' verdict means that one of
+    those tests, or a dual bound at an iterate of the solve, proved that
     no rho in (0, 1)^m meets the conditions, unless Newton stalled or the
     solve ended on its fallback rule for a least max slack t* near 0, a
     relative duality gap of 1e-3.  ``best_probe`` is then the probe of
     least max slack visited.  Only uniform channels whose gain exceeds
     1/(4(m-1)), where the common-rho reduction is both necessary and
     sufficient, are marked ``provably_infeasible``.  Over the benchmark's
-    m-user pool, the 48 infeasible channels that run the solve average
-    10.3 Newton steps, and the 8 feasible ones that need it 23.1.
+    m-user pool, the pair and receiver tests settle 40 of the 48
+    infeasible m > 2 channels; the other 8 average 18.5 Newton steps (4 of
+    them stop at the start point, with none), and the 8 feasible channels
+    that need the solve 23.1.
     """
     if ch.m > 16:
         raise ValueError(f"find_rho supports m <= 16, got m={ch.m}")
@@ -496,17 +555,20 @@ def find_rho(ch: MUserChannel) -> MUserVerdict:
         for seed in (_uniform_seed(ch), closed_form, heuristic):
             if seed is not None:
                 yield seed
-        # On m = 2, A + B >= 1 already proves that no witness exists.
-        if ch.m > 2 or closed_form is not None:
+        # On m = 2, A + B >= 1 already proves that no witness exists; for
+        # m > 2 the pair and receiver tests can prove it.
+        proven = closed_form is None if ch.m == 2 else _necessary_bound(model) > _NECESSARY
+        if not proven:
             yield from _phase_one(model, heuristic)
 
-    best_rho = best_slacks = None
+    best_rho = best_slacks = best_max = None
     for rho in probes():
         slacks = model.at(rho)
-        if slacks.max() <= 0.0:
+        max_slack = slacks.max()
+        if max_slack <= 0.0:
             return _verdict_from_probe(ch, rho, slacks)
-        if best_slacks is None or slacks.max() < best_slacks.max():
-            best_rho, best_slacks = rho, slacks
+        if best_slacks is None or max_slack < best_max:
+            best_rho, best_slacks, best_max = rho, slacks, max_slack
 
     provable = ch.is_uniform() and _above_uniform_cut(ch.m, ch.gains[0, 1])
     note = "provably infeasible by the symmetric reduction" if provable else ""

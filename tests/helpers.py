@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: channel samplers, geometry checks, an
 MU objective call counter, the reference MU bound in user order, the
-reference m-user grid scan, and the stopping certificate of the m-user
-phase-I solve."""
+reference m-user grid scan, and a Newton system counter and the stopping
+certificate of the m-user phase-I solve."""
 
 from __future__ import annotations
 
@@ -128,6 +128,20 @@ def materialized_grid_scan(model: _Conditions, axis: np.ndarray):
     columns = axis[index]  # one grid point per column, as the oracle's slabs
     slacks = model.columns(columns).transpose(2, 1, 0)
     return columns.T, slacks, slacks.reshape(columns.shape[1], -1).max(axis=1)
+
+
+def count_newton_solves(monkeypatch) -> list[int]:
+    """Count every Newton system the m-user phase-I solve solves from here
+    on, in a one-item list: it solves each with one ``np.linalg.solve``."""
+    calls = [0]
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls[0] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
 
 
 def phase_one_certificate(ch):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -23,9 +24,23 @@ from gicbounds import (
     symmetric_threshold,
     tin_rates,
 )
-from gicbounds.multiuser import _BAND, _Conditions, _grid_point
-from helpers import materialized_grid_scan, phase_one_certificate
-from verify import exact_dual_bound, is_exact_witness
+from gicbounds import multiuser
+from gicbounds.multiuser import (
+    _BAND,
+    _NECESSARY,
+    _Conditions,
+    _grid_point,
+    _heuristic_seed,
+    _necessary_bound,
+    _phase_one,
+)
+from helpers import count_newton_solves, materialized_grid_scan, phase_one_certificate
+from verify import (
+    exact_dual_bound,
+    is_exact_witness,
+    pair_bound_exceeds,
+    receiver_bound,
+)
 
 FIG1 = TwoUserChannel(a=0.04, b=0.09, p1=10, p2=20)
 PINNED = Path(__file__).parent / "data" / "find_rho.json"
@@ -291,6 +306,16 @@ class TestFindRhoPinned:
             }
             assert got == entry["verdict"], entry["id"]
 
+    def test_newton_systems_over_the_pool(self, monkeypatch):
+        # The 120 m-user channels of the benchmark verdicts pool: the 8
+        # feasible ones that no probe settles solve 185 systems, and the 8
+        # infeasible ones that neither the probes nor the pair and receiver
+        # tests settle solve 148, 0 of them on the 4 provable ones.
+        calls = count_newton_solves(monkeypatch)
+        for _, ch in pinned_channels("mu-"):
+            find_rho(ch)
+        assert calls[0] == 333
+
     def test_witnesses_pass_the_exact_check(self):
         witnesses = [e for e in self.ENTRIES if e["verdict"]["feasible"]]
         assert len(witnesses) >= 100
@@ -318,11 +343,78 @@ def sparse_channels(draw, sizes):
     return MUserChannel(gains=gains, powers=powers)
 
 
-class TestDualCertificate:
-    """The phase-I solve stops at the first centered point whose dual bound
-    clears its rounding band.  Recomputed exactly from the stopping point
-    and weights, the bound must exceed the band's 2^-27: then no rho in
+def at_margin(test: str, direction: float) -> MUserChannel:
+    """A three-user channel whose float pair sum A + B (test "pair") or
+    receiver weight W_0 (test "receiver") is the float next to _NECESSARY
+    toward ``direction``, and whose other sums are far below it.  Its
+    powers are so small that every 1 + Q rounds to 1, so A = B = level/2,
+    the square root of its rounded square, and W_0 = (level - 1/2) + 1/2."""
+    level = math.nextafter(_NECESSARY, direction)
+    gains = np.eye(3)
+    if test == "pair":
+        gains[0, 1] = gains[1, 0] = (level / 2) ** 2
+    else:
+        gains[1, 0], gains[2, 0] = level - 0.5, 0.5
+    return MUserChannel(gains=gains, powers=np.full(3, 1e-20))
+
+
+class TestNecessaryConditions:
+    """For m > 2, find_rho skips the phase-I solve when the float pair or
+    receiver bound of ``_necessary_bound`` exceeds _NECESSARY.  Recomputed
+    exactly, the bound must then exceed the dual stop's 2^-27: no rho in
     (0, 1)^m meets the conditions."""
+
+    @given(sparse_channels([3, 4, 6]))
+    @example(at_margin("pair", -math.inf))
+    @example(at_margin("pair", math.inf))
+    @example(at_margin("receiver", -math.inf))
+    @example(at_margin("receiver", math.inf))
+    def test_a_firing_bound_is_exact(self, ch):
+        if not _necessary_bound(_Conditions(ch)) > _NECESSARY:
+            return
+        assert pair_bound_exceeds(ch.gains, ch.powers, _BAND) or (
+            receiver_bound(ch.gains, ch.powers) > _BAND
+        )
+        assert not find_rho(ch).feasible
+        if ch.m <= 4:
+            assert not oracle_grid_feasibility(ch, 16).feasible
+
+    @pytest.mark.parametrize("test", ["pair", "receiver"])
+    def test_margin_examples_straddle_the_level(self, test, monkeypatch):
+        solves = []
+
+        def solve(model, start):
+            solves.append(model.m)
+            return (yield from _phase_one(model, start))
+
+        monkeypatch.setattr(multiuser, "_phase_one", solve)
+        for direction, runs in ((-math.inf, [3]), (math.inf, [])):
+            ch = at_margin(test, direction)
+            assert _necessary_bound(_Conditions(ch)) == math.nextafter(_NECESSARY, direction)
+            solves.clear()
+            assert not find_rho(ch).feasible
+            assert solves == runs
+
+    def test_pinned_hits_are_exact(self):
+        # The bound settles 40 of the 48 infeasible m > 2 channels of the
+        # verdicts pool and 21 of the 39 not-found random channels, and no
+        # feasible one; every hit is checked exactly.
+        fires = collections.Counter()
+        for entry in TestFindRhoPinned.ENTRIES:
+            ch = MUserChannel(gains=np.array(entry["gains"]), powers=np.array(entry["powers"]))
+            if ch.m > 2 and _necessary_bound(_Conditions(ch)) > _NECESSARY:
+                assert pair_bound_exceeds(ch.gains, ch.powers, _BAND) or (
+                    receiver_bound(ch.gains, ch.powers) > _BAND
+                ), entry["id"]
+                fires[entry["id"][:3], entry["verdict"]["feasible"]] += 1
+        assert fires == {("mu-", False): 40, ("ran", False): 21}
+
+
+class TestDualCertificate:
+    """The phase-I solve stops at the first iterate, centered or not, whose
+    dual bound clears its rounding band.  Recomputed exactly from the
+    stopping point and weights, the bound must exceed the band's 2^-27:
+    then no rho in (0, 1)^m meets the conditions."""
 
     @staticmethod
     def assert_certified(ch, cid=None):
@@ -347,6 +439,27 @@ class TestDualCertificate:
             assert (lb is not None) == (not entry["verdict"]["feasible"]), entry["id"]
             stops += lb is not None
         assert stops >= 99
+
+    def test_provable_channel_stops_at_its_start(self):
+        # A provable-stratum channel of the verdicts pool that the pair and
+        # receiver tests leave to the solve: its start point is the proof.
+        ch = dict(pinned_channels("mu-m4-135"))["mu-m4-135"]
+        model = _Conditions(ch)
+        assert not _necessary_bound(model) > _NECESSARY
+        with pytest.raises(StopIteration) as stop:
+            next(_phase_one(model, _heuristic_seed(model)))
+        cert = stop.value.value
+        assert exact_dual_bound(ch.gains, ch.powers, cert.u, cert.w) > _BAND
+
+    def test_stops_at_uncentered_iterates_are_certified(self, monkeypatch):
+        # With no iterate ever centered, every stop is at an uncentered one.
+        monkeypatch.setattr(multiuser, "_CENTERED", -math.inf)
+        stops = 0
+        for entry in TestFindRhoPinned.ENTRIES:
+            if not entry["verdict"]["feasible"]:
+                ch = MUserChannel(gains=np.array(entry["gains"]), powers=np.array(entry["powers"]))
+                stops += self.assert_certified(ch, entry["id"]) is not None
+        assert stops >= 83
 
     @given(sparse_channels([2, 3, 4]))
     def test_certified_channels_have_no_grid_witness(self, ch):

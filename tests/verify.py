@@ -1,13 +1,14 @@
-"""Exact checks of two-user genie points, m-user witnesses and stopping
-certificates, in rational arithmetic.
+"""Exact checks of two-user genie points, m-user witnesses, the m-user
+necessary conditions and stopping certificates, in rational arithmetic.
 
 Every float is a dyadic rational, so ``fractions.Fraction`` evaluates the
 MU feasibility box at a float genie point, and both condition families at
 a float rho vector, with no rounding at all: a genie point passes when it
-lies in the exact box, and a witness when every exact slack is <= 0.  A
-stopping certificate of the phase-I solve, a point u and weights w, passes
-when its dual bound, recomputed exactly, is positive.  Test-side only; the
-package does not import it.
+lies in the exact box, and a witness when every exact slack is <= 0.  The
+pair and receiver bounds of the m-user conditions are exact functions of
+the channel, and a stopping certificate of the phase-I solve, a point u
+and weights w, passes when its dual bound, recomputed exactly, is
+positive.  Test-side only; the package does not import it.
 """
 
 from __future__ import annotations
@@ -70,6 +71,32 @@ def exact_slacks(gains, powers, rho) -> list[tuple[Fraction, Fraction]]:
 def is_exact_witness(gains, powers, rho) -> bool:
     """True when every exact slack at rho is <= 0."""
     return all(s <= 0 for pair in exact_slacks(gains, powers, rho) for s in pair)
+
+
+def pair_bound_exceeds(gains, powers, level) -> bool:
+    """Whether some users i != j have A + B > 1 + level exactly, with
+    A = sqrt(c_ji)(1 + Q_j) and B = sqrt(c_ij)(1 + Q_i); then the max slack
+    exceeds ``level`` at every rho in (0, 1)^m.  A^2 = c_ji (1 + Q_j)^2 is
+    rational, so the test compares squares: with r = (1 + level)^2 - A^2 - B^2,
+    A + B > 1 + level iff r < 0 or 4 A^2 B^2 > r^2."""
+    c, _, one_q, others = _exact_channel(gains, powers)
+    target = (1 + Fraction(level)) ** 2
+    for i, row in enumerate(others):
+        for j in row:
+            a_sq, b_sq = c[j][i] * one_q[j] ** 2, c[i][j] * one_q[i] ** 2
+            r = target - a_sq - b_sq
+            if r < 0 or 4 * a_sq * b_sq > r * r:
+                return True
+    return False
+
+
+def receiver_bound(gains, powers) -> Fraction:
+    """max_i W_i - 1 exactly, W_i = sum_{j != i} c_ji (1 + Q_j)^2: the max
+    slack exceeds it at every rho in (0, 1)^m."""
+    c, _, one_q, others = _exact_channel(gains, powers)
+    return max(
+        sum((c[j][i] * one_q[j] ** 2 for j in row), Fraction(0)) for i, row in enumerate(others)
+    ) - 1
 
 
 def exact_dual_bound(gains, powers, u, w) -> Fraction:
