@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .channel import TwoUserChannel, tin_rates
+from .channel import TwoUserChannel, _check_finite_pos, single_user_capacities, tin_rates
 from .genie import GenieParams, sigma_feasible
 from .multiuser import symmetric_threshold
 
@@ -149,7 +149,7 @@ def mixed_condition(ch: TwoUserChannel) -> tuple[bool, float]:
     """Check the mixed-interference corner condition.
 
     Direct orientation: a > 1, 0 < b < 1 and (1-a*b)*p1 - (a-1) <= 0.
-    The role-swapped orientation (b > 1, 0 < a < 1) is checked as well.
+    For b > 1, 0 < a < 1 the swapped channel is checked instead.
     Returns (holds, slack); slack is +inf when neither orientation's gain
     pattern applies.
     """
@@ -157,8 +157,7 @@ def mixed_condition(ch: TwoUserChannel) -> tuple[bool, float]:
         slack = (1.0 - ch.a * ch.b) * ch.p1 - (ch.a - 1.0)
         return slack <= _SLACK_TOL, slack
     if ch.b > 1.0 and 0.0 < ch.a < 1.0:
-        slack = (1.0 - ch.a * ch.b) * ch.p2 - (ch.b - 1.0)
-        return slack <= _SLACK_TOL, slack
+        return mixed_condition(ch.swapped())
     return False, math.inf
 
 
@@ -174,34 +173,22 @@ def classify(ch: TwoUserChannel) -> CapacityVerdict:
     slacks = {"noisy": noisy_slack, "mixed": mixed_slack}
 
     if noisy_holds:
-        capacity = tin_rates(ch).sum
-        if ch.a == 0.0 or ch.b == 0.0:
-            return CapacityVerdict(
-                kind=VerdictKind.ZIC_NOISY,
-                sum_capacity=capacity,
-                condition_slack=noisy_slack,
-                slacks=slacks,
-            )
+        one_sided = ch.a == 0.0 or ch.b == 0.0
         return CapacityVerdict(
-            kind=VerdictKind.NOISY_INTERFERENCE,
-            sum_capacity=capacity,
-            certificate=noisy_certificate(ch),
+            kind=VerdictKind.ZIC_NOISY if one_sided else VerdictKind.NOISY_INTERFERENCE,
+            sum_capacity=tin_rates(ch).sum,
+            certificate=None if one_sided else noisy_certificate(ch),
             condition_slack=noisy_slack,
             slacks=slacks,
         )
 
     if mixed_holds:
-        if ch.a > 1.0:
-            capacity = 0.5 * math.log2(1.0 + ch.p1) + 0.5 * math.log2(
-                1.0 + ch.p2 / (1.0 + ch.b * ch.p1)
-            )
-        else:
-            capacity = 0.5 * math.log2(1.0 + ch.p2) + 0.5 * math.log2(
-                1.0 + ch.p1 / (1.0 + ch.a * ch.p2)
-            )
+        # Oriented so that a > 1: user 1, whose receiver sees the strong
+        # crosstalk, sends at its single-user rate; user 2 treats it as noise.
+        strong = ch if ch.a > 1.0 else ch.swapped()
         return CapacityVerdict(
             kind=VerdictKind.MIXED_CORNER,
-            sum_capacity=capacity,
+            sum_capacity=single_user_capacities(strong).r1 + tin_rates(strong).r2,
             condition_slack=mixed_slack,
             slacks=slacks,
         )
@@ -232,8 +219,7 @@ def symmetric_noisy_threshold(p: float) -> float:
     above about 2.7e230, whose threshold squares below the normal floats,
     cannot be checked that way and raise ValueError.
     """
-    if not (math.isfinite(p) and p > 0):
-        raise ValueError(f"power must be finite and > 0, got {p}")
+    _check_finite_pos("power", p)
     x = math.sqrt(3.0 * p)
     t = 2.0 / x * math.sinh(math.asinh(0.75 * x) / 3.0)
     a = min(t * t, 0.25)

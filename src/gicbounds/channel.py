@@ -151,14 +151,19 @@ def single_user_capacities(ch: TwoUserChannel) -> RatePoint:
     return RatePoint(0.5 * math.log2(1.0 + ch.p1), 0.5 * math.log2(1.0 + ch.p2))
 
 
-def tdm_fdm_sum_rate(ch: TwoUserChannel, alpha: float) -> float:
-    """Sum rate of orthogonal sharing: user 1 gets a fraction alpha of the
+def _tdm_rates(ch: TwoUserChannel, alpha: float) -> RatePoint:
+    """Rates of orthogonal sharing: user 1 gets a fraction alpha of the
     channel with power p1/alpha, user 2 the rest with power p2/(1-alpha)."""
+    r1 = 0.5 * alpha * math.log2(1.0 + ch.p1 / alpha)
+    r2 = 0.5 * (1.0 - alpha) * math.log2(1.0 + ch.p2 / (1.0 - alpha))
+    return RatePoint(r1, r2)
+
+
+def tdm_fdm_sum_rate(ch: TwoUserChannel, alpha: float) -> float:
+    """Sum rate of orthogonal sharing at fraction alpha in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return 0.5 * alpha * math.log2(1.0 + ch.p1 / alpha) + 0.5 * (
-        1.0 - alpha
-    ) * math.log2(1.0 + ch.p2 / (1.0 - alpha))
+    return _tdm_rates(ch, alpha).sum
 
 
 def m_user_interference_powers(ch: MUserChannel) -> np.ndarray:

@@ -13,6 +13,7 @@ internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -68,17 +69,6 @@ def _channel_from_args(args) -> TwoUserChannel | MUserChannel:
     return channel_from_flags(args.a, args.b, args.p1, args.p2, args.db)
 
 
-def _genie_json(gp: genie.GenieParams | None):
-    if gp is None:
-        return None
-    return {
-        "rho1": gp.rho1,
-        "rho2": gp.rho2,
-        "sigma1_sq": gp.sigma1_sq,
-        "sigma2_sq": gp.sigma2_sq,
-    }
-
-
 def _muser_verdict_json(ch: MUserChannel, verdict: multiuser.MUserVerdict):
     return {
         "kind": "NOISY_INTERFERENCE" if verdict.feasible else "UNKNOWN",
@@ -109,7 +99,7 @@ def _cmd_classify(args) -> int:
         payload = {
             "kind": verdict.kind.value,
             "sum_capacity_bits": verdict.sum_capacity,
-            "certificate": _genie_json(verdict.certificate),
+            "certificate": None if verdict.certificate is None else dataclasses.asdict(verdict.certificate),
             "condition_slack": verdict.condition_slack,
             "slacks": {
                 k: (None if math.isinf(v) else v) for k, v in verdict.slacks.items()
@@ -121,6 +111,16 @@ def _cmd_classify(args) -> int:
 
 def _write_text(path: str, text: str) -> None:
     Path(path).write_text(text, newline="\n")
+
+
+def _emit(text: str, out: str | None, summary: str) -> None:
+    """Write ``text`` to the file ``out`` and report it with ``summary``, or
+    to stdout when ``out`` is None."""
+    if out:
+        _write_text(out, text)
+        print(f"wrote {out} ({summary})")
+    else:
+        sys.stdout.write(text)
 
 
 def boundary_csv(curves: dict[str, tuple]) -> str:
@@ -138,11 +138,7 @@ def _cmd_region(args) -> int:
     outer = region.build_outer_region(ch, mu_grid=args.mu_grid, eta_grid=args.eta_grid)
     inner = region.build_inner_region(ch)
     csv_text = boundary_csv({"inner": inner.boundary, "outer": outer.boundary})
-    if args.out:
-        _write_text(args.out, csv_text)
-        print(f"wrote {args.out} ({len(inner.boundary)} inner / {len(outer.boundary)} outer vertices)")
-    else:
-        sys.stdout.write(csv_text)
+    _emit(csv_text, args.out, f"{len(inner.boundary)} inner / {len(outer.boundary)} outer vertices")
     if args.svg:
         _write_text(args.svg, region_svg({"inner": inner.boundary, "outer": outer.boundary}))
         print(f"wrote {args.svg}")
@@ -196,12 +192,7 @@ def _cmd_sweep(args) -> int:
     rows = [f"{spec.parameter},{spec.metric}"]
     for value, metric in sweep_rows(base, spec, gains_in_db=args.db):
         rows.append(f"{_fmt(value)},{metric}")
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-        print(f"wrote {args.out} ({spec.points} rows)")
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(rows) + "\n", args.out, f"{spec.points} rows")
     return 0
 
 

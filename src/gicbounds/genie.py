@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import TwoUserChannel
+from .channel import TwoUserChannel, _check_finite_pos, single_user_capacities
 
 __all__ = [
     "GenieParams",
@@ -68,9 +68,7 @@ class GenieParams:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         for name in ("sigma1_sq", "sigma2_sq"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+            _check_finite_pos(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -100,11 +98,6 @@ class SupportingLine:
                 raise ValueError("ETA lines require p_tilde >= 0")
 
 
-def _require_weight(mu: float) -> None:
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mu must be finite and > 0, got {mu}")
-
-
 def sigma_limits(
     ch: TwoUserChannel, mu: float, rho1: float, rho2: float
 ) -> tuple[float, float]:
@@ -114,7 +107,7 @@ def sigma_limits(
     sigma1_sq is capped, by (1 - rho2^2)/b.  A zero gain makes the
     corresponding cap vacuous (+inf).
     """
-    _require_weight(mu)
+    _check_finite_pos("mu", mu)
     if mu >= 1.0:
         s2_max = _gap(rho1) / ch.a if ch.a > 0 else math.inf
         return math.inf, s2_max
@@ -198,8 +191,7 @@ def user1_genie_bound(ch: TwoUserChannel, rho1: float, sigma1: float) -> float:
     """
     if not 0.0 <= rho1 <= 1.0:
         raise ValueError(f"rho1 must lie in [0, 1], got {rho1}")
-    if not (math.isfinite(sigma1) and sigma1 > 0.0):
-        raise ValueError(f"sigma1 must be finite and > 0, got {sigma1}")
+    _check_finite_pos("sigma1", sigma1)
     with np.errstate(all="ignore"):
         share = _user_share(ch.p1, ch.p1, ch.a, ch.p2, ch.p2, rho1, _gap(rho1), sigma1 * sigma1)
     return float(0.5 * share) if np.isfinite(share) else math.inf
@@ -379,7 +371,7 @@ class _MuObjective:
         # 1 + g_B*p_A; see ``place``.
         self.tight = self.g_b * self.p_a + 1.0
         # The free variance's effective power falls between L = max(off + R,
-        # 0) and R = ratio*(1 - r_B^2)/g_B; see ``_scale``.
+        # 0) and R = ratio*(1 - r_B^2)/g_B; see ``_edges``.
         self.ratio = np.where(self.mirrored, mu, 1.0 / mu)
         self.at_left = np.False_  # where t = 0 lies at L; the search sets it per lane
 
@@ -451,7 +443,7 @@ class _MuObjective:
         at a kink moves along it by axis moves; in (r_A, r_B, log s_A) they
         are curved.  s_B leaves its cap where w = (1 + g*q)*sqrt(g_A),
         whatever r is.  A's effective power falls between L and R (see
-        ``_scale``): R lies at t = log(mu) (mu < 1) or -log(mu), and L at t
+        ``_edges``): R lies at t = log(mu) (mu < 1) or -log(mu), and L at t
         = 0 at the entries ``at_left``.
         """
         r, w, t = y
@@ -473,19 +465,23 @@ class _MuObjective:
 
     def _scale(self, gap_b):
         """The free variance at t = 0, from gap_b = 1 - r_B^2: gap_b/g_B, or
-        L = max(off + R, 0) at the entries ``at_left``.  The free variance's
-        effective power starts to fall at L and reaches 0 at R =
-        ratio*gap_b/g_B: the left and right of ``effective``."""
+        L at the entries ``at_left``; see ``_edges``."""
         scale = gap_b / self.g_b
         if not self.at_left.any():
             return scale
-        return np.where(self.at_left, np.maximum(self.off + self.ratio * scale, 0.0), scale)
+        return np.where(self.at_left, self._edges(scale)[0], scale)
+
+    def _edges(self, scale):
+        """(L, R) = (max(off + R, 0), ratio*scale) at scale = gap_b/g_B: the
+        free variance's effective power starts to fall at L and reaches 0 at
+        R, the left and right of ``effective``."""
+        right = self.ratio * scale
+        return np.maximum(self.off + right, 0.0), right
 
     def nearer_left(self, x: np.ndarray) -> np.ndarray:
         """Whether the free variance of points ``x`` lies nearer L than R, in
-        log; False where L = 0.  See ``_scale``."""
-        right = self.ratio * x[5] / self.g_b
-        left = np.maximum(self.off + right, 0.0)
+        log; False where L = 0.  See ``_edges``."""
+        left, right = self._edges(x[5] / self.g_b)
         return (left > 0.0) & (x[2] * x[2] < left * right)
 
     def effective(self, x: np.ndarray):
@@ -666,7 +662,7 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     requests = tuple(requests)
     for ch, mu in requests:
         _require_regime(ch)
-        _require_weight(mu)
+        _check_finite_pos("mu", mu)
     if not requests:
         return ()
 
@@ -791,7 +787,7 @@ def sum_upper_bounds(channels) -> tuple[float | None, ...]:
             bounds.append(eval_constraint2(ch, lo1).value)
         if 0.0 < ch.a < 1.0:
             _, hi2 = eta2_range(ch)
-            cap2 = 0.5 * math.log2(1.0 + ch.p2)
+            cap2 = single_user_capacities(ch).r2
             bounds.append(eval_constraint3(ch, hi2).value + (1.0 - hi2) * cap2)
         out.append(min(bounds) if bounds else None)
     return tuple(out)

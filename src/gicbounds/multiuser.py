@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import MUserChannel, m_user_interference_powers
+from .channel import MUserChannel, _check_finite_pos, m_user_interference_powers
 
 __all__ = [
     "MUserVerdict",
@@ -217,8 +217,7 @@ def symmetric_threshold(m: int, c: float) -> float:
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"gain must be finite and > 0, got {c}")
+    _check_finite_pos("gain", c)
     s = (m - 1) * c
     if _above_uniform_cut(m, c):
         return 0.0
@@ -248,9 +247,10 @@ def _verdict_from_probe(
 
 
 def _uniform_seed(ch: MUserChannel) -> np.ndarray | None:
-    """Common-rho probe for uniform channels: both condition families reduce
-    to s(1+Q)^2/rho^2 <= 1 - rho^2 with s = (m-1)c, minimized at
-    rho^2 = sqrt(s)(1+Q)."""
+    """Common-rho probe from user 0's gain c = c_01 and power P, with s =
+    (m-1)c and Q = sP; ``find_rho`` takes it on every channel.  On a
+    uniform channel both condition families reduce to s(1+Q)^2/rho^2 <=
+    1 - rho^2, least at rho^2 = sqrt(s)(1+Q)."""
     c = ch.gains[0, 1]
     q = (ch.m - 1) * c * ch.powers[0]
     rho_sq = math.sqrt((ch.m - 1) * c) * (1.0 + q)
@@ -519,8 +519,8 @@ def _phase_one(
 def find_rho(ch: MUserChannel) -> MUserVerdict:
     """Search for a rho vector satisfying both condition families.
 
-    Probe order: the uniform-channel collapse (exact for symmetric
-    channels), the m = 2 closed form (a witness iff A + B < 1, see
+    Probe order: the common-rho point of ``_uniform_seed`` (on every
+    channel), the m = 2 closed form (a witness iff A + B < 1, see
     ``_two_user_seed``), a per-user heuristic, then the phase-I barrier
     solve of the convex program in u = rho^2 (``_phase_one``), started at
     the heuristic.  Every probe is decided on its one-point slacks, the

@@ -16,6 +16,7 @@ import numpy as np
 from .channel import (
     RatePoint,
     TwoUserChannel,
+    _tdm_rates,
     single_user_capacities,
     tin_rates,
 )
@@ -33,6 +34,7 @@ __all__ = ["RateRegion", "RegionError", "build_outer_region", "build_inner_regio
 
 _COLLINEAR_TOL = 1e-12
 _CONTAIN_TOL = 1e-9
+_ALPHA_POINTS = 33  # orthogonal-sharing fractions of the inner region
 
 
 class RegionError(RuntimeError):
@@ -174,17 +176,14 @@ def build_outer_region(
     return RateRegion.from_supporting_lines(tuple(lines), caps.r1, caps.r2)
 
 
-def build_inner_region(ch: TwoUserChannel, alpha_points: int = 33) -> RateRegion:
+def build_inner_region(ch: TwoUserChannel) -> RateRegion:
     """Achievable region: the comprehensive convex hull of the single-user
     corner points, the single-user-detection point and an orthogonal-sharing
     rate curve (time-sharing mixtures come free with the hull)."""
     caps = single_user_capacities(ch)
-    tin = tin_rates(ch)
-    pts = [(0.0, caps.r2), (caps.r1, 0.0), (tin.r1, tin.r2)]
-    for alpha in np.linspace(0.0, 1.0, alpha_points + 2)[1:-1]:
-        r1 = 0.5 * alpha * math.log2(1.0 + ch.p1 / alpha)
-        r2 = 0.5 * (1.0 - alpha) * math.log2(1.0 + ch.p2 / (1.0 - alpha))
-        pts.append((r1, r2))
+    alphas = np.linspace(0.0, 1.0, _ALPHA_POINTS + 2)[1:-1]
+    rates = [tin_rates(ch)] + [_tdm_rates(ch, alpha) for alpha in alphas]
+    pts = [(0.0, caps.r2), (caps.r1, 0.0)] + [(p.r1, p.r2) for p in rates]
 
     hull = _upper_hull(pts)
     constraints = [(1.0, 0.0, caps.r1), (0.0, 1.0, caps.r2)]

@@ -11,10 +11,11 @@ from .channel import RatePoint
 _W, _H = 640, 480
 _MARGIN = 60
 _STYLES = {"outer": "#c0392b", "inner": "#2471a3"}
+_TICKS = 5  # tick intervals per axis
 
 
-def _ticks(limit: float, n: int = 5) -> list[float]:
-    return [limit * i / n for i in range(n + 1)]
+def _ticks(limit: float) -> list[float]:
+    return [limit * i / _TICKS for i in range(_TICKS + 1)]
 
 
 def region_svg(curves: dict[str, tuple[RatePoint, ...]]) -> str:

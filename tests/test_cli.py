@@ -515,6 +515,22 @@ class TestThresholdCommand:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+class TestPinnedBytes:
+    def test_cli_bytes(self, capsys, tmp_path):
+        # Exit code, stdout, stderr and written files of classify on every
+        # verdict, region CSV and SVG, a sweep per metric and both threshold
+        # forms, byte for byte.
+        pinned = json.loads((Path(__file__).parent / "data" / "cli_bytes.json").read_text())
+        for name, entry in pinned["runs"].items():
+            out_dir = tmp_path / name
+            out_dir.mkdir()
+            code, out, err = run(capsys, *(a.replace("{dir}", str(out_dir)) for a in entry["argv"]))
+            files = {p.name: p.read_text() for p in sorted(out_dir.iterdir())}
+            assert (code, out.replace(str(out_dir), "{dir}"), err, files) == (
+                entry["code"], entry["stdout"], entry["stderr"], entry["files"]
+            ), name
+
+
 class TestExitCodes:
     def test_internal_error_exit_two(self, capsys, monkeypatch):
         import gicbounds.cli as cli_mod
@@ -593,22 +609,41 @@ class TestConfigHelpers:
             SweepSpec("a", -0.1, 0.2, 5, "sum-tin", log_spacing=True)
 
 
+def child_env():
+    """Environment of a child interpreter that imports the package from the
+    same directory as this test run."""
+    src = str(Path(gicbounds.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+
+
 class TestClosedStdout:
     def test_closed_pipe_exits_one_without_traceback(self):
         # The reader has closed the pipe before the first write, as when
-        # `gicbounds ... | head` exits early.  The child imports the package
-        # from the same directory as this test run.
-        src = str(Path(gicbounds.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
+        # `gicbounds ... | head` exits early.
         read, write = os.pipe()
         os.close(read)
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "gicbounds", "classify", *FIG1_ARGS],
-                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+                stdout=write, stderr=subprocess.PIPE, env=child_env(), timeout=60,
             )
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+class TestRuntimeImports:
+    def test_cli_imports_no_test_dependency(self):
+        # scipy, hypothesis, mpmath and sympy serve the tests only; a fresh
+        # interpreter that imports the CLI must not load any of them.
+        code = (
+            "import sys, gicbounds.cli; "
+            "print(sorted({'scipy', 'hypothesis', 'mpmath', 'sympy'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=child_env(), timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
