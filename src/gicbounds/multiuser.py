@@ -324,9 +324,21 @@ def _necessary_bound(model: _Conditions) -> float:
 
 
 def _heuristic_seed(model: _Conditions) -> np.ndarray:
-    """Per-user generalization of the uniform minimizer."""
-    into = model.gains_offdiag.sum(axis=0)  # total gain into each receiver
-    rho_sq = np.sqrt(np.maximum(into, 1e-300)) * (1.0 + model.q)
+    """Per-user balance of family 1's column weights, the start of the solve.
+
+    In u = rho^2, user j's term 1/u_j enters row i of family 1 with weight
+    M1[j, i] = c_ji (1 + Q_j)^2, so summed over the receivers family 1 reads
+    sum_j (o_j (1 + Q_j)^2/u_j - (1 - u_j)) <= 0, with o_j = sum_i c_ji the
+    gain out of transmitter j.  Each summand is least at
+
+        u_j = sqrt(o_j) (1 + Q_j),
+
+    clipped into [_RHO_MIN, _RHO_MAX].  A user that sends no interference
+    gets the floor, and one that receives none is still sized by what it
+    sends.  On a uniform channel o_j = (m-1)c and this is ``_uniform_seed``.
+    """
+    out = model.gains_offdiag.sum(axis=1)  # total gain out of each transmitter
+    rho_sq = np.sqrt(np.maximum(out, 1e-300)) * model.one_q
     return np.sqrt(np.clip(rho_sq, _RHO_MIN, _RHO_MAX))
 
 
@@ -521,10 +533,11 @@ def find_rho(ch: MUserChannel) -> MUserVerdict:
 
     Probe order: the common-rho point of ``_uniform_seed`` (on every
     channel), the m = 2 closed form (a witness iff A + B < 1, see
-    ``_two_user_seed``), a per-user heuristic, then the phase-I barrier
-    solve of the convex program in u = rho^2 (``_phase_one``), started at
-    the heuristic.  Every probe is decided on its one-point slacks, the
-    check ``check_conditions`` makes.  At m = 2 the closed form decides:
+    ``_two_user_seed``), the per-user outgoing-gain heuristic
+    (``_heuristic_seed``), then the phase-I barrier solve of the convex
+    program in u = rho^2 (``_phase_one``), started at the heuristic.
+    Every probe is decided on its one-point slacks, the check
+    ``check_conditions`` makes.  At m = 2 the closed form decides:
     for A + B >= 1 no witness exists and the solve is skipped.  For m > 2
     the solve is skipped when the pair or receiver test of
     ``_necessary_bound`` proves that the max slack exceeds 2^-27 at every
@@ -537,9 +550,9 @@ def find_rho(ch: MUserChannel) -> MUserVerdict:
     1/(4(m-1)), where the common-rho reduction is both necessary and
     sufficient, are marked ``provably_infeasible``.  Over the benchmark's
     m-user pool, the pair and receiver tests settle 40 of the 48
-    infeasible m > 2 channels; the other 8 average 18.5 Newton steps (4 of
-    them stop at the start point, with none), and the 8 feasible channels
-    that need the solve 23.1.
+    infeasible m > 2 channels; the other 8 average 11.4 Newton steps (4 of
+    them stop at the start point, with none), and the 2 feasible channels
+    that need the solve 16.
     """
     if ch.m > 16:
         raise ValueError(f"find_rho supports m <= 16, got m={ch.m}")

@@ -307,14 +307,37 @@ class TestFindRhoPinned:
             assert got == entry["verdict"], entry["id"]
 
     def test_newton_systems_over_the_pool(self, monkeypatch):
-        # The 120 m-user channels of the benchmark verdicts pool: the 8
-        # feasible ones that no probe settles solve 185 systems, and the 8
+        # The 120 m-user channels of the benchmark verdicts pool: the 2
+        # feasible ones that no probe settles solve 32 systems, and the 8
         # infeasible ones that neither the probes nor the pair and receiver
-        # tests settle solve 148, 0 of them on the 4 provable ones.
+        # tests settle solve 91, 0 of them on the 4 provable ones.
         calls = count_newton_solves(monkeypatch)
         for _, ch in pinned_channels("mu-"):
             find_rho(ch)
-        assert calls[0] == 333
+        assert calls[0] == 123
+
+    @pytest.mark.parametrize(
+        "cid", ["mu-m3-92", "mu-m3-98", "mu-m3-99", "mu-m4-130", "mu-m4-136"]
+    )
+    def test_seed_settles_channels_with_a_silent_receiver(self, cid, monkeypatch):
+        # Each has a user that receives no interference but sends some; its
+        # heuristic start is the witness, so the solve never runs.
+        ch = dict(pinned_channels(cid))[cid]
+        calls = count_newton_solves(monkeypatch)
+        assert find_rho(ch).feasible
+        assert calls[0] == 0
+
+    @pytest.mark.slow
+    def test_sparse_survey(self, monkeypatch):
+        # 300 sparse_channel draws for each m, in this order, from one
+        # generator: the verdicts and the Newton work over all of them.
+        rng = np.random.default_rng(7)
+        calls = count_newton_solves(monkeypatch)
+        feasible = 0
+        for m in (3, 4, 6, 8, 12, 16):
+            for _ in range(300):
+                feasible += find_rho(sparse_channel(rng, m)).feasible
+        assert (feasible, calls[0]) == (628, 3649)
 
     def test_witnesses_pass_the_exact_check(self):
         witnesses = [e for e in self.ENTRIES if e["verdict"]["feasible"]]
@@ -322,6 +345,32 @@ class TestFindRhoPinned:
         for entry in witnesses:
             rho = entry["verdict"]["rho"]
             assert is_exact_witness(entry["gains"], entry["powers"], rho), entry["id"]
+
+
+class TestHeuristicSeed:
+    """The start of the phase-I solve sizes each user from the gain out of
+    its transmitter: rho_j^2 = sqrt(sum_i c_ji) (1 + Q_j)."""
+
+    def test_chain_sizes_users_by_what_they_send(self):
+        # 0 -> 1 -> 2: user 0 receives nothing, user 2 sends nothing.
+        gains = np.eye(3)
+        gains[0, 1], gains[1, 2] = 0.04, 0.09
+        powers = np.array([2.0, 3.0, 5.0])
+        rho = _heuristic_seed(_Conditions(MUserChannel(gains=gains, powers=powers)))
+        q1 = 0.04 * 2.0
+        expected = [math.sqrt(math.sqrt(0.04)), math.sqrt(math.sqrt(0.09) * (1.0 + q1)), 1e-3]
+        assert rho.tolist() == pytest.approx(expected, rel=1e-15)
+
+    @given(
+        st.integers(2, 16),
+        st.floats(math.log(1e-9), math.log(0.5)).map(math.exp),
+        POWERS,
+    )
+    def test_uniform_channels_match_the_uniform_seed(self, m, c, p):
+        ch = MUserChannel.symmetric(m, c, p)
+        uniform = multiuser._uniform_seed(ch)
+        assume(uniform is not None and 1e-3 < uniform[0] < math.sqrt(1.0 - 1e-6))
+        np.testing.assert_array_max_ulp(_heuristic_seed(_Conditions(ch)), uniform, maxulp=4)
 
 
 @st.composite
