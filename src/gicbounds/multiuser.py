@@ -93,9 +93,9 @@ class _Conditions:
     weight matrices M1, M2) are computed once.  Family f's LHS is the product
     of a table of rho terms with its weight matrix M_f, and its RHS is
     elementwise in rho; ``_terms`` is the one place those rho formulas live.
-    It serves the slacks of rho vectors as columns (``columns``, which the
-    oracle's grid scan calls) and at u = rho^2 of one vector (``slacks_u``,
-    which the phase-I solve calls); their derivatives sit next to it
+    ``slacks`` evaluates them at u = rho^2 of vectors laid out as columns,
+    for the oracle's grid slabs and, one column at a time, for the probes
+    and the phase-I solve; their derivatives sit next to it
     (``_curvature``).
 
     A channel whose Q, (1 + Q)^2 or first-family weights
@@ -126,15 +126,13 @@ class _Conditions:
         # Second family: M2[j, i] = c_ij, LHS_i = sum_j M2[j, i] / (1 + Q_j - rho_j^2).
         self.m2 = self.gains_offdiag.T
 
-    def _terms(self, u: np.ndarray, per_column: bool = False) -> tuple[np.ndarray, ...]:
+    def _terms(self, u: np.ndarray) -> tuple[np.ndarray, ...]:
         """The rho terms of u = rho^2 values, elementwise: the LHS factors
         1/u and 1/(1 + Q - u) of the two families, then their RHS 1 - u and
-        1/(P + (1 + Q)^2/u).  ``u`` is an (..., m) array, or with
-        ``per_column`` an (m, n) array with one vector per column.  The
-        denominators 1 + Q - u are positive since u < 1."""
-        one_q, powers, one_q_sq = self.one_q, self.powers, self.one_q_sq
-        if per_column:
-            one_q, powers, one_q_sq = one_q[:, None], powers[:, None], one_q_sq[:, None]
+        1/(P + (1 + Q)^2/u).  ``u`` is an (m, n) array with one vector per
+        column.  The denominators 1 + Q - u are positive since u < 1."""
+        one_q, powers = self.one_q[:, None], self.powers[:, None]
+        one_q_sq = self.one_q_sq[:, None]
         inv_u = 1.0 / u
         return (
             inv_u,
@@ -157,29 +155,21 @@ class _Conditions:
             (2.0 * inv_u**3, 2.0 * inv_den**3, -2.0 * self.powers * slope * inv_rate),
         )
 
-    def columns(self, rho: np.ndarray) -> np.ndarray:
-        """The (2, m, n) slacks of the n rho vectors that are the columns of
-        an (m, n) array: family 1, then family 2.  Every elementwise loop
-        runs along n, and the weights multiply from the left; an (n, m)
-        layout would broadcast the (m,) terms over rows of m entries."""
-        inv_u, inv_den, rhs1, rhs2 = self._terms(rho * rho, per_column=True)
-        slacks = np.empty((2,) + rho.shape)
+    def slacks(self, u: np.ndarray) -> np.ndarray:
+        """The (2, m, n) slacks at u = rho^2 of the n vectors that are the
+        columns of an (m, n) array: family 1, then family 2.  Every
+        elementwise loop runs along n, and the weights multiply from the
+        left; an (n, m) layout would broadcast the (m,) terms over rows of m
+        entries."""
+        inv_u, inv_den, rhs1, rhs2 = self._terms(u)
+        slacks = np.empty((2,) + u.shape)
         np.subtract(self.m1.T @ inv_u, rhs1, out=slacks[0])
         np.subtract(self.m2.T @ inv_den, rhs2, out=slacks[1])
         return slacks
 
-    def slacks_u(self, u: np.ndarray) -> np.ndarray:
-        """The (..., m, 2) slacks at u = rho^2 of one (m,) vector, or of a
-        (1, m) row, through vector-matrix products."""
-        inv_u, inv_den, rhs1, rhs2 = self._terms(u)
-        slacks = np.empty(u.shape + (2,))
-        np.subtract(inv_u @ self.m1, rhs1, out=slacks[..., 0])
-        np.subtract(inv_den @ self.m2, rhs2, out=slacks[..., 1])
-        return slacks
-
     def at(self, rho: np.ndarray) -> np.ndarray:
         """The (m, 2) slacks of one rho vector."""
-        return self.slacks_u((rho * rho)[None, :])[0]
+        return self.slacks((rho * rho)[:, None])[:, :, 0].T.copy()
 
 
 def _grid_point(axis: np.ndarray, m: int, row: int) -> np.ndarray:
@@ -445,7 +435,7 @@ def _phase_one(
       infinite, and it fails.
     """
     m = model.m
-    jac = np.empty((2 * m, m + 1))  # G: family 1 rows, then family 2, as slacks_u(u).T
+    jac = np.empty((2 * m, m + 1))  # G: family 1 rows, then family 2, as in slacks
     jac[:, m] = -1.0
     slack_jac = jac[:, :m]
     hess = np.empty((m + 1, m + 1))
@@ -462,7 +452,7 @@ def _phase_one(
 
     u = np.minimum(start * start, 0.9)
     with np.errstate(all="ignore"):
-        g = model.slacks_u(u).T.ravel()
+        g = model.slacks(u[:, None]).ravel()
         t = g.max() + max(1.0, abs(g.max()))
         tau = float((1.0 / (t - g)).sum())
         phi = barrier(u, t, g)
@@ -516,7 +506,7 @@ def _phase_one(
             while size > 1e-12:
                 u_new, t_new = u + size * step[:m], t + size * step[m]
                 if ((u_new > _U_MIN) & (u_new < _U_MAX)).all():
-                    g_new = model.slacks_u(u_new).T.ravel()
+                    g_new = model.slacks(u_new[:, None]).ravel()
                     if (g_new < t_new).all():
                         phi_new = barrier(u_new, t_new, g_new)
                         if tau * t_new + phi_new <= value - 0.25 * size * decrement:
@@ -620,7 +610,7 @@ def oracle_grid_feasibility(ch: MUserChannel, resolution: int) -> MUserVerdict:
     best = None  # max slack, rho and slacks of the first point of least max slack
     for value in axis:
         slab[0] = value
-        slacks = model.columns(slab)
+        slacks = model.slacks(slab * slab)
         # Row by row: numpy's max over a column of 2m entries is slower.
         rows = slacks.reshape(2 * ch.m, -1)
         max_slack = rows[0].copy()

@@ -126,7 +126,7 @@ def materialized_grid_scan(model: _Conditions, axis: np.ndarray):
     shape = (len(axis),) * model.m
     index = np.indices(shape, dtype=np.min_scalar_type(len(axis))).reshape(model.m, -1)
     columns = axis[index]  # one grid point per column, as the oracle's slabs
-    slacks = model.columns(columns).transpose(2, 1, 0)
+    slacks = model.slacks(columns * columns).transpose(2, 1, 0)
     return columns.T, slacks, slacks.reshape(columns.shape[1], -1).max(axis=1)
 
 

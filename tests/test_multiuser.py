@@ -534,7 +534,9 @@ class TestConditionModel:
             model = _Conditions(MUserChannel(gains=gains, powers=np.exp(rng.uniform(-3, 3, m))))
             u = rng.uniform(0.05, 0.95, m)
             h = 1e-5
-            below, at, above = (np.array(model._terms(u + d)) for d in (-h, 0.0, h))
+            below, at, above = (
+                np.array(model._terms((u + d)[:, None]))[..., 0] for d in (-h, 0.0, h)
+            )
             slope, curve = model._curvature(u)
             # The non-linear terms 1/u, 1/(1 + Q - u) and 1/(P + K/u).
             rows = [0, 1, 3]
