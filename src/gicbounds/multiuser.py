@@ -7,7 +7,8 @@ parameters rho_i in (0, 1) exist satisfying, for every receiver i,
     sum_{j != i} c_ij / (1 + Q_j - rho_j^2)  <=  1 / (P_i + (1 + Q_i)^2 / rho_i^2)
 
 with Q_i the total interference power at receiver i.  One condition model
-per channel holds the terms free of rho; ``check_conditions``, ``find_rho``
+per channel holds the terms free of rho, and one of its methods evaluates
+the slacks of any number of rho vectors; ``check_conditions``, ``find_rho``
 and the oracle each build it once.  ``find_rho`` searches for such a
 vector: a 'not found' verdict means that a dual bound proved that no
 vector in (0, 1)^m exists, unless the search stalled or ended on its
@@ -236,19 +237,6 @@ def _verdict_from_probe(
     )
 
 
-def _uniform_seed(ch: MUserChannel) -> np.ndarray | None:
-    """Common-rho probe from user 0's gain c = c_01 and power P, with s =
-    (m-1)c and Q = sP; ``find_rho`` takes it on every channel.  On a
-    uniform channel both condition families reduce to s(1+Q)^2/rho^2 <=
-    1 - rho^2, least at rho^2 = sqrt(s)(1+Q)."""
-    c = ch.gains[0, 1]
-    q = (ch.m - 1) * c * ch.powers[0]
-    rho_sq = math.sqrt((ch.m - 1) * c) * (1.0 + q)
-    if not 0.0 < rho_sq < 1.0:
-        return None
-    return np.full(ch.m, math.sqrt(rho_sq))
-
-
 def _two_user_seed(model: _Conditions) -> np.ndarray | None:
     """Closed-form witness for m = 2, None when there is none.
 
@@ -325,7 +313,8 @@ def _heuristic_seed(model: _Conditions) -> np.ndarray:
 
     clipped into [_RHO_MIN, _RHO_MAX].  A user that sends no interference
     gets the floor, and one that receives none is still sized by what it
-    sends.  On a uniform channel o_j = (m-1)c and this is ``_uniform_seed``.
+    sends.  On a uniform channel o_j = (m-1)c, and both families reduce
+    to (m-1)c (1 + Q)^2/rho^2 <= 1 - rho^2, least at this common rho.
     """
     out = model.gains_offdiag.sum(axis=1)  # total gain out of each transmitter
     rho_sq = np.sqrt(np.maximum(out, 1e-300)) * model.one_q
@@ -521,43 +510,38 @@ def _phase_one(
 def find_rho(ch: MUserChannel) -> MUserVerdict:
     """Search for a rho vector satisfying both condition families.
 
-    Probe order: the common-rho point of ``_uniform_seed`` (on every
-    channel), the m = 2 closed form (a witness iff A + B < 1, see
-    ``_two_user_seed``), the per-user outgoing-gain heuristic
-    (``_heuristic_seed``), then the phase-I barrier solve of the convex
-    program in u = rho^2 (``_phase_one``), started at the heuristic.
-    Every probe is decided on its one-point slacks, the check
-    ``check_conditions`` makes.  At m = 2 the closed form decides:
-    for A + B >= 1 no witness exists and the solve is skipped.  For m > 2
-    the solve is skipped when the pair or receiver test of
+    Probe order, one path for every m: the m = 2 closed form (a witness
+    iff A + B < 1, see ``_two_user_seed``), the per-user outgoing-gain
+    heuristic (``_heuristic_seed``; a witness at m = 1), then the phase-I
+    barrier solve of the convex program in u = rho^2 (``_phase_one``),
+    started at the heuristic.  Every probe is decided on its one-point
+    slacks, the check ``check_conditions`` makes.  At m = 2 the closed form
+    decides: for A + B >= 1 no witness exists and the solve is skipped.
+    For m > 2 the solve is skipped when the pair or receiver test of
     ``_necessary_bound`` proves that the max slack exceeds 2^-27 at every
     rho in (0, 1)^m.  So for m > 2 a 'not found' verdict means that one of
     those tests, or a dual bound at an iterate of the solve, proved that
     no rho in (0, 1)^m meets the conditions, unless Newton stalled or the
     solve ended on its fallback rule for a least max slack t* near 0, a
     relative duality gap of 1e-3.  ``best_probe`` is then the probe of
-    least max slack visited.  Only uniform channels whose gain exceeds
-    1/(4(m-1)), where the common-rho reduction is both necessary and
-    sufficient, are marked ``provably_infeasible``.  Over the benchmark's
-    m-user pool, the pair and receiver tests settle 40 of the 48
-    infeasible m > 2 channels; the other 8 average 11.4 Newton steps (4 of
-    them stop at the start point, with none), and the 2 feasible channels
-    that need the solve 16.
+    least max slack visited, the heuristic wherever the solve is skipped.
+    Only uniform channels whose gain exceeds 1/(4(m-1)), where the
+    common-rho reduction is both necessary and sufficient, are marked
+    ``provably_infeasible``.  Over the benchmark's m-user pool, the pair
+    and receiver tests settle 40 of the 48 infeasible m > 2 channels; the
+    other 8 average 11.4 Newton steps (4 of them stop at the start point,
+    with none), and the 2 feasible channels that need the solve 16.
     """
     if ch.m > 16:
         raise ValueError(f"find_rho supports m <= 16, got m={ch.m}")
-    if ch.m == 1:
-        rho = np.array([0.5])
-        return _verdict_from_probe(ch, rho, check_conditions(ch, rho))
-
     model = _Conditions(ch)
     heuristic = _heuristic_seed(model)
     closed_form = _two_user_seed(model)
 
     def probes() -> Iterator[np.ndarray]:
-        for seed in (_uniform_seed(ch), closed_form, heuristic):
-            if seed is not None:
-                yield seed
+        if closed_form is not None:
+            yield closed_form
+        yield heuristic
         # On m = 2, A + B >= 1 already proves that no witness exists; for
         # m > 2 the pair and receiver tests can prove it.
         proven = closed_form is None if ch.m == 2 else _necessary_bound(model) > _NECESSARY

@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: channel samplers, geometry checks, an
 MU objective call counter, the reference MU bound in user order, the
-reference m-user grid scan, and a Newton system counter and the stopping
-certificate of the m-user phase-I solve."""
+reference m-user grid scan, a Newton system counter, a probe counter and
+the stopping certificate of the m-user phase-I solve."""
 
 from __future__ import annotations
 
@@ -141,6 +141,21 @@ def count_newton_solves(monkeypatch) -> list[int]:
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def count_probes(monkeypatch) -> list[int]:
+    """Count every one-point probe ``find_rho`` evaluates from here on, in a
+    one-item list: it decides each probe, the solve's iterates among them,
+    with one ``_Conditions.at`` call."""
+    calls = [0]
+    at = _Conditions.at
+
+    def counted(self, rho):
+        calls[0] += 1
+        return at(self, rho)
+
+    monkeypatch.setattr(_Conditions, "at", counted)
     return calls
 
 

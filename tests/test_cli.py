@@ -20,6 +20,7 @@ from gicbounds.config import (
     linear_to_db,
     load_channel_config,
 )
+from verify import is_exact_witness
 
 FIG1_ARGS = ["--a", "0.04", "--b", "0.09", "--p1", "10", "--p2", "20"]
 
@@ -427,6 +428,17 @@ class TestMurateCommand:
             for extra, expected in runs:
                 code, out, err = run(capsys, "murate", "--config", str(cfg), "--json", *extra)
                 assert (code, out, err) == (0, expected, ""), (entry["id"], extra)
+
+    @pytest.mark.parametrize("command", [["murate", "--json"], ["classify"]])
+    def test_single_user_config(self, capsys, tmp_path, command):
+        # One user takes find_rho's path for every m; its heuristic probe is
+        # the witness.
+        cfg = tmp_path / "ch.json"
+        cfg.write_text(json.dumps({"gains": [[1]], "powers": [3]}))
+        code, out, err = run(capsys, *command, "--config", str(cfg))
+        payload = json.loads(out)
+        assert (code, err, payload["feasible"], payload["sum_capacity_bits"]) == (0, "", True, 1.0)
+        assert is_exact_witness([[1]], [3], payload["rho"])
 
     def test_two_user_flags(self, capsys):
         code, out, _ = run(capsys, "murate", *FIG1_ARGS)
