@@ -111,8 +111,11 @@ def noisy_certificate(ch: TwoUserChannel) -> GenieParams:
             "the genie construction needs strictly positive crosstalk gains"
         )
     a, b = ch.a, ch.b
-    u = a * (b * ch.p1 + 1.0) ** 2
-    v = b * (a * ch.p2 + 1.0) ** 2
+    try:  # rho1^2*s1 = (1 + a*p2)^2: where a square overflows, so does s1 or s2
+        u = a * (b * ch.p1 + 1.0) ** 2
+        v = b * (a * ch.p2 + 1.0) ** 2
+    except OverflowError:
+        raise CertificateUnavailableError("the certificate's variances overflow") from None
     k1 = v - u + 1.0
     k2 = u - v + 1.0
     disc = k1 * k1 - 4.0 * v  # equals k2*k2 - 4*u

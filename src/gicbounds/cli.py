@@ -62,6 +62,8 @@ def _channel_from_args(args) -> TwoUserChannel | MUserChannel:
     if args.config is not None:
         if any(v is not None for v in (args.a, args.b, args.p1, args.p2)):
             raise ConfigError("give either --config or --a/--b/--p1/--p2, not both")
+        if args.db and args.func is not _cmd_sweep:  # sweep's --db also reads its grid
+            raise ConfigError('--db does not apply to --config; set "units": "db" in the config')
         return load_channel_config(args.config)
     missing = [f for f in ("a", "b", "p1", "p2") if getattr(args, f) is None]
     if missing:
@@ -250,10 +252,12 @@ def _cmd_threshold(args) -> int:
 
 
 # Built on first use, so importing the module stays cheap, and then shared
-# by every call of ``main``: parse_args only reads the parser, so calls in
-# concurrent threads may share it.
+# by every call of ``main``: parse_args only reads the parsers, so calls in
+# concurrent threads may share them.
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser, and the subcommand parsers it hands off to by
+    command name."""
     parser = _Parser(prog="gicbounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -297,13 +301,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_threshold)
 
-    return parser
+    return parser, dict(sub.choices)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one request and return its exit status.
+
+    A request whose first token names a command is parsed by that command's
+    parser alone; everything else (no arguments, ``-h``, an unknown command,
+    a flag before the command) goes through the top-level parser.  Both
+    paths print the same: the top-level parser hands a command's tokens to
+    the same subcommand parser, and every parser reports errors as
+    ConfigError in argparse's words.
+    """
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

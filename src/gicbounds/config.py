@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,10 @@ class SweepSpec:
             raise ConfigError("log spacing needs a positive start value")
 
     def grid(self) -> np.ndarray:
+        return self._grid.copy()
+
+    @cached_property  # the fields are frozen, so the grid is built once
+    def _grid(self) -> np.ndarray:
         if self.log_spacing:
             return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
@@ -92,11 +97,12 @@ class SweepSpec:
         ConfigError at the first value that makes an invalid channel."""
         fields = SWEEP_FIELDS[self.parameter]
         in_db = gains_in_db and set(fields) <= {"a", "b"}
+        point = {"a": base.a, "b": base.b, "p1": base.p1, "p2": base.p2}
         channels = []
-        for raw in map(float, self.grid()):
+        for raw in map(float, self._grid):
             value = db_to_linear(raw) if in_db else raw
             try:
-                channels.append(replace(base, **dict.fromkeys(fields, value)))
+                channels.append(TwoUserChannel(**(point | dict.fromkeys(fields, value))))
             except ValueError as exc:
                 raise ConfigError(f"sweep value {value} invalid: {exc}") from exc
         return channels
@@ -114,10 +120,17 @@ def channel_from_flags(
 
 
 def _is_json_number(v) -> bool:
-    """A JSON number, or a (nested) list of them; booleans and strings are not."""
-    if isinstance(v, list):
-        return all(_is_json_number(x) for x in v)
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number, or a (nested) list of them; booleans and strings are
+    not.  Exact types suffice: of the types json yields, only bool
+    subclasses int or float."""
+    pending = [v]
+    while pending:
+        x = pending.pop()
+        if type(x) is list:
+            pending.extend(x)
+        elif type(x) is not float and type(x) is not int:
+            return False
+    return True
 
 
 def _numeric(raw: dict, key: str, convert):
@@ -127,6 +140,8 @@ def _numeric(raw: dict, key: str, convert):
         return convert(raw[key])
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be numeric, got {raw[key]!r}") from None
+    except OverflowError:  # a JSON integer beyond the largest float
+        raise ConfigError(f"{key} holds a number too large for a float") from None
 
 
 def load_channel_config(path: str | Path) -> TwoUserChannel | MUserChannel:

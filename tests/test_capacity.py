@@ -138,6 +138,17 @@ class TestNoisyCertificate:
         with pytest.raises(CertificateUnavailableError):
             noisy_certificate(TwoUserChannel(5e-324, 0.1, 1, 1))
 
+    def test_unavailable_when_a_square_overflows(self):
+        # Noisy (slack -0.036), but (1 + a*p2)^2 = 6.6e308 is beyond the
+        # largest float, and so is s1 >= (1 + a*p2)^2.
+        ch = TwoUserChannel(
+            7.75909931528045e-124, 1.41228699461945e-309,
+            1.5086127220011277e77, 3.3065774990856713e277,
+        )
+        assert noisy_condition(ch)[0]
+        with pytest.raises(CertificateUnavailableError, match="variances overflow"):
+            noisy_certificate(ch)
+
     @given(GAINS, GAINS, POWERS, POWERS)
     # rho1 near 1: stepping sigma2^2 alone into the box takes 30,517 float
     # steps here and misses its target by 1.8e-12.

@@ -31,6 +31,45 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+BAD_INPUT_ARGV = [
+    ["classify", "--a", "0.1", "--b", "0.1", "--p1", "1"],  # missing p2
+    ["classify", "--a", "-1", "--b", "0", "--p1", "1", "--p2", "1"],
+    ["classify"],
+    ["classify", "--a", "x", "--b", "0", "--p1", "1", "--p2", "1"],
+    # 10^400 overflows a float
+    ["classify", "--a", "4000", "--b", "0.1", "--p1", "1", "--p2", "1", "--db"],
+]
+
+BAD_CONFIGS = [
+    ({"a": None, "b": 0.1, "p1": 1, "p2": 1}, "a must be numeric"),
+    ({"a": [1], "b": 0.1, "p1": 1, "p2": 1}, "a must be numeric"),
+    ({"gains": [[1, 0.1], [0.1, 1]], "powers": {"x": 1}}, "powers must be numeric"),
+    # 10^400 overflows a float
+    (
+        {"gains": [[0, 4000, 1], [1, 0, 1], [1, 1, 0]], "powers": [1, 1, 1],
+         "units": "db"},
+        "4000.0 dB is too large",
+    ),
+    # JSON booleans and strings are not numbers, in either form
+    ({"a": True, "b": 0.1, "p1": 1, "p2": 1}, "a must be numeric"),
+    ({"a": "0.1", "b": 0.1, "p1": 1, "p2": 1}, "a must be numeric"),
+    ({"gains": [[1, True], [0.1, 1]], "powers": [1, 1]}, "gains must be numeric"),
+    ({"gains": [[1, 0.1], [0.1, 1]], "powers": [1, "2"]}, "powers must be numeric"),
+    # nor is null; any entry of any row, or a ragged matrix, is checked
+    ({"gains": [[1, 0.1], [False, 1]], "powers": [1, 1]}, "gains must be numeric"),
+    ({"gains": [[1, 0.1], [None, 1]], "powers": [1, 1]}, "gains must be numeric"),
+    ({"gains": [[1, 0.1], ["0.1", 1]], "powers": [1, 1]}, "gains must be numeric"),
+    ({"gains": [[1, 0.1], [[0.1], 1]], "powers": [1, 1]}, "gains must be numeric"),
+    ({"gains": [[1, 0.1], [0.1]], "powers": [1, 1]}, "gains must be numeric"),
+    # a JSON integer beyond the largest float, in either form
+    ({"a": 10**400, "b": 0.1, "p1": 1, "p2": 1}, "a holds a number too large for a float"),
+    (
+        {"gains": [[1, 0.1], [0.1, 1]], "powers": [1, 10**400]},
+        "powers holds a number too large for a float",
+    ),
+]
+
+
 class TestClassifyCommand:
     def test_noisy_channel(self, capsys):
         code, out, _ = run(capsys, "classify", *FIG1_ARGS)
@@ -88,6 +127,16 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out)["kind"] == "NOISY_INTERFERENCE"
 
+    @pytest.mark.parametrize("command", [["classify"], ["region"], ["murate", "--json"]])
+    def test_db_with_config_exit_one(self, capsys, tmp_path, command):
+        # The config's "units" says how its gains read; --db would be
+        # ignored, and the linear channel's verdict printed.
+        cfg = tmp_path / "fig1.json"
+        cfg.write_text(json.dumps({"a": 0.04, "b": 0.09, "p1": 10, "p2": 20}))
+        code, out, err = run(capsys, *command, "--config", str(cfg), "--db")
+        assert (code, out) == (1, "")
+        assert err == 'error: --db does not apply to --config; set "units": "db" in the config\n'
+
     def test_non_finite_result_exit_one(self, capsys, tmp_path):
         # The condition slack of these huge gains is inf, which strict JSON
         # cannot carry: nothing goes to stdout and one error line to stderr.
@@ -97,41 +146,13 @@ class TestClassifyCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "JSON" in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["classify", "--a", "0.1", "--b", "0.1", "--p1", "1"],  # missing p2
-            ["classify", "--a", "-1", "--b", "0", "--p1", "1", "--p2", "1"],
-            ["classify"],
-            ["classify", "--a", "x", "--b", "0", "--p1", "1", "--p2", "1"],
-            # 10^400 overflows a float
-            ["classify", "--a", "4000", "--b", "0.1", "--p1", "1", "--p2", "1", "--db"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", BAD_INPUT_ARGV)
     def test_bad_input_exit_one(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err
 
-    @pytest.mark.parametrize(
-        "payload, message",
-        [
-            ({"a": None, "b": 0.1, "p1": 1, "p2": 1}, "a must be numeric"),
-            ({"a": [1], "b": 0.1, "p1": 1, "p2": 1}, "a must be numeric"),
-            ({"gains": [[1, 0.1], [0.1, 1]], "powers": {"x": 1}}, "powers must be numeric"),
-            # 10^400 overflows a float
-            (
-                {"gains": [[0, 4000, 1], [1, 0, 1], [1, 1, 0]], "powers": [1, 1, 1],
-                 "units": "db"},
-                "4000.0 dB is too large",
-            ),
-            # JSON booleans and strings are not numbers, in either form
-            ({"a": True, "b": 0.1, "p1": 1, "p2": 1}, "a must be numeric"),
-            ({"a": "0.1", "b": 0.1, "p1": 1, "p2": 1}, "a must be numeric"),
-            ({"gains": [[1, True], [0.1, 1]], "powers": [1, 1]}, "gains must be numeric"),
-            ({"gains": [[1, 0.1], [0.1, 1]], "powers": [1, "2"]}, "powers must be numeric"),
-        ],
-    )
+    @pytest.mark.parametrize("payload, message", BAD_CONFIGS)
     @pytest.mark.filterwarnings("error")
     def test_bad_config_exit_one(self, capsys, tmp_path, payload, message):
         cfg = tmp_path / "bad.json"
@@ -213,6 +234,16 @@ class TestRegionCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: the MU bound overflows") and err.count("\n") == 1
         assert not (tmp_path / "r.csv").exists()
+
+
+BAD_GRIDS = [
+    # grid -1, 0, 1: the first bad power is the one reported
+    (["--param", "p1", "--from", "-1", "--to", "1", "--points", "3"],
+     "error: sweep value -1.0 invalid"),
+    # 10^400 overflows a float
+    (["--param", "a", "--from", "3000", "--to", "4000", "--points", "2", "--db"],
+     "error: 4000.0 dB is too large"),
+]
 
 
 class TestSweepCommand:
@@ -308,17 +339,7 @@ class TestSweepCommand:
             assert code == 0, name
             assert [r.split(",") for r in out.splitlines()[1:]] == entry["rows"], name
 
-    @pytest.mark.parametrize(
-        "grid, message",
-        [
-            # grid -1, 0, 1: the first bad power is the one reported
-            (["--param", "p1", "--from", "-1", "--to", "1", "--points", "3"],
-             "error: sweep value -1.0 invalid"),
-            # 10^400 overflows a float
-            (["--param", "a", "--from", "3000", "--to", "4000", "--points", "2", "--db"],
-             "error: 4000.0 dB is too large"),
-        ],
-    )
+    @pytest.mark.parametrize("grid, message", BAD_GRIDS)
     def test_bad_grid_value_exit_one(self, capsys, grid, message):
         code, out, err = run(capsys, "sweep", *FIG1_ARGS, *grid, "--metric", "sum-upper")
         assert code == 1 and not out
@@ -351,6 +372,19 @@ class TestSweepCommand:
                 options={"xatol": 1e-12},
             )
             assert best == pytest.approx(-res.fun, abs=1e-12)
+
+    def test_db_with_config_reads_the_gain_grid(self, capsys, tmp_path):
+        cfg = tmp_path / "fig1.json"
+        cfg.write_text(json.dumps({"a": 0.04, "b": 0.09, "p1": 10, "p2": 20}))
+        code, out, err = run(
+            capsys, "sweep", "--config", str(cfg), "--db", "--param", "a",
+            "--from", "-20", "--to", "-10", "--points", "2", "--metric", "sum-tin",
+        )
+        assert (code, err) == (0, "")
+        for row, a in zip(out.splitlines()[1:], (0.01, 0.1)):
+            assert float(row.split(",")[1]) == pytest.approx(
+                tin_rates(TwoUserChannel(a, 0.09, 10, 20)).sum, rel=1e-12
+            )
 
     def test_bad_spec_exit_one(self, capsys):
         code, _, err = run(
@@ -398,6 +432,49 @@ class TestSweepParameters:
             value = 10.0 ** (raw / 10.0) if gain_grid_in_db else raw
             ch = dataclasses.replace(base, **dict.fromkeys(fields, value))
             assert metric == tin_rates(ch).sum, row
+
+
+class TestSweepChannels:
+    @pytest.mark.parametrize("db", [False, True], ids=["linear", "db"])
+    @pytest.mark.parametrize("param", list(SWEEP_SETS))
+    def test_channels_match_replace(self, param, db):
+        fields = SWEEP_SETS[param]
+        in_db = db and set(fields) <= {"a", "b"}
+        base = TwoUserChannel(0.04, 0.09, 10.0, 20.0)
+        if in_db:
+            spec = SweepSpec(param, -20.0, -10.0, 5, "sum-tin")
+        else:
+            spec = SweepSpec(param, 0.05, 2.0, 5, "sum-tin", log_spacing=True)
+        expected = [
+            dataclasses.replace(base, **dict.fromkeys(fields, db_to_linear(v) if in_db else v))
+            for v in map(float, spec.grid())
+        ]
+        built = spec.channels(base, gains_in_db=db)
+        assert [tuple(map(repr, dataclasses.astuple(ch))) for ch in built] == [
+            tuple(map(repr, dataclasses.astuple(ch))) for ch in expected
+        ]
+
+    def test_bad_value_keeps_its_message(self):
+        base = TwoUserChannel(0.04, 0.09, 10.0, 20.0)
+        with pytest.raises(ValueError) as replaced:
+            dataclasses.replace(base, p1=-1.0)
+        with pytest.raises(ConfigError) as built:
+            SweepSpec("p1", -1.0, 1.0, 3, "sum-tin").channels(base)
+        assert str(built.value) == f"sweep value -1.0 invalid: {replaced.value}"
+
+    def test_one_grid_per_request(self, capsys, monkeypatch):
+        import gicbounds.config as config_mod
+
+        calls = []
+        geomspace = config_mod.np.geomspace
+        monkeypatch.setattr(
+            config_mod.np, "geomspace", lambda *a, **k: calls.append(a) or geomspace(*a, **k)
+        )
+        code, out, _ = run(
+            capsys, "sweep", *FIG1_ARGS, "--param", "p1", "--log",
+            "--from", "1", "--to", "100", "--points", "3", "--metric", "sum-tin",
+        )
+        assert (code, len(out.splitlines()), len(calls)) == (0, 4, 1)
 
 
 class TestMurateCommand:
@@ -495,6 +572,46 @@ class TestOverflowingChannel:
         assert err.startswith(self.MESSAGE) and err.count("\n") == 1
 
 
+BAD_THRESHOLD_ARGV = [
+    ["--p", "nan"],
+    ["--p", "inf"],
+    ["--m", "3", "--c", "nan"],
+    ["--m", "3", "--c", "inf"],
+    ["--m", "3", "--c", "4000", "--db"],  # 10^400 overflows a float
+]
+
+
+# Noisy (slack -0.036), but (1 + a*p2)^2 overflows a float.
+CERT_OVERFLOW_ARGS = [
+    "--a", "7.75909931528045e-124", "--b", "1.41228699461945e-309",
+    "--p1", "1.5086127220011277e+77", "--p2", "3.3065774990856713e+277",
+]
+CERT_OVERFLOW_SWEEP = ["sweep", *CERT_OVERFLOW_ARGS, "--param", "p1",
+                       "--from", "1e77", "--to", "1.5086127220011277e+77", "--points", "2"]
+
+
+class TestCertificateOverflow:
+    @pytest.mark.parametrize("argv", [
+        ["classify", *CERT_OVERFLOW_ARGS],
+        ["region", *CERT_OVERFLOW_ARGS],
+        [*CERT_OVERFLOW_SWEEP, "--metric", "verdict"],
+    ])
+    def test_exit_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_sum_upper_falls_back_to_the_search(self, capsys):
+        # The genie search needs no certificate: it bounds the channel by
+        # its TIN sum rate, which noisy interference makes the capacity.
+        code, out, err = run(capsys, *CERT_OVERFLOW_SWEEP, "--metric", "sum-upper")
+        assert (code, err) == (0, "")
+        ch = TwoUserChannel(*map(float, CERT_OVERFLOW_ARGS[1::2]))
+        assert float(out.splitlines()[-1].split(",")[1]) == pytest.approx(
+            tin_rates(ch).sum, rel=1e-15
+        )
+
+
 class TestThresholdCommand:
     def test_gain_threshold(self, capsys):
         code, out, _ = run(capsys, "threshold", "--p", "5000", "--json")
@@ -511,16 +628,7 @@ class TestThresholdCommand:
         code, _, err = run(capsys, "threshold", "--p", "10", "--m", "3", "--c", "0.05")
         assert code == 1 and err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--p", "nan"],
-            ["--p", "inf"],
-            ["--m", "3", "--c", "nan"],
-            ["--m", "3", "--c", "inf"],
-            ["--m", "3", "--c", "4000", "--db"],  # 10^400 overflows a float
-        ],
-    )
+    @pytest.mark.parametrize("argv", BAD_THRESHOLD_ARGV)
     def test_non_finite_input_exit_one(self, capsys, argv):
         code, out, err = run(capsys, "threshold", *argv)
         assert code == 1 and not out
@@ -573,6 +681,77 @@ class TestParserReuse:
         code, out, err = run(capsys, "classify", "--a", "nope", *FIG1_ARGS[2:])
         assert code == 1 and not out and err.startswith("error:")
         assert [run(capsys, *argv) for argv in calls] == fresh
+
+
+def outcome(capsys, out_dir, argv):
+    """Exit code, stdout, stderr and written files of one request, its
+    "{dir}" placeholders pointing at the fresh directory ``out_dir``."""
+    out_dir.mkdir(parents=True)
+    code, out, err = run(capsys, *(a.replace("{dir}", str(out_dir)) for a in argv))
+    files = {p.name: p.read_text() for p in sorted(out_dir.iterdir())}
+    return code, out.replace(str(out_dir), "{dir}"), err, files
+
+
+class TestSingleParse:
+    def requests(self, tmp_path):
+        """Every pinned request and every bad-input case, by name."""
+        pinned = json.loads((Path(__file__).parent / "data" / "cli_bytes.json").read_text())
+        requests = {name: entry["argv"] for name, entry in pinned["runs"].items()}
+        requests.update((f"bad-input-{i}", argv) for i, argv in enumerate(BAD_INPUT_ARGV))
+        for i, (payload, _) in enumerate(BAD_CONFIGS):
+            cfg = tmp_path / f"bad-config-{i}.json"
+            cfg.write_text(json.dumps(payload))
+            requests[f"bad-config-{i}"] = ["classify", "--config", str(cfg)]
+        for i, (grid, _) in enumerate(BAD_GRIDS):
+            requests[f"bad-grid-{i}"] = ["sweep", *FIG1_ARGS, *grid, "--metric", "sum-upper"]
+        for i, argv in enumerate(BAD_THRESHOLD_ARGV):
+            requests[f"bad-threshold-{i}"] = ["threshold", *argv]
+        return requests
+
+    def test_top_level_path_gives_the_same_bytes(self, capsys, tmp_path, monkeypatch):
+        # With the command map emptied every request goes through the
+        # top-level parser, as all of them did before the direct path.
+        import gicbounds.cli as cli_mod
+
+        requests = self.requests(tmp_path)
+        direct = {n: outcome(capsys, tmp_path / "direct" / n, a) for n, a in requests.items()}
+        parser, _ = cli_mod._build_parser()
+        monkeypatch.setattr(cli_mod, "_build_parser", lambda: (parser, {}))
+        for name, argv in requests.items():
+            assert outcome(capsys, tmp_path / "top" / name, argv) == direct[name], name
+
+    def test_known_command_skips_the_top_level_parser(self, capsys, monkeypatch):
+        import gicbounds.cli as cli_mod
+
+        parser, _ = cli_mod._build_parser()
+        calls = []
+        parse_known_args = cli_mod._Parser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            if self is parser:
+                calls.append(args)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod._Parser, "parse_known_args", counted)
+        for argv in (
+            ["classify", *FIG1_ARGS],
+            ["threshold", "--p", "10"],
+            ["murate", *FIG1_ARGS, "--json"],
+            ["sweep", *FIG1_ARGS, "--param", "p1", "--from", "1", "--to", "4",
+             "--points", "3", "--metric", "tdm-best"],
+            *BAD_INPUT_ARGV,
+        ):
+            run(capsys, *argv)
+        assert calls == []
+        for argv, message in (
+            ([], "error: the following arguments are required: command\n"),
+            (["nope"], "error: argument command: invalid choice: 'nope' "),
+            (["--x", "classify"], "error: unrecognized arguments: --x\n"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err.count("\n")) == (1, "", 1)
+            assert err.startswith(message)
+        assert len(calls) == 3
 
 
 class TestConfigHelpers:
