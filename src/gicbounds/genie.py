@@ -293,8 +293,19 @@ _POLL_CAP = 300  # most polls of one pattern-search lane
 _ANCHOR_POLLS = 8  # polls between a lane's choices of the kink its t starts at
 _LOG_STEP = math.log(3.0)  # first step of the free variance's log
 _CAP_SHRINK = 1.0 - 2.0**-50  # rounds a float variance cap into the exact box
-_FIRST_STEPS = np.array([[0.15], [0.15], [_LOG_STEP]])
 _MAX_SHRINKS = math.floor(math.log(_LOG_STEP / _STEP_FLOOR, 4))  # shrinks of a live lane
+
+
+def _probe_geometry():
+    """``_probe_grid``'s probes at t = 0, as (r, w, t): 8 x 8 correlation pairs, 8
+    times each, then a 16 x 16 manifold; and the pairs' 1 - r_B^2, as a column."""
+    axes = (np.linspace(0.0, _RHO_MAX, n) for n in (_GRID_POINTS, 2 * _GRID_POINTS))
+    pairs, manifold = (np.array(np.meshgrid(v, v, indexing="ij")).reshape(2, -1) for v in axes)
+    r, rho = np.concatenate([np.repeat(pairs, _GRID_POINTS, axis=1), manifold], axis=1)
+    return np.array([r, rho * np.sqrt(_gap(r)), np.zeros_like(r)]), _gap(pairs[1])[:, None]
+
+
+_FIRST_STEPS = np.array([[0.15], [0.15], [_LOG_STEP]])
 # The 18 unit moves of the pattern search, as columns: the 6 axis moves
 # +-e_i, then the 12 diagonal moves +-e_i +- e_j, i < j.  Each poll adds
 # one more, twice the lane's last accepted move.
@@ -303,8 +314,11 @@ _POLL = np.array([*_EYE, *-_EYE] + [
     s * _EYE[i] + t * _EYE[j]
     for i, j in itertools.combinations(range(3), 2) for s in (1, -1) for t in (1, -1)
 ]).T
-# The constants of a _MuObjective with one value per entry, which ``take``
-# gathers.
+_PROBES, _PROBE_GAPS = _probe_geometry()
+for _array in (_FIRST_STEPS, _EYE, _POLL, _PROBES, _PROBE_GAPS):
+    _array.setflags(write=False)  # shared by every call, in every thread
+del _array
+# The constants of a _MuObjective with one value per entry: its ``table``.
 _ENTRY_VALUES = ("p_a", "p_b", "g_a", "g_b", "w_a", "w_b", "c", "d", "off", "den", "tight", "ratio")
 
 
@@ -357,9 +371,8 @@ class _MuObjective:
     def __init__(self, a, b, p1, p2, mu):
         mu = np.asarray(mu, dtype=float)
         self.mirrored = mu < 1.0
-        # mu == 1 has no sloped branch in its effective power.
-        self.one = mu == 1.0
-        self.any_one = bool(self.one.any())
+        self.one = mu == 1.0  # no sloped branch in the effective power; see ``effective``
+        self.any_one, self.all_one = bool(self.one.any()), bool(self.one.all())
         self.p_a, self.p_b = _mirror(self.mirrored, p1, p2)
         self.g_a, self.g_b = _mirror(self.mirrored, a, b)
         self.w_a, self.w_b = _mirror(self.mirrored, 0.5, 0.5 * mu)
@@ -388,14 +401,15 @@ class _MuObjective:
     def take(self, idx) -> "_MuObjective":
         """The entries ``idx`` of an objective with one entry per lane.  Lanes
         of both sides of weight 1 share the gathered rows: each entry's
-        constants are already in its own (A, B) order."""
+        constants are already in its own (A, B) order, in ``table``, built once."""
+        if "table" not in vars(self):
+            self.table = np.array(np.broadcast_arrays(*(getattr(self, n) for n in _ENTRY_VALUES)))
         sub = object.__new__(_MuObjective)
-        values = np.array(np.broadcast_arrays(*(getattr(self, name) for name in _ENTRY_VALUES)))
-        # np.take returns C-ordered rows; values[:, idx] would be F-ordered,
+        # np.take returns C-ordered rows; table[:, idx] would be F-ordered,
         # every row strided.
-        sub.__dict__.update(zip(_ENTRY_VALUES, np.take(values, idx, axis=1)))
+        sub.__dict__.update(zip(_ENTRY_VALUES, np.take(self.table, idx, axis=1)))
         sub.one = np.take(self.one, idx)
-        sub.any_one = bool(sub.one.any())
+        sub.any_one, sub.all_one = bool(sub.one.any()), bool(sub.one.all())
         sub.at_left = np.False_
         return sub
 
@@ -480,7 +494,10 @@ class _MuObjective:
 
     def nearer_left(self, x: np.ndarray) -> np.ndarray:
         """Whether the free variance of points ``x`` lies nearer L than R, in
-        log; False where L = 0.  See ``_edges``."""
+        log; False where L = 0 (``_edges``).  All False if every mu is 1, for ``_scale``'s fast
+        path: there off = 0 and ratio = 1, so R = 1*scale = scale and L = max(0 + R, 0) = R."""
+        if self.all_one:
+            return np.zeros(x.shape[1:], dtype=bool)
         left, right = self._edges(x[5] / self.g_b)
         return (left > 0.0) & (x[2] * x[2] < left * right)
 
@@ -495,11 +512,14 @@ class _MuObjective:
         s_a = x[2]
         cg = self.c * x[5]
         ds = self.d * s_a
+        unit = np.where(ds <= cg, self.p_a, 0.0) if self.any_one else None
+        if self.all_one:
+            return unit, self.p_b
         right = cg / self.d
         left = np.maximum(self.off + right, 0.0)
         p_a = np.where(s_a <= left, self.p_a, np.where(s_a <= right, (cg - ds) / self.den, 0.0))
         if self.any_one:
-            p_a = np.where(self.one, np.where(ds <= cg, self.p_a, 0.0), p_a)
+            p_a = np.where(self.one, unit, p_a)
         return p_a, self.p_b
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -533,7 +553,8 @@ def _user_share(p, p_star, gain, p_other, p_star_other, rho, gap, s):
     dev = np.sqrt(s) - rho
     k = gain * p_other + gap
     cond = (p * (dev * dev + k) + s * k) / (p + s)
-    return np.log2(1.0 + p_star / s) - np.log2(gain * p_star_other + gap) + np.log2(cond)
+    log_k = np.log2(k) if p_star_other is p_other else np.log2(gain * p_star_other + gap)
+    return np.log2(1.0 + p_star / s) - log_k + np.log2(cond)
 
 
 def _pattern_search(
@@ -558,13 +579,13 @@ def _pattern_search(
     start at 0.15 and log(3); a lane stops once its log step is below
     _STEP_FLOOR, or after _POLL_CAP polls.  Every polled point is
     ``place``d in the box and its value is the objective there, so every
-    end is a valid bound.  The live lanes' constants are gathered again only
-    when a lane stops.
+    end is a valid bound.  Only when a lane stops is its end written out
+    and are the live lanes' constants gathered again (``take``).
     """
     x = obj.clamp(starts)
     val = obj(x)
     out_val, out_x = val.copy(), x.copy()
-    ids = np.arange(x.shape[1])  # lane of each live entry
+    ids = lane = np.arange(x.shape[1])  # lane of each live entry; its position
     shrinks = np.zeros(ids.size)
     moved = np.zeros((3, ids.size))  # each lane's last accepted move; 0 after a failed poll
     polled = obj.take(ids[:, None])  # each lane's entry broadcasts over its moves
@@ -577,11 +598,11 @@ def _pattern_search(
         steps = _FIRST_STEPS * 0.25**shrinks
         cand = np.empty((3, ids.size, _POLL.shape[1] + 1))
         np.multiply(steps[:, :, None], _POLL[:, None, :], out=cand[:, :, :-1])
-        cand[:, :, -1] = 2.0 * moved
+        np.multiply(moved, 2.0, out=cand[:, :, -1])
         cand += y[:, :, None]
         cand_x = polled.place(cand)
         cand_val = polled(cand_x)
-        lane, best = np.arange(ids.size), cand_val.argmin(axis=1)
+        best = cand_val.argmin(axis=1)
         best_val = cand_val[lane, best]
         better = best_val < val
         chosen = cand[:, lane, best]
@@ -590,16 +611,18 @@ def _pattern_search(
         x = np.where(better, cand_x[:, lane, best], x)
         val = np.where(better, best_val, val)
         shrinks += ~better
-        out_val[ids], out_x[:, ids] = val, x
         live = shrinks <= _MAX_SHRINKS
         if live.all():
             continue
         if not live.any():
             break
+        out_val[ids[~live]], out_x[:, ids[~live]] = val[~live], x[:, ~live]
         ids, x, y, val = ids[live], x[:, live], y[:, live], val[live]
         shrinks, moved, at_left = shrinks[live], moved[:, live], polled.at_left[live]
+        lane = np.arange(ids.size)
         polled = obj.take(ids[:, None])
         polled.at_left = at_left
+    out_val[ids], out_x[:, ids] = val, x
     return out_val, out_x
 
 
@@ -627,20 +650,17 @@ def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
 
 
 def _probe_grid(ch: TwoUserChannel, objective: _MuObjective) -> np.ndarray:
-    """Coarse feasible probes, ``place``d: 8 points per correlation and 8
-    log-spaced free variances, then a 16 x 16 manifold of correlations with
-    the free variance at its scale, t = 0 (where the closed-form tight point
-    of weight 1 lives; it often holds the minimizer).  The capped variance
-    is in closed form, so the probes depend on the side of weight 1 the
-    objective's weight is on, not on the weight."""
+    """Coarse feasible probes, ``place``d: 8 points per correlation and 8 log-spaced
+    free variances, then a 16 x 16 manifold of correlations with the free variance
+    at its scale, t = 0 (where the closed-form tight point of weight 1 lives; it
+    often holds the minimizer).  The capped variance is in closed form, so the
+    probes depend on the side of weight 1 the objective's weight is on, not on
+    the weight; all but the grid's t-row is ``_PROBES``, built at import."""
     smax = 10.0 * max(ch.p1, ch.p2, 1.0 / ch.a, 1.0 / ch.b)
-    axis, fine = (np.linspace(0.0, _RHO_MAX, n) for n in (_GRID_POINTS, 2 * _GRID_POINTS))
     free = np.geomspace(_SIGMA_FLOOR, smax, _GRID_POINTS)
-    r, rho, s = np.array(np.meshgrid(axis, axis, free, indexing="ij")).reshape(3, -1)
-    grid = [r, rho * np.sqrt(_gap(r)), np.log(s * objective.g_b / _gap(rho))]
-    r, rho = np.array(np.meshgrid(fine, fine, indexing="ij")).reshape(2, -1)
-    manifold = [r, rho * np.sqrt(_gap(r)), np.zeros_like(r)]
-    return objective.place(np.concatenate([grid, manifold], axis=1))
+    y = _PROBES.copy()
+    y[2, :_PROBE_GAPS.size * _GRID_POINTS] = np.log(free * objective.g_b / _PROBE_GAPS).ravel()
+    return objective.place(y)
 
 
 def _mu_lines(requests) -> tuple[SupportingLine, ...]:

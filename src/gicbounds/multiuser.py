@@ -31,6 +31,7 @@ coordinate, each evaluated by one model call.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -205,6 +206,9 @@ def symmetric_threshold(m: int, c: float) -> float:
         P* = (sqrt((m-1)c) - 2(m-1)c) / (2 (m-1)^2 c^2)
 
     when c <= 1/(4(m-1)); zero otherwise (no positive power qualifies).
+    Where s = (m-1)c has s^2 below the least normal float, it is evaluated
+    as ((1 - 2 sqrt(s))/(2s))/sqrt(s), whose steps stay normal until P*
+    itself overflows (near s = 2e-206); ValueError where it does.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
@@ -212,7 +216,13 @@ def symmetric_threshold(m: int, c: float) -> float:
     s = (m - 1) * c
     if _above_uniform_cut(m, c):
         return 0.0
-    return (math.sqrt(s) - 2.0 * s) / (2.0 * s * s)
+    if s * s >= sys.float_info.min:
+        return (math.sqrt(s) - 2.0 * s) / (2.0 * s * s)
+    root = math.sqrt(s)
+    p_star = (1.0 - 2.0 * root) / (2.0 * s) / root
+    if math.isinf(p_star):
+        raise ValueError(f"the power threshold overflows a float at m={m}, c={c}")
+    return p_star
 
 
 def _verdict_from_probe(

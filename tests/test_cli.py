@@ -330,14 +330,23 @@ class TestSweepCommand:
         assert (code, err) == (0, "")
         assert out.splitlines()[0] == "p2,sum-upper" and len(out.splitlines()) == 4
 
+    @staticmethod
+    def replay_pinned_sweeps(capsys, name):
+        pinned = json.loads((Path(__file__).parent / "data" / name).read_text())
+        for sweep, entry in pinned["sweeps"].items():
+            code, out, _ = run(capsys, *entry["argv"])
+            assert code == 0, sweep
+            assert [r.split(",") for r in out.splitlines()[1:]] == entry["rows"], sweep
+
     def test_pinned_sum_upper_sweeps(self, capsys):
         # sum-upper rows of three benchmark sweeps (the criterion-3 curve, a
         # regime channel, noisy channels), pinned to the last digit.
-        pinned = json.loads((Path(__file__).parent / "data" / "sum_upper.json").read_text())
-        for name, entry in pinned["sweeps"].items():
-            code, out, _ = run(capsys, *entry["argv"])
-            assert code == 0, name
-            assert [r.split(",") for r in out.splitlines()[1:]] == entry["rows"], name
+        self.replay_pinned_sweeps(capsys, "sum_upper.json")
+
+    def test_pinned_sum_upper_strata(self, capsys):
+        # One regime and one noisy benchmark sweep per --param choice: each
+        # regime row is a weight-1 MU search, pinned to the last digit.
+        self.replay_pinned_sweeps(capsys, "sum_upper_strata.json")
 
     @pytest.mark.parametrize("grid, message", BAD_GRIDS)
     def test_bad_grid_value_exit_one(self, capsys, grid, message):
@@ -578,6 +587,9 @@ BAD_THRESHOLD_ARGV = [
     ["--m", "3", "--c", "nan"],
     ["--m", "3", "--c", "inf"],
     ["--m", "3", "--c", "4000", "--db"],  # 10^400 overflows a float
+    # P* overflows a float
+    ["--m", "2", "--c", "5e-324"],
+    ["--m", "12", "--c", "1e-210"],
 ]
 
 
@@ -633,6 +645,12 @@ class TestThresholdCommand:
         code, out, err = run(capsys, "threshold", *argv)
         assert code == 1 and not out
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_overflowing_threshold_is_one_error_line(self, capsys, json_flag):
+        code, out, err = run(capsys, "threshold", "--m", "2", "--c", "5e-324", *json_flag)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the power threshold overflows") and err.count("\n") == 1
 
 
 class TestPinnedBytes:

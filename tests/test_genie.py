@@ -617,6 +617,65 @@ class TestReferenceObjective:
             assert effective_powers(ch, mu, gp) == (ref_p1, ref_p2)
 
 
+def same_bits(x, y) -> bool:
+    """Whether two arrays hold the same floats (or flags), bit for bit: -0.0
+    is not 0.0, and inf and nan must match."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.shape, x.dtype) == (y.shape, y.dtype) and (
+        np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
+    )
+
+
+class TestWeightOneBranch:
+    """An objective whose entries all have weight 1 takes the branch of
+    weight 1 alone; one of mixed weights takes the general branch, with
+    weight 1 as a special case.  Both give the same bits."""
+
+    MIXED = (0.5, 1.0, 2.0)
+
+    @given(GAINS, GAINS, POWERS, POWERS, st.lists(st.tuples(
+        CORRELATIONS, CORRELATIONS, st.sampled_from(["R", "log"]), st.sampled_from([-1, 0, 1]),
+        st.floats(-30.0, 30.0), st.floats(-30.0, 30.0),
+    ), min_size=1, max_size=8))
+    def test_one_weight_objectives_equal_the_mixed_entries(self, a, b, p1, p2, points):
+        # Box points from ``clamp``, their free variance at weight 1's kink
+        # R = (1 - r_B^2)/b, or one float off it, or log-uniform.  Each
+        # weight's own objective gives the values, effective powers and
+        # kink choices (``nearer_left``) of that weight's entries of one
+        # mixed objective; at weight 1 the kink choice does not matter:
+        # ``place`` lands on the same points from either.
+        columns = []
+        for r_a, r_b, kind, toward, log_free, log_capped in points:
+            free = (1.0 - r_b) * (1.0 + r_b) / b if kind == "R" else math.exp(log_free)
+            if toward:
+                free = math.nextafter(free, toward * math.inf)
+            columns.append((r_a, r_b, free, math.exp(log_capped)))
+        raw, n = np.array(columns).T, len(columns)
+        mixed = genie._MuObjective(a, b, p1, p2, np.repeat(self.MIXED, n))
+        with np.errstate(all="ignore"):
+            x = mixed.clamp(np.tile(raw, len(self.MIXED)))
+            values, (p_a, p_b), at_left = mixed(x), mixed.effective(x), mixed.nearer_left(x)
+            p_b = np.broadcast_to(p_b, values.shape)
+            for k, mu in enumerate(self.MIXED):
+                part = slice(k * n, (k + 1) * n)
+                single = genie._MuObjective(a, b, p1, p2, np.full(n, mu))
+                xs = single.clamp(raw)
+                single_p_a, single_p_b = single.effective(xs)
+                assert same_bits(xs, x[:, part])
+                assert same_bits(single(xs), values[part])
+                assert same_bits(single_p_a, p_a[part])
+                assert same_bits(np.broadcast_to(single_p_b, (n,)), p_b[part])
+                if mu != 1.0:
+                    assert same_bits(single.nearer_left(xs), at_left[part])
+            one = genie._MuObjective(a, b, p1, p2, np.ones(n))
+            y = one.coordinates(one.clamp(raw))
+            placed = []
+            for left in (True, False):
+                one.at_left = np.full(n, left)
+                placed.append(one.place(y.copy()))
+            assert same_bits(*placed)
+
+
 class TestTailChannel:
     """A channel on which the former coordinate walk accepted tiny moves
     about 600,000 times; its line at one default weight is pinned."""

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -153,6 +154,21 @@ class TestSymmetricThreshold:
             c = 1 / (4 * (m - 1))
             assert symmetric_threshold(m, c) == pytest.approx(0.0, abs=1e-12)
             assert symmetric_threshold(m, c * 1.01) == 0.0
+
+    @pytest.mark.parametrize("m", [2, 12])
+    @pytest.mark.parametrize("c", [1e-161, 1e-200])
+    def test_tiny_gain_matches_high_precision(self, m, c):
+        # (m-1)^2 c^2 is subnormal or 0 in floats; against 200 bits, within
+        # the roundings of s = (m-1)c (P* ~ s^-3/2) and of the few steps.
+        with mpmath.workprec(200):
+            s = (m - 1) * mpmath.mpf(c)
+            expected = (mpmath.sqrt(s) - 2 * s) / (2 * s * s)
+            assert abs(symmetric_threshold(m, c) / expected - 1) <= 1e-15
+
+    @pytest.mark.parametrize("m, c", [(2, 5e-324), (12, 1e-210)])
+    def test_overflowing_threshold_is_refused(self, m, c):
+        with pytest.raises(ValueError, match="overflows"):
+            symmetric_threshold(m, c)
 
 
 class TestFindRho:

@@ -2,10 +2,15 @@
 
 The package holds no dead code: every private function, class or method
 is used somewhere in the package's code, as a name or as an attribute.  A
-mention in a docstring or comment does not count, nor does an import."""
+mention in a docstring or comment does not count, nor does an import.  Its
+module-level arrays are read-only."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
+
+import numpy as np
 
 import gicbounds
 
@@ -53,3 +58,17 @@ _Model()
 '''
     defined, used = private_definitions_and_uses([(Path("m.py"), ast.parse(source))])
     assert [d[2] for d in defined if d[2] not in used] == ["_unused", "_method"]
+
+
+def test_module_arrays_are_read_only():
+    # A module array is shared by every call, in every thread: one that a
+    # call could write would break the package's promise of pure functions.
+    # ``__main__`` runs the CLI when imported and holds no arrays.
+    arrays = {
+        f"{info.name}.{name}": value
+        for info in pkgutil.iter_modules(gicbounds.__path__) if info.name != "__main__"
+        for name, value in vars(importlib.import_module(f"gicbounds.{info.name}")).items()
+        if isinstance(value, np.ndarray)
+    }
+    assert "genie._POLL" in arrays  # the walk found the package's arrays
+    assert [name for name, array in arrays.items() if array.flags.writeable] == []
