@@ -588,15 +588,19 @@ def _pattern_search(
     ids = lane = np.arange(x.shape[1])  # lane of each live entry; its position
     shrinks = np.zeros(ids.size)
     moved = np.zeros((3, ids.size))  # each lane's last accepted move; 0 after a failed poll
-    polled = obj.take(ids[:, None])  # each lane's entry broadcasts over its moves
+    moves = _POLL.shape[1] + 1
+    # Each lane's constants are spread over its moves: operands of one shape
+    # take numpy's contiguous loops, not a loop per lane.
+    polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)))
     for poll in range(_POLL_CAP):
         if poll % _ANCHOR_POLLS == 0:
-            polled.at_left = polled.nearer_left(x[:, :, None])
-            y = polled.coordinates(x[:, :, None])[:, :, 0]
+            spread = np.broadcast_to(x[:, :, None], (6, ids.size, moves))
+            polled.at_left = polled.nearer_left(spread)
+            y = polled.coordinates(spread)[:, :, 0]
         # Candidates are (3, live lanes, moves): the scaled poll moves, then
         # the pattern move, each from its lane's point.
         steps = _FIRST_STEPS * 0.25**shrinks
-        cand = np.empty((3, ids.size, _POLL.shape[1] + 1))
+        cand = np.empty((3, ids.size, moves))
         np.multiply(steps[:, :, None], _POLL[:, None, :], out=cand[:, :, :-1])
         np.multiply(moved, 2.0, out=cand[:, :, -1])
         cand += y[:, :, None]
@@ -620,7 +624,7 @@ def _pattern_search(
         ids, x, y, val = ids[live], x[:, live], y[:, live], val[live]
         shrinks, moved, at_left = shrinks[live], moved[:, live], polled.at_left[live]
         lane = np.arange(ids.size)
-        polled = obj.take(ids[:, None])
+        polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)))
         polled.at_left = at_left
     out_val[ids], out_x[:, ids] = val, x
     return out_val, out_x
@@ -702,9 +706,9 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
                 sides.setdefault((ch, mu >= 1.0), []).append(i)
         found: dict[int, list] = {}
         for (ch, _), side in sides.items():
-            mus = np.array([requests[i][1] for i in side])
-            grid = _probe_grid(ch, _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mus[0]))
-            for i, vals in zip(side, _MuObjective(ch.a, ch.b, ch.p1, ch.p2, mus[:, None])(grid)):
+            probed = _MuObjective(ch.a, ch.b, ch.p1, ch.p2, [[requests[i][1]] for i in side])
+            grid = _probe_grid(ch, probed)
+            for i, vals in zip(side, probed(grid)):
                 found[i] = [(float(vals[j]), grid[:, j])
                             for j in _smallest(vals, 4) if math.isfinite(vals[j])]
                 if not found[i]:
