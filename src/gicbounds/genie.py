@@ -297,8 +297,7 @@ _MAX_SHRINKS = math.floor(math.log(_LOG_STEP / _STEP_FLOOR, 4))  # shrinks of a 
 
 
 def _probe_geometry():
-    """``_probe_grid``'s probes at t = 0, as (r, w, t): 8 x 8 correlation pairs, 8
-    times each, then a 16 x 16 manifold; and the pairs' 1 - r_B^2, as a column."""
+    """``_probe_grid``'s probes (r, w, t) at t = 0, and the 64 grid pairs' 1 - r_B^2."""
     axes = (np.linspace(0.0, _RHO_MAX, n) for n in (_GRID_POINTS, 2 * _GRID_POINTS))
     pairs, manifold = (np.array(np.meshgrid(v, v, indexing="ij")).reshape(2, -1) for v in axes)
     r, rho = np.concatenate([np.repeat(pairs, _GRID_POINTS, axis=1), manifold], axis=1)
@@ -398,10 +397,10 @@ class _MuObjective:
         (A, B) as pairs (user 1, user 2): the map is its own inverse."""
         return np.array([v for pair in zip(x[::2], x[1::2]) for v in _mirror(self.mirrored, *pair)])
 
-    def take(self, idx) -> "_MuObjective":
-        """The entries ``idx`` of an objective with one entry per lane.  Lanes
-        of both sides of weight 1 share the gathered rows: each entry's
-        constants are already in its own (A, B) order, in ``table``, built once."""
+    def take(self, idx, at_left) -> "_MuObjective":
+        """The entries ``idx``, at ``at_left``, of an objective with one entry per
+        lane.  Lanes of both sides of weight 1 share the gathered rows of ``table``,
+        built once: each entry's constants are already in its own (A, B) order."""
         if "table" not in vars(self):
             self.table = np.array(np.broadcast_arrays(*(getattr(self, n) for n in _ENTRY_VALUES)))
         sub = object.__new__(_MuObjective)
@@ -410,7 +409,7 @@ class _MuObjective:
         sub.__dict__.update(zip(_ENTRY_VALUES, np.take(self.table, idx, axis=1)))
         sub.one = np.take(self.one, idx)
         sub.any_one, sub.all_one = bool(sub.one.any()), bool(sub.one.all())
-        sub.at_left = np.False_
+        sub.at_left = at_left
         return sub
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
@@ -589,9 +588,8 @@ def _pattern_search(
     shrinks = np.zeros(ids.size)
     moved = np.zeros((3, ids.size))  # each lane's last accepted move; 0 after a failed poll
     moves = _POLL.shape[1] + 1
-    # Each lane's constants are spread over its moves: operands of one shape
-    # take numpy's contiguous loops, not a loop per lane.
-    polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)))
+    # Lanes' constants spread over their moves take numpy's loops for one shape.
+    polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)), np.False_)
     for poll in range(_POLL_CAP):
         if poll % _ANCHOR_POLLS == 0:
             spread = np.broadcast_to(x[:, :, None], (6, ids.size, moves))
@@ -622,10 +620,8 @@ def _pattern_search(
             break
         out_val[ids[~live]], out_x[:, ids[~live]] = val[~live], x[:, ~live]
         ids, x, y, val = ids[live], x[:, live], y[:, live], val[live]
-        shrinks, moved, at_left = shrinks[live], moved[:, live], polled.at_left[live]
-        lane = np.arange(ids.size)
-        polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)))
-        polled.at_left = at_left
+        shrinks, moved, lane = shrinks[live], moved[:, live], np.arange(ids.size)
+        polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)), polled.at_left[live])
     out_val[ids], out_x[:, ids] = val, x
     return out_val, out_x
 
