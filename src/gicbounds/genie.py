@@ -297,7 +297,8 @@ _MAX_SHRINKS = math.floor(math.log(_LOG_STEP / _STEP_FLOOR, 4))  # shrinks of a 
 
 
 def _probe_geometry():
-    """``_probe_grid``'s probes (r, w, t) at t = 0, and the 64 grid pairs' 1 - r_B^2."""
+    """``_probe_grid``'s probes (r, w, t) at t = 0: 8 x 8 correlation pairs, each 8
+    times, then a 16 x 16 manifold; and the pairs' 1 - r_B^2, as a column."""
     axes = (np.linspace(0.0, _RHO_MAX, n) for n in (_GRID_POINTS, 2 * _GRID_POINTS))
     pairs, manifold = (np.array(np.meshgrid(v, v, indexing="ij")).reshape(2, -1) for v in axes)
     r, rho = np.concatenate([np.repeat(pairs, _GRID_POINTS, axis=1), manifold], axis=1)
@@ -355,9 +356,9 @@ class _MuObjective:
     user order to this order and back.
 
     Points are arrays with rows (r_A, r_B, s_A, s_B, 1 - r_A^2, 1 - r_B^2),
-    or one such column.  The constants broadcast against a row: scalars for
-    the probe grid of one channel at one weight, a column of weights for
-    that grid at each of them, or one value per lane of the pattern search.
+    or one such column.  The constants broadcast against a row: scalars at
+    one point, a column of weights for the probe grid of one channel at each
+    of them, or one value per lane and move of the pattern search.
     Each entry is bit-for-bit the value of a one-point call on its own
     channel: its constants take the same operations in the same order.
 
@@ -493,8 +494,9 @@ class _MuObjective:
 
     def nearer_left(self, x: np.ndarray) -> np.ndarray:
         """Whether the free variance of points ``x`` lies nearer L than R, in
-        log; False where L = 0 (``_edges``).  All False if every mu is 1, for ``_scale``'s fast
-        path: there off = 0 and ratio = 1, so R = 1*scale = scale and L = max(0 + R, 0) = R."""
+        log; False where L = 0 (see ``_edges``).  All False where every mu is
+        1, which puts ``_scale`` on its fast path: there off = 0 and ratio = 1,
+        so R = 1*scale = scale and L = max(0 + R, 0) = R, bit for bit."""
         if self.all_one:
             return np.zeros(x.shape[1:], dtype=bool)
         left, right = self._edges(x[5] / self.g_b)
@@ -517,9 +519,7 @@ class _MuObjective:
         right = cg / self.d
         left = np.maximum(self.off + right, 0.0)
         p_a = np.where(s_a <= left, self.p_a, np.where(s_a <= right, (cg - ds) / self.den, 0.0))
-        if self.any_one:
-            p_a = np.where(self.one, unit, p_a)
-        return p_a, self.p_b
+        return (p_a if unit is None else np.where(self.one, unit, p_a)), self.p_b
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Objective values at points ``x``, which must lie in the box: put
@@ -588,7 +588,7 @@ def _pattern_search(
     shrinks = np.zeros(ids.size)
     moved = np.zeros((3, ids.size))  # each lane's last accepted move; 0 after a failed poll
     moves = _POLL.shape[1] + 1
-    # Lanes' constants spread over their moves take numpy's loops for one shape.
+    # Constants spread over each lane's moves: operands of one shape, numpy's fast loops.
     polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)), np.False_)
     for poll in range(_POLL_CAP):
         if poll % _ANCHOR_POLLS == 0:
