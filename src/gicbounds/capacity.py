@@ -21,9 +21,8 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .channel import TwoUserChannel, _check_finite_pos, single_user_capacities, tin_rates
-from .genie import GenieParams, sigma_feasible
-from .multiuser import symmetric_threshold
+from .channel import GenieParams, TwoUserChannel, _check_finite_pos, sigma_feasible
+from .channel import single_user_capacities, symmetric_threshold, tin_rates
 
 __all__ = [
     "VerdictKind",
@@ -126,6 +125,8 @@ def noisy_certificate(ch: TwoUserChannel) -> GenieParams:
             )
         disc = 0.0
     root = math.sqrt(disc)
+    if not (k1 + root > 0.0 and k2 + root > 0.0):  # u or v is 1 in floats
+        raise CertificateUnavailableError("the certificate's variances round to 0")
     s1 = (k1 + root) / (2.0 * b)
     s2 = (k2 + root) / (2.0 * a)
     if not (s1 < math.inf and s2 < math.inf):

@@ -3,12 +3,15 @@
 All rates are in bits per channel use (log base 2).  Powers and gains are
 linear; the direct gains and the noise variances are normalized to 1, so the
 crosstalk is fully described by the power gains ``a`` and ``b`` (2 users) or
-by the off-diagonal entries of a gain matrix (m users).
+by the off-diagonal entries of a gain matrix (m users).  The closed forms that
+the bound, capacity and m-user layers share live here too: the genie
+parameters with their feasibility box, and the uniform m-user threshold.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,3 +174,84 @@ def m_user_interference_powers(ch: MUserChannel) -> np.ndarray:
     summed over the crosstalk gains alone: subtracting c_ii P_i from the full
     sum would cancel catastrophically when P_i dwarfs Q_i."""
     return (ch.gains - np.diag(np.diag(ch.gains))).T @ ch.powers
+
+
+@dataclass(frozen=True)
+class GenieParams:
+    """Genie side-information parameters: noise correlations rho_i in [0, 1]
+    and noise variances sigma_i^2 > 0."""
+
+    rho1: float
+    rho2: float
+    sigma1_sq: float
+    sigma2_sq: float
+
+    def __post_init__(self):
+        for name in ("rho1", "rho2"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        for name in ("sigma1_sq", "sigma2_sq"):
+            _check_finite_pos(name, getattr(self, name))
+
+
+def sigma_limits(
+    ch: TwoUserChannel, mu: float, rho1: float, rho2: float
+) -> tuple[float, float]:
+    """Upper limits of the (sigma1_sq, sigma2_sq) feasibility box.
+
+    For mu >= 1 only sigma2_sq is capped, by (1 - rho1^2)/a; for mu < 1 only
+    sigma1_sq is capped, by (1 - rho2^2)/b.  A zero gain makes the
+    corresponding cap vacuous (+inf).
+    """
+    _check_finite_pos("mu", mu)
+    if mu >= 1.0:
+        s2_max = _gap(rho1) / ch.a if ch.a > 0 else math.inf
+        return math.inf, s2_max
+    s1_max = _gap(rho2) / ch.b if ch.b > 0 else math.inf
+    return s1_max, math.inf
+
+
+def _gap(r):
+    """1 - r^2 for r in [0, 1], as (1 - r)*(1 + r), floats or arrays.  For r
+    in [1/2, 1] the difference 1 - r is exact (Sterbenz), so the product is
+    within two roundings of 1 - r^2 however near 1 r lies; 1 - r*r loses the
+    absolute rounding of r*r, about 2^-53, to the cancellation."""
+    return (1.0 - r) * (1.0 + r)
+
+
+def sigma_feasible(ch: TwoUserChannel, mu: float, gp: GenieParams) -> bool:
+    """Whether the genie variances lie in the weight-dependent feasibility box."""
+    s1_max, s2_max = sigma_limits(ch, mu, gp.rho1, gp.rho2)
+    return gp.sigma1_sq <= s1_max and gp.sigma2_sq <= s2_max
+
+
+def _above_uniform_cut(m: int, c: float) -> bool:
+    """Uniform gain c > 1/(4(m-1)): no positive power admits noisy interference."""
+    return bool(c > 1.0 / (4.0 * (m - 1)))
+
+
+def symmetric_threshold(m: int, c: float) -> float:
+    """Largest power P admitting noisy interference for the uniformly
+    symmetric m-user channel with crosstalk gain c:
+
+        P* = (sqrt((m-1)c) - 2(m-1)c) / (2 (m-1)^2 c^2)
+
+    when c <= 1/(4(m-1)); zero otherwise (no positive power qualifies).
+    Where s = (m-1)c has s^2 below the least normal float, it is evaluated
+    as ((1 - 2 sqrt(s))/(2s))/sqrt(s), whose steps stay normal until P*
+    itself overflows (near s = 2e-206); ValueError where it does.
+    """
+    if m < 2:
+        raise ValueError(f"need m >= 2, got {m}")
+    _check_finite_pos("gain", c)
+    s = (m - 1) * c
+    if _above_uniform_cut(m, c):
+        return 0.0
+    if s * s >= sys.float_info.min:
+        return (math.sqrt(s) - 2.0 * s) / (2.0 * s * s)
+    root = math.sqrt(s)
+    p_star = (1.0 - 2.0 * root) / (2.0 * s) / root
+    if math.isinf(p_star):
+        raise ValueError(f"the power threshold overflows a float at m={m}, c={c}")
+    return p_star

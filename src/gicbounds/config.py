@@ -86,7 +86,8 @@ class SweepSpec:
     @cached_property  # the fields are frozen, so the grid is built once
     def _grid(self) -> np.ndarray:
         if self.log_spacing:
-            return np.geomspace(self.start, self.stop, self.points)
+            with np.errstate(over="ignore"):  # 10^log10(stop) may overflow; numpy resets the ends
+                return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
 
     def channels(

@@ -24,7 +24,9 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import TwoUserChannel, _check_finite_pos, single_user_capacities
+from .capacity import CertificateUnavailableError, noisy_certificate, noisy_condition
+from .channel import GenieParams, TwoUserChannel, _check_finite_pos, _gap, single_user_capacities
+from .channel import sigma_feasible, sigma_limits
 
 __all__ = [
     "GenieParams",
@@ -53,25 +55,6 @@ class WeightKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class GenieParams:
-    """Genie side-information parameters: noise correlations rho_i in [0, 1]
-    and noise variances sigma_i^2 > 0."""
-
-    rho1: float
-    rho2: float
-    sigma1_sq: float
-    sigma2_sq: float
-
-    def __post_init__(self):
-        for name in ("rho1", "rho2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("sigma1_sq", "sigma2_sq"):
-            _check_finite_pos(name, getattr(self, name))
-
-
-@dataclass(frozen=True)
 class SupportingLine:
     """One weighted-sum-rate constraint R1 + weight*R2 <= value.
 
@@ -96,37 +79,6 @@ class SupportingLine:
         if self.kind is not WeightKind.MU:
             if self.p_tilde is None or self.p_tilde < 0:
                 raise ValueError("ETA lines require p_tilde >= 0")
-
-
-def sigma_limits(
-    ch: TwoUserChannel, mu: float, rho1: float, rho2: float
-) -> tuple[float, float]:
-    """Upper limits of the (sigma1_sq, sigma2_sq) feasibility box.
-
-    For mu >= 1 only sigma2_sq is capped, by (1 - rho1^2)/a; for mu < 1 only
-    sigma1_sq is capped, by (1 - rho2^2)/b.  A zero gain makes the
-    corresponding cap vacuous (+inf).
-    """
-    _check_finite_pos("mu", mu)
-    if mu >= 1.0:
-        s2_max = _gap(rho1) / ch.a if ch.a > 0 else math.inf
-        return math.inf, s2_max
-    s1_max = _gap(rho2) / ch.b if ch.b > 0 else math.inf
-    return s1_max, math.inf
-
-
-def _gap(r):
-    """1 - r^2 for r in [0, 1], as (1 - r)*(1 + r), floats or arrays.  For r
-    in [1/2, 1] the difference 1 - r is exact (Sterbenz), so the product is
-    within two roundings of 1 - r^2 however near 1 r lies; 1 - r*r loses the
-    absolute rounding of r*r, about 2^-53, to the cancellation."""
-    return (1.0 - r) * (1.0 + r)
-
-
-def sigma_feasible(ch: TwoUserChannel, mu: float, gp: GenieParams) -> bool:
-    """Whether the genie variances lie in the weight-dependent feasibility box."""
-    s1_max, s2_max = sigma_limits(ch, mu, gp.rho1, gp.rho2)
-    return gp.sigma1_sq <= s1_max and gp.sigma2_sq <= s2_max
 
 
 def _require_regime(ch: TwoUserChannel) -> None:
@@ -627,9 +579,6 @@ def _pattern_search(
 
 
 def _tight_sum_certificate(ch: TwoUserChannel) -> "GenieParams | None":
-    # Local import: capacity builds on this module.
-    from .capacity import CertificateUnavailableError, noisy_certificate, noisy_condition
-
     if not noisy_condition(ch)[0]:
         return None
     try:

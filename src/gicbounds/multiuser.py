@@ -30,15 +30,13 @@ coordinate, each evaluated by one model call.
 
 from __future__ import annotations
 
-import math
-import sys
 from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import MUserChannel, _check_finite_pos, m_user_interference_powers
+from .channel import MUserChannel, _above_uniform_cut, m_user_interference_powers, symmetric_threshold
 
 __all__ = [
     "MUserVerdict",
@@ -165,8 +163,9 @@ class _Conditions:
         entries."""
         inv_u, inv_den, rhs1, rhs2 = self._terms(u)
         slacks = np.empty((2,) + u.shape)
-        np.subtract(self.m1.T @ inv_u, rhs1, out=slacks[0])
-        np.subtract(self.m2.T @ inv_den, rhs2, out=slacks[1])
+        with np.errstate(over="ignore"):  # an LHS past the float range is an inf slack
+            np.subtract(self.m1.T @ inv_u, rhs1, out=slacks[0])
+            np.subtract(self.m2.T @ inv_den, rhs2, out=slacks[1])
         return slacks
 
     def at(self, rho: np.ndarray) -> np.ndarray:
@@ -192,37 +191,6 @@ def check_conditions(ch: MUserChannel, rho) -> np.ndarray:
     if not np.all((rho > 0.0) & (rho < 1.0)):
         raise ValueError("all rho entries must lie strictly in (0, 1)")
     return _Conditions(ch).at(rho)
-
-
-def _above_uniform_cut(m: int, c: float) -> bool:
-    """Uniform gain c > 1/(4(m-1)): no positive power admits noisy interference."""
-    return bool(c > 1.0 / (4.0 * (m - 1)))
-
-
-def symmetric_threshold(m: int, c: float) -> float:
-    """Largest power P admitting noisy interference for the uniformly
-    symmetric m-user channel with crosstalk gain c:
-
-        P* = (sqrt((m-1)c) - 2(m-1)c) / (2 (m-1)^2 c^2)
-
-    when c <= 1/(4(m-1)); zero otherwise (no positive power qualifies).
-    Where s = (m-1)c has s^2 below the least normal float, it is evaluated
-    as ((1 - 2 sqrt(s))/(2s))/sqrt(s), whose steps stay normal until P*
-    itself overflows (near s = 2e-206); ValueError where it does.
-    """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    _check_finite_pos("gain", c)
-    s = (m - 1) * c
-    if _above_uniform_cut(m, c):
-        return 0.0
-    if s * s >= sys.float_info.min:
-        return (math.sqrt(s) - 2.0 * s) / (2.0 * s * s)
-    root = math.sqrt(s)
-    p_star = (1.0 - 2.0 * root) / (2.0 * s) / root
-    if math.isinf(p_star):
-        raise ValueError(f"the power threshold overflows a float at m={m}, c={c}")
-    return p_star
 
 
 def _verdict_from_probe(
@@ -564,7 +532,8 @@ def find_rho(ch: MUserChannel) -> MUserVerdict:
         max_slack = slacks.max()
         if max_slack <= 0.0:
             return _verdict_from_probe(ch, rho, slacks)
-        if best_slacks is None or max_slack < best_max:
+        # A nan best (u = 1 in floats) gives way to any later probe.
+        if best_slacks is None or max_slack < best_max or np.isnan(best_max):
             best_rho, best_slacks, best_max = rho, slacks, max_slack
 
     provable = ch.is_uniform() and _above_uniform_cut(ch.m, ch.gains[0, 1])

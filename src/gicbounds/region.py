@@ -168,9 +168,12 @@ def build_outer_region(
     mus = sorted(set(np.exp2(np.linspace(-6.0, 6.0, mu_grid)).tolist()) | {1.0})
     lines = list(optimize_constraint1_many(ch, mus))
     lo1, hi1 = eta1_range(ch)
-    lines += [eval_constraint2(ch, w) for w in np.linspace(lo1, hi1, eta_grid)]
+    if max(lo1, hi1) == math.inf:
+        raise ValueError(f"the ETA1 weights, up to 1/b, overflow a float at b={ch.b}")
+    # Python floats: a value that overflows reaches SupportingLine's check silently.
+    lines += [eval_constraint2(ch, w) for w in np.linspace(lo1, hi1, eta_grid).tolist()]
     lo2, hi2 = eta2_range(ch)
-    lines += [eval_constraint3(ch, w) for w in np.linspace(lo2, hi2, eta_grid)]
+    lines += [eval_constraint3(ch, w) for w in np.linspace(lo2, hi2, eta_grid).tolist()]
 
     caps = single_user_capacities(ch)
     return RateRegion.from_supporting_lines(tuple(lines), caps.r1, caps.r2)

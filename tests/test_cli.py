@@ -38,6 +38,21 @@ BAD_INPUT_ARGV = [
     ["classify", "--a", "x", "--b", "0", "--p1", "1", "--p2", "1"],
     # 10^400 overflows a float
     ["classify", "--a", "4000", "--b", "0.1", "--p1", "1", "--p2", "1", "--db"],
+    # Near-miss noisy channels: the float slack passes, but u = a(1 + b*p1)^2
+    # is 1 in floats, so the certificate's variances round to 0.
+    ["classify", "--a", "1", "--b", "4.574733312984874e-75", "--p1", "1.9990983308135738e-287",
+     "--p2", "0.25"],
+    ["sweep", "--a", "1", "--b", "4.574733312984874e-75", "--p1", "1.9990983308135738e-287",
+     "--p2", "0.25", "--param", "p2", "--from", "0.125", "--to", "0.25", "--points", "2",
+     "--metric", "verdict"],
+    # A first-family LHS past the float range: an inf slack, which strict
+    # JSON cannot carry, and no overflow warning.
+    ["murate", "--a", "6.713018320516784e-49", "--b", "1.7976931348623157e+308",
+     "--p1", "1.5672126804357664e-261", "--p2", "1.0000000000000002", "--json"],
+    # A log grid up to the largest float, read in dB: one error line, no
+    # warning from the grid's end point.
+    ["sweep", *FIG1_ARGS, "--param", "b", "--from", "1e-43", "--to", "1.7976931348623157e+308",
+     "--points", "3", "--metric", "verdict", "--log", "--db"],
 ]
 
 BAD_CONFIGS = [
@@ -221,6 +236,21 @@ class TestRegionCommand:
             capsys, "region", "--a", "1.5", "--b", "0.5", "--p1", "1", "--p2", "1"
         )
         assert code == 1 and err
+
+    @pytest.mark.parametrize("b, p2, message", [
+        # 1/b overflows, so the ETA1 weights would be nan
+        ("2.468993153e-313", "2.957619649520275e-154", "the ETA1 weights, up to 1/b, overflow"),
+        # 1/b is finite, but an ETA1 value overflows
+        ("2.2250738585072014e-308", "1e3", "supporting line value must be finite"),
+    ], ids=["weights", "value"])
+    def test_tiny_crosstalk_is_one_error_line(self, capsys, b, p2, message):
+        # No numpy warning either: the suite turns warnings into errors.
+        code, out, err = run(
+            capsys, "region", "--a", "6.209789582730149e-175", "--b", b, "--p1", "5e-324",
+            "--p2", p2, "--mu-grid", "5", "--eta-grid", "3",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_overflowing_powers_exit_one(self, capsys, tmp_path):
         # Past about 1e154 the MU bound overflows at every genie probe: bad
@@ -530,6 +560,19 @@ class TestMurateCommand:
         code, out, _ = run(capsys, "murate", *FIG1_ARGS)
         assert code == 0
         assert "feasible" in out
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_probe_keeps_the_finite_best(self, capsys):
+        # The closed-form point squares to u = 1 in floats, where every
+        # slack is nan; the heuristic probe's finite slack is reported.
+        code, out, err = run(
+            capsys, "murate", "--a", "3.077872879546138e-97", "--b", "0.9999999999999999",
+            "--p1", "2.0528044856879358e-14", "--p2", "2.715649073805022e-29", "--json",
+        )
+        payload = json.loads(out)
+        assert (code, err, payload["kind"]) == (0, "", "UNKNOWN")
+        assert 0.0 < payload["max_slack"] == max(map(max, payload["slacks"])) < 1e-5
 
     def test_zero_oracle_resolution_exit_one(self, capsys):
         code, out, err = run(capsys, "murate", *FIG1_ARGS, "--oracle-resolution", "0")
