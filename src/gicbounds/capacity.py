@@ -21,8 +21,8 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .channel import GenieParams, TwoUserChannel, _check_finite_pos, sigma_feasible
-from .channel import single_user_capacities, symmetric_threshold, tin_rates
+from .channel import GenieParams, TwoUserChannel, _check_finite_pos, _noisy_sign, sigma_feasible
+from .channel import single_user_capacities, tin_rates
 
 __all__ = [
     "VerdictKind",
@@ -34,8 +34,6 @@ __all__ = [
     "classify",
     "symmetric_noisy_threshold",
 ]
-
-_SLACK_TOL = 1e-12
 
 
 class VerdictKind(str, Enum):
@@ -71,17 +69,10 @@ class CapacityVerdict:
 
 
 def noisy_condition(ch: TwoUserChannel) -> tuple[bool, float]:
-    """Check sqrt(a)*(b*p1+1) + sqrt(b)*(a*p2+1) <= 1.
-
-    Returns (holds, slack) with slack = LHS - 1; boundary equality counts
-    as satisfied (tolerance 1e-12).
-    """
-    slack = (
-        math.sqrt(ch.a) * (ch.b * ch.p1 + 1.0)
-        + math.sqrt(ch.b) * (ch.a * ch.p2 + 1.0)
-        - 1.0
-    )
-    return slack <= _SLACK_TOL, slack
+    """Check sqrt(a)*(b*p1+1) + sqrt(b)*(a*p2+1) <= 1 exactly, equality
+    included (``channel._noisy_sign``): (holds, the float slack LHS - 1)."""
+    sign, slack = _noisy_sign(ch.a, ch.b, ch.p1, ch.p2)
+    return sign <= 0, slack
 
 
 def noisy_certificate(ch: TwoUserChannel) -> GenieParams:
@@ -117,14 +108,7 @@ def noisy_certificate(ch: TwoUserChannel) -> GenieParams:
         raise CertificateUnavailableError("the certificate's variances overflow") from None
     k1 = v - u + 1.0
     k2 = u - v + 1.0
-    disc = k1 * k1 - 4.0 * v  # equals k2*k2 - 4*u
-    if disc < 0.0:
-        if disc < -1e-12 * max(1.0, k1 * k1):
-            raise CertificateUnavailableError(
-                f"negative discriminant {disc:.3g}: no real certificate"
-            )
-        disc = 0.0
-    root = math.sqrt(disc)
+    root = math.sqrt(max(k1 * k1 - 4.0 * v, 0.0))  # (1 - u - v)^2 - 4uv >= 0 exactly
     if not (k1 + root > 0.0 and k2 + root > 0.0):  # u or v is 1 in floats
         raise CertificateUnavailableError("the certificate's variances round to 0")
     s1 = (k1 + root) / (2.0 * b)
@@ -154,12 +138,13 @@ def mixed_condition(ch: TwoUserChannel) -> tuple[bool, float]:
 
     Direct orientation: a > 1, 0 < b < 1 and (1-a*b)*p1 - (a-1) <= 0.
     For b > 1, 0 < a < 1 the swapped channel is checked instead.
-    Returns (holds, slack); slack is +inf when neither orientation's gain
-    pattern applies.
+    Returns (holds, slack), ``holds`` decided exactly; the float slack is
+    +inf when neither orientation's gain pattern applies.
     """
     if ch.a > 1.0 and 0.0 < ch.b < 1.0:
         slack = (1.0 - ch.a * ch.b) * ch.p1 - (ch.a - 1.0)
-        return slack <= _SLACK_TOL, slack
+        (na, da), (nb, db), (n1, d1) = (x.as_integer_ratio() for x in (ch.a, ch.b, ch.p1))
+        return (da * db - na * nb) * n1 <= (na - da) * db * d1, slack
     if ch.b > 1.0 and 0.0 < ch.a < 1.0:
         return mixed_condition(ch.swapped())
     return False, math.inf
@@ -204,13 +189,6 @@ def classify(ch: TwoUserChannel) -> CapacityVerdict:
     )
 
 
-def symmetric_noisy_power_limit(a: float) -> float:
-    """Largest symmetric power with noisy interference at gain a = b:
-    (sqrt(a) - 2a)/(2a^2) for a <= 1/4, zero above: the uniform m-user
-    threshold at m = 2."""
-    return symmetric_threshold(2, a)
-
-
 def symmetric_noisy_threshold(p: float) -> float:
     """Largest symmetric gain a = b (<= 1/4) whose noisy-interference power
     limit still admits power p1 = p2 = p.
@@ -218,10 +196,10 @@ def symmetric_noisy_threshold(p: float) -> float:
     With t = sqrt(a), limit (sqrt(a) - 2a)/(2a^2) = p is the cubic
     2p t^3 + 2t - 1 = 0, whose one real root is the cancellation-free
     t = 2/sqrt(3p) * sinh(asinh(0.75*sqrt(3p))/3).  The limit decreases in
-    a on (0, 1/4], so stepping a down one float at a time until the limit
-    admits p puts the result on the feasible side of the boundary.  Powers
+    a on (0, 1/4], so stepping a down one float at a time until the noisy
+    condition holds exactly puts the result on the feasible side.  Powers
     above about 2.7e230, whose threshold squares below the normal floats,
-    cannot be checked that way and raise ValueError.
+    raise ValueError; above about 6e307 the start t is nan (3p overflows).
     """
     _check_finite_pos("power", p)
     x = math.sqrt(3.0 * p)
@@ -229,6 +207,6 @@ def symmetric_noisy_threshold(p: float) -> float:
     a = min(t * t, 0.25)
     if not a * a >= sys.float_info.min:
         raise ValueError(f"power {p} is too large for a representable gain threshold")
-    while symmetric_noisy_power_limit(a) < p:
+    while _noisy_sign(a, a, p, p)[0] > 0:
         a = math.nextafter(a, 0.0)
     return a

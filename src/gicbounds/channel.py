@@ -226,9 +226,33 @@ def sigma_feasible(ch: TwoUserChannel, mu: float, gp: GenieParams) -> bool:
     return gp.sigma1_sq <= s1_max and gp.sigma2_sq <= s2_max
 
 
+def _noisy_sign(a: float, b: float, p1: float, p2: float) -> tuple[int, float]:
+    """The exact sign of L - 1, L = sqrt(a)(b*p1 + 1) + sqrt(b)(a*p2 + 1), and
+    the float slack L - 1: the one decision of the noisy condition L <= 1.
+    Four rounded steps per term on values >= 0, the sum and the - 1 make the
+    slack err by at most gamma_7 (L + 1) < 2^-50 (L + 1), gamma_n =
+    n 2^-53/(1 - n 2^-53) (Higham, Accuracy and Stability of Numerical
+    Algorithms, lemma 3.3; an underflow adds 2^-1075 to a sum >= 1).  As
+    slack + 2 >= (L + 1)/2, a slack outside the band 2^-40 (slack + 2) has
+    the sign of L - 1.  Inside it, or at a nan or inf slack, integers from
+    ``as_integer_ratio`` decide, scaled by the squared denominators: with
+    x = a(b*p1 + 1)^2, y = b(a*p2 + 1)^2, r = 1 - x - y, L >= sqrt(x + y) > 1
+    where r < 0, else L^2 - 1 = 2 sqrt(xy) - r has the sign of 4xy - r^2.
+    """
+    slack = math.sqrt(a) * (b * p1 + 1.0) + math.sqrt(b) * (a * p2 + 1.0) - 1.0
+    if abs(slack) > 2.0**-40 * (slack + 2.0):
+        return (1 if slack > 0.0 else -1), slack
+    (na, da), (nb, db), (n1, d1), (n2, d2) = (v.as_integer_ratio() for v in (a, b, p1, p2))
+    x = na * da * (nb * n1 + db * d1) ** 2 * d2 * d2
+    y = nb * db * (na * n2 + da * d2) ** 2 * d1 * d1
+    r = (da * db * d1 * d2) ** 2 - x - y
+    return (1 if r < 0 else (4 * x * y > r * r) - (4 * x * y < r * r)), slack
+
+
 def _above_uniform_cut(m: int, c: float) -> bool:
-    """Uniform gain c > 1/(4(m-1)): no positive power admits noisy interference."""
-    return bool(c > 1.0 / (4.0 * (m - 1)))
+    """Uniform gain c > 1/(4(m-1)) exactly: no positive power admits noisy interference."""
+    n, d = float(c).as_integer_ratio()
+    return 4 * (m - 1) * n > d
 
 
 def symmetric_threshold(m: int, c: float) -> float:

@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import MUserChannel, _above_uniform_cut, m_user_interference_powers, symmetric_threshold
+from .channel import MUserChannel, _above_uniform_cut, _noisy_sign, m_user_interference_powers
+from .channel import symmetric_threshold
 
 __all__ = [
     "MUserVerdict",
@@ -82,8 +83,12 @@ class MUserVerdict:
 
 def noisy_sum_capacity(ch: MUserChannel) -> float:
     """Sum rate of single-user detection: sum_i 0.5*log2(1 + P_i/(1 + Q_i))."""
-    q = m_user_interference_powers(ch)
-    return float(np.sum(0.5 * np.log2(1.0 + ch.powers / (1.0 + q))))
+    return _tin_sum(ch.powers, m_user_interference_powers(ch))
+
+
+def _tin_sum(powers: np.ndarray, q: np.ndarray) -> float:
+    """sum_i 0.5*log2(1 + P_i/(1 + Q_i)) from the powers and the Q_i."""
+    return float(np.sum(0.5 * np.log2(1.0 + powers / (1.0 + q))))
 
 
 class _Conditions:
@@ -194,7 +199,7 @@ def check_conditions(ch: MUserChannel, rho) -> np.ndarray:
 
 
 def _verdict_from_probe(
-    ch: MUserChannel,
+    model: _Conditions,
     rho: np.ndarray,
     slacks: np.ndarray,
     provably_infeasible: bool = False,
@@ -206,7 +211,7 @@ def _verdict_from_probe(
     return MUserVerdict(
         feasible=feasible,
         rho=rho_t if feasible else None,
-        sum_capacity=noisy_sum_capacity(ch) if feasible else None,
+        sum_capacity=_tin_sum(model.powers, model.q) if feasible else None,
         slacks=slacks,
         max_slack=max_slack,
         best_probe=None if feasible else rho_t,
@@ -230,11 +235,12 @@ def _two_user_seed(model: _Conditions) -> np.ndarray | None:
     """
     if model.m != 2:
         return None
+    (_, c12), (c21, _) = model.gains_offdiag.tolist()
+    if _noisy_sign(c21, c12, *model.powers.tolist())[0] >= 0:
+        return None
     roots = _pair_roots(model)
     big_a, big_b = roots[1, 0], roots[0, 1]
     s = 0.5 * ((1.0 - big_a) - big_b)
-    if not s > 0.0:
-        return None
     return np.sqrt([big_b + s, big_a + s])
 
 
@@ -531,7 +537,7 @@ def find_rho(ch: MUserChannel) -> MUserVerdict:
         slacks = model.at(rho)
         max_slack = slacks.max()
         if max_slack <= 0.0:
-            return _verdict_from_probe(ch, rho, slacks)
+            return _verdict_from_probe(model, rho, slacks)
         # A nan best (u = 1 in floats) gives way to any later probe.
         if best_slacks is None or max_slack < best_max or np.isnan(best_max):
             best_rho, best_slacks, best_max = rho, slacks, max_slack
@@ -539,7 +545,7 @@ def find_rho(ch: MUserChannel) -> MUserVerdict:
     provable = ch.is_uniform() and _above_uniform_cut(ch.m, ch.gains[0, 1])
     note = "provably infeasible by the symmetric reduction" if provable else ""
     return _verdict_from_probe(
-        ch, best_rho, best_slacks, provably_infeasible=provable, note=note
+        model, best_rho, best_slacks, provably_infeasible=provable, note=note
     )
 
 
@@ -582,8 +588,8 @@ def oracle_grid_feasibility(ch: MUserChannel, resolution: int) -> MUserVerdict:
         feasible = max_slack <= 0.0
         if feasible.any():
             idx = int(np.argmax(feasible))
-            return _verdict_from_probe(ch, slab[:, idx], slacks[:, :, idx].T.copy())
+            return _verdict_from_probe(model, slab[:, idx], slacks[:, :, idx].T.copy())
         idx = int(np.argmin(max_slack))
         if best is None or max_slack[idx] < best[0]:
             best = max_slack[idx], slab[:, idx].copy(), slacks[:, :, idx].T.copy()
-    return _verdict_from_probe(ch, best[1], best[2])
+    return _verdict_from_probe(model, best[1], best[2])

@@ -1,13 +1,16 @@
-"""Shared helpers for the test suite: channel samplers, geometry checks, an
-MU objective call counter, the reference MU bound in user order, the
-reference m-user grid scan, a Newton system counter, a probe counter and
-the stopping certificate of the m-user phase-I solve."""
+"""Shared helpers for the test suite: channel samplers (one near the noisy
+boundary), geometry checks, an MU objective call counter, the reference MU
+bound in user order, the reference m-user grid scan, a Newton system
+counter, a probe counter and the stopping certificate of the m-user
+phase-I solve."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from gicbounds import TwoUserChannel, noisy_condition
 from gicbounds.genie import _MuObjective
@@ -30,6 +33,34 @@ def sample_noisy_channel(rng: np.random.Generator) -> TwoUserChannel:
         ch = TwoUserChannel(float(a), float(b), float(p1), float(p2))
         if noisy_condition(ch)[0]:
             return ch
+
+
+def near_noisy_boundary(a: float, b: float, w: float, ulps: int):
+    """A channel (a, b, p1, p2) within a few ulps of the noisy boundary
+    sqrt(a)(b*p1 + 1) + sqrt(b)(a*p2 + 1) = 1, or None.  For gains with
+    sqrt(a) + sqrt(b) < 1, user 1's term is put at the fraction w in (0, 1)
+    of its free range (sqrt(a), 1 - sqrt(b)), p1 and p2 are solved for the
+    boundary in floats, and p2 is then moved by ``ulps`` floats."""
+    x = math.sqrt(a) + w * (1.0 - math.sqrt(a) - math.sqrt(b))
+    p1 = (x / math.sqrt(a) - 1.0) / b
+    p2 = ((1.0 - x) / math.sqrt(b) - 1.0) / a
+    for _ in range(abs(ulps)):
+        p2 = math.nextafter(p2, math.copysign(math.inf, ulps))
+    if not (0.0 < p1 < math.inf and 0.0 < p2 < math.inf):
+        return None
+    return a, b, p1, p2
+
+
+@st.composite
+def near_noisy_boundary_channels(draw):
+    """``near_noisy_boundary`` at gains log-uniform in [1e-12, 0.24], a
+    uniform w and a shift of -3 to 3 ulps."""
+    gains = st.floats(math.log(1e-12), math.log(0.24)).map(math.exp)
+    ch = near_noisy_boundary(
+        draw(gains), draw(gains), draw(st.floats(0.0, 1.0)), draw(st.integers(-3, 3))
+    )
+    assume(ch is not None)
+    return ch
 
 
 def point_to_polyline_distance(pt, polyline) -> float:

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +21,10 @@ from gicbounds import (
     symmetric_noisy_threshold,
     tin_rates,
 )
-from gicbounds.capacity import symmetric_noisy_power_limit
+from gicbounds.channel import _noisy_sign, symmetric_threshold
 
-from helpers import sample_noisy_channel
-from verify import in_exact_box
+from helpers import near_noisy_boundary, sample_noisy_channel
+from verify import exact_noisy_sign, in_exact_box
 
 FIG1 = TwoUserChannel(a=0.04, b=0.09, p1=10, p2=20)
 
@@ -62,10 +63,18 @@ class TestNoisyCondition:
         assert slack == pytest.approx(math.sqrt(0.5) - 1.0, abs=1e-12)
 
     def test_boundary_equality_counts(self):
-        # sqrt(a) + sqrt(b) = 1 exactly in the zero-power limit
-        holds, slack = noisy_condition(TwoUserChannel(0.25, 0.25, 1e-15, 1e-15))
+        # sqrt(a)(b*p1 + 1) = 1/4 * 2 for each user: LHS = 1 exactly
+        holds, slack = noisy_condition(TwoUserChannel(0.0625, 0.0625, 16, 16))
         assert holds
         assert abs(slack) < 1e-12
+
+    def test_near_miss_is_unknown(self):
+        # The float slack is 6.0e-14, but the exact LHS exceeds 1.
+        p = 37.5 * (1 + 1e-13)
+        assert exact_noisy_sign(0.04, 0.04, p, p) == 1
+        v = classify(TwoUserChannel(0.04, 0.04, p, p))
+        assert v.kind is VerdictKind.UNKNOWN
+        assert 0.0 < v.slacks["noisy"] < 1e-12
 
 
 class TestNoisyCertificate:
@@ -184,6 +193,29 @@ def test_certificate_survey():
     assert (misses, outside) == (0, 0)
 
 
+@pytest.mark.slow
+def test_boundary_survey():
+    # 1,000 gain pairs log-uniform in [1e-12, 0.24], each at 7 shifts of -3
+    # to 3 ulps from the noisy boundary: the sign matches Fraction on every
+    # channel, and classify claims noisy interference exactly where the
+    # condition holds.
+    rng = random.Random(5)
+    seen = mismatches = wrong_claims = 0
+    for _ in range(1000):
+        a, b = (math.exp(rng.uniform(math.log(1e-12), math.log(0.24))) for _ in range(2))
+        w = rng.random()
+        for ulps in range(-3, 4):
+            ch = near_noisy_boundary(a, b, w, ulps)
+            if ch is None:
+                continue
+            seen += 1
+            exact = exact_noisy_sign(*ch)
+            mismatches += _noisy_sign(*ch)[0] != exact
+            kind = classify(TwoUserChannel(*ch)).kind
+            wrong_claims += (kind is VerdictKind.NOISY_INTERFERENCE) != (exact <= 0)
+    assert (seen, mismatches, wrong_claims) == (7000, 0, 0)
+
+
 class TestMixedCondition:
     def test_gain_product_above_one_is_vacuous(self):
         for p1 in (0.1, 10, 1000):
@@ -207,6 +239,24 @@ class TestMixedCondition:
     def test_inapplicable_gains(self):
         holds, slack = mixed_condition(TwoUserChannel(0.5, 0.5, 1, 1))
         assert not holds and math.isinf(slack)
+
+    @given(
+        st.floats(1.0, 1e12, exclude_min=True),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(-3, 3),
+        st.booleans(),
+    )
+    @example(2.0, 0.25, 0, False)  # (1 - 1/2) * 2 = 2 - 1: equality holds
+    @example(2.0, 0.25, 1, True)
+    def test_condition_is_exact(self, a, b, ulps, swap):
+        # p1 within 3 ulps of the boundary (1 - a*b)*p1 = a - 1
+        p1 = abs((a - 1.0) / (1.0 - a * b)) if a * b != 1.0 else 1.0
+        for _ in range(abs(ulps)):
+            p1 = math.nextafter(p1, math.copysign(math.inf, ulps))
+        assume(0.0 < p1 < math.inf)
+        ch = TwoUserChannel(a, b, p1, 1.0)
+        fa, fb, fp = Fraction(a), Fraction(b), Fraction(p1)
+        assert mixed_condition(ch.swapped() if swap else ch)[0] == ((1 - fa * fb) * fp <= fa - 1)
 
 
 class TestClassify:
@@ -281,19 +331,19 @@ class TestSymmetricThreshold:
         a_db = 10 * math.log10(a_star)
         assert abs(a_db - (-26.99)) <= 0.15
         # bisection returns the feasible side of the boundary
-        assert symmetric_noisy_power_limit(a_star) >= 5000.0
-        assert symmetric_noisy_power_limit(a_star + 1e-10) < 5000.0
+        assert symmetric_threshold(2, a_star) >= 5000.0
+        assert symmetric_threshold(2, a_star + 1e-10) < 5000.0
 
     def test_threshold_vanishes_at_high_power(self):
         assert symmetric_noisy_threshold(1e12) < 1e-6
 
     def test_quarter_gain_has_zero_power_budget(self):
-        assert symmetric_noisy_power_limit(0.25) == pytest.approx(0.0, abs=1e-15)
+        assert symmetric_threshold(2, 0.25) == pytest.approx(0.0, abs=1e-15)
         assert symmetric_noisy_threshold(1e-9) < 0.25
 
     def test_power_limit_monotone_decreasing(self):
         grid = np.linspace(1e-4, 0.25, 500)
-        vals = [symmetric_noisy_power_limit(a) for a in grid]
+        vals = [symmetric_threshold(2, a) for a in grid]
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
@@ -305,7 +355,7 @@ class TestSymmetricRegions:
 
     def test_condition_matches_closed_form_region(self):
         for a in self.A_GRID:
-            limit = symmetric_noisy_power_limit(a)
+            limit = symmetric_threshold(2, a)
             for p in self.P_GRID:
                 ch = TwoUserChannel(a, a, p, p)
                 holds, slack = noisy_condition(ch)

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gicbounds import (
     MUserChannel,
@@ -11,8 +14,14 @@ from gicbounds import (
     tdm_fdm_sum_rate,
     tin_rates,
 )
+from gicbounds.channel import _above_uniform_cut, _noisy_sign
+
+from helpers import near_noisy_boundary_channels
+from verify import exact_noisy_sign
 
 FIG1 = TwoUserChannel(a=0.04, b=0.09, p1=10, p2=20)
+GAINS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+POWERS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 class TestTinRates:
@@ -105,6 +114,49 @@ class TestInvariants:
             p1, p2 = np.exp(rng.uniform(-2, 7, 2))
             ch = TwoUserChannel(0, 0, p1, p2)
             assert tin_rates(ch) == single_user_capacities(ch)
+
+
+class TestNoisySign:
+    """``_noisy_sign`` against ``verify.exact_noisy_sign``, which squares
+    the condition in another order, in ``Fraction``."""
+
+    @given(GAINS, GAINS, POWERS, POWERS)
+    @example(0.04, 0.09, 10.0, 20.0)
+    @example(1.7976931348623157e308, 5e-324, 5e-324, 1.7976931348623157e308)
+    def test_sign_is_exact_over_the_float_range(self, a, b, p1, p2):
+        sign, slack = _noisy_sign(a, b, p1, p2)
+        assert sign == exact_noisy_sign(a, b, p1, p2)
+        # The float slack keeps the formula's bits (its display is pinned).
+        expected = math.sqrt(a) * (b * p1 + 1.0) + math.sqrt(b) * (a * p2 + 1.0) - 1.0
+        assert slack == expected or math.isnan(slack) and math.isnan(expected)
+
+    @given(near_noisy_boundary_channels())
+    def test_sign_is_exact_near_the_boundary(self, ch):
+        assert _noisy_sign(*ch)[0] == exact_noisy_sign(*ch)
+
+    @pytest.mark.parametrize("ch, sign", [
+        ((0.0625, 0.0625, 16.0, 16.0), 0),  # 1/4 * 2 + 1/4 * 2 = 1
+        ((1.0, 0.0, 7.5e157, 8.8e-219), 0),
+        ((0.0, 4.0, 1e308, 1.0), 1),  # sqrt(0) * inf: a nan float slack
+    ])
+    def test_the_exact_branch(self, ch, sign):
+        # A float slack of 0 or nan lies in no band the filter accepts.
+        got, slack = _noisy_sign(*ch)
+        assert got == sign == exact_noisy_sign(*ch)
+        assert slack == 0.0 or math.isnan(slack)
+
+
+class TestUniformCut:
+    @given(st.integers(2, 40), st.integers(-3, 3))
+    def test_cut_is_exact_next_to_the_threshold(self, m, ulps):
+        c = 1.0 / (4 * (m - 1))
+        for _ in range(abs(ulps)):
+            c = math.nextafter(c, math.copysign(math.inf, ulps))
+        assert _above_uniform_cut(m, c) == (Fraction(c) > Fraction(1, 4 * (m - 1)))
+
+    @given(st.integers(2, 1000), POWERS)
+    def test_cut_is_exact_over_the_float_range(self, m, c):
+        assert _above_uniform_cut(m, c) == (Fraction(c) > Fraction(1, 4 * (m - 1)))
 
 
 class TestValidation:

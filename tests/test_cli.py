@@ -38,13 +38,6 @@ BAD_INPUT_ARGV = [
     ["classify", "--a", "x", "--b", "0", "--p1", "1", "--p2", "1"],
     # 10^400 overflows a float
     ["classify", "--a", "4000", "--b", "0.1", "--p1", "1", "--p2", "1", "--db"],
-    # Near-miss noisy channels: the float slack passes, but u = a(1 + b*p1)^2
-    # is 1 in floats, so the certificate's variances round to 0.
-    ["classify", "--a", "1", "--b", "4.574733312984874e-75", "--p1", "1.9990983308135738e-287",
-     "--p2", "0.25"],
-    ["sweep", "--a", "1", "--b", "4.574733312984874e-75", "--p1", "1.9990983308135738e-287",
-     "--p2", "0.25", "--param", "p2", "--from", "0.125", "--to", "0.25", "--points", "2",
-     "--metric", "verdict"],
     # A first-family LHS past the float range: an inf slack, which strict
     # JSON cannot carry, and no overflow warning.
     ["murate", "--a", "6.713018320516784e-49", "--b", "1.7976931348623157e+308",
@@ -53,6 +46,22 @@ BAD_INPUT_ARGV = [
     # warning from the grid's end point.
     ["sweep", *FIG1_ARGS, "--param", "b", "--from", "1e-43", "--to", "1.7976931348623157e+308",
      "--points", "3", "--metric", "verdict", "--log", "--db"],
+]
+
+# Near-miss noisy channels: the float slack is within 1e-12 of 0, but the
+# exact condition fails, so no certificate is built.  On the first, u =
+# a(1 + b*p1)^2 is 1 in floats, and the certificate's variances would round
+# to 0; on the last, the certificate's exact-box loop would step 9 million
+# floats.
+NEAR_MISS = ["--a", "1", "--b", "4.574733312984874e-75", "--p1", "1.9990983308135738e-287",
+             "--p2", "0.25"]
+NEAR_MISS_SLOW = ["--a", "0.9999999999999999", "--b", "5.580321296213911e-26",
+                  "--p1", "1.0000000000000002", "--p2", "2.6820785366838408e-164"]
+NEAR_MISS_ARGV = [
+    ["classify", *NEAR_MISS],
+    ["sweep", *NEAR_MISS, "--param", "p2", "--from", "0.125", "--to", "0.25", "--points", "2",
+     "--metric", "verdict"],
+    ["classify", *NEAR_MISS_SLOW],
 ]
 
 BAD_CONFIGS = [
@@ -105,6 +114,17 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "--a", "0.5", "--b", "0.5", "--p1", "100", "--p2", "100")
         assert code == 0
         assert json.loads(out)["kind"] == "UNKNOWN"
+
+    @pytest.mark.parametrize("argv", NEAR_MISS_ARGV)
+    def test_near_miss_noisy_channel_is_unknown(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "UNKNOWN" in out and "NOISY" not in out
+
+    def test_near_miss_region_is_answered(self, capsys):
+        code, out, err = run(capsys, "region", *NEAR_MISS_SLOW, "--mu-grid", "5", "--eta-grid", "3")
+        assert (code, err) == (0, "")
+        assert out.startswith("r1_bits,r2_bits,kind\n")
 
     def test_db_gains(self, capsys):
         a_db = 10 * math.log10(0.04)

@@ -5,8 +5,8 @@ sees it on stderr.
 
 Numbers are drawn log-uniformly from 1e-330 (which rounds to 0) to 1e308,
 or from the edge values below, sometimes negated.  One request builder
-serves a hypothesis property, kept small for the default run, and a
-``slow`` survey of 4,000 requests from ``random.Random(1)``.
+serves a hypothesis property, kept small, and a survey of 4,000 requests
+from ``random.Random(1)``.
 """
 
 import contextlib
@@ -16,7 +16,6 @@ import random
 import sys
 import warnings
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,7 +99,6 @@ def test_the_builder_reaches_every_command_and_edge():
     assert {"--log", "--json", "--db"} | set(SWEEP_METRICS) <= drawn
 
 
-@pytest.mark.slow
 def test_survey_of_4000_requests():
     rng = random.Random(1)
     bad = []

@@ -34,15 +34,18 @@ from gicbounds.multiuser import (
     _heuristic_seed,
     _necessary_bound,
     _phase_one,
+    _two_user_seed,
 )
 from helpers import (
     count_newton_solves,
     count_probes,
     materialized_grid_scan,
+    near_noisy_boundary_channels,
     phase_one_certificate,
 )
 from verify import (
     exact_dual_bound,
+    exact_noisy_sign,
     is_exact_witness,
     pair_bound_exceeds,
     receiver_bound,
@@ -305,6 +308,19 @@ class TestTwoUserClosedForm:
             assert v.feasible == (margin < 0), margin
             if v.feasible:
                 assert is_exact_witness(chan.gains, chan.powers, v.rho)
+
+    @given(st.one_of(
+        two_user_channels(),
+        near_noisy_boundary_channels().map(
+            lambda ch: MUserChannel.from_two_user(TwoUserChannel(*ch))
+        ),
+    ))
+    # A + B = 1 exactly: u = 1 would be probed, and divide by 1 + Q - u = 0.
+    @example(MUserChannel.from_two_user(TwoUserChannel(1.0, 0.0, 3.0, 2.0)))
+    def test_seed_exists_iff_the_exact_sign_is_negative(self, ch):
+        (_, c12), (c21, _) = ch.gains.tolist()
+        sign = exact_noisy_sign(c21, c12, *ch.powers.tolist())
+        assert (_two_user_seed(_Conditions(ch)) is None) == (sign >= 0)
 
 
 class TestFindRhoPinned:

@@ -1,9 +1,11 @@
-"""Exact checks of two-user genie points, m-user witnesses, the m-user
-necessary conditions and stopping certificates, in rational arithmetic.
+"""Exact checks of the two-user noisy condition, two-user genie points,
+m-user witnesses, the m-user necessary conditions and stopping
+certificates, in rational arithmetic.
 
-Every float is a dyadic rational, so ``fractions.Fraction`` evaluates the
-MU feasibility box at a float genie point, and both condition families at
-a float rho vector, with no rounding at all: a genie point passes when it
+Every float is a dyadic rational, so ``fractions.Fraction`` decides the
+noisy condition at float gains and powers, and evaluates the MU
+feasibility box at a float genie point and both condition families at a
+float rho vector, with no rounding at all: a genie point passes when it
 lies in the exact box, and a witness when every exact slack is <= 0.  The
 pair and receiver bounds of the m-user conditions are exact functions of
 the channel, and a stopping certificate of the phase-I solve, a point u
@@ -27,6 +29,21 @@ def in_exact_box(ch, mu: float, gp) -> bool:
     if mu >= 1.0:
         return Fraction(ch.a) * s2 <= 1 - rho1**2
     return Fraction(ch.b) * s1 <= 1 - rho2**2
+
+
+def exact_noisy_sign(a, b, p1, p2) -> int:
+    """The sign of sqrt(a)(b*p1 + 1) + sqrt(b)(a*p2 + 1) - 1, exactly.
+
+    With x = a(b*p1 + 1)^2 and y = b(a*p2 + 1)^2 the LHS is sqrt(x) +
+    sqrt(y).  For x > 1 it exceeds 1.  Otherwise 1 - sqrt(x) >= 0, so the
+    sign is that of y - (1 - sqrt(x))^2 = 2 sqrt(x) - t, t = 1 + x - y:
+    +1 for t < 0, and the sign of 4x - t^2 for t >= 0."""
+    a, b, p1, p2 = (Fraction(v) for v in (a, b, p1, p2))
+    x, y = a * (b * p1 + 1) ** 2, b * (a * p2 + 1) ** 2
+    t = 1 + x - y
+    if x > 1 or t < 0:
+        return 1
+    return (4 * x > t * t) - (4 * x < t * t)
 
 
 def _exact_channel(gains, powers):
