@@ -38,6 +38,8 @@ BAD_INPUT_ARGV = [
     ["classify", "--a", "x", "--b", "0", "--p1", "1", "--p2", "1"],
     # 10^400 overflows a float
     ["classify", "--a", "4000", "--b", "0.1", "--p1", "1", "--p2", "1", "--db"],
+    ["classify", "--a", "nan", "--b", "0.1", "--p1", "1", "--p2", "1"],
+    ["murate", "--a", "0.1", "--b", "0.1", "--p1", "1", "--p2", "-1", "--json"],
     # A first-family LHS past the float range: an inf slack, which strict
     # JSON cannot carry, and no overflow warning.
     ["murate", "--a", "6.713018320516784e-49", "--b", "1.7976931348623157e+308",
