@@ -17,7 +17,6 @@ so callers can see how far the channel is from each regime.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -133,6 +132,14 @@ def noisy_certificate(ch: TwoUserChannel) -> GenieParams:
             s2 = math.nextafter(s2, 0.0)
 
 
+def _certificate(ch: TwoUserChannel) -> GenieParams | None:
+    """The noisy certificate of ``ch``, or None where it does not exist."""
+    try:
+        return noisy_certificate(ch)
+    except CertificateUnavailableError:
+        return None
+
+
 def mixed_condition(ch: TwoUserChannel) -> tuple[bool, float]:
     """Check the mixed-interference corner condition.
 
@@ -155,7 +162,7 @@ def classify(ch: TwoUserChannel) -> CapacityVerdict:
 
     Priority: noisy interference (including the one-sided a=0 or b=0
     channels, reported as ZIC_NOISY and carrying no genie certificate),
-    then the mixed corner, else UNKNOWN.
+    then the mixed corner, else UNKNOWN; a certificate that overflows is None.
     """
     noisy_holds, noisy_slack = noisy_condition(ch)
     mixed_holds, mixed_slack = mixed_condition(ch)
@@ -166,7 +173,7 @@ def classify(ch: TwoUserChannel) -> CapacityVerdict:
         return CapacityVerdict(
             kind=VerdictKind.ZIC_NOISY if one_sided else VerdictKind.NOISY_INTERFERENCE,
             sum_capacity=tin_rates(ch).sum,
-            certificate=None if one_sided else noisy_certificate(ch),
+            certificate=_certificate(ch),
             condition_slack=noisy_slack,
             slacks=slacks,
         )
@@ -195,18 +202,17 @@ def symmetric_noisy_threshold(p: float) -> float:
 
     With t = sqrt(a), limit (sqrt(a) - 2a)/(2a^2) = p is the cubic
     2p t^3 + 2t - 1 = 0, whose one real root is the cancellation-free
-    t = 2/sqrt(3p) * sinh(asinh(0.75*sqrt(3p))/3).  The limit decreases in
-    a on (0, 1/4], so stepping a down one float at a time until the noisy
-    condition holds exactly puts the result on the feasible side.  Powers
-    above about 2.7e230, whose threshold squares below the normal floats,
-    raise ValueError; above about 6e307 the start t is nan (3p overflows).
+    t = 2/sqrt(3p) * sinh(asinh(0.75*sqrt(3p))/3), with sqrt(3p) as
+    sqrt(3)*sqrt(p) so that no finite p overflows.  The limit decreases in a
+    on (0, 1/4], so a is stepped down one float at a time until the noisy
+    condition holds exactly, then up while the next float still meets it.
     """
     _check_finite_pos("power", p)
-    x = math.sqrt(3.0 * p)
+    x = math.sqrt(3.0) * math.sqrt(p)
     t = 2.0 / x * math.sinh(math.asinh(0.75 * x) / 3.0)
     a = min(t * t, 0.25)
-    if not a * a >= sys.float_info.min:
-        raise ValueError(f"power {p} is too large for a representable gain threshold")
     while _noisy_sign(a, a, p, p)[0] > 0:
         a = math.nextafter(a, 0.0)
+    while _noisy_sign(up := math.nextafter(a, 1.0), up, p, p)[0] <= 0:
+        a = up
     return a

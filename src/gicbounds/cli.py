@@ -321,13 +321,10 @@ def main(argv=None) -> int:
         command = commands.get(argv[0]) if argv else None
         args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (region.RegionError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # library-level domain errors are bad input
+    except ValueError as exc:  # ConfigError and library-level domain errors are bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

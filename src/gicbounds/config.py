@@ -85,10 +85,10 @@ class SweepSpec:
 
     @cached_property  # the fields are frozen, so the grid is built once
     def _grid(self) -> np.ndarray:
-        if self.log_spacing:
-            with np.errstate(over="ignore"):  # 10^log10(stop) may overflow; numpy resets the ends
+        with np.errstate(over="ignore"):  # overflow near the float max: numpy resets the ends
+            if self.log_spacing:
                 return np.geomspace(self.start, self.stop, self.points)
-        return np.linspace(self.start, self.stop, self.points)
+            return np.linspace(self.start, self.stop, self.points)
 
     def channels(
         self, base: TwoUserChannel, gains_in_db: bool = False

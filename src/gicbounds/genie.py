@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .capacity import CertificateUnavailableError, noisy_certificate, noisy_condition
+from .capacity import _certificate
 from .channel import GenieParams, TwoUserChannel, _check_finite_pos, _gap, single_user_capacities
 from .channel import sigma_feasible, sigma_limits
 
@@ -578,15 +578,6 @@ def _pattern_search(
     return out_val, out_x
 
 
-def _tight_sum_certificate(ch: TwoUserChannel) -> "GenieParams | None":
-    if not noisy_condition(ch)[0]:
-        return None
-    try:
-        return noisy_certificate(ch)
-    except CertificateUnavailableError:
-        return None
-
-
 def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` smallest of ``vals`` (at least k entries, no
     nan), ties in index order: ``np.argsort(vals, kind="stable")[:k]``
@@ -626,7 +617,8 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     built once per (channel, mu >= 1) pair, a side, and evaluated at every
     weight of that side in one objective call, with the weights as a
     column: the probes of a side do not depend on its weights.  ValueError
-    where the bound overflows at every probe, at powers past about 1e154.
+    where the bound overflows at every probe: at powers past about 1e154, or
+    at a gain near the float floor.
     """
     requests = tuple(requests)
     for ch, mu in requests:
@@ -635,7 +627,7 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     if not requests:
         return ()
 
-    certs = {ch: _tight_sum_certificate(ch) for ch in {ch for ch, mu in requests if mu == 1.0}}
+    certs = {ch: _certificate(ch) for ch in {ch for ch, mu in requests if mu == 1.0}}
     tight = [i for i, (ch, mu) in enumerate(requests) if mu == 1.0 and certs[ch] is not None]
     best: list = [None] * len(requests)
     with np.errstate(all="ignore"):
@@ -657,8 +649,8 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
                 found[i] = [(float(vals[j]), grid[:, j])
                             for j in _smallest(vals, 4) if math.isfinite(vals[j])]
                 if not found[i]:
-                    raise ValueError(f"the MU bound overflows at every genie probe at p1={ch.p1}, "
-                                     f"p2={ch.p2}: powers this large are out of range")
+                    raise ValueError(f"the MU bound overflows at every genie probe on the channel "
+                                     f"a={ch.a}, b={ch.b}, p1={ch.p1}, p2={ch.p2}")
         if found:
             searched = sorted(found)
             lanes = [requests[i] for i in searched for _ in found[i]]

@@ -166,9 +166,10 @@ class _Conditions:
         elementwise loop runs along n, and the weights multiply from the
         left; an (n, m) layout would broadcast the (m,) terms over rows of m
         entries."""
-        inv_u, inv_den, rhs1, rhs2 = self._terms(u)
         slacks = np.empty((2,) + u.shape)
-        with np.errstate(over="ignore"):  # an LHS past the float range is an inf slack
+        # An LHS past the float range is an inf slack, and a u of 1 + Q an inf or nan one.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            inv_u, inv_den, rhs1, rhs2 = self._terms(u)
             np.subtract(self.m1.T @ inv_u, rhs1, out=slacks[0])
             np.subtract(self.m2.T @ inv_den, rhs2, out=slacks[1])
         return slacks

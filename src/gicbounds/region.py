@@ -184,7 +184,7 @@ def build_inner_region(ch: TwoUserChannel) -> RateRegion:
     corner points, the single-user-detection point and an orthogonal-sharing
     rate curve (time-sharing mixtures come free with the hull)."""
     caps = single_user_capacities(ch)
-    alphas = np.linspace(0.0, 1.0, _ALPHA_POINTS + 2)[1:-1]
+    alphas = np.linspace(0.0, 1.0, _ALPHA_POINTS + 2)[1:-1].tolist()
     rates = [tin_rates(ch)] + [_tdm_rates(ch, alpha) for alpha in alphas]
     pts = [(0.0, caps.r2), (caps.r1, 0.0)] + [(p.r1, p.r2) for p in rates]
 

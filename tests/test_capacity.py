@@ -158,6 +158,21 @@ class TestNoisyCertificate:
         with pytest.raises(CertificateUnavailableError, match="variances overflow"):
             noisy_certificate(ch)
 
+    @pytest.mark.parametrize("ch", [
+        TwoUserChannel(5e-324, 0.1, 1, 1),
+        TwoUserChannel(
+            7.75909931528045e-124, 1.41228699461945e-309,
+            1.5086127220011277e77, 3.3065774990856713e277,
+        ),
+    ])
+    def test_verdict_stands_without_its_certificate(self, ch):
+        verdict = classify(ch)
+        assert verdict.kind is VerdictKind.NOISY_INTERFERENCE
+        assert verdict.sum_capacity == tin_rates(ch).sum
+        assert verdict.certificate is None
+        with pytest.raises(CertificateUnavailableError):
+            noisy_certificate(ch)
+
     @given(GAINS, GAINS, POWERS, POWERS)
     # rho1 near 1: stepping sigma2^2 alone into the box takes 30,517 float
     # steps here and misses its target by 1.8e-12.

@@ -665,18 +665,45 @@ CERT_OVERFLOW_ARGS = [
 ]
 CERT_OVERFLOW_SWEEP = ["sweep", *CERT_OVERFLOW_ARGS, "--param", "p1",
                        "--from", "1e77", "--to", "1.5086127220011277e+77", "--points", "2"]
+# s1 = (k1 + root)/(2b) overflows at this b; the tiny gain also overflows
+# the MU bound at every genie probe.
+TINY_B_ARGS = ["--a", "0.1", "--b", "1e-320", "--p1", "1", "--p2", "1"]
+TINY_B_SWEEP = ["sweep", *TINY_B_ARGS, "--param", "p1", "--from", "1", "--to", "2", "--points", "2"]
 
 
 class TestCertificateOverflow:
     @pytest.mark.parametrize("argv", [
-        ["classify", *CERT_OVERFLOW_ARGS],
         ["region", *CERT_OVERFLOW_ARGS],
-        [*CERT_OVERFLOW_SWEEP, "--metric", "verdict"],
+        ["region", *TINY_B_ARGS],
     ])
     def test_exit_one(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, sweep", [
+        (CERT_OVERFLOW_ARGS, CERT_OVERFLOW_SWEEP),
+        (TINY_B_ARGS, TINY_B_SWEEP),
+    ], ids=["cert-overflow", "tiny-b"])
+    def test_verdicts_need_no_certificate(self, capsys, args, sweep):
+        # The exact condition alone decides the verdict; the certificate
+        # is evidence, null where its closed form overflows.
+        code, out, err = run(capsys, "classify", *args)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["kind"], payload["certificate"]) == ("NOISY_INTERFERENCE", None)
+        ch = TwoUserChannel(*map(float, args[1::2]))
+        assert payload["sum_capacity_bits"] == tin_rates(ch).sum
+        code, out, err = run(capsys, *sweep, "--metric", "verdict")
+        assert (code, err) == (0, "")
+        assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["NOISY_INTERFERENCE"] * 2
+
+    def test_probe_overflow_names_the_channel(self, capsys):
+        # The tiny gain, not the powers, overflows the bound at every probe.
+        code, out, err = run(capsys, *TINY_B_SWEEP, "--metric", "sum-upper")
+        assert (code, out) == (1, "")
+        assert err == ("error: the MU bound overflows at every genie probe on the channel "
+                       "a=0.1, b=1e-320, p1=1.0, p2=1.0\n")
 
     def test_sum_upper_falls_back_to_the_search(self, capsys):
         # The genie search needs no certificate: it bounds the channel by

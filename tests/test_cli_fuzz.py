@@ -1,7 +1,7 @@
 """The CLI over the whole float range: every request ends with status 0 or 1
-and never with a traceback, and a refused request prints exactly one line,
-``error: ...``.  A warning counts as a line of its own, since a shell user
-sees it on stderr.
+and never with a traceback, a refused request prints exactly one line,
+``error: ...``, and an answered one prints nothing to stderr.  A warning
+counts as a line of its own, since a shell user sees it on stderr.
 
 Numbers are drawn log-uniformly from 1e-330 (which rounds to 0) to 1e308,
 or from the edge values below, sometimes negated.  One request builder
@@ -79,7 +79,7 @@ def outcome(argv: list[str]) -> tuple[int, list[str]]:
 def well_reported(code: int, lines: list[str]) -> bool:
     if code == 1:
         return len(lines) == 1 and lines[0].startswith("error:")
-    return code == 0
+    return code == 0 and lines == []
 
 
 @settings(max_examples=120)

@@ -2,8 +2,9 @@
 
 The package holds no dead code: every private function, class or method
 is used somewhere in the package's code, as a name or as an attribute.  A
-mention in a docstring or comment does not count, nor does an import.  Its
-module-level arrays are read-only."""
+mention in a docstring or comment does not count, nor does an import.
+Every name a module-level import binds is read in its module or listed in
+its ``__all__``.  Its module-level arrays are read-only."""
 
 import ast
 import importlib
@@ -58,6 +59,50 @@ _Model()
 '''
     defined, used = private_definitions_and_uses([(Path("m.py"), ast.parse(source))])
     assert [d[2] for d in defined if d[2] not in used] == ["_unused", "_method"]
+
+
+def unread_imports(sources):
+    """The (file, name) of every name that a module-level import in the
+    parsed ``sources`` binds, ``from __future__`` aside, and that its module
+    neither reads nor lists in ``__all__``."""
+    unread = []
+    for path, tree in sources:
+        bound, listed = [], set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                listed = set(ast.literal_eval(node.value))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [(path.name, name) for name in bound if name not in read | listed]
+    return unread
+
+
+def test_every_module_level_import_is_read():
+    sources = [(path, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+    # The one exception: the module attribute that bench/tracing.py wraps.
+    assert unread_imports(sources) == [("region.py", "optimize_constraint1")]
+
+
+def test_an_unread_import_is_found():
+    source = '''
+from __future__ import annotations
+import os.path
+import sys
+from .channel import f, g as h, k
+__all__ = ["k"]
+
+def use() -> f:
+    return os.path.sep + h()
+'''
+    assert unread_imports([(Path("m.py"), ast.parse(source))]) == [("m.py", "sys")]
 
 
 def package_imports(sources):

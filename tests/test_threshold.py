@@ -1,21 +1,24 @@
 """The symmetric gain threshold: its closed form against a 50-digit root of
-the cubic, the feasible-side guarantee over the whole power range, and the
-CLI outputs pinned from the bisection it replaced."""
+the cubic, the largest float gain that meets the exact condition over the
+whole power range, and the CLI outputs pinned from the bisection it
+replaced."""
 
 import json
 import math
+import random
 import sys
 from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gicbounds import symmetric_noisy_threshold
 from gicbounds.channel import _noisy_sign
 from gicbounds.cli import main
 from gicbounds.config import linear_to_db
+from verify import exact_noisy_sign
 
 # p log-uniform in [1e-8, 1e12]
 POWERS = st.floats(math.log(1e-8), math.log(1e12)).map(math.exp)
@@ -55,20 +58,29 @@ def test_threshold_nonincreasing_in_power(p, q):
     assert symmetric_noisy_threshold(lo) >= symmetric_noisy_threshold(hi)
 
 
+def is_largest_gain(p: float) -> bool:
+    """Whether the threshold of ``p`` is in (0, 1/4] and meets the noisy
+    condition in ``Fraction``, and the next float up does not."""
+    a = symmetric_noisy_threshold(p)
+    up = math.nextafter(a, 1.0)
+    return 0.0 < a <= 0.25 and exact_noisy_sign(a, a, p, p) <= 0 < exact_noisy_sign(up, up, p, p)
+
+
 @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-def test_every_positive_power_is_answered_or_rejected(p):
-    try:
-        a = symmetric_noisy_threshold(p)
-    except ValueError:
-        assert p > 1e230
-    else:
-        assert 0.0 < a <= 0.25
-        assert _noisy_sign(a, a, p, p)[0] <= 0
+@example(5e-324)
+@example(2.7e230)  # the threshold's square is near the least normal float
+@example(1e300)
+@example(6e307)  # 3p overflows
+@example(sys.float_info.max)
+def test_every_positive_power_gets_the_largest_gain(p):
+    assert is_largest_gain(p)
 
 
-def test_largest_float_power_is_rejected():
-    with pytest.raises(ValueError, match="too large"):
-        symmetric_noisy_threshold(sys.float_info.max)
+@pytest.mark.slow
+def test_full_range_survey():
+    rng = random.Random(9)
+    powers = [10.0 ** rng.uniform(-323.0, 308.0) for _ in range(20_000)]
+    assert [p for p in powers if not is_largest_gain(p)] == []
 
 
 @pytest.mark.parametrize("case", PINNED["cases"], ids=lambda case: case["argv"][2])
@@ -91,9 +103,7 @@ def test_cli_extreme_powers(capsys, p):
     assert out.out.startswith("a* = ")
 
 
-def test_cli_power_beyond_the_range_exit_one(capsys):
-    assert main(["threshold", "--p", "1e300"]) == 1
+def test_cli_power_near_the_float_max(capsys):
+    assert main(["threshold", "--p", "1e300"]) == 0
     out = capsys.readouterr()
-    assert out.out == ""
-    lines = out.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert (out.out, out.err) == ("a* = 6.2996052494743649e-201 (-2002.0069 dB)\n", "")
