@@ -675,6 +675,7 @@ class TestCertificateOverflow:
     @pytest.mark.parametrize("argv", [
         ["region", *CERT_OVERFLOW_ARGS],
         ["region", *TINY_B_ARGS],
+        [*TINY_B_SWEEP, "--metric", "sum-upper"],
     ])
     def test_exit_one(self, capsys, argv):
         code, out, err = run(capsys, *argv)

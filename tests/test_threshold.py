@@ -66,14 +66,29 @@ def is_largest_gain(p: float) -> bool:
     return 0.0 < a <= 0.25 and exact_noisy_sign(a, a, p, p) <= 0 < exact_noisy_sign(up, up, p, p)
 
 
-@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+POSITIVE_POWERS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(POSITIVE_POWERS)
 @example(5e-324)
 @example(2.7e230)  # the threshold's square is near the least normal float
 @example(1e300)
 @example(6e307)  # 3p overflows
-@example(sys.float_info.max)
 def test_every_positive_power_gets_the_largest_gain(p):
     assert is_largest_gain(p)
+
+
+def test_largest_float_power_is_answered():
+    assert is_largest_gain(sys.float_info.max)
+
+
+@given(POSITIVE_POWERS)
+def test_every_positive_power_is_answered_or_rejected(p):
+    # No positive finite power is rejected, and the program's own sign, which
+    # decides the verdicts, admits the threshold.
+    a = symmetric_noisy_threshold(p)
+    assert 0.0 < a <= 0.25
+    assert _noisy_sign(a, a, p, p)[0] <= 0
 
 
 @pytest.mark.slow
@@ -107,3 +122,12 @@ def test_cli_power_near_the_float_max(capsys):
     assert main(["threshold", "--p", "1e300"]) == 0
     out = capsys.readouterr()
     assert (out.out, out.err) == ("a* = 6.2996052494743649e-201 (-2002.0069 dB)\n", "")
+
+
+def test_cli_power_beyond_the_range_exit_one(capsys):
+    # 1e400 parses to inf.
+    assert main(["threshold", "--p", "1e400"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
