@@ -13,16 +13,15 @@ from .capacity import (
     symmetric_noisy_threshold,
 )
 from .channel import (
-    MUserChannel,
+    GenieParams,
     RatePoint,
     TwoUserChannel,
-    m_user_interference_powers,
+    sigma_feasible,
     single_user_capacities,
     tdm_fdm_sum_rate,
     tin_rates,
 )
 from .genie import (
-    GenieParams,
     SupportingLine,
     WeightKind,
     effective_powers,
@@ -33,15 +32,16 @@ from .genie import (
     eval_constraint3,
     optimize_constraint1,
     optimize_constraint1_many,
-    sigma_feasible,
     sum_upper_bound,
     sum_upper_bounds,
     user1_genie_bound,
 )
 from .multiuser import (
+    MUserChannel,
     MUserVerdict,
     check_conditions,
     find_rho,
+    m_user_interference_powers,
     noisy_sum_capacity,
     oracle_grid_feasibility,
     symmetric_threshold,

@@ -1,29 +1,29 @@
-"""Channel models in standard form and the elementary achievable-rate formulas.
+"""The two-user channel model in standard form and the elementary
+achievable-rate formulas.
 
 All rates are in bits per channel use (log base 2).  Powers and gains are
 linear; the direct gains and the noise variances are normalized to 1, so the
-crosstalk is fully described by the power gains ``a`` and ``b`` (2 users) or
-by the off-diagonal entries of a gain matrix (m users).  The closed forms that
-the bound, capacity and m-user layers share live here too: the genie
-parameters with their feasibility box, and the uniform m-user threshold.
+crosstalk is fully described by the power gains ``a`` and ``b``.  The closed
+forms that the bound, capacity and m-user layers share live here too: the
+genie parameters with their feasibility box, and the exact sign of the noisy
+condition.  Everything here runs on ``math`` alone; the m-user model lives in
+``multiuser``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "TwoUserChannel",
     "RatePoint",
-    "MUserChannel",
+    "GenieParams",
     "tin_rates",
     "single_user_capacities",
     "tdm_fdm_sum_rate",
-    "m_user_interference_powers",
+    "sigma_limits",
+    "sigma_feasible",
 ]
 
 
@@ -78,70 +78,6 @@ class RatePoint:
         return self.r1 + self.r2
 
 
-@dataclass(frozen=True, eq=False)
-class MUserChannel:
-    """m-user Gaussian interference channel.
-
-    ``gains[j][i]`` is the power gain from transmitter j to receiver i
-    (from, to ordering); diagonal entries are the unit direct gains.
-    ``powers[i]`` is the power constraint of user i.
-    """
-
-    gains: np.ndarray
-    powers: np.ndarray
-
-    def __post_init__(self):
-        gains = np.array(self.gains, dtype=float)
-        powers = np.array(self.powers, dtype=float)
-        if gains.ndim != 2 or gains.shape[0] != gains.shape[1]:
-            raise ValueError(f"gains must be a square matrix, got shape {gains.shape}")
-        m = gains.shape[0]
-        if m < 1:
-            raise ValueError("need at least one user")
-        if powers.shape != (m,):
-            raise ValueError(
-                f"powers must have length {m}, got shape {powers.shape}"
-            )
-        if not np.all(np.isfinite(gains)) or not np.all(np.isfinite(powers)):
-            raise ValueError("gains and powers must be finite")
-        if np.any(np.diag(gains) != 1.0):
-            raise ValueError("diagonal gain entries must be exactly 1")
-        if np.any(gains < 0):
-            raise ValueError("gains must be nonnegative")
-        if np.any(powers <= 0):
-            raise ValueError("powers must be strictly positive")
-        gains.setflags(write=False)
-        powers.setflags(write=False)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "powers", powers)
-
-    @property
-    def m(self) -> int:
-        return self.gains.shape[0]
-
-    @classmethod
-    def from_two_user(cls, ch: TwoUserChannel) -> "MUserChannel":
-        """Embed a 2-user channel: c_21 = a (tx 2 -> rx 1), c_12 = b."""
-        return cls(
-            gains=np.array([[1.0, ch.b], [ch.a, 1.0]]),
-            powers=np.array([ch.p1, ch.p2]),
-        )
-
-    @classmethod
-    def symmetric(cls, m: int, c: float, p: float) -> "MUserChannel":
-        """Uniformly symmetric channel: every crosstalk gain c, every power p."""
-        gains = np.full((m, m), float(c))
-        np.fill_diagonal(gains, 1.0)
-        return cls(gains=gains, powers=np.full(m, float(p)))
-
-    def is_uniform(self) -> bool:
-        """True when all off-diagonal gains and all powers are identical."""
-        if self.m == 1:
-            return True
-        off = self.gains[~np.eye(self.m, dtype=bool)]
-        return bool(np.all(off == off[0]) and np.all(self.powers == self.powers[0]))
-
-
 def tin_rates(ch: TwoUserChannel) -> RatePoint:
     """Single-user-detection rates, treating the cross signal as noise."""
     r1 = 0.5 * math.log2(1.0 + ch.p1 / (1.0 + ch.a * ch.p2))
@@ -167,13 +103,6 @@ def tdm_fdm_sum_rate(ch: TwoUserChannel, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return _tdm_rates(ch, alpha).sum
-
-
-def m_user_interference_powers(ch: MUserChannel) -> np.ndarray:
-    """Total interference power Q_i = sum_{j != i} c_ji * P_j at each receiver,
-    summed over the crosstalk gains alone: subtracting c_ii P_i from the full
-    sum would cancel catastrophically when P_i dwarfs Q_i."""
-    return (ch.gains - np.diag(np.diag(ch.gains))).T @ ch.powers
 
 
 @dataclass(frozen=True)
@@ -247,35 +176,3 @@ def _noisy_sign(a: float, b: float, p1: float, p2: float) -> tuple[int, float]:
     y = nb * db * (na * n2 + da * d2) ** 2 * d1 * d1
     r = (da * db * d1 * d2) ** 2 - x - y
     return (1 if r < 0 else (4 * x * y > r * r) - (4 * x * y < r * r)), slack
-
-
-def _above_uniform_cut(m: int, c: float) -> bool:
-    """Uniform gain c > 1/(4(m-1)) exactly: no positive power admits noisy interference."""
-    n, d = float(c).as_integer_ratio()
-    return 4 * (m - 1) * n > d
-
-
-def symmetric_threshold(m: int, c: float) -> float:
-    """Largest power P admitting noisy interference for the uniformly
-    symmetric m-user channel with crosstalk gain c:
-
-        P* = (sqrt((m-1)c) - 2(m-1)c) / (2 (m-1)^2 c^2)
-
-    when c <= 1/(4(m-1)); zero otherwise (no positive power qualifies).
-    Where s = (m-1)c has s^2 below the least normal float, it is evaluated
-    as ((1 - 2 sqrt(s))/(2s))/sqrt(s), whose steps stay normal until P*
-    itself overflows (near s = 2e-206); ValueError where it does.
-    """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    _check_finite_pos("gain", c)
-    s = (m - 1) * c
-    if _above_uniform_cut(m, c):
-        return 0.0
-    if s * s >= sys.float_info.min:
-        return (math.sqrt(s) - 2.0 * s) / (2.0 * s * s)
-    root = math.sqrt(s)
-    p_star = (1.0 - 2.0 * root) / (2.0 * s) / root
-    if math.isinf(p_star):
-        raise ValueError(f"the power threshold overflows a float at m={m}, c={c}")
-    return p_star

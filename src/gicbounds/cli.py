@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import capacity, genie, multiuser, region
-from .channel import MUserChannel, TwoUserChannel, tin_rates
+from .channel import TwoUserChannel, tin_rates
 from .config import (
     SWEEP_PARAMS,
     ConfigError,
@@ -32,6 +32,7 @@ from .config import (
     linear_to_db,
     load_channel_config,
 )
+from .multiuser import MUserChannel
 from .svg import region_svg
 
 __all__ = ["main", "main_entry"]

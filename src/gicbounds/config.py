@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import MUserChannel, TwoUserChannel
+from .channel import TwoUserChannel
+from .multiuser import MUserChannel
 
 __all__ = [
     "ConfigError",

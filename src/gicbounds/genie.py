@@ -26,14 +26,11 @@ import numpy as np
 
 from .capacity import _certificate
 from .channel import GenieParams, TwoUserChannel, _check_finite_pos, _gap, single_user_capacities
-from .channel import sigma_feasible, sigma_limits
+from .channel import sigma_feasible
 
 __all__ = [
-    "GenieParams",
     "SupportingLine",
     "WeightKind",
-    "sigma_feasible",
-    "sigma_limits",
     "effective_powers",
     "eval_constraint1",
     "optimize_constraint1",

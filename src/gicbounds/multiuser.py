@@ -1,4 +1,5 @@
-"""Noisy-interference feasibility and sum-rate capacity for m-user channels.
+"""The m-user channel model, its noisy-interference feasibility and sum-rate
+capacity, and the uniformly symmetric power threshold.
 
 Single-user detection achieves the sum-rate capacity when correlation
 parameters rho_i in (0, 1) exist satisfying, for every receiver i,
@@ -30,17 +31,20 @@ coordinate, each evaluated by one model call.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import MUserChannel, _above_uniform_cut, _noisy_sign, m_user_interference_powers
-from .channel import symmetric_threshold
+from .channel import TwoUserChannel, _check_finite_pos, _noisy_sign
 
 __all__ = [
+    "MUserChannel",
     "MUserVerdict",
+    "m_user_interference_powers",
     "check_conditions",
     "find_rho",
     "symmetric_threshold",
@@ -58,6 +62,109 @@ _GROWTH = 30.0  # growth of the phase-I barrier weight per centering
 _BAND = 2.0**-27  # relative rounding band of the phase-I dual bound (see _phase_one)
 _NECESSARY = 1.0 + 2.0**-26  # float level of the closed-form necessary conditions
 _UNDERFLOW = 2.0**-980  # its underflow floor, per unit multiplier weight
+
+
+@dataclass(frozen=True, eq=False)
+class MUserChannel:
+    """m-user Gaussian interference channel.
+
+    ``gains[j][i]`` is the power gain from transmitter j to receiver i
+    (from, to ordering); diagonal entries are the unit direct gains.
+    ``powers[i]`` is the power constraint of user i.
+    """
+
+    gains: np.ndarray
+    powers: np.ndarray
+
+    def __post_init__(self):
+        gains = np.array(self.gains, dtype=float)
+        powers = np.array(self.powers, dtype=float)
+        if gains.ndim != 2 or gains.shape[0] != gains.shape[1]:
+            raise ValueError(f"gains must be a square matrix, got shape {gains.shape}")
+        m = gains.shape[0]
+        if m < 1:
+            raise ValueError("need at least one user")
+        if powers.shape != (m,):
+            raise ValueError(
+                f"powers must have length {m}, got shape {powers.shape}"
+            )
+        if not np.all(np.isfinite(gains)) or not np.all(np.isfinite(powers)):
+            raise ValueError("gains and powers must be finite")
+        if np.any(np.diag(gains) != 1.0):
+            raise ValueError("diagonal gain entries must be exactly 1")
+        if np.any(gains < 0):
+            raise ValueError("gains must be nonnegative")
+        if np.any(powers <= 0):
+            raise ValueError("powers must be strictly positive")
+        gains.setflags(write=False)
+        powers.setflags(write=False)
+        object.__setattr__(self, "gains", gains)
+        object.__setattr__(self, "powers", powers)
+
+    @property
+    def m(self) -> int:
+        return self.gains.shape[0]
+
+    @classmethod
+    def from_two_user(cls, ch: TwoUserChannel) -> "MUserChannel":
+        """Embed a 2-user channel: c_21 = a (tx 2 -> rx 1), c_12 = b."""
+        return cls(
+            gains=np.array([[1.0, ch.b], [ch.a, 1.0]]),
+            powers=np.array([ch.p1, ch.p2]),
+        )
+
+    @classmethod
+    def symmetric(cls, m: int, c: float, p: float) -> "MUserChannel":
+        """Uniformly symmetric channel: every crosstalk gain c, every power p."""
+        gains = np.full((m, m), float(c))
+        np.fill_diagonal(gains, 1.0)
+        return cls(gains=gains, powers=np.full(m, float(p)))
+
+    def is_uniform(self) -> bool:
+        """True when all off-diagonal gains and all powers are identical."""
+        if self.m == 1:
+            return True
+        off = self.gains[~np.eye(self.m, dtype=bool)]
+        return bool(np.all(off == off[0]) and np.all(self.powers == self.powers[0]))
+
+
+def m_user_interference_powers(ch: MUserChannel) -> np.ndarray:
+    """Total interference power Q_i = sum_{j != i} c_ji * P_j at each receiver,
+    summed over the crosstalk gains alone: subtracting c_ii P_i from the full
+    sum would cancel catastrophically when P_i dwarfs Q_i."""
+    return (ch.gains - np.diag(np.diag(ch.gains))).T @ ch.powers
+
+
+def _above_uniform_cut(m: int, c: float) -> bool:
+    """Uniform gain c > 1/(4(m-1)) exactly: no positive power admits noisy interference."""
+    n, d = float(c).as_integer_ratio()
+    return 4 * (m - 1) * n > d
+
+
+def symmetric_threshold(m: int, c: float) -> float:
+    """Largest power P admitting noisy interference for the uniformly
+    symmetric m-user channel with crosstalk gain c:
+
+        P* = (sqrt((m-1)c) - 2(m-1)c) / (2 (m-1)^2 c^2)
+
+    when c <= 1/(4(m-1)); zero otherwise (no positive power qualifies).
+    Where s = (m-1)c has s^2 below the least normal float, it is evaluated
+    as ((1 - 2 sqrt(s))/(2s))/sqrt(s), whose steps stay normal until P*
+    itself overflows (near s = 2e-206); ValueError where it does.
+    """
+    if m < 2:
+        raise ValueError(f"need m >= 2, got {m}")
+    _check_finite_pos("gain", c)
+    s = (m - 1) * c
+    if _above_uniform_cut(m, c):
+        return 0.0
+    if s * s >= sys.float_info.min:
+        return (math.sqrt(s) - 2.0 * s) / (2.0 * s * s)
+    root = math.sqrt(s)
+    p_star = (1.0 - 2.0 * root) / (2.0 * s) / root
+    if math.isinf(p_star):
+        raise ValueError(f"the power threshold overflows a float at m={m}, c={c}")
+    return p_star
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,13 +520,7 @@ def _phase_one(
     jac[:, m] = -1.0
     slack_jac = jac[:, :m]
     hess = np.empty((m + 1, m + 1))
-    # Strided views of the diagonals of jac's two (m, m) blocks and of the
-    # u-block of hess: entry (r, c) of a C-ordered array sits at
-    # r * columns + c of its flat view.
-    jac_flat = jac.reshape(-1)
-    jac_diag1 = jac_flat[: m * (m + 2) : m + 2]
-    jac_diag2 = jac_flat[m * (m + 1) :: m + 2]
-    hess_diag = hess.reshape(-1)[: m * (m + 2) : m + 2]
+    d = np.arange(m)
 
     def barrier(u: np.ndarray, t: float, g: np.ndarray) -> float:
         return -float(np.log(t - g).sum() + np.log((u - _U_MIN) * (_U_MAX - u)).sum())
@@ -436,9 +537,9 @@ def _phase_one(
             w = 1.0 / (t - g)
             slope, curve = model._curvature(u)
             jac[:m, :m] = model.m1.T * slope[0]
-            jac_diag1 += 1.0
+            jac[d, d] += 1.0
             jac[m:, :m] = model.m2.T * slope[1]
-            jac_diag2 -= slope[2]
+            jac[m + d, d] -= slope[2]
             # The dual bound times W, against its rounding band.
             s = w @ slack_jac
             total = float(w.sum())
@@ -454,7 +555,7 @@ def _phase_one(
             grad[m] += tau
             scaled = w[:, None] * jac
             np.matmul(scaled.T, scaled, out=hess)
-            hess_diag += (
+            hess[d, d] += (
                 curve[0] * (model.m1 @ w[:m])
                 + curve[1] * (model.m2 @ w[m:])
                 - curve[2] * w[m:]
@@ -581,11 +682,7 @@ def oracle_grid_feasibility(ch: MUserChannel, resolution: int) -> MUserVerdict:
     for value in axis:
         slab[0] = value
         slacks = model.slacks(slab * slab)
-        # Row by row: numpy's max over a column of 2m entries is slower.
-        rows = slacks.reshape(2 * ch.m, -1)
-        max_slack = rows[0].copy()
-        for row in rows[1:]:
-            np.maximum(max_slack, row, out=max_slack)
+        max_slack = slacks.reshape(2 * ch.m, -1).max(axis=0)
         feasible = max_slack <= 0.0
         if feasible.any():
             idx = int(np.argmax(feasible))

@@ -158,8 +158,6 @@ def build_outer_region(
     weights cover their admissible intervals with eta_grid uniform points,
     endpoints included.
     """
-    if not (0.0 < ch.a < 1.0 and 0.0 < ch.b < 1.0):
-        raise ValueError("outer region requires 0 < a < 1 and 0 < b < 1")
     if mu_grid < 3:
         raise ValueError(f"mu_grid must be >= 3, got {mu_grid}")
     if eta_grid < 2:

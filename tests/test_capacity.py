@@ -21,7 +21,8 @@ from gicbounds import (
     symmetric_noisy_threshold,
     tin_rates,
 )
-from gicbounds.channel import _noisy_sign, symmetric_threshold
+from gicbounds.channel import _noisy_sign
+from gicbounds.multiuser import symmetric_threshold
 
 from helpers import near_noisy_boundary, sample_noisy_channel
 from verify import exact_noisy_sign, in_exact_box

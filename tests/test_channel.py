@@ -14,7 +14,8 @@ from gicbounds import (
     tdm_fdm_sum_rate,
     tin_rates,
 )
-from gicbounds.channel import _above_uniform_cut, _noisy_sign
+from gicbounds.channel import _noisy_sign
+from gicbounds.multiuser import _above_uniform_cut
 
 from helpers import near_noisy_boundary_channels
 from verify import exact_noisy_sign

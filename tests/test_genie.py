@@ -29,7 +29,7 @@ from gicbounds import (
     user1_genie_bound,
 )
 from gicbounds import genie
-from gicbounds.genie import sigma_limits
+from gicbounds.channel import sigma_limits
 from gicbounds.region import build_outer_region
 
 from helpers import (

@@ -9,6 +9,7 @@ its ``__all__``.  Its module-level arrays are read-only."""
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,69 @@ def test_package_imports_are_acyclic_and_layered():
     assert {(m, t) for m, edges in graph.items() for t, inner in edges if inner} == set()
     # The closed-form layer stands on the channel models alone.
     assert {t for t, _ in graph["capacity"]} == {"channel"}
+
+
+def module_level_imports(tree):
+    """The modules that the top-level statements of a parsed module import,
+    ``from __future__`` aside: absolute ones by name, relative ones as
+    ``.name``."""
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.add("." * node.level + (node.module or ""))
+    return imported
+
+
+def test_two_user_core_runs_on_the_standard_library():
+    # The closed forms need no numpy: only stdlib modules and ``.channel``.
+    for name in ("channel.py", "capacity.py"):
+        imported = module_level_imports(ast.parse((PACKAGE / name).read_text()))
+        assert "math" in imported  # the walk found the module's imports
+        assert {
+            m for m in imported
+            if m != ".channel" and m.split(".")[0] not in sys.stdlib_module_names
+        } == set(), name
+
+
+def listed_but_not_defined(tree):
+    """The names of a parsed module's ``__all__`` that no top-level def,
+    class or assignment of the module binds (an import does not count)."""
+    defined, listed = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if "__all__" in names:
+                listed = ast.literal_eval(node.value)
+            defined |= names
+    return [name for name in listed if name not in defined]
+
+
+def test_every_listed_name_is_defined_in_its_module():
+    # Each public name has one home; only the package's __init__ re-exports.
+    undefined = {
+        path.name: listed_but_not_defined(ast.parse(path.read_text()))
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+    }
+    assert len(undefined) > 5  # the walk found the package's modules
+    assert {name: names for name, names in undefined.items() if names} == {}
+
+
+def test_a_listed_import_is_found():
+    source = '''
+from .channel import f
+X: int = 1
+__all__ = ["f", "g", "X", "Y"]
+
+def g():
+    pass
+'''
+    assert listed_but_not_defined(ast.parse(source)) == ["f", "Y"]
+    assert module_level_imports(ast.parse("import os.path\nfrom . import b\n")) == {"os.path", "."}
 
 
 def test_an_import_cycle_is_found():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gicbounds import symmetric_noisy_threshold
+from gicbounds import capacity, symmetric_noisy_threshold
 from gicbounds.channel import _noisy_sign
 from gicbounds.cli import main
 from gicbounds.config import linear_to_db
@@ -89,6 +89,19 @@ def test_every_positive_power_is_answered_or_rejected(p):
     a = symmetric_noisy_threshold(p)
     assert 0.0 < a <= 0.25
     assert _noisy_sign(a, a, p, p)[0] <= 0
+
+
+def test_the_walk_starts_within_three_floats(monkeypatch):
+    # A start k floats from the answer costs k + 2 exact signs, one of them
+    # the sign that stops each walk.
+    calls = []
+    sign = capacity._noisy_sign
+    monkeypatch.setattr(capacity, "_noisy_sign", lambda *args: calls.append(args) or sign(*args))
+    rng = random.Random(9)
+    for p in [10.0 ** rng.uniform(-323.0, 308.0) for _ in range(2_000)]:
+        calls.clear()
+        symmetric_noisy_threshold(p)
+        assert len(calls) <= 5, p
 
 
 @pytest.mark.slow
