@@ -78,24 +78,30 @@ class RatePoint:
         return self.r1 + self.r2
 
 
+_TWO_LN2 = 2.0 * math.log(2.0)
+
+
+def _rate(snr: float) -> float:
+    """0.5*log2(1 + snr), the one Gaussian rate.  log1p keeps the low bits
+    of a small snr; its error (an ulp), the rounded constant's and the
+    division's (half an ulp each) sum to a few ulps."""
+    return math.log1p(snr) / _TWO_LN2
+
+
 def tin_rates(ch: TwoUserChannel) -> RatePoint:
     """Single-user-detection rates, treating the cross signal as noise."""
-    r1 = 0.5 * math.log2(1.0 + ch.p1 / (1.0 + ch.a * ch.p2))
-    r2 = 0.5 * math.log2(1.0 + ch.p2 / (1.0 + ch.b * ch.p1))
-    return RatePoint(r1, r2)
+    return RatePoint(_rate(ch.p1 / (1.0 + ch.a * ch.p2)), _rate(ch.p2 / (1.0 + ch.b * ch.p1)))
 
 
 def single_user_capacities(ch: TwoUserChannel) -> RatePoint:
     """Interference-free point-to-point AWGN capacities of the two links."""
-    return RatePoint(0.5 * math.log2(1.0 + ch.p1), 0.5 * math.log2(1.0 + ch.p2))
+    return RatePoint(_rate(ch.p1), _rate(ch.p2))
 
 
 def _tdm_rates(ch: TwoUserChannel, alpha: float) -> RatePoint:
     """Rates of orthogonal sharing: user 1 gets a fraction alpha of the
     channel with power p1/alpha, user 2 the rest with power p2/(1-alpha)."""
-    r1 = 0.5 * alpha * math.log2(1.0 + ch.p1 / alpha)
-    r2 = 0.5 * (1.0 - alpha) * math.log2(1.0 + ch.p2 / (1.0 - alpha))
-    return RatePoint(r1, r2)
+    return RatePoint(alpha * _rate(ch.p1 / alpha), (1.0 - alpha) * _rate(ch.p2 / (1.0 - alpha)))
 
 
 def tdm_fdm_sum_rate(ch: TwoUserChannel, alpha: float) -> float:

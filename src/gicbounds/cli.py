@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import capacity, genie, multiuser, region
-from .channel import TwoUserChannel, tin_rates
+from .channel import TwoUserChannel, _rate, tin_rates
 from .config import (
     SWEEP_PARAMS,
     ConfigError,
@@ -153,7 +153,7 @@ def _point_metric(ch: TwoUserChannel, metric: str) -> str:
         return _fmt(tin_rates(ch).sum)
     if metric == "tdm-best":
         # Orthogonal sharing peaks at alpha = p1/(p1 + p2).
-        return _fmt(0.5 * math.log2(1.0 + ch.p1 + ch.p2))
+        return _fmt(_rate(ch.p1 + ch.p2))
     return capacity.classify(ch).kind.value  # verdict
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .capacity import _certificate
 from .channel import GenieParams, TwoUserChannel, _check_finite_pos, _gap, single_user_capacities
-from .channel import sigma_feasible
+from .channel import _rate, sigma_feasible
 
 __all__ = [
     "SupportingLine",
@@ -191,11 +191,7 @@ def eval_constraint2(ch: TwoUserChannel, eta1: float) -> SupportingLine:
         p1_tilde = (ch.b * eta1 - 1.0) / (ch.b - ch.b * eta1)
         if p1_tilde < 0.0:  # roundoff at the range edges
             p1_tilde = 0.0
-    value = (
-        0.5 * math.log2(1.0 + p1_tilde)
-        - 0.5 * eta1 * math.log2(1.0 + ch.b * p1_tilde)
-        + 0.5 * eta1 * math.log2(1.0 + ch.b * ch.p1 + ch.p2)
-    )
+    value = _rate(p1_tilde) - eta1 * _rate(ch.b * p1_tilde) + eta1 * _rate(ch.b * ch.p1 + ch.p2)
     return SupportingLine(
         kind=WeightKind.ETA1, weight=eta1, value=value, p_tilde=p1_tilde
     )
@@ -220,11 +216,7 @@ def eval_constraint3(ch: TwoUserChannel, eta2: float) -> SupportingLine:
         p2_tilde = (ch.a - eta2) / (ch.a * eta2 - ch.a)
         if p2_tilde < 0.0:
             p2_tilde = 0.0
-    value = (
-        0.5 * math.log2(1.0 + ch.p1 + ch.a * ch.p2)
-        - 0.5 * math.log2(1.0 + ch.a * p2_tilde)
-        + 0.5 * eta2 * math.log2(1.0 + p2_tilde)
-    )
+    value = _rate(ch.p1 + ch.a * ch.p2) - _rate(ch.a * p2_tilde) + eta2 * _rate(p2_tilde)
     return SupportingLine(
         kind=WeightKind.ETA2, weight=eta2, value=value, p_tilde=p2_tilde
     )

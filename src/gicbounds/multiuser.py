@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import TwoUserChannel, _check_finite_pos, _noisy_sign
+from .channel import TwoUserChannel, _check_finite_pos, _noisy_sign, _rate
 
 __all__ = [
     "MUserChannel",
@@ -194,8 +194,8 @@ def noisy_sum_capacity(ch: MUserChannel) -> float:
 
 
 def _tin_sum(powers: np.ndarray, q: np.ndarray) -> float:
-    """sum_i 0.5*log2(1 + P_i/(1 + Q_i)) from the powers and the Q_i."""
-    return float(np.sum(0.5 * np.log2(1.0 + powers / (1.0 + q))))
+    """sum_i 0.5*log2(1 + P_i/(1 + Q_i)) from the powers and the Q_i, by fsum."""
+    return math.fsum(_rate(p / (1.0 + x)) for p, x in zip(powers.tolist(), q.tolist()))
 
 
 class _Conditions:

@@ -9,10 +9,12 @@ its ``__all__``.  Its module-level arrays are read-only."""
 import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gicbounds
 
@@ -247,3 +249,102 @@ def test_module_arrays_are_read_only():
     }
     assert "genie._POLL" in arrays  # the walk found the package's arrays
     assert [name for name, array in arrays.items() if array.flags.writeable] == []
+
+
+def callers(sources, function):
+    """The (file, enclosing function) of every call of the dotted
+    ``function``, such as ``math.log2``, in the parsed ``sources``; the
+    enclosing function of a module-level call is None."""
+    module, name = function.split(".")
+    found = set()
+    for path, tree in sources:
+        scopes = [(tree, None)]
+        while scopes:
+            node, scope = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+                func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+                if (
+                    isinstance(func, ast.Attribute) and func.attr == name
+                    and isinstance(func.value, ast.Name) and func.value.id == module
+                ):
+                    found.add((path.name, scope))
+                scopes.append((child, inner))
+    return found
+
+
+def package_sources():
+    return [(path, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def test_no_math_log2_call():
+    # Every scalar rate goes through channel._rate, in log1p.
+    assert callers(package_sources(), "math.log2") == set()
+
+
+def test_numpy_log2_only_in_the_mu_objective():
+    assert callers(package_sources(), "np.log2") == {("genie.py", "_user_share")}
+
+
+def test_log1p_only_in_the_rate():
+    assert callers(package_sources(), "math.log1p") == {("channel.py", "_rate")}
+
+
+def test_a_call_is_found_in_its_function():
+    source = '''
+import math
+X = math.log2(3.0)
+
+class Model:
+    def rate(self, x):
+        """math.log2(1 + x), in words only."""
+        return [math.log2(y) for y in x] + [math.log(x)]
+
+def outer(x):
+    def inner():
+        return math.log2(x)
+    return log2(x) + np.log2(x)
+'''
+    sources = [(Path("m.py"), ast.parse(source))]
+    assert callers(sources, "math.log2") == {("m.py", None), ("m.py", "rate"), ("m.py", "inner")}
+    assert callers(sources, "np.log2") == {("m.py", "outer")}
+
+
+def third_party_imports(sources, local):
+    """The top-level names of the absolute imports anywhere in the parsed
+    ``sources`` that are neither standard library modules nor in ``local``."""
+    names = set()
+    for _, tree in sources:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return {name for name in names if name not in sys.stdlib_module_names} - set(local)
+
+
+def test_every_test_import_is_a_declared_dependency():
+    # ``pip install .[test]`` brings everything the suites import.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(__file__).resolve().parents[1]
+    extras = tomllib.loads((root / "pyproject.toml").read_text())["project"]["optional-dependencies"]
+    declared = {re.match(r"[\w.-]+", req).group().lower() for req in extras["test"]}
+    files = sorted((root / "tests").glob("*.py")) + sorted((root / "bench" / "tests").glob("*.py"))
+    local = {"gicbounds", "bench"} | {path.stem for path in files}
+    imported = third_party_imports([(path, ast.parse(path.read_text())) for path in files], local)
+    assert {"mpmath", "numpy", "scipy"} <= imported  # the walk found the suites' imports
+    assert imported - {"numpy"} - declared == set()
+
+
+def test_a_third_party_import_is_found():
+    source = '''
+import os.path, numpy as np
+from . import sibling
+from scipy.optimize import minimize
+import helpers
+
+def f():
+    import mpmath
+'''
+    sources = [(Path("m.py"), ast.parse(source))]
+    assert third_party_imports(sources, {"helpers"}) == {"numpy", "scipy", "mpmath"}
