@@ -24,6 +24,7 @@ from pathlib import Path
 from . import capacity, genie, multiuser, region
 from .channel import TwoUserChannel, _rate, tin_rates
 from .config import (
+    SWEEP_METRICS,
     SWEEP_PARAMS,
     ConfigError,
     SweepSpec,
@@ -204,11 +205,10 @@ def _cmd_murate(args) -> int:
     if isinstance(ch, TwoUserChannel):
         ch = MUserChannel.from_two_user(ch)
     if args.oracle_resolution is not None:
-        multiuser.check_oracle_request(ch.m, args.oracle_resolution)
+        oracle = multiuser.oracle_grid_feasibility(ch, args.oracle_resolution)
     verdict = multiuser.find_rho(ch)
     payload = _muser_verdict_json(ch, verdict)
     if args.oracle_resolution is not None:
-        oracle = multiuser.oracle_grid_feasibility(ch, args.oracle_resolution)
         payload["oracle"] = {
             "resolution": args.oracle_resolution,
             "feasible": oracle.feasible,
@@ -282,7 +282,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--metric", required=True,
-                   help="sum-upper, sum-tin, tdm-best or verdict")
+                   help=", ".join(SWEEP_METRICS[:-1]) + " or " + SWEEP_METRICS[-1])
     p.add_argument("--log", action="store_true", help="log-spaced grid")
     p.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)")
     p.set_defaults(func=_cmd_sweep)
@@ -322,7 +322,7 @@ def main(argv=None) -> int:
         command = commands.get(argv[0]) if argv else None
         args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.func(args)
-    except (region.RegionError, RuntimeError) as exc:
+    except RuntimeError as exc:  # region.RegionError among them
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # ConfigError and library-level domain errors are bad input

@@ -304,7 +304,7 @@ class _MuObjective:
     channel: its constants take the same operations in the same order.
 
     A call is the one way to evaluate it, at points of the feasibility box
-    only: the search ``clamp``s or ``place``s every point it polls, and the
+    only: the search ``place``s every point it probes or polls, and the
     one-point callers check theirs with ``sigma_feasible``.  Callers ignore
     numpy's floating-point warnings, which its +inf cases raise.
     """
@@ -354,13 +354,6 @@ class _MuObjective:
         sub.at_left = at_left
         return sub
 
-    def clamp(self, x: np.ndarray) -> np.ndarray:
-        """Project points (rows r_A, r_B, s_A, s_B; further rows are ignored)
-        into the feasibility box: the correlations into [0, _RHO_MAX], then
-        ``_boxed``."""
-        r_a, r_b = np.minimum(np.maximum(x[:2], 0.0), _RHO_MAX)
-        return self._boxed(r_a, r_b, x[2], x[3], _gap(r_a), _gap(r_b))
-
     def _boxed(self, r_a, r_b, s_a, s_b, gap_a, gap_b) -> np.ndarray:
         """The points at correlations in [0, _RHO_MAX], their gaps, and the
         variances above a floor and s_B below its cap (1 - r_A^2)/g_A.
@@ -378,7 +371,7 @@ class _MuObjective:
         """The box points at search coordinates y = (r, w, t), clipped in
         place to r in [0, _RHO_MAX] and w in [0, _RHO_MAX*sqrt(1 - r^2)]:
         r_A = r, r_B = w/sqrt(1 - r^2), at most _RHO_MAX, s_A = exp(t)*(1 -
-        r_B^2)/g_B, and s_B ``clamp``ed from ((1 + g_B*p_A)/r_B)^2.
+        r_B^2)/g_B, and s_B ``_boxed`` from ((1 + g_B*p_A)/r_B)^2.
 
         That s_B minimizes the objective at fixed correlations and s_A.  It,
         s = sigma^2, enters only B's share, at full power p = p_B (only A's
@@ -391,7 +384,7 @@ class _MuObjective:
         leading coefficient p*(rho^2 + k) > 0 and its least value at u =
         rho/(rho^2 + k), that is sigma = (1 + g*q)/rho, and it is monotone on
         either side.  The box bounds s by its cap alone, and the floor of
-        ``clamp`` lies below ((1 + g*q)/rho)^2 >= 1, so the constrained
+        ``_boxed`` lies below ((1 + g*q)/rho)^2 >= 1, so the constrained
         minimizer is that value clipped to the cap: the cap at rho = 0.
 
         The coordinates lay kinks of the objective on planes, where a lane
@@ -464,7 +457,7 @@ class _MuObjective:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Objective values at points ``x``, which must lie in the box: put
-        them there with ``clamp`` or check them with ``sigma_feasible``.
+        them there with ``place`` or check them with ``sigma_feasible``.
         Points at degenerate parameters come out +inf."""
         r_a, r_b, s_a, s_b, gap_a, gap_b = x
         p_a, p_b = self.effective(x)
@@ -498,14 +491,14 @@ def _user_share(p, p_star, gain, p_other, p_star_other, rho, gap, s):
 
 
 def _pattern_search(
-    obj: _MuObjective, starts: np.ndarray
+    obj: _MuObjective, x: np.ndarray, val: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pattern search from every start ("lane") at once; ``starts`` is
-    (4, lanes) or (6, lanes), in the objective's (A, B) order, and ``obj``
-    holds each lane's own channel and weight, so lanes of different
+    """Pattern search from every start ("lane") at once, at the (6, lanes)
+    box points ``x`` with values ``val``, in the objective's (A, B) order;
+    ``obj`` holds each lane's own channel and weight, so lanes of different
     channels, weights and sides of weight 1 share the objective calls.
-    Returns the (values, points) the lanes end at.  Callers ignore numpy's
-    floating-point warnings.
+    Returns the (values, points) the lanes end at, none worse than its
+    start.  Callers ignore numpy's floating-point warnings.
 
     A lane moves in the coordinates (r, w, t) of ``place``, with r in
     [0, _RHO_MAX] and w in [0, _RHO_MAX*sqrt(1 - r^2)].  Every _ANCHOR_POLLS
@@ -522,8 +515,6 @@ def _pattern_search(
     end is a valid bound.  Only when a lane stops is its end written out
     and are the live lanes' constants gathered again (``take``).
     """
-    x = obj.clamp(starts)
-    val = obj(x)
     out_val, out_x = val.copy(), x.copy()
     ids = lane = np.arange(x.shape[1])  # lane of each live entry; its position
     shrinks = np.zeros(ids.size)
@@ -601,11 +592,11 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     sum rate up to rounding, so no search can go lower.  All certificates
     are evaluated in one objective call.  Every other request starts one
     lane of a pattern search (``_pattern_search``, over the lanes of every
-    such request) from each of the 4 best points of its channel's probe
-    grid; the first of the best starts and lane ends wins.  A probe grid is
-    built once per (channel, mu >= 1) pair, a side, and evaluated at every
-    weight of that side in one objective call, with the weights as a
-    column: the probes of a side do not depend on its weights.  ValueError
+    such request) at each of the 4 best points of its channel's probe grid,
+    with its value there; the first of the best lane ends wins.  A probe
+    grid is built once per (channel, mu >= 1) pair, a side, and evaluated
+    at every weight of that side in one objective call, with the weights as
+    a column: the probes of a side do not depend on its weights.  ValueError
     where the bound overflows at every probe: at powers past about 1e154, or
     at a gain near the float floor.
     """
@@ -643,11 +634,12 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
         if found:
             searched = sorted(found)
             lanes = [requests[i] for i in searched for _ in found[i]]
-            starts = np.array([x for i in searched for _, x in found[i]]).T
-            values, points = _pattern_search(_MuObjective.of(lanes), starts)
+            starts = [start for i in searched for start in found[i]]
+            x, val = np.array([x for _, x in starts]).T, np.array([v for v, _ in starts])
+            values, points = _pattern_search(_MuObjective.of(lanes), x, val)
             ends = zip(values.tolist(), points.T)
             for i in searched:
-                best[i] = min(found[i] + [next(ends) for _ in found[i]], key=lambda c: c[0])
+                best[i] = min([next(ends) for _ in found[i]], key=lambda c: c[0])
         objective = _MuObjective.of(requests)
         xs = np.array([x for _, x in best]).T
         genie, effective = objective.order(xs[:4]), objective.order(objective.effective(xs))
@@ -677,9 +669,9 @@ def optimize_constraint1_many(
     objective call, and the pattern searches of all (weight, start) pairs,
     about 4 per weight, run in lockstep: each search step is one objective
     call that polls the 19 moves of every live lane, so the searches of a
-    65-weight region take at most 301 calls (the start values, then at most
-    300 polls, the cap of one lane).  FIG1's default region takes 58 calls
-    in all, against 2,821 as 65 separate calls.
+    65-weight region take at most 300 calls, the poll cap of one lane: each
+    lane starts at its probe's value.  FIG1's default region takes 57 calls
+    in all, against 2,757 as 65 separate calls.
     """
     _require_regime(ch)
     return _mu_lines((ch, mu) for mu in mus)
@@ -698,7 +690,7 @@ def optimize_constraint1(ch: TwoUserChannel, mu: float) -> SupportingLine:
     pattern search (``_pattern_search``) from the 4 best grid points.  The
     searches run in lockstep, each step one objective call that polls 19
     moves per start, so a weight costs as many calls as its longest search
-    (at most 302; median 43 on FIG1's default weights).  The result is
+    (at most 301; median 42 on FIG1's default weights).  The result is
     always an upper bound on R1 + mu*R2 (every probe is feasible) and never
     exceeds the bound at any probed point.
 
@@ -718,11 +710,11 @@ def sum_upper_bounds(channels) -> tuple[float | None, ...]:
     sum directly, weights < 1 need the R2 cap to top up).  Noisy-interference
     channels take their closed-form certificates, all evaluated in one
     objective call; every other channel's probe grid takes one call, and
-    their weight-1 MU searches run as one lockstep pattern search, each of
-    whose objective calls polls the 19 moves of every channel's lanes, so
-    the searches cost as many objective calls as the longest of them, not
-    the sum over the channels.  Each bound equals ``sum_upper_bound`` of its
-    channel.
+    their weight-1 MU searches run as one lockstep pattern search from the
+    probes' values, each of whose objective calls polls the 19 moves of
+    every channel's lanes, so the searches cost as many objective calls as
+    the longest of them polls, not the sum over the channels.  Each bound
+    equals ``sum_upper_bound`` of its channel.
     """
     channels = tuple(channels)
     regime = [0.0 < ch.a < 1.0 and 0.0 < ch.b < 1.0 for ch in channels]

@@ -49,7 +49,6 @@ __all__ = [
     "find_rho",
     "symmetric_threshold",
     "oracle_grid_feasibility",
-    "check_oracle_request",
     "noisy_sum_capacity",
 ]
 
@@ -651,20 +650,12 @@ def find_rho(ch: MUserChannel) -> MUserVerdict:
     )
 
 
-def check_oracle_request(m: int, resolution: int) -> None:
-    """Refuse an oracle request over m > 4 users or a resolution outside
-    [1, 64], which keeps the resolution^m grid bounded."""
-    if m > 4:
-        raise ValueError(f"oracle supports m <= 4, got m={m}")
-    if resolution > 64 or resolution < 1:
-        raise ValueError(f"resolution must be in [1, 64], got {resolution}")
-
-
 def oracle_grid_feasibility(ch: MUserChannel, resolution: int) -> MUserVerdict:
     """Exhaustive feasibility check over the grid rho_i in {k/(res+1)}.
 
     Brute-force oracle behind ``gicbounds murate --oracle-resolution`` and a
-    cross-check in the tests; ``check_oracle_request`` bounds the request.
+    cross-check in the tests.  It refuses m > 4 users or a resolution
+    outside [1, 64], which keeps the resolution^m grid bounded.
     The scan order is lexicographic, so the returned witness (first
     feasible point) is deterministic; with none, the probe is the first
     point of least max slack.  The grid is scanned in slabs, one model call
@@ -673,7 +664,10 @@ def oracle_grid_feasibility(ch: MUserChannel, resolution: int) -> MUserVerdict:
     kernels, not on a proof; the tests compare the scan with one call on
     the whole grid, with ==.
     """
-    check_oracle_request(ch.m, resolution)
+    if ch.m > 4:
+        raise ValueError(f"oracle supports m <= 4, got m={ch.m}")
+    if resolution > 64 or resolution < 1:
+        raise ValueError(f"resolution must be in [1, 64], got {resolution}")
     axis = np.arange(1, resolution + 1, dtype=float) / (resolution + 1)
     model = _Conditions(ch)
     # One grid point per column, as the model's column layout takes them.

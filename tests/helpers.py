@@ -1,19 +1,22 @@
-"""Shared helpers for the test suite: channel samplers (one near the noisy
-boundary), geometry checks, an MU objective call counter, the reference MU
-bound in user order, the reference m-user grid scan, a Newton system
-counter, a probe counter and the stopping certificate of the m-user
-phase-I solve."""
+"""Shared helpers for the test suite: channel samplers (one over the north
+star's domain, one near the noisy boundary), geometry checks, an MU
+objective call counter, a projection into the MU feasibility box, the
+reference MU bound in user order, the reference m-user grid scan, a
+Newton system counter, a probe counter and the stopping certificate of
+the m-user phase-I solve."""
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from gicbounds import TwoUserChannel, noisy_condition
-from gicbounds.genie import _MuObjective
+from gicbounds.channel import _gap
+from gicbounds.genie import _RHO_MAX, _MuObjective
 from gicbounds.multiuser import _Conditions, _heuristic_seed, _phase_one
 
 
@@ -33,6 +36,19 @@ def sample_noisy_channel(rng: np.random.Generator) -> TwoUserChannel:
         ch = TwoUserChannel(float(a), float(b), float(p1), float(p2))
         if noisy_condition(ch)[0]:
             return ch
+
+
+def north_star_channels(seed: int, count: int):
+    """``count`` channels from ``random.Random(seed)``: gains log-uniform in
+    [1e-9, 1 - 1e-6] and powers log-uniform in [1e-8, 1e12]."""
+    rng = random.Random(seed)
+
+    def draw(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    for _ in range(count):
+        yield TwoUserChannel(draw(1e-9, 1 - 1e-6), draw(1e-9, 1 - 1e-6),
+                             draw(1e-8, 1e12), draw(1e-8, 1e12))
 
 
 def near_noisy_boundary(a: float, b: float, w: float, ulps: int):
@@ -102,6 +118,14 @@ def count_objective_calls(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(_MuObjective, "__call__", counted)
     return calls
+
+
+def clamp(obj: _MuObjective, x: np.ndarray) -> np.ndarray:
+    """Project points (rows r_A, r_B, s_A, s_B; further rows are ignored)
+    into the feasibility box of ``obj``: the correlations into [0,
+    _RHO_MAX], then the variances clipped by ``_MuObjective._boxed``."""
+    r_a, r_b = np.minimum(np.maximum(x[:2], 0.0), _RHO_MAX)
+    return obj._boxed(r_a, r_b, x[2], x[3], _gap(r_a), _gap(r_b))
 
 
 def reference_mu_bound(ch, mu: float, x: np.ndarray):

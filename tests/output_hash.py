@@ -10,6 +10,9 @@ directory, and every request of ``tests/data/cli_bytes.json``.  For each of
 the four sets it prints one sha256 over every request's exit status,
 stdout, stderr and written files, with the temporary directory replaced by
 ``{dir}``.  Equal hashes on two checkouts mean byte-identical CLI output.
+``tests/data/output_hashes.json`` pins the four, and
+``tests/test_output_hash.py`` recomputes them in process with ``hashes``:
+a change that moves output bytes re-pins that file and lists the moves.
 """
 
 from __future__ import annotations
@@ -50,16 +53,24 @@ def cli_bytes_records():
             yield record(argv, Path(tmp))
 
 
-def main() -> None:
+def hashes() -> dict[str, dict]:
+    """Each set's request count and sha256, by set name, in print order."""
     reference = load_reference()
     sets = {name: pool_records(reference[name]) for name in ("region", "sweep", "verdicts")}
     sets["cli_bytes"] = cli_bytes_records()
+    out = {}
     for name, records in sets.items():
         total, count = hashlib.sha256(), 0
         for text in records:
             total.update(text.encode() + b"\n")
             count += 1
-        print(f"{name} ({count} requests): {total.hexdigest()}")
+        out[name] = {"requests": count, "sha256": total.hexdigest()}
+    return out
+
+
+def main() -> None:
+    for name, pin in hashes().items():
+        print(f"{name} ({pin['requests']} requests): {pin['sha256']}")
 
 
 if __name__ == "__main__":

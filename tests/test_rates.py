@@ -26,6 +26,8 @@ from gicbounds import (
 )
 from gicbounds.channel import _rate
 
+from helpers import north_star_channels
+
 # The north star's domain: gains in [1e-9, 1 - 1e-6] and powers in
 # [1e-8, 1e12], both log-uniform.
 GAINS = st.floats(math.log(1e-9), math.log1p(-1e-6)).map(math.exp)
@@ -137,17 +139,6 @@ def test_two_user_and_m_user_sum_capacities_agree(ch):
     two, m = classify(ch).sum_capacity, find_rho(mu).sum_capacity
     if two is not None and m is not None:
         assert two == m
-
-
-def north_star_channels(seed: int, count: int):
-    rng = random.Random(seed)
-
-    def draw(lo, hi):
-        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
-
-    for _ in range(count):
-        yield TwoUserChannel(draw(1e-9, 1 - 1e-6), draw(1e-9, 1 - 1e-6),
-                             draw(1e-8, 1e12), draw(1e-8, 1e12))
 
 
 @pytest.mark.slow

@@ -1,8 +1,9 @@
 """Structure of the installed package, read from its source.
 
-The package holds no dead code: every private function, class or method
-is used somewhere in the package's code, as a name or as an attribute.  A
-mention in a docstring or comment does not count, nor does an import.
+The package holds no dead code: every private function, class or method,
+and every method of a private class, is used somewhere in the package's
+code, as a name or as an attribute.  A mention in a docstring or comment
+does not count, nor does an import.
 Every name a module-level import binds is read in its module or listed in
 its ``__all__``.  Its module-level arrays are read-only."""
 
@@ -43,6 +44,7 @@ def test_every_private_definition_is_used():
     defined, used = private_definitions_and_uses(sources)
     assert len(defined) > 40  # the walk found the package's private code
     assert [d for d in defined if d[2] not in used] == []
+    assert unread_methods(sources) == []
 
 
 def test_an_unused_private_function_is_found():
@@ -62,6 +64,72 @@ _Model()
 '''
     defined, used = private_definitions_and_uses([(Path("m.py"), ast.parse(source))])
     assert [d[2] for d in defined if d[2] not in used] == ["_unused", "_method"]
+
+
+def external_base_attributes(tree, base) -> set[str]:
+    """The attribute names of ``base``, a class expression in the module
+    ``tree``, where it names a class from outside the package, bound by a
+    module-level absolute import; else the empty set."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name, (a.name, [])) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            bound.update((a.asname or a.name, (node.module, [a.name])) for a in node.names)
+    head, *rest = ast.unparse(base).split(".")
+    if head in bound:
+        module, names = bound[head]
+        obj = importlib.import_module(module)
+        for name in names + rest:
+            obj = getattr(obj, name)
+        return set(dir(obj))
+    return set()
+
+
+def unread_methods(sources):
+    """The (file, class, method) of every method of a private class in the
+    parsed ``sources`` that their code never reads, as a name or as an
+    attribute.  Dunders are exempt, and so are overrides of an attribute of
+    a base class from outside the package, which that base's code calls."""
+    _, used = private_definitions_and_uses(sources)
+    unread = []
+    for path, tree in sources:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef) and node.name.startswith("_")):
+                continue
+            inherited = set().union(*(external_base_attributes(tree, b) for b in node.bases))
+            unread += [
+                (path.name, node.name, item.name) for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.endswith("__") and item.name not in used | inherited
+            ]
+    return unread
+
+
+def test_an_unread_method_is_found():
+    source = '''
+import argparse
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(message)
+
+    def extra(self):
+        pass
+
+class _Model:
+    def __call__(self):
+        return self.read()
+
+    def read(self):
+        pass
+
+    def unread(self):
+        """Calls ``self.extra``."""
+'''
+    assert unread_methods([(Path("m.py"), ast.parse(source))]) == [
+        ("m.py", "_Parser", "extra"), ("m.py", "_Model", "unread")
+    ]
 
 
 def unread_imports(sources):
