@@ -325,7 +325,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:  # region.RegionError among them
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # ConfigError and library-level domain errors are bad input
+    except (ValueError, MemoryError) as exc:  # ConfigError, domain errors, grids past memory
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

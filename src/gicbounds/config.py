@@ -87,9 +87,12 @@ class SweepSpec:
     @cached_property  # the fields are frozen, so the grid is built once
     def _grid(self) -> np.ndarray:
         with np.errstate(over="ignore"):  # overflow near the float max: numpy resets the ends
-            if self.log_spacing:
+            if not self.log_spacing:
+                return np.linspace(self.start, self.stop, self.points)
+            try:
                 return np.geomspace(self.start, self.stop, self.points)
-            return np.linspace(self.start, self.stop, self.points)
+            except OverflowError as exc:  # numpy takes float(points) first
+                raise ConfigError("the sweep's point count exceeds the largest float") from exc
 
     def channels(
         self, base: TwoUserChannel, gains_in_db: bool = False

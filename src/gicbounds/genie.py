@@ -558,17 +558,6 @@ def _pattern_search(
     return out_val, out_x
 
 
-def _smallest(vals: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` smallest of ``vals`` (at least k entries, no
-    nan), ties in index order: ``np.argsort(vals, kind="stable")[:k]``
-    without sorting the rest.  Every entry up to the k-th smallest value is
-    among those at or below it, which keep their index order for the stable
-    sort."""
-    kth = np.partition(vals, k - 1)[k - 1]
-    near = np.flatnonzero(vals <= kth)
-    return near[np.argsort(vals[near], kind="stable")[:k]]
-
-
 def _probe_grid(ch: TwoUserChannel, objective: _MuObjective) -> np.ndarray:
     """Coarse feasible probes, ``place``d: 8 points per correlation and 8 log-spaced
     free variances, then a 16 x 16 manifold of correlations with the free variance
@@ -592,7 +581,7 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     sum rate up to rounding, so no search can go lower.  All certificates
     are evaluated in one objective call.  Every other request starts one
     lane of a pattern search (``_pattern_search``, over the lanes of every
-    such request) at each of the 4 best points of its channel's probe grid,
+    such request) at each of its 4 best finite probes, ties in probe order,
     with its value there; the first of the best lane ends wins.  A probe
     grid is built once per (channel, mu >= 1) pair, a side, and evaluated
     at every weight of that side in one objective call, with the weights as
@@ -621,25 +610,24 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
         for i, (ch, mu) in enumerate(requests):
             if best[i] is None:
                 sides.setdefault((ch, mu >= 1.0), []).append(i)
-        found: dict[int, list] = {}
+        lanes, starts = [], []  # each lane's request, and its (value, box point) start
         for (ch, _), side in sides.items():
             probed = _MuObjective(ch.a, ch.b, ch.p1, ch.p2, [[requests[i][1]] for i in side])
             grid = _probe_grid(ch, probed)
-            for i, vals in zip(side, probed(grid)):
-                found[i] = [(float(vals[j]), grid[:, j])
-                            for j in _smallest(vals, 4) if math.isfinite(vals[j])]
-                if not found[i]:
+            vals = probed(grid)
+            for i, row, ranked in zip(side, vals, np.argsort(vals, kind="stable")[:, :4]):
+                finite = [(float(row[j]), grid[:, j]) for j in ranked if math.isfinite(row[j])]
+                if not finite:
                     raise ValueError(f"the MU bound overflows at every genie probe on the channel "
                                      f"a={ch.a}, b={ch.b}, p1={ch.p1}, p2={ch.p2}")
-        if found:
-            searched = sorted(found)
-            lanes = [requests[i] for i in searched for _ in found[i]]
-            starts = [start for i in searched for start in found[i]]
+                lanes += [i] * len(finite)
+                starts += finite
+        if lanes:
             x, val = np.array([x for _, x in starts]).T, np.array([v for v, _ in starts])
-            values, points = _pattern_search(_MuObjective.of(lanes), x, val)
-            ends = zip(values.tolist(), points.T)
-            for i in searched:
-                best[i] = min([next(ends) for _ in found[i]], key=lambda c: c[0])
+            values, points = _pattern_search(_MuObjective.of([requests[i] for i in lanes]), x, val)
+            for i, v, end in zip(lanes, values.tolist(), points.T):
+                if best[i] is None or v < best[i][0]:  # the first of the best ends
+                    best[i] = (v, end)
         objective = _MuObjective.of(requests)
         xs = np.array([x for _, x in best]).T
         genie, effective = objective.order(xs[:4]), objective.order(objective.effective(xs))

@@ -762,7 +762,26 @@ class TestPinnedBytes:
             ), name
 
 
+# Grid sizes past any address space: numpy refuses them before allocating,
+# even where the system overcommits memory.  The last count also exceeds the
+# largest float, which numpy's log grid converts it to.
+HUGE_GRID_ARGV = [
+    ["sweep", *FIG1_ARGS, "--param", "p1", "--from", "1", "--to", "2",
+     "--points", str(10**16), "--metric", "sum-tin"],
+    ["region", *FIG1_ARGS, "--mu-grid", str(10**16)],
+    ["region", *FIG1_ARGS, "--eta-grid", str(10**16)],
+    ["sweep", *FIG1_ARGS, "--param", "p1", "--from", "1", "--to", "2",
+     "--points", str(10**400), "--metric", "sum-tin", "--log"],
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", HUGE_GRID_ARGV)
+    def test_huge_grid_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_internal_error_exit_two(self, capsys, monkeypatch):
         import gicbounds.cli as cli_mod
 

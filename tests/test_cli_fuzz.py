@@ -4,9 +4,12 @@ and never with a traceback, a refused request prints exactly one line,
 counts as a line of its own, since a shell user sees it on stderr.
 
 Numbers are drawn log-uniformly from 1e-330 (which rounds to 0) to 1e308,
-or from the edge values below, sometimes negated.  One request builder
-serves a hypothesis property, kept small, and a survey of 4,000 requests
-from ``random.Random(1)``.
+or from the edge values below, sometimes negated.  Grid sizes are small, or
+now and then 10^16 or more: past any address space, so numpy refuses them
+before allocating anything.  Sizes in between are never drawn, since they
+allocate gigabytes or run for minutes.  One request builder serves a
+hypothesis property, kept small, and a survey of 4,000 requests from
+``random.Random(1)``.
 """
 
 import contextlib
@@ -32,6 +35,8 @@ EDGES = (
     sys.float_info.max,
 )
 COMMANDS = ("classify", "region", "sweep", "murate", "threshold")
+GRID_FLAGS = ("--mu-grid", "--eta-grid", "--points")
+HUGE = 10**16
 
 
 def number(rng: random.Random) -> float:
@@ -39,8 +44,13 @@ def number(rng: random.Random) -> float:
     return -x if rng.random() < 0.125 else x
 
 
+def grid_size(rng: random.Random, lo: int, hi: int) -> str:
+    """A size from lo to hi, or one time in 16 a power of ten from 10^16 to 10^400."""
+    return str(10 ** rng.randint(16, 400) if rng.random() < 0.0625 else rng.randint(lo, hi))
+
+
 def request(rng: random.Random) -> list[str]:
-    """One argv for a command chosen by ``rng``, with small grids."""
+    """One argv for a command chosen by ``rng``, with small or huge grids."""
     command = rng.choice(COMMANDS)
     if command == "threshold":
         if rng.random() < 0.5:
@@ -53,11 +63,11 @@ def request(rng: random.Random) -> list[str]:
     for flag in ("--a", "--b", "--p1", "--p2"):
         argv += [flag, repr(number(rng))]
     if command == "region":
-        argv += ["--mu-grid", str(rng.randint(3, 5)), "--eta-grid", str(rng.randint(2, 3))]
+        argv += ["--mu-grid", grid_size(rng, 3, 5), "--eta-grid", grid_size(rng, 2, 3)]
     elif command == "sweep":
         start, stop = sorted((number(rng), number(rng)))
         argv += ["--param", rng.choice(SWEEP_PARAMS), "--from", repr(start), "--to", repr(stop),
-                 "--points", str(rng.randint(2, 4)), "--metric", rng.choice(SWEEP_METRICS)]
+                 "--points", grid_size(rng, 2, 4), "--metric", rng.choice(SWEEP_METRICS)]
         argv += ["--log"] * (rng.random() < 0.5)
     elif command == "murate":
         argv += ["--json"] * (rng.random() < 0.5)
@@ -97,6 +107,10 @@ def test_the_builder_reaches_every_command_and_edge():
     drawn = {arg for argv in argvs for arg in argv}
     assert {repr(x) for x in EDGES} <= drawn
     assert {"--log", "--json", "--db"} | set(SWEEP_METRICS) <= drawn
+    sizes = [(flag, int(n)) for argv in argvs for flag, n in zip(argv, argv[1:])
+             if flag in GRID_FLAGS]
+    assert {flag for flag, n in sizes if n >= HUGE} == set(GRID_FLAGS)
+    assert all(n <= 5 or n >= HUGE for _, n in sizes)
 
 
 def test_survey_of_4000_requests():

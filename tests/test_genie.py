@@ -537,17 +537,6 @@ class TestPatternSearch:
             best = obj(clamp(obj, scan)).min()
             assert obj(point)[0] <= best + 1e-12 * abs(best) + 1e-15
 
-    @pytest.mark.parametrize("vals", [
-        np.array([3.0, 1.0, 1.0, 2.0, 1.0, 1.0, 0.5, 1.0]),
-        np.array([np.inf, 2.0, np.inf, np.inf, 2.0, np.inf]),
-        np.array([np.inf] * 9),
-        np.array([1.0, np.inf, 1.0, np.inf]),
-        np.random.default_rng(4).integers(0, 3, 4352).astype(float),
-        np.where(np.random.default_rng(5).random(4352) < 0.999, np.inf, 1.0),
-    ])
-    def test_smallest_is_the_stable_argsort_head(self, vals):
-        assert np.array_equal(genie._smallest(vals, 4), np.argsort(vals, kind="stable")[:4])
-
     def test_ends_are_clamped_values_no_worse_than_starts(self):
         # Lanes of two channels at weights below, at and above 1, from
         # starts inside the box and from the projections into it of points
