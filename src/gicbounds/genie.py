@@ -4,8 +4,9 @@ Three families of supporting lines R1 + w*R2 <= v are computed:
 
 * MU: a genie gives each receiver a noisy look at its own transmit signal
   (correlation rho_i, variance sigma_i^2); the bound is minimized over the
-  four genie parameters subject to a weight-dependent feasibility box, one
-  variance in closed form and the other three by a search.
+  four genie parameters subject to a weight-dependent feasibility box, the
+  two variances solved at each pair of correlations and the correlations
+  by a search.
 * ETA1 / ETA2: a genie hands one receiver the other transmitter's signal,
   reducing the channel to a one-sided one; the bounds are closed forms in
   the weight, valid on a bounded weight interval.
@@ -17,7 +18,6 @@ calls yield identical certificates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -229,44 +229,35 @@ def eval_constraint3(ch: TwoUserChannel, eta2: float) -> SupportingLine:
 _GRID_POINTS = 8
 _RHO_MAX = 1.0 - 1e-6
 _SIGMA_FLOOR = 1e-4
-_STEP_FLOOR = 1e-9  # log step below which a pattern-search lane stops
+_FIRST_STEP = 0.15  # first step of a pattern-search lane
+_STEP_FLOOR = 1e-10  # step below which a pattern-search lane stops
 _POLL_CAP = 300  # most polls of one pattern-search lane
-_ANCHOR_POLLS = 8  # polls between a lane's choices of the kink its t starts at
-_LOG_STEP = math.log(3.0)  # first step of the free variance's log
+_NEWTON_REACH = math.log(4.0)  # longest Newton step of the free variance, in log
+_PROBE_STEPS = 4  # Newton steps at a probe, from s_A = 1; a lane takes 1 per poll
 _CAP_SHRINK = 1.0 - 2.0**-50  # rounds a float variance cap into the exact box
-_MAX_SHRINKS = math.floor(math.log(_LOG_STEP / _STEP_FLOOR, 4))  # shrinks of a live lane
+_MAX_SHRINKS = math.floor(math.log(_FIRST_STEP / _STEP_FLOOR, 4))  # shrinks of a live lane
 
 
-def _probe_geometry():
-    """``_probe_grid``'s probes (r, w, t) at t = 0: 8 x 8 correlation pairs, each 8
-    times, then a 16 x 16 manifold; and the pairs' 1 - r_B^2, as a column."""
-    axes = (np.linspace(0.0, _RHO_MAX, n) for n in (_GRID_POINTS, 2 * _GRID_POINTS))
-    pairs, manifold = (np.array(np.meshgrid(v, v, indexing="ij")).reshape(2, -1) for v in axes)
-    r, rho = np.concatenate([np.repeat(pairs, _GRID_POINTS, axis=1), manifold], axis=1)
-    return np.array([r, rho * np.sqrt(_gap(r)), np.zeros_like(r)]), _gap(pairs[1])[:, None]
-
-
-_FIRST_STEPS = np.array([[0.15], [0.15], [_LOG_STEP]])
-# The 18 unit moves of the pattern search, as columns: the 6 axis moves
-# +-e_i, then the 12 diagonal moves +-e_i +- e_j, i < j.  Each poll adds
-# one more, twice the lane's last accepted move.
-_EYE = np.eye(3)
-_POLL = np.array([*_EYE, *-_EYE] + [
-    s * _EYE[i] + t * _EYE[j]
-    for i, j in itertools.combinations(range(3), 2) for s in (1, -1) for t in (1, -1)
-]).T
-_PROBES, _PROBE_GAPS = _probe_geometry()
-for _array in (_FIRST_STEPS, _EYE, _POLL, _PROBES, _PROBE_GAPS):
+# The pattern search's 8 unit moves, as columns: the 4 axis moves, then the 4
+# diagonals.  Each poll adds one more, twice the lane's last accepted move.
+_POLL = np.array([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float).T
+# ``_probe_grid``'s 8 x 8 correlation pairs and 16 x 16 manifold, in
+# ``place``'s coordinates (r_A, r_B*sqrt(1 - r_A^2)).
+_R, _RHO = np.concatenate([np.array(np.meshgrid(v, v, indexing="ij")).reshape(2, -1) for v in (
+    np.linspace(0.0, _RHO_MAX, n) for n in (_GRID_POINTS, 2 * _GRID_POINTS))], axis=1)
+_PROBES = np.array([_R, _RHO * np.sqrt(_gap(_R))])
+for _array in (_POLL, _PROBES):
     _array.setflags(write=False)  # shared by every call, in every thread
-del _array
+del _array, _R, _RHO
 # The constants of a _MuObjective with one value per entry: its ``table``.
-_ENTRY_VALUES = ("p_a", "p_b", "g_a", "g_b", "w_a", "w_b", "c", "d", "off", "den", "tight", "ratio")
+_ENTRY_VALUES = ("p_a", "p_b", "g_a", "g_b", "w_a", "w_b", "c", "d", "off", "den", "tight_a", "tight_b",
+                 "excess", "roof")
 
 
 def _mirror(mirrored, first, second):
     """(first, second) at the entries not ``mirrored``, else (second, first);
     not broadcast against ``mirrored`` where all its entries agree, so that
-    terms of a probe grid free of the weight are computed once per point."""
+    terms free of it keep their own shape."""
     if not mirrored.any():
         return first, second
     if mirrored.all():
@@ -297,9 +288,9 @@ class _MuObjective:
     user order to this order and back.
 
     Points are arrays with rows (r_A, r_B, s_A, s_B, 1 - r_A^2, 1 - r_B^2),
-    or one such column.  The constants broadcast against a row: scalars at
-    one point, a column of weights for the probe grid of one channel at each
-    of them, or one value per lane and move of the pattern search.
+    or one such column, or ``place``'s list of rows.  The constants broadcast
+    against a row: scalars at one point, a column of weights for the probe
+    grid of one channel, or one value per lane and move of the search.
     Each entry is bit-for-bit the value of a one-point call on its own
     channel: its constants take the same operations in the same order.
 
@@ -322,12 +313,11 @@ class _MuObjective:
         self.d = np.where(self.mirrored, a, b_mu)
         self.off = np.where(self.mirrored, (mu - 1.0) * p2, (1.0 - mu) * p1 / mu)
         self.den = np.where(self.mirrored, a - a * mu, b_mu - b)
-        # 1 + g_B*p_A; see ``place``.
-        self.tight = self.g_b * self.p_a + 1.0
-        # The free variance's effective power falls between L = max(off + R,
-        # 0) and R = ratio*(1 - r_B^2)/g_B; see ``_edges``.
-        self.ratio = np.where(self.mirrored, mu, 1.0 / mu)
-        self.at_left = np.False_  # where t = 0 lies at L; the search sets it per lane
+        # 1 + g_A*p_B, 1 + g_B*p_A, max(mu, 1/mu) - 1 and s_A's roof; see ``place``, ``_boxed``.
+        self.tight_a = self.g_a * self.p_b + 1.0
+        self.tight_b = self.g_b * self.p_a + 1.0
+        self.excess = np.where(self.mirrored, 1.0 / mu, mu) - 1.0
+        self.roof = 2.0**1000 / (self.p_a + self.tight_a)
 
     @classmethod
     def of(cls, requests) -> "_MuObjective":
@@ -339,10 +329,10 @@ class _MuObjective:
         (A, B) as pairs (user 1, user 2): the map is its own inverse."""
         return np.array([v for pair in zip(x[::2], x[1::2]) for v in _mirror(self.mirrored, *pair)])
 
-    def take(self, idx, at_left) -> "_MuObjective":
-        """The entries ``idx``, at ``at_left``, of an objective with one entry per
-        lane.  Lanes of both sides of weight 1 share the gathered rows of ``table``,
-        built once: each entry's constants are already in its own (A, B) order."""
+    def take(self, idx) -> "_MuObjective":
+        """The entries ``idx`` of an objective with one entry per lane.  Lanes
+        of both sides of weight 1 share the gathered rows of ``table``, built
+        once: each entry's constants are already in its own (A, B) order."""
         if "table" not in vars(self):
             self.table = np.array(np.broadcast_arrays(*(getattr(self, n) for n in _ENTRY_VALUES)))
         sub = object.__new__(_MuObjective)
@@ -351,12 +341,13 @@ class _MuObjective:
         sub.__dict__.update(zip(_ENTRY_VALUES, np.take(self.table, idx, axis=1)))
         sub.one = np.take(self.one, idx)
         sub.any_one, sub.all_one = bool(sub.one.any()), bool(sub.one.all())
-        sub.at_left = at_left
         return sub
 
-    def _boxed(self, r_a, r_b, s_a, s_b, gap_a, gap_b) -> np.ndarray:
-        """The points at correlations in [0, _RHO_MAX], their gaps, and the
-        variances above a floor and s_B below its cap (1 - r_A^2)/g_A.
+    def _boxed(self, r_a, r_b, s_a, s_b, gap_a, gap_b) -> list:
+        """The rows of the points at correlations in [0, _RHO_MAX], their
+        gaps, and the variances above a floor, s_B below its cap (1 -
+        r_A^2)/g_A and s_A below its roof, where s_A*(p_A + k_A) < 2^1000
+        keeps A's share finite.
 
         The cap is rounded down into the exact box: 1 - r, 1 + r, their
         product and the quotient are rounded once each at most, so the float
@@ -364,77 +355,97 @@ class _MuObjective:
         2^-53, and _CAP_SHRINK = 1 - 8u leaves (1 + u)^5*(1 - 8u) < 1."""
         floor = _SIGMA_FLOOR * 1e-2
         cap = gap_a / self.g_a * _CAP_SHRINK
-        s_b = np.minimum(np.maximum(s_b, floor), cap)
-        return np.array([r_a, r_b, np.maximum(s_a, floor), s_b, gap_a, gap_b])
+        s_a, s_b = np.minimum(np.maximum(s_a, floor), self.roof), np.minimum(np.maximum(s_b, floor), cap)
+        return [r_a, r_b, s_a, s_b, gap_a, gap_b]
 
-    def place(self, y: np.ndarray) -> np.ndarray:
-        """The box points at search coordinates y = (r, w, t), clipped in
-        place to r in [0, _RHO_MAX] and w in [0, _RHO_MAX*sqrt(1 - r^2)]:
-        r_A = r, r_B = w/sqrt(1 - r^2), at most _RHO_MAX, s_A = exp(t)*(1 -
-        r_B^2)/g_B, and s_B ``_boxed`` from ((1 + g_B*p_A)/r_B)^2.
+    def place(self, y: np.ndarray, s_a, swapped, steps: int) -> list:
+        """``_boxed``'s rows, two s_A in row 2 (the lower and upper forms), at
+        coordinates y = (outer, inner), clipped in place to [0, _RHO_MAX] and
+        [0, _RHO_MAX*sqrt(1 - outer^2)]: (r_A, r_B) = (outer, inner/sqrt(1 -
+        outer^2)), at most _RHO_MAX, reversed at the entries ``swapped``.
 
-        That s_B minimizes the objective at fixed correlations and s_A.  It,
-        s = sigma^2, enters only B's share, at full power p = p_B (only A's
-        power moves, and not with s); with rho = r_B, g = g_B and q = p_A:
+        s_B is ``_boxed`` from ((1 + g_B*p_A)/r_B)^2, the minimizer at fixed
+        correlations and s_A.  It, s = sigma^2, enters only B's share, at
+        full power p = p_B; with rho = r_B, g = g_B, q = p_A and u = 1/sigma:
 
             log2(1 + p/s) + log2((p*((sigma - rho)^2 + k) + s*k)/(p + s))
-              = log2(p*(1 - rho*u)^2 + p*k*u^2 + k),
+              = log2(p*(1 - rho*u)^2 + p*k*u^2 + k),  k = g*q + 1 - rho^2,
 
-        with u = 1/sigma and k = g*q + 1 - rho^2.  This quadratic in u has
-        leading coefficient p*(rho^2 + k) > 0 and its least value at u =
-        rho/(rho^2 + k), that is sigma = (1 + g*q)/rho, and it is monotone on
-        either side.  The box bounds s by its cap alone, and the floor of
-        ``_boxed`` lies below ((1 + g*q)/rho)^2 >= 1, so the constrained
-        minimizer is that value clipped to the cap: the cap at rho = 0.
+        a quadratic in u, leading coefficient p*(rho^2 + k) > 0, least at
+        sigma = (1 + g*q)/rho >= 1, above ``_boxed``'s floor, and monotone on
+        either side: so clipped to the cap, the cap at rho = 0.  A's power
+        is p_A up to L, linear down to 0 at R, then 0 (``effective``):
 
-        The coordinates lay kinks of the objective on planes, where a lane
-        at a kink moves along it by axis moves; in (r_A, r_B, log s_A) they
-        are curved.  s_B leaves its cap where w = (1 + g*q)*sqrt(g_A),
-        whatever r is.  A's effective power falls between L and R (see
-        ``_edges``): R lies at t = log(mu) (mu < 1) or -log(mu), and L at t
-        = 0 at the entries ``at_left``.
-        """
-        r, w, t = y
-        np.minimum(np.maximum(r, 0.0, out=r), _RHO_MAX, out=r)
-        np.maximum(w, 0.0, out=w)
-        gap_a = _gap(r)
-        root = np.sqrt(gap_a)
-        np.minimum(w, _RHO_MAX * root, out=w)
-        rho = np.minimum(w / root, _RHO_MAX)
-        gap_b = _gap(rho)
-        free = np.exp(t) * self._scale(gap_b)
-        capped = np.square(self.tight / rho)
-        return self._boxed(r, rho, free, capped, gap_a, gap_b)
+        * s_A <= L: A's share has the form of B's (g = g_A, q = p_B), least
+          at min(((1 + g_A*p_B)/r_A)^2, L), the lower form.
+        * s_A >= R: A's share moves only through k + p*(sigma - rho)^2/(p +
+          sigma^2), rho = r_A, whose sigma-derivative 2*(sigma - rho)*(p +
+          sigma*rho)/(p + sigma^2)^2 has the sign of sigma - rho: least at
+          max(r_A^2, R), the upper form where r_A^2 >= R.
+        * L < s_A < R, mu != 1: up to constants and w_A, the objective is
+          h(s) = (1 - m)*ln(1 - r_B^2 - g_B*s) - ln s + ln cond_A(s), m =
+          max(mu, 1/mu), finite as g_B*s < g_B*R = (1 - r_B^2)/m.  [L, R]
+          brackets the ``_middle`` iterates from ``s_a``, the upper form
+          where r_A^2 < R, and the outer branches' least values at L or R.
 
-    def coordinates(self, x: np.ndarray) -> np.ndarray:
-        """The search coordinates (r, w, t) of box points ``x``; see ``place``."""
-        t = np.log(x[2] / self._scale(x[5]))
-        return np.array([x[0], x[1] * np.sqrt(x[4]), t])
+        At mu == 1, L = R and A's power jumps to 0 where ``effective`` finds
+        d*s_A > c*(1 - r_B^2); the lower form is at most R*_CAP_SHRINK and
+        the upper at least R/_CAP_SHRINK, each on its side by ``_boxed``'s
+        rounding bound.  Lanes follow kinks on lines by axis moves: s_B
+        leaves its cap at inner = (1 + g_B*p_A)*sqrt(g_A), and, swapped at
+        mu == 1, the lower form leaves L at inner = (1 + g_A*p_B)*sqrt(g_B)."""
+        outer, inner = y
+        np.minimum(np.maximum(outer, 0.0, out=outer), _RHO_MAX, out=outer)
+        np.maximum(inner, 0.0, out=inner)
+        gap_outer = _gap(outer)
+        root = np.sqrt(gap_outer)
+        np.minimum(inner, _RHO_MAX * root, out=inner)
+        other = np.minimum(inner / root, _RHO_MAX)
+        r, rho = _mirror(swapped, outer, other)
+        gap_a, gap_b = _mirror(swapped, gap_outer, _gap(other))
+        right = self.c * gap_b / self.d
+        if self.all_one:  # the weight-1 entries of the general forms, bit for bit
+            lower = np.minimum(np.square(self.tight_a / r), right * _CAP_SHRINK)
+            upper = np.maximum(r * r, right / _CAP_SHRINK)
+        else:
+            left = np.maximum(self.off + right, 0.0)
+            lower = np.minimum(np.square(self.tight_a / r), left)
+            r_sq = r * r
+            upper = np.where(r_sq >= right, r_sq, self._middle(s_a, left, right, r, gap_a, gap_b, steps))
+            if self.any_one:
+                lower = np.where(self.one, np.minimum(lower, right * _CAP_SHRINK), lower)
+                upper = np.where(self.one, np.maximum(upper, right / _CAP_SHRINK), upper)
+        capped = np.square(self.tight_b / rho)
+        return self._boxed(r, rho, np.array([lower, upper]), capped, gap_a, gap_b)
 
-    def _scale(self, gap_b):
-        """The free variance at t = 0, from gap_b = 1 - r_B^2: gap_b/g_B, or
-        L at the entries ``at_left``; see ``_edges``."""
-        scale = gap_b / self.g_b
-        if not self.at_left.any():
-            return scale
-        return np.where(self.at_left, self._edges(scale)[0], scale)
+    def _middle(self, s, left, right, rho, gap_a, gap_b, steps):
+        """``steps`` Newton steps in ln s, from s clipped into [left, right],
+        for the root of ``place``'s s*h'(s) = pull - push + cond - 1, with M =
+        p_A*(sigma - rho)^2 + k*(p_A + s) and k = g_A*p_B + 1 - rho^2; where
+        that slope falls, a step of ln 4 downhill.  Steps are at most ln 4
+        long and iterates clipped into the bracket, a NaN one to its end."""
+        p, k, g = self.p_a, self.g_a * self.p_b + gap_a, self.g_b
+        s = np.fmin(np.fmax(s, left), right)
+        for _ in range(steps):
+            sigma, ps = np.sqrt(s), p + s
+            room = gap_b - g * s
+            pull, push = self.excess * g * s / room, s / ps
+            prs, skp = p * rho * sigma, s * (p + k)
+            m = p * np.square(sigma - rho) + k * ps
+            cond = (skp - prs) / m
+            slope = pull - push + cond - 1.0
+            curve = pull * gap_b / room - push * p / ps + (skp - 0.5 * prs) / m - cond * cond
+            step = -slope / np.maximum(curve, np.abs(slope) / _NEWTON_REACH)
+            s = np.fmin(np.fmax(s * np.exp(step), left), right)
+        return s
 
-    def _edges(self, scale):
-        """(L, R) = (max(off + R, 0), ratio*scale) at scale = gap_b/g_B: the
-        free variance's effective power starts to fall at L and reaches 0 at
-        R, the left and right of ``effective``."""
-        right = self.ratio * scale
-        return np.maximum(self.off + right, 0.0), right
-
-    def nearer_left(self, x: np.ndarray) -> np.ndarray:
-        """Whether the free variance of points ``x`` lies nearer L than R, in
-        log; False where L = 0 (see ``_edges``).  All False where every mu is
-        1, which puts ``_scale`` on its fast path: there off = 0 and ratio = 1,
-        so R = 1*scale = scale and L = max(0 + R, 0) = R, bit for bit."""
-        if self.all_one:
-            return np.zeros(x.shape[1:], dtype=bool)
-        left, right = self._edges(x[5] / self.g_b)
-        return (left > 0.0) & (x[2] * x[2] < left * right)
+    def solve(self, y: np.ndarray, s_a, swapped=np.False_, steps=1) -> tuple[np.ndarray, np.ndarray]:
+        """``place``'s better point at each of ``y``, and its value: one call."""
+        x = self.place(y, s_a, swapped, steps)
+        val = self(x)
+        upper = val[1] < val[0]
+        x[2] = np.where(upper, x[2][1], x[2][0])
+        return np.array(x), np.where(upper, val[1], val[0])
 
     def effective(self, x: np.ndarray):
         """Effective powers (A's, B's) at box points ``x``; see
@@ -491,51 +502,44 @@ def _user_share(p, p_star, gain, p_other, p_star_other, rho, gap, s):
 
 
 def _pattern_search(
-    obj: _MuObjective, x: np.ndarray, val: np.ndarray
+    obj: _MuObjective, x: np.ndarray, val: np.ndarray, swapped: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pattern search from every start ("lane") at once, at the (6, lanes)
-    box points ``x`` with values ``val``, in the objective's (A, B) order;
-    ``obj`` holds each lane's own channel and weight, so lanes of different
-    channels, weights and sides of weight 1 share the objective calls.
+    box points ``x`` with values ``val``, in (A, B) order; ``obj`` holds each
+    lane's channel and weight, so all lanes share the objective calls.
     Returns the (values, points) the lanes end at, none worse than its
     start.  Callers ignore numpy's floating-point warnings.
 
-    A lane moves in the coordinates (r, w, t) of ``place``, with r in
-    [0, _RHO_MAX] and w in [0, _RHO_MAX*sqrt(1 - r^2)].  Every _ANCHOR_POLLS
-    polls it takes t = 0 afresh at the kink of the free variance's effective
-    power nearer its point (``nearer_left``), so that a lane on that kink
-    moves along it by axis moves.  Each step is one objective call that
-    polls, for every live lane, the 18 moves of ``_POLL`` scaled by the
-    lane's steps and twice its last accepted move (the pattern move of Hooke
-    and Jeeves, which speeds a lane along a valley).  The lane takes its
-    best strict improvement; if there is none, its steps shrink by 4.  They
-    start at 0.15 and log(3); a lane stops once its log step is below
-    _STEP_FLOOR, or after _POLL_CAP polls.  Every polled point is
-    ``place``d in the box and its value is the objective there, so every
-    end is a valid bound.  Only when a lane stops is its end written out
-    and are the live lanes' constants gathered again (``take``).
+    A lane moves in ``place``'s coordinates, swapped at the lanes
+    ``swapped``, and its free variance warm-starts each polled point's.  A
+    poll is one objective call: for every live lane, the 8 moves of
+    ``_POLL`` scaled by its step, and twice its last accepted move (Hooke
+    and Jeeves' pattern move; after a failed poll, the lane's own point, one
+    Newton step on).  The lane takes its best strict improvement, or its
+    step, first 0.15, shrinks by 4; it stops below _STEP_FLOOR or after
+    _POLL_CAP polls.  Every polled point is ``place``d in the box, so every
+    end is a valid bound.  Ends are written out, and the live lanes'
+    constants gathered again (``take``), only when a lane stops.
     """
     out_val, out_x = val.copy(), x.copy()
     ids = lane = np.arange(x.shape[1])  # lane of each live entry; its position
     shrinks = np.zeros(ids.size)
-    moved = np.zeros((3, ids.size))  # each lane's last accepted move; 0 after a failed poll
+    moved = np.zeros((2, ids.size))  # each lane's last accepted move; 0 after a failed poll
     moves = _POLL.shape[1] + 1
+    outer, other = _mirror(swapped, x[0], x[1])
+    y = np.array([outer, other * np.sqrt(_mirror(swapped, x[4], x[5])[0])])
+    charts = swapped[:, None] if swapped.any() else np.False_  # against each lane's moves
     # Constants spread over each lane's moves: operands of one shape, numpy's fast loops.
-    polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)), np.False_)
-    for poll in range(_POLL_CAP):
-        if poll % _ANCHOR_POLLS == 0:
-            spread = np.broadcast_to(x[:, :, None], (6, ids.size, moves))
-            polled.at_left = polled.nearer_left(spread)
-            y = polled.coordinates(spread)[:, :, 0]
-        # Candidates are (3, live lanes, moves): the scaled poll moves, then
+    polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)))
+    for _ in range(_POLL_CAP):
+        # Candidates are (2, live lanes, moves): the scaled poll moves, then
         # the pattern move, each from its lane's point.
-        steps = _FIRST_STEPS * 0.25**shrinks
-        cand = np.empty((3, ids.size, moves))
-        np.multiply(steps[:, :, None], _POLL[:, None, :], out=cand[:, :, :-1])
+        steps = _FIRST_STEP * 0.25**shrinks
+        cand = np.empty((2, ids.size, moves))
+        np.multiply(steps[:, None], _POLL[:, None, :], out=cand[:, :, :-1])
         np.multiply(moved, 2.0, out=cand[:, :, -1])
         cand += y[:, :, None]
-        cand_x = polled.place(cand)
-        cand_val = polled(cand_x)
+        cand_x, cand_val = polled.solve(cand, x[2][:, None], charts)
         best = cand_val.argmin(axis=1)
         best_val = cand_val[lane, best]
         better = best_val < val
@@ -551,41 +555,34 @@ def _pattern_search(
         if not live.any():
             break
         out_val[ids[~live]], out_x[:, ids[~live]] = val[~live], x[:, ~live]
-        ids, x, y, val = ids[live], x[:, live], y[:, live], val[live]
+        ids, x, y, val, swapped = ids[live], x[:, live], y[:, live], val[live], swapped[live]
+        charts = swapped[:, None] if swapped.any() else np.False_
         shrinks, moved, lane = shrinks[live], moved[:, live], np.arange(ids.size)
-        polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)), polled.at_left[live])
+        polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)))
     out_val[ids], out_x[:, ids] = val, x
     return out_val, out_x
 
 
-def _probe_grid(ch: TwoUserChannel, objective: _MuObjective) -> np.ndarray:
-    """Coarse feasible probes, ``place``d: 8 points per correlation and 8 log-spaced
-    free variances, then a 16 x 16 manifold of correlations with the free variance
-    at its scale, t = 0 (where the closed-form tight point of weight 1 lives; it
-    often holds the minimizer).  The capped variance is in closed form, so the
-    probes depend on the side of weight 1 the objective's weight is on, not on
-    the weight; all but the grid's t-row is ``_PROBES``, built at import."""
-    smax = 10.0 * max(ch.p1, ch.p2, 1.0 / ch.a, 1.0 / ch.b)
-    free = np.geomspace(_SIGMA_FLOOR, smax, _GRID_POINTS)
-    y = _PROBES.copy()
-    y[2, :_PROBE_GAPS.size * _GRID_POINTS] = np.log(free * objective.g_b / _PROBE_GAPS).ravel()
-    return objective.place(y)
+def _probe_grid(objective: _MuObjective) -> tuple[np.ndarray, np.ndarray]:
+    """``_PROBES`` ``place``d at each weight of ``objective``, a column, and
+    their values: (6, weights, 320) points and (weights, 320) values from
+    one objective call, the free variance solved at each weight."""
+    y = np.broadcast_to(_PROBES[:, None], (2, len(objective.one), _PROBES.shape[1])).copy()
+    return objective.solve(y, 1.0, steps=_PROBE_STEPS)
 
 
 def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     """MU lines of (channel, mu) requests, in order.
 
     A request at mu == 1 on a noisy-interference channel takes the
-    closed-form certificate (``capacity.noisy_certificate``), which lies in
-    the box, as its line: its value is the achievable single-user-detection
-    sum rate up to rounding, so no search can go lower.  All certificates
-    are evaluated in one objective call.  Every other request starts one
-    lane of a pattern search (``_pattern_search``, over the lanes of every
-    such request) at each of its 4 best finite probes, ties in probe order,
-    with its value there; the first of the best lane ends wins.  A probe
-    grid is built once per (channel, mu >= 1) pair, a side, and evaluated
-    at every weight of that side in one objective call, with the weights as
-    a column: the probes of a side do not depend on its weights.  ValueError
+    closed-form certificate (``capacity.noisy_certificate``), in the box, as
+    its line: its value is the achievable single-user-detection sum rate up
+    to rounding.  All certificates take one objective call.  Every other
+    request starts a lane of one pattern search (``_pattern_search``) at
+    each of its 4 best finite probes, ties in probe order, with its value
+    there, and one more, swapped, at the best near s_A's kink at weight 1;
+    the first of the best ends wins.  The probes of each (channel, mu >= 1) pair, a side,
+    take one objective call, the side's weights as a column.  ValueError
     where the bound overflows at every probe: at powers past about 1e154, or
     at a gain near the float floor.
     """
@@ -610,21 +607,32 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
         for i, (ch, mu) in enumerate(requests):
             if best[i] is None:
                 sides.setdefault((ch, mu >= 1.0), []).append(i)
-        lanes, starts = [], []  # each lane's request, and its (value, box point) start
+        lanes, starts, firsts = [], [], []  # each lane's request and (value, box point) start
         for (ch, _), side in sides.items():
             probed = _MuObjective(ch.a, ch.b, ch.p1, ch.p2, [[requests[i][1]] for i in side])
-            grid = _probe_grid(ch, probed)
-            vals = probed(grid)
-            for i, row, ranked in zip(side, vals, np.argsort(vals, kind="stable")[:, :4]):
-                finite = [(float(row[j]), grid[:, j]) for j in ranked if math.isfinite(row[j])]
+            grid, vals = _probe_grid(probed)
+            for k, (i, row, ranked) in enumerate(zip(side, vals, np.argsort(vals, kind="stable")[:, :4])):
+                finite = [(float(row[j]), grid[:, k, j]) for j in ranked if math.isfinite(row[j])]
                 if not finite:
                     raise ValueError(f"the MU bound overflows at every genie probe on the channel "
                                      f"a={ch.a}, b={ch.b}, p1={ch.p1}, p2={ch.p2}")
+                firsts.append(len(lanes))
                 lanes += [i] * len(finite)
                 starts += finite
         if lanes:
             x, val = np.array([x for _, x in starts]).T, np.array([v for v, _ in starts])
-            values, points = _pattern_search(_MuObjective.of([requests[i] for i in lanes]), x, val)
+            # A start nearer, in log, the kink where s_A's lower form leaves L
+            # than s_B's, where the former is a line of ``place``'s swapped
+            # coordinates (off = 0: mu == 1), starts one more lane, swapped.
+            obj = _MuObjective.of([requests[i] for i in lanes])
+            near_a = np.abs(np.log(np.square(obj.tight_a / x[0]) * obj.g_b / x[5]))
+            near_b = np.abs(np.log(np.square(obj.tight_b / x[1]) * obj.g_a / x[4]))
+            extra = [k for k in firsts if obj.off[k] == 0.0 and near_a[k] < near_b[k]]
+            swapped = np.arange(len(lanes) + len(extra)) >= len(lanes)
+            lanes += [lanes[k] for k in extra]
+            x, val = np.concatenate([x, x[:, extra]], axis=1), np.concatenate([val, val[extra]])
+            obj = _MuObjective.of([requests[i] for i in lanes])
+            values, points = _pattern_search(obj, x, val, swapped)
             for i, v, end in zip(lanes, values.tolist(), points.T):
                 if best[i] is None or v < best[i][0]:  # the first of the best ends
                     best[i] = (v, end)
@@ -651,15 +659,12 @@ def optimize_constraint1_many(
     """Minimize the MU-family bound on R1 + mu*R2 over the genie parameters,
     at each weight of ``mus``; one line per weight, in order.
 
-    Each line is exactly ``optimize_constraint1(ch, mu)``: the same grid
-    probes and starts per weight, and the same winner.  The probe grid of
-    each side of weight 1 is evaluated at all of that side's weights in one
-    objective call, and the pattern searches of all (weight, start) pairs,
-    about 4 per weight, run in lockstep: each search step is one objective
-    call that polls the 19 moves of every live lane, so the searches of a
-    65-weight region take at most 300 calls, the poll cap of one lane: each
-    lane starts at its probe's value.  FIG1's default region takes 57 calls
-    in all, against 2,757 as 65 separate calls.
+    Each line is exactly ``optimize_constraint1(ch, mu)``.  The probe grid of
+    each side of weight 1 takes one objective call for all of that side's
+    weights, and the pattern searches of all (weight, start) pairs run in
+    lockstep, one call a poll of 9 moves per live lane, so a 65-weight
+    region takes at most 300 polls.  FIG1's default region takes 42 calls
+    in all, against 2,270 as 65 separate calls.
     """
     _require_regime(ch)
     return _mu_lines((ch, mu) for mu in mus)
@@ -671,20 +676,16 @@ def optimize_constraint1(ch: TwoUserChannel, mu: float) -> SupportingLine:
     When mu == 1 and the channel has noisy interference, the line is the
     closed-form certificate (``capacity.noisy_certificate``), whose value is
     the single-user-detection sum rate up to rounding: one objective call
-    and no search.  Otherwise a deterministic multi-start search over
-    (rho1, rho2, free variance), with the capped variance in closed form
-    (``_MuObjective.place``): a coarse feasible grid (8 points per
-    coordinate, the variance log-spaced, plus a 16 x 16 manifold), then a
-    pattern search (``_pattern_search``) from the 4 best grid points.  The
-    searches run in lockstep, each step one objective call that polls 19
-    moves per start, so a weight costs as many calls as its longest search
-    (at most 301; median 42 on FIG1's default weights).  The result is
-    always an upper bound on R1 + mu*R2 (every probe is feasible) and never
-    exceeds the bound at any probed point.
-
-    Equal to ``optimize_constraint1_many(ch, (mu,))[0]``; searching many
-    weights in one optimize_constraint1_many call is much faster than one
-    call per weight.
+    and no search.  Otherwise both variances are solved at each pair of
+    correlations (``_MuObjective.place``), and a deterministic search runs
+    over (rho1, rho2): 320 probes (8 x 8 pairs plus a 16 x 16 manifold),
+    then a pattern search (``_pattern_search``) from the 4 best, each poll
+    one objective call of 9 moves per start, so a weight costs as many calls
+    as its longest search (at most 301; median 35 on FIG1's default
+    weights).  The line is an upper bound on R1 + mu*R2 (every probe is
+    feasible) and never exceeds the bound at any probed point.  Equal to
+    ``optimize_constraint1_many(ch, (mu,))[0]``, which is much faster for
+    many weights.
     """
     return _mu_lines(((ch, mu),))[0]
 
@@ -696,13 +697,11 @@ def sum_upper_bounds(channels) -> tuple[float | None, ...]:
     The MU family is evaluated at weight 1; the one-sided families
     contribute at the admissible weight closest to 1 (weights >= 1 bound the
     sum directly, weights < 1 need the R2 cap to top up).  Noisy-interference
-    channels take their closed-form certificates, all evaluated in one
-    objective call; every other channel's probe grid takes one call, and
-    their weight-1 MU searches run as one lockstep pattern search from the
-    probes' values, each of whose objective calls polls the 19 moves of
-    every channel's lanes, so the searches cost as many objective calls as
-    the longest of them polls, not the sum over the channels.  Each bound
-    equals ``sum_upper_bound`` of its channel.
+    channels take their closed-form certificates, in one objective call;
+    every other channel's probe grid takes one call, and their weight-1
+    searches run as one lockstep pattern search, so they cost as many polls
+    as the longest of them.  Each bound equals ``sum_upper_bound`` of its
+    channel.
     """
     channels = tuple(channels)
     regime = [0.0 < ch.a < 1.0 and 0.0 < ch.b < 1.0 for ch in channels]

@@ -125,7 +125,7 @@ def clamp(obj: _MuObjective, x: np.ndarray) -> np.ndarray:
     into the feasibility box of ``obj``: the correlations into [0,
     _RHO_MAX], then the variances clipped by ``_MuObjective._boxed``."""
     r_a, r_b = np.minimum(np.maximum(x[:2], 0.0), _RHO_MAX)
-    return obj._boxed(r_a, r_b, x[2], x[3], _gap(r_a), _gap(r_b))
+    return np.array(obj._boxed(r_a, r_b, x[2], x[3], _gap(r_a), _gap(r_b)))
 
 
 def reference_mu_bound(ch, mu: float, x: np.ndarray):

@@ -665,8 +665,8 @@ CERT_OVERFLOW_ARGS = [
 ]
 CERT_OVERFLOW_SWEEP = ["sweep", *CERT_OVERFLOW_ARGS, "--param", "p1",
                        "--from", "1e77", "--to", "1.5086127220011277e+77", "--points", "2"]
-# s1 = (k1 + root)/(2b) overflows at this b; the tiny gain also overflows
-# the MU bound at every genie probe.
+# s1 = (k1 + root)/(2b) overflows at this b, and so does the ETA1 weight
+# range that a sum-upper sweep reads.
 TINY_B_ARGS = ["--a", "0.1", "--b", "1e-320", "--p1", "1", "--p2", "1"]
 TINY_B_SWEEP = ["sweep", *TINY_B_ARGS, "--param", "p1", "--from", "1", "--to", "2", "--points", "2"]
 
@@ -700,11 +700,17 @@ class TestCertificateOverflow:
         assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["NOISY_INTERFERENCE"] * 2
 
     def test_probe_overflow_names_the_channel(self, capsys):
-        # The tiny gain, not the powers, overflows the bound at every probe.
-        code, out, err = run(capsys, *TINY_B_SWEEP, "--metric", "sum-upper")
+        # Powers past about 1e154 overflow the bound at every probe.  (The
+        # tiny gain b = 1e-320 no longer does: the probes solve the free
+        # variance rather than scale it by (1 - r_B^2)/b, which overflowed.)
+        code, out, err = run(
+            capsys, "sweep", "--a", "0.01", "--b", "0.01", "--p1", "1e200", "--p2", "1e200",
+            "--param", "p1", "--from", "1e200", "--to", "2e200", "--points", "2",
+            "--metric", "sum-upper",
+        )
         assert (code, out) == (1, "")
         assert err == ("error: the MU bound overflows at every genie probe on the channel "
-                       "a=0.1, b=1e-320, p1=1.0, p2=1.0\n")
+                       "a=0.01, b=0.01, p1=1e+200, p2=1e+200\n")
 
     def test_sum_upper_falls_back_to_the_search(self, capsys):
         # The genie search needs no certificate: it bounds the channel by

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
@@ -393,11 +393,11 @@ class TestOptimizeConstraint1Many:
                 assert in_exact_box(ch, mu, GenieParams(*point)), (entry["channel"], mu)
 
     def test_default_region_call_budget(self, monkeypatch):
-        # The certificate, one probe grid per side of weight 1 and 54
+        # The certificate, one probe grid per side of weight 1 and 39
         # polls.
         calls = count_objective_calls(monkeypatch)
         build_outer_region(FIG1)
-        assert calls[0] == 57
+        assert calls[0] == 42
 
     @given(GAINS, GAINS, POWERS, POWERS, st.lists(WEIGHTS, min_size=1, max_size=3))
     def test_lines_are_feasible_bounds_above_weighted_tin(self, a, b, p1, p2, mus):
@@ -518,29 +518,40 @@ def test_judge_search_finds_at_most_a_micro_bit_below_any_line():
 
 class TestPatternSearch:
     @given(GAINS, GAINS, POWERS, POWERS, st.one_of(WEIGHTS, st.just(1.0)),
-           st.floats(0.0, RHO_MAX), st.floats(0.0, RHO_MAX), st.floats(-20.0, 20.0))
-    def test_closed_form_capped_variance_beats_a_scan(self, a, b, p1, p2, mu, r, w, t):
-        # At the correlations and free variance of any search point, the
-        # capped variance that ``place`` puts in closed form is no worse
-        # than any of 2,001 log-spaced values from the variance floor to the
-        # cap, up to 1e-12 relative plus 1e-15 bits: near 1e-6 bits the
-        # float bound's own rounding, about 1e-16 bits a log term, exceeds
-        # 1e-12 relative.
-        # Points are in the objective's (A, B) order: the capped variance
-        # s_B is row 3 on both sides of weight 1.
+           st.floats(0.0, RHO_MAX), st.floats(0.0, RHO_MAX))
+    @example(0.04, 0.09, 10.0, 20.0, 1.1, 0.99, 0.05)  # the left branch
+    @example(0.04, 0.09, 10.0, 20.0, 2.0, 0.9, 0.1)  # the middle branch, L > 0
+    @example(0.04, 0.09, 10.0, 20.0, 2.0, 0.5, 0.5)  # the middle branch, L = 0
+    @example(0.04, 0.09, 100.0, 20.0, 64.0, 0.5, 0.5)  # the right branch, L = 0
+    @example(0.3, 0.3, 7.0, 7.0, 1.0, 0.9, 0.3)  # weight 1, the lower form
+    @example(0.3, 0.9, 7.0, 7.0, 1.0, 0.95, 0.3)  # weight 1, r_A^2 > R
+    def test_closed_form_capped_variance_beats_a_scan(self, a, b, p1, p2, mu, r, w):
+        # At the correlations of any search point, each variance that
+        # ``place`` solves, the capped one in closed form and the free one by
+        # its branch forms, is no worse than any of 2,001 log-spaced values
+        # from the variance floor to the cap, or to 10*max(p1, p2, 1/a, 1/b)
+        # for the free one, up to 1e-12 relative plus 1e-15 bits: near 1e-6
+        # bits the float bound's own rounding, about 1e-16 bits a log term,
+        # exceeds 1e-12 relative.  The free variance's middle branch takes
+        # 64 Newton steps from 1.
+        # Points are in the objective's (A, B) order: the free variance s_A
+        # is row 2 and the capped one s_B row 3 on both sides of weight 1.
         obj = genie._MuObjective(a, b, p1, p2, mu)
         with np.errstate(all="ignore"):
-            point = obj.place(np.array([[r], [w], [t]]))
+            point, value = obj.solve(np.array([[r], [w]]), 1.0, steps=64)
             cap = clamp(obj, np.array([point[0], point[1], [np.inf], [np.inf]]))[3, 0]
-            scan = np.repeat(point, 2001, axis=1)
-            scan[3] = np.geomspace(1e-6, cap, 2001)
-            best = obj(clamp(obj, scan)).min()
-            assert obj(point)[0] <= best + 1e-12 * abs(best) + 1e-15
+            tops = {2: 10.0 * max(p1, p2, 1.0 / a, 1.0 / b), 3: cap}
+            for row, top in tops.items():
+                scan = np.repeat(point, 2001, axis=1)
+                scan[row] = np.geomspace(1e-6, top, 2001)
+                best = obj(clamp(obj, scan)).min()
+                assert value[0] <= best + 1e-12 * abs(best) + 1e-15, row
 
     def test_ends_are_clamped_values_no_worse_than_starts(self):
         # Lanes of two channels at weights below, at and above 1, from
         # starts inside the box and from the projections into it of points
-        # past its correlation bounds and past both variance bounds.
+        # past its correlation bounds and past both variance bounds, every
+        # other lane in the swapped coordinates.
         lanes, starts = [], []
         for ch in (FIG1, sample_regime_channel(np.random.default_rng(1))):
             for mu in (0.4, 1.0, 2.5):
@@ -554,7 +565,8 @@ class TestPatternSearch:
         with np.errstate(all="ignore"):
             x = clamp(obj, starts)
             start_values = obj(x)
-            values, points = genie._pattern_search(obj, x, start_values)
+            swapped = np.arange(len(lanes)) % 2 == 1
+            values, points = genie._pattern_search(obj, x, start_values, swapped)
             assert np.array_equal(clamp(obj, points), points)
             assert np.array_equal(obj(points), values)
             assert np.all(values < start_values)
@@ -633,9 +645,8 @@ class TestWeightOneBranch:
         # Box points from ``clamp``, their free variance at weight 1's kink
         # R = (1 - r_B^2)/b, or one float off it, or log-uniform.  Each
         # weight's own objective gives the values, effective powers and
-        # kink choices (``nearer_left``) of that weight's entries of one
-        # mixed objective; at weight 1 the kink choice does not matter:
-        # ``place`` lands on the same points from either.
+        # ``place``d points, from the box points' coordinates and free
+        # variances, of that weight's entries of one mixed objective.
         columns = []
         for r_a, r_b, kind, toward, log_free, log_capped in points:
             free = (1.0 - r_b) * (1.0 + r_b) / b if kind == "R" else math.exp(log_free)
@@ -646,8 +657,10 @@ class TestWeightOneBranch:
         mixed = genie._MuObjective(a, b, p1, p2, np.repeat(self.MIXED, n))
         with np.errstate(all="ignore"):
             x = clamp(mixed, np.tile(raw, len(self.MIXED)))
-            values, (p_a, p_b), at_left = mixed(x), mixed.effective(x), mixed.nearer_left(x)
+            values, (p_a, p_b) = mixed(x), mixed.effective(x)
             p_b = np.broadcast_to(p_b, values.shape)
+            y = np.array([x[0], x[1] * np.sqrt(x[4])])
+            placed = mixed.place(y.copy(), x[2], np.False_, 1)
             for k, mu in enumerate(self.MIXED):
                 part = slice(k * n, (k + 1) * n)
                 single = genie._MuObjective(a, b, p1, p2, np.full(n, mu))
@@ -657,15 +670,25 @@ class TestWeightOneBranch:
                 assert same_bits(single(xs), values[part])
                 assert same_bits(single_p_a, p_a[part])
                 assert same_bits(np.broadcast_to(single_p_b, (n,)), p_b[part])
-                if mu != 1.0:
-                    assert same_bits(single.nearer_left(xs), at_left[part])
-            one = genie._MuObjective(a, b, p1, p2, np.ones(n))
-            y = one.coordinates(clamp(one, raw))
-            placed = []
-            for left in (True, False):
-                one.at_left = np.full(n, left)
-                placed.append(one.place(y.copy()))
-            assert same_bits(*placed)
+                single_placed = single.place(y[:, part].copy(), xs[2], np.False_, 1)
+                for row, single_row in zip(placed, single_placed):
+                    assert same_bits(single_row, row[..., part])
+
+
+class TestWeightOneStarts:
+    def test_swapped_lane_closes_the_valley(self):
+        # At weight 1 the least bound of this channel lies in a curved valley
+        # of (r_A, r_B*sqrt(1 - r_A^2)), where the lower form of s_A leaves
+        # L: a lane in those coordinates stalls 5.35e-9 relative above the
+        # former three-coordinate search's 17.413903135567743 bits, and the
+        # lane in the swapped coordinates, where the valley is a line, ends
+        # below it.
+        ch = TwoUserChannel(
+            1.1787339305191517e-05, 0.000109131778183958, 30493809332.55266, 20.55897232849371
+        )
+        line = optimize_constraint1(ch, 1.0)
+        assert line.value <= 17.413903135567743
+        assert in_exact_box(ch, 1.0, line.genie)
 
 
 class TestTailChannel:
@@ -676,7 +699,7 @@ class TestTailChannel:
         pinned = json.loads((Path(__file__).parent / "data" / "mu_tail.json").read_text())
         calls = count_objective_calls(monkeypatch)
         region = build_outer_region(TwoUserChannel(*pinned["channel"]))
-        assert calls[0] == 55
+        assert calls[0] == 52
         (line,) = [ln for ln in region.lines if ln.weight == pinned["weight"]]
         g = line.genie
         assert line.value == pinned["value"]
@@ -704,11 +727,11 @@ class TestSumUpperBounds:
 
     def test_objective_call_count(self, monkeypatch):
         # The 2 certificate points in one call, then 1 probe grid and the
-        # search's 33 polls; one search per channel pays its own probe grid
+        # search's 32 polls; one search per channel pays its own probe grid
         # and polls each time.
         calls = count_objective_calls(monkeypatch)
         sum_upper_bounds(self.CHANNELS)
-        assert calls[0] == 35
+        assert calls[0] == 34
         batched = calls[0]
         for ch in self.CHANNELS:
             sum_upper_bound(ch)
