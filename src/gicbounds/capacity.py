@@ -157,6 +157,19 @@ def mixed_condition(ch: TwoUserChannel) -> tuple[bool, float]:
     return False, math.inf
 
 
+def _verdict_kind(ch: TwoUserChannel) -> tuple[VerdictKind, dict[str, float]]:
+    """The verdict kind of ``ch`` and its condition slacks, by ``classify``'s
+    priority, from the two conditions alone: no certificate is built."""
+    noisy_holds, noisy_slack = noisy_condition(ch)
+    mixed_holds, mixed_slack = mixed_condition(ch)
+    if noisy_holds:
+        one_sided = ch.a == 0.0 or ch.b == 0.0
+        kind = VerdictKind.ZIC_NOISY if one_sided else VerdictKind.NOISY_INTERFERENCE
+    else:
+        kind = VerdictKind.MIXED_CORNER if mixed_holds else VerdictKind.UNKNOWN
+    return kind, {"noisy": noisy_slack, "mixed": mixed_slack}
+
+
 def classify(ch: TwoUserChannel) -> CapacityVerdict:
     """Dispatch to the known sum-rate capacity regimes.
 
@@ -164,34 +177,24 @@ def classify(ch: TwoUserChannel) -> CapacityVerdict:
     channels, reported as ZIC_NOISY and carrying no genie certificate),
     then the mixed corner, else UNKNOWN; a certificate that overflows is None.
     """
-    noisy_holds, noisy_slack = noisy_condition(ch)
-    mixed_holds, mixed_slack = mixed_condition(ch)
-    slacks = {"noisy": noisy_slack, "mixed": mixed_slack}
-
-    if noisy_holds:
-        one_sided = ch.a == 0.0 or ch.b == 0.0
-        return CapacityVerdict(
-            kind=VerdictKind.ZIC_NOISY if one_sided else VerdictKind.NOISY_INTERFERENCE,
-            sum_capacity=tin_rates(ch).sum,
-            certificate=_certificate(ch),
-            condition_slack=noisy_slack,
-            slacks=slacks,
-        )
-
-    if mixed_holds:
+    kind, slacks = _verdict_kind(ch)
+    if kind is VerdictKind.UNKNOWN:
+        return CapacityVerdict(kind=kind, condition_slack=min(slacks.values()), slacks=slacks)
+    if kind is VerdictKind.MIXED_CORNER:
         # Oriented so that a > 1: user 1, whose receiver sees the strong
         # crosstalk, sends at its single-user rate; user 2 treats it as noise.
         strong = ch if ch.a > 1.0 else ch.swapped()
         return CapacityVerdict(
-            kind=VerdictKind.MIXED_CORNER,
+            kind=kind,
             sum_capacity=single_user_capacities(strong).r1 + tin_rates(strong).r2,
-            condition_slack=mixed_slack,
+            condition_slack=slacks["mixed"],
             slacks=slacks,
         )
-
     return CapacityVerdict(
-        kind=VerdictKind.UNKNOWN,
-        condition_slack=min(noisy_slack, mixed_slack),
+        kind=kind,
+        sum_capacity=tin_rates(ch).sum,
+        certificate=_certificate(ch),
+        condition_slack=slacks["noisy"],
         slacks=slacks,
     )
 

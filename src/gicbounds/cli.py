@@ -155,7 +155,7 @@ def _point_metric(ch: TwoUserChannel, metric: str) -> str:
     if metric == "tdm-best":
         # Orthogonal sharing peaks at alpha = p1/(p1 + p2).
         return _fmt(_rate(ch.p1 + ch.p2))
-    return capacity.classify(ch).kind.value  # verdict
+    return capacity._verdict_kind(ch)[0].value  # verdict
 
 
 def sweep_rows(

@@ -152,10 +152,14 @@ def user1_genie_bound(ch: TwoUserChannel, rho1: float, sigma1: float) -> float:
 
 
 def eta1_range(ch: TwoUserChannel) -> tuple[float, float]:
-    """Admissible weight interval [(1+b*p1)/(b+b*p1), 1/b] for the ETA1 family."""
+    """Admissible weight interval [(1+b*p1)/(b+b*p1), 1/b] for the ETA1 family,
+    whose top is +inf at b <= 2^-1024; ValueError where its bottom is too."""
     if not 0.0 < ch.b < 1.0:
         raise ValueError(f"ETA1 family requires 0 < b < 1, got b={ch.b}")
-    return (1.0 + ch.b * ch.p1) / (ch.b + ch.b * ch.p1), 1.0 / ch.b
+    lo = (1.0 + ch.b * ch.p1) / (ch.b + ch.b * ch.p1)
+    if lo == math.inf:
+        raise ValueError(f"the ETA1 weights, up to 1/b, overflow a float at b={ch.b}")
+    return lo, 1.0 / ch.b
 
 
 def eta2_range(ch: TwoUserChannel) -> tuple[float, float]:
@@ -236,6 +240,10 @@ _NEWTON_REACH = math.log(4.0)  # longest Newton step of the free variance, in lo
 _PROBE_STEPS = 4  # Newton steps at a probe, from s_A = 1; a lane takes 1 per poll
 _CAP_SHRINK = 1.0 - 2.0**-50  # rounds a float variance cap into the exact box
 _MAX_SHRINKS = math.floor(math.log(_FIRST_STEP / _STEP_FLOOR, 4))  # shrinks of a live lane
+# Most points (18 a lane) of a search call that also polls as if each poll fails.  Weight-1
+# calls of 117, 234, 1,008 and 2,016 points took 136, 161, 244 and 354 us (2-core Xeon):
+# doubling a poll costs x1.19 when small but x1.45 past 1,000 points, more than it saves.
+_SPECULATE_POINTS = 1024
 
 
 # The pattern search's 8 unit moves, as columns: the 4 axis moves, then the 4
@@ -320,9 +328,10 @@ class _MuObjective:
         self.roof = 2.0**1000 / (self.p_a + self.tight_a)
 
     @classmethod
-    def of(cls, requests) -> "_MuObjective":
-        """One entry per (channel, mu) request."""
-        return cls(*np.array([(ch.a, ch.b, ch.p1, ch.p2, mu) for ch, mu in requests]).T)
+    def of(cls, requests, column=False) -> "_MuObjective":
+        """One entry per (channel, mu) request; as a column if ``column``."""
+        values = np.array([(ch.a, ch.b, ch.p1, ch.p2, mu) for ch, mu in requests]).T
+        return cls(*(values[:, :, None] if column else values))
 
     def order(self, x) -> np.ndarray:
         """Rows of ``x`` in pairs (user 1, user 2) as pairs (A, B), or pairs
@@ -512,44 +521,63 @@ def _pattern_search(
 
     A lane moves in ``place``'s coordinates, swapped at the lanes
     ``swapped``, and its free variance warm-starts each polled point's.  A
-    poll is one objective call: for every live lane, the 8 moves of
-    ``_POLL`` scaled by its step, and twice its last accepted move (Hooke
-    and Jeeves' pattern move; after a failed poll, the lane's own point, one
-    Newton step on).  The lane takes its best strict improvement, or its
-    step, first 0.15, shrinks by 4; it stops below _STEP_FLOOR or after
-    _POLL_CAP polls.  Every polled point is ``place``d in the box, so every
-    end is a valid bound.  Ends are written out, and the live lanes'
-    constants gathered again (``take``), only when a lane stops.
+    poll is, for every live lane, the 8 moves of ``_POLL`` scaled by its
+    step, and twice its last accepted move (Hooke and Jeeves' pattern move;
+    after a failed poll, the lane's own point, one Newton step on).  The
+    lane takes its best strict improvement, or its step, first 0.15, shrinks
+    by 4; it stops below _STEP_FLOOR or after _POLL_CAP polls.  Every polled
+    point is ``place``d in the box, so every end is a valid bound.  Ends are
+    written out, and the live lanes' constants gathered again (``take``),
+    only when a lane stops.
+
+    One objective call evaluates every live lane's poll and, while polls are
+    small (_SPECULATE_POINTS), its next poll as if this one fails: the 8
+    moves at a quarter of the step and its own point, same warm start, taken
+    in the same call if it does.  Counting its own polls and shrinks, each
+    lane polls the points, and ends at the bits, of one poll a call.
     """
     out_val, out_x = val.copy(), x.copy()
     ids = lane = np.arange(x.shape[1])  # lane of each live entry; its position
-    shrinks = np.zeros(ids.size)
+    shrinks, polls = np.zeros(ids.size), np.zeros(ids.size)
     moved = np.zeros((2, ids.size))  # each lane's last accepted move; 0 after a failed poll
     moves = _POLL.shape[1] + 1
     outer, other = _mirror(swapped, x[0], x[1])
     y = np.array([outer, other * np.sqrt(_mirror(swapped, x[4], x[5])[0])])
     charts = swapped[:, None] if swapped.any() else np.False_  # against each lane's moves
-    # Constants spread over each lane's moves: operands of one shape, numpy's fast loops.
-    polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)))
-    for _ in range(_POLL_CAP):
-        # Candidates are (2, live lanes, moves): the scaled poll moves, then
-        # the pattern move, each from its lane's point.
-        steps = _FIRST_STEP * 0.25**shrinks
-        cand = np.empty((2, ids.size, moves))
-        np.multiply(steps[:, None], _POLL[:, None, :], out=cand[:, :, :-1])
-        np.multiply(moved, 2.0, out=cand[:, :, -1])
+    polled = None
+    while True:
+        # Candidates are (2, live lanes, width): the scaled poll moves, then
+        # the pattern move, each from its lane's point; speculating, then the
+        # next poll's scaled moves and the lane's point.
+        width = 2 * moves if 2 * moves * ids.size <= _SPECULATE_POINTS else moves
+        if polled is None or polled.one.shape != (ids.size, width):
+            # Constants spread over each lane's candidates: operands of one shape, numpy's fast loops.
+            polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, width)))
+        steps = (_FIRST_STEP * 0.25**shrinks)[:, None]
+        cand = np.empty((2, ids.size, width))
+        np.multiply(steps, _POLL[:, None, :], out=cand[:, :, :moves - 1])
+        np.multiply(moved, 2.0, out=cand[:, :, moves - 1])
+        if width > moves:  # the next poll's step: a quarter, exactly
+            np.multiply(steps * 0.25, _POLL[:, None, :], out=cand[:, :, moves:-1])
+            cand[:, :, -1] = 0.0
         cand += y[:, :, None]
         cand_x, cand_val = polled.solve(cand, x[2][:, None], charts)
-        best = cand_val.argmin(axis=1)
-        best_val = cand_val[lane, best]
-        better = best_val < val
-        chosen = cand[:, lane, best]
+        best = cand_val[:, :moves].argmin(axis=1)
+        better = cand_val[lane, best] < val
+        shrinks += ~better
+        polls += 1
+        if width > moves:  # lanes that failed and are live take the speculative poll
+            again = ~better & (shrinks <= _MAX_SHRINKS) & (polls < _POLL_CAP)
+            best = np.where(again, moves + cand_val[:, moves:].argmin(axis=1), best)
+            better = cand_val[lane, best] < val
+            shrinks += again & ~better
+            polls += again
+        best_val, chosen = cand_val[lane, best], cand[:, lane, best]
         moved = np.where(better, chosen - y, 0.0)
         y = np.where(better, chosen, y)
         x = np.where(better, cand_x[:, lane, best], x)
         val = np.where(better, best_val, val)
-        shrinks += ~better
-        live = shrinks <= _MAX_SHRINKS
+        live = (shrinks <= _MAX_SHRINKS) & (polls < _POLL_CAP)
         if live.all():
             continue
         if not live.any():
@@ -557,8 +585,7 @@ def _pattern_search(
         out_val[ids[~live]], out_x[:, ids[~live]] = val[~live], x[:, ~live]
         ids, x, y, val, swapped = ids[live], x[:, live], y[:, live], val[live], swapped[live]
         charts = swapped[:, None] if swapped.any() else np.False_
-        shrinks, moved, lane = shrinks[live], moved[:, live], np.arange(ids.size)
-        polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)))
+        shrinks, polls, moved, lane = shrinks[live], polls[live], moved[:, live], np.arange(ids.size)
     out_val[ids], out_x[:, ids] = val, x
     return out_val, out_x
 
@@ -581,10 +608,11 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     request starts a lane of one pattern search (``_pattern_search``) at
     each of its 4 best finite probes, ties in probe order, with its value
     there, and one more, swapped, at the best near s_A's kink at weight 1;
-    the first of the best ends wins.  The probes of each (channel, mu >= 1) pair, a side,
-    take one objective call, the side's weights as a column.  ValueError
-    where the bound overflows at every probe: at powers past about 1e154, or
-    at a gain near the float floor.
+    the first of the best ends wins.  The probes of all searched requests on
+    one side of weight 1 (mu >= 1, or mu < 1) take one objective call, the
+    requests' constants as columns: a sum-upper sweep probes in one call, a
+    region in two.  ValueError where the bound overflows at every probe: at
+    powers past about 1e154, or at a gain near the float floor.
     """
     requests = tuple(requests)
     for ch, mu in requests:
@@ -603,17 +631,17 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
             xs = _with_gaps(certified.order(points))
             for i, val, x in zip(tight, certified(xs).tolist(), xs.T):
                 best[i] = (val, x)
-        sides: dict[tuple[TwoUserChannel, bool], list[int]] = {}
-        for i, (ch, mu) in enumerate(requests):
+        sides: dict[bool, list[int]] = {}
+        for i, (_, mu) in enumerate(requests):
             if best[i] is None:
-                sides.setdefault((ch, mu >= 1.0), []).append(i)
+                sides.setdefault(mu >= 1.0, []).append(i)
         lanes, starts, firsts = [], [], []  # each lane's request and (value, box point) start
-        for (ch, _), side in sides.items():
-            probed = _MuObjective(ch.a, ch.b, ch.p1, ch.p2, [[requests[i][1]] for i in side])
-            grid, vals = _probe_grid(probed)
+        for side in sides.values():
+            grid, vals = _probe_grid(_MuObjective.of([requests[i] for i in side], column=True))
             for k, (i, row, ranked) in enumerate(zip(side, vals, np.argsort(vals, kind="stable")[:, :4])):
                 finite = [(float(row[j]), grid[:, k, j]) for j in ranked if math.isfinite(row[j])]
                 if not finite:
+                    ch = requests[i][0]
                     raise ValueError(f"the MU bound overflows at every genie probe on the channel "
                                      f"a={ch.a}, b={ch.b}, p1={ch.p1}, p2={ch.p2}")
                 firsts.append(len(lanes))
@@ -662,9 +690,10 @@ def optimize_constraint1_many(
     Each line is exactly ``optimize_constraint1(ch, mu)``.  The probe grid of
     each side of weight 1 takes one objective call for all of that side's
     weights, and the pattern searches of all (weight, start) pairs run in
-    lockstep, one call a poll of 9 moves per live lane, so a 65-weight
-    region takes at most 300 polls.  FIG1's default region takes 42 calls
-    in all, against 2,270 as 65 separate calls.
+    lockstep, one call a poll of 9 moves per live lane (two polls once few
+    lanes are live, see ``_pattern_search``), so a 65-weight region takes at
+    most 300 search calls.  FIG1's default region takes 41 calls in all,
+    against 1,426 as 65 separate calls.
     """
     _require_regime(ch)
     return _mu_lines((ch, mu) for mu in mus)
@@ -679,13 +708,13 @@ def optimize_constraint1(ch: TwoUserChannel, mu: float) -> SupportingLine:
     and no search.  Otherwise both variances are solved at each pair of
     correlations (``_MuObjective.place``), and a deterministic search runs
     over (rho1, rho2): 320 probes (8 x 8 pairs plus a 16 x 16 manifold),
-    then a pattern search (``_pattern_search``) from the 4 best, each poll
-    one objective call of 9 moves per start, so a weight costs as many calls
-    as its longest search (at most 301; median 35 on FIG1's default
-    weights).  The line is an upper bound on R1 + mu*R2 (every probe is
-    feasible) and never exceeds the bound at any probed point.  Equal to
-    ``optimize_constraint1_many(ch, (mu,))[0]``, which is much faster for
-    many weights.
+    then a pattern search (``_pattern_search``) from the 4 best, each call
+    a poll of 9 moves per start and, speculatively, the next poll if it
+    fails, so a weight costs as many calls as its longest search (at most
+    301; median 22 on FIG1's default weights).  The line is an upper bound
+    on R1 + mu*R2 (every probe is feasible) and never exceeds the bound at
+    any probed point.  Equal to ``optimize_constraint1_many(ch, (mu,))[0]``,
+    which is much faster for many weights.
     """
     return _mu_lines(((ch, mu),))[0]
 
@@ -698,10 +727,11 @@ def sum_upper_bounds(channels) -> tuple[float | None, ...]:
     contribute at the admissible weight closest to 1 (weights >= 1 bound the
     sum directly, weights < 1 need the R2 cap to top up).  Noisy-interference
     channels take their closed-form certificates, in one objective call;
-    every other channel's probe grid takes one call, and their weight-1
-    searches run as one lockstep pattern search, so they cost as many polls
-    as the longest of them.  Each bound equals ``sum_upper_bound`` of its
-    channel.
+    all other channels' probe grids take one more, and their weight-1
+    searches run as one lockstep pattern search, so they cost as many calls
+    as the longest of them, each call a poll and, while few lanes are live,
+    the poll that follows if it fails.  Each bound equals
+    ``sum_upper_bound`` of its channel.
     """
     channels = tuple(channels)
     regime = [0.0 < ch.a < 1.0 and 0.0 < ch.b < 1.0 for ch in channels]

@@ -166,8 +166,8 @@ def build_outer_region(
     mus = sorted(set(np.exp2(np.linspace(-6.0, 6.0, mu_grid)).tolist()) | {1.0})
     lines = list(optimize_constraint1_many(ch, mus))
     lo1, hi1 = eta1_range(ch)
-    if max(lo1, hi1) == math.inf:
-        raise ValueError(f"the ETA1 weights, up to 1/b, overflow a float at b={ch.b}")
+    if hi1 == math.inf:
+        raise ValueError(f"the ETA1 weight grid's top, 1/b, overflows a float at b={ch.b}")
     # Python floats: a value that overflows reaches SupportingLine's check silently.
     lines += [eval_constraint2(ch, w) for w in np.linspace(lo1, hi1, eta_grid).tolist()]
     lo2, hi2 = eta2_range(ch)

@@ -1,9 +1,9 @@
 """Shared helpers for the test suite: channel samplers (one over the north
 star's domain, one near the noisy boundary), geometry checks, an MU
-objective call counter, a projection into the MU feasibility box, the
-reference MU bound in user order, the reference m-user grid scan, a
-Newton system counter, a probe counter and the stopping certificate of
-the m-user phase-I solve."""
+objective call counter, a projection into the MU feasibility box, the MU
+pattern search with one poll per call, the reference MU bound in user
+order, the reference m-user grid scan, a Newton system counter, a probe
+counter and the stopping certificate of the m-user phase-I solve."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gicbounds import TwoUserChannel, noisy_condition
 from gicbounds.channel import _gap
-from gicbounds.genie import _RHO_MAX, _MuObjective
+from gicbounds.genie import _FIRST_STEP, _MAX_SHRINKS, _POLL, _POLL_CAP, _RHO_MAX, _MuObjective, _mirror
 from gicbounds.multiuser import _Conditions, _heuristic_seed, _phase_one
 
 
@@ -126,6 +126,55 @@ def clamp(obj: _MuObjective, x: np.ndarray) -> np.ndarray:
     _RHO_MAX], then the variances clipped by ``_MuObjective._boxed``."""
     r_a, r_b = np.minimum(np.maximum(x[:2], 0.0), _RHO_MAX)
     return np.array(obj._boxed(r_a, r_b, x[2], x[3], _gap(r_a), _gap(r_b)))
+
+
+def reference_pattern_search(
+    obj: _MuObjective, x: np.ndarray, val: np.ndarray, swapped: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``genie._pattern_search``, which may evaluate a lane's
+    next poll in the same objective call: the same search with exactly one
+    poll per call, each lane polling as often as the loop runs.  Every lane
+    must end at the same bits under both."""
+    out_val, out_x = val.copy(), x.copy()
+    ids = lane = np.arange(x.shape[1])  # lane of each live entry; its position
+    shrinks = np.zeros(ids.size)
+    moved = np.zeros((2, ids.size))  # each lane's last accepted move; 0 after a failed poll
+    moves = _POLL.shape[1] + 1
+    outer, other = _mirror(swapped, x[0], x[1])
+    y = np.array([outer, other * np.sqrt(_mirror(swapped, x[4], x[5])[0])])
+    charts = swapped[:, None] if swapped.any() else np.False_  # against each lane's moves
+    # Constants spread over each lane's moves: operands of one shape, numpy's fast loops.
+    polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)))
+    for _ in range(_POLL_CAP):
+        # Candidates are (2, live lanes, moves): the scaled poll moves, then
+        # the pattern move, each from its lane's point.
+        steps = _FIRST_STEP * 0.25**shrinks
+        cand = np.empty((2, ids.size, moves))
+        np.multiply(steps[:, None], _POLL[:, None, :], out=cand[:, :, :-1])
+        np.multiply(moved, 2.0, out=cand[:, :, -1])
+        cand += y[:, :, None]
+        cand_x, cand_val = polled.solve(cand, x[2][:, None], charts)
+        best = cand_val.argmin(axis=1)
+        best_val = cand_val[lane, best]
+        better = best_val < val
+        chosen = cand[:, lane, best]
+        moved = np.where(better, chosen - y, 0.0)
+        y = np.where(better, chosen, y)
+        x = np.where(better, cand_x[:, lane, best], x)
+        val = np.where(better, best_val, val)
+        shrinks += ~better
+        live = shrinks <= _MAX_SHRINKS
+        if live.all():
+            continue
+        if not live.any():
+            break
+        out_val[ids[~live]], out_x[:, ids[~live]] = val[~live], x[:, ~live]
+        ids, x, y, val, swapped = ids[live], x[:, live], y[:, live], val[live], swapped[live]
+        charts = swapped[:, None] if swapped.any() else np.False_
+        shrinks, moved, lane = shrinks[live], moved[:, live], np.arange(ids.size)
+        polled = obj.take(np.broadcast_to(ids[:, None], (ids.size, moves)))
+    out_val[ids], out_x[:, ids] = val, x
+    return out_val, out_x
 
 
 def reference_mu_bound(ch, mu: float, x: np.ndarray):

@@ -274,6 +274,18 @@ class TestRegionCommand:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    def test_overflowing_grid_top_is_one_error_line(self, capsys):
+        # 1/b overflows while the lower ETA1 weight does not: the region's
+        # weight grid cannot reach its top, but a sum-upper sweep, which
+        # reads only the lower weight, bounds the channel.
+        args = ["--a", "0.1", "--b", "1e-310", "--p1", "1e10", "--p2", "1"]
+        code, out, err = run(capsys, "region", *args, "--mu-grid", "5", "--eta-grid", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: the ETA1 weight grid's top, 1/b, overflows a float at b=1e-310\n"
+        code, out, err = run(capsys, "sweep", *args, "--param", "p2", "--from", "1", "--to", "2",
+                             "--points", "2", "--metric", "sum-upper")
+        assert (code, err) == (0, "") and "n/a" not in out
+
     def test_overflowing_powers_exit_one(self, capsys, tmp_path):
         # Past about 1e154 the MU bound overflows at every genie probe: bad
         # input, one error line, no numpy warning (which would raise here).
@@ -681,6 +693,8 @@ class TestCertificateOverflow:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        if "1e-320" in argv:  # both tiny-b requests stop at the ETA1 weights
+            assert err == "error: the ETA1 weights, up to 1/b, overflow a float at b=1e-320\n"
 
     @pytest.mark.parametrize("args, sweep", [
         (CERT_OVERFLOW_ARGS, CERT_OVERFLOW_SWEEP),

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from gicbounds import genie
 from gicbounds.channel import sigma_limits
 from gicbounds.region import build_outer_region
 
+import helpers
 from helpers import (
     clamp,
     count_objective_calls,
@@ -393,11 +395,11 @@ class TestOptimizeConstraint1Many:
                 assert in_exact_box(ch, mu, GenieParams(*point)), (entry["channel"], mu)
 
     def test_default_region_call_budget(self, monkeypatch):
-        # The certificate, one probe grid per side of weight 1 and 39
-        # polls.
+        # The certificate, one probe grid per side of weight 1 and 38
+        # search calls for the longest lane's 39 polls.
         calls = count_objective_calls(monkeypatch)
         build_outer_region(FIG1)
-        assert calls[0] == 42
+        assert calls[0] == 41
 
     @given(GAINS, GAINS, POWERS, POWERS, st.lists(WEIGHTS, min_size=1, max_size=3))
     def test_lines_are_feasible_bounds_above_weighted_tin(self, a, b, p1, p2, mus):
@@ -571,6 +573,32 @@ class TestPatternSearch:
             assert np.array_equal(obj(points), values)
             assert np.all(values < start_values)
 
+    @given(GAINS, GAINS, POWERS, POWERS, st.lists(WEIGHTS, min_size=1, max_size=3))
+    # Requests whose lanes reach _POLL_CAP: 4 lanes on the first, 1 on the second.
+    @example(0.0030909157287267426, 0.00031762332503010337, 17414.711274801863,
+             0.00026941761798849175, [1.1706254384374963])
+    @example(1.0994647998595344e-08, 6.38936586554299e-07, 5.65839773588287e-07,
+             28060749.38427141, [0.17890147534448422])
+    def test_lines_equal_one_poll_per_call(self, a, b, p1, p2, mus):
+        # The search that evaluates a lane's next poll in the same call ends
+        # every lane where the one-poll-per-call search does, at weights
+        # below, at and above 1, so with swapped lanes too.
+        requests = [(TwoUserChannel(a, b, p1, p2), mu) for mu in (*mus, 1.0)]
+        lines = genie._mu_lines(requests)
+        with mock.patch.object(genie, "_pattern_search", helpers.reference_pattern_search):
+            assert repr(genie._mu_lines(requests)) == repr(lines)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 8])
+    def test_poll_cap_is_exact(self, monkeypatch, cap):
+        # Every lane stops at the cap under both searches, also where it
+        # would take a speculative poll past it.
+        requests = [(TwoUserChannel(0.3, 0.3, 7, 7), mu) for mu in (0.5, 1.0, 2.5)]
+        monkeypatch.setattr(genie, "_POLL_CAP", cap)
+        monkeypatch.setattr(helpers, "_POLL_CAP", cap)
+        lines = genie._mu_lines(requests)
+        monkeypatch.setattr(genie, "_pattern_search", helpers.reference_pattern_search)
+        assert repr(genie._mu_lines(requests)) == repr(lines)
+
 
 # A correlation of the box, often at either end, and a weight below, at or
 # above 1.
@@ -697,9 +725,11 @@ class TestTailChannel:
 
     def test_pinned_line_within_call_budget(self, monkeypatch):
         pinned = json.loads((Path(__file__).parent / "data" / "mu_tail.json").read_text())
+        # The certificate, one probe grid per side of weight 1 and 44
+        # search calls for the longest lane's 49 polls.
         calls = count_objective_calls(monkeypatch)
         region = build_outer_region(TwoUserChannel(*pinned["channel"]))
-        assert calls[0] == 52
+        assert calls[0] == 47
         (line,) = [ln for ln in region.lines if ln.weight == pinned["weight"]]
         g = line.genie
         assert line.value == pinned["value"]
@@ -726,12 +756,12 @@ class TestSumUpperBounds:
         assert bounds[-1] is None and None not in bounds[:-1]
 
     def test_objective_call_count(self, monkeypatch):
-        # The 2 certificate points in one call, then 1 probe grid and the
-        # search's 32 polls; one search per channel pays its own probe grid
-        # and polls each time.
+        # The 2 certificate points in one call, then 1 probe grid and 19
+        # search calls for the longest lane's 32 polls; one search per
+        # channel pays its own probe grid and polls each time.
         calls = count_objective_calls(monkeypatch)
         sum_upper_bounds(self.CHANNELS)
-        assert calls[0] == 34
+        assert calls[0] == 21
         batched = calls[0]
         for ch in self.CHANNELS:
             sum_upper_bound(ch)
