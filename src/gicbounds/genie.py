@@ -242,8 +242,9 @@ _CAP_SHRINK = 1.0 - 2.0**-50  # rounds a float variance cap into the exact box
 _MAX_SHRINKS = math.floor(math.log(_FIRST_STEP / _STEP_FLOOR, 4))  # shrinks of a live lane
 # Most points (18 a lane) of a search call that also polls as if each poll fails.  Weight-1
 # calls of 117, 234, 1,008 and 2,016 points took 136, 161, 244 and 354 us (2-core Xeon):
-# doubling a poll costs x1.19 when small but x1.45 past 1,000 points, more than it saves.
+# doubling a poll costs x1.19 when small but x1.45, and twice the memory, past 1,000 points.
 _SPECULATE_POINTS = 1024
+_PROBE_REQUESTS = 16  # most requests of a probe call that joins sides; see ``_mu_lines``
 
 
 # The pattern search's 8 unit moves, as columns: the 4 axis moves, then the 4
@@ -328,10 +329,9 @@ class _MuObjective:
         self.roof = 2.0**1000 / (self.p_a + self.tight_a)
 
     @classmethod
-    def of(cls, requests, column=False) -> "_MuObjective":
-        """One entry per (channel, mu) request; as a column if ``column``."""
-        values = np.array([(ch.a, ch.b, ch.p1, ch.p2, mu) for ch, mu in requests]).T
-        return cls(*(values[:, :, None] if column else values))
+    def of(cls, requests) -> "_MuObjective":
+        """One entry per (channel, mu) request."""
+        return cls(*np.array([(ch.a, ch.b, ch.p1, ch.p2, mu) for ch, mu in requests]).T)
 
     def order(self, x) -> np.ndarray:
         """Rows of ``x`` in pairs (user 1, user 2) as pairs (A, B), or pairs
@@ -526,15 +526,12 @@ def _pattern_search(
     after a failed poll, the lane's own point, one Newton step on).  The
     lane takes its best strict improvement, or its step, first 0.15, shrinks
     by 4; it stops below _STEP_FLOOR or after _POLL_CAP polls.  Every polled
-    point is ``place``d in the box, so every end is a valid bound.  Ends are
-    written out, and the live lanes' constants gathered again (``take``),
-    only when a lane stops.
-
-    One objective call evaluates every live lane's poll and, while polls are
-    small (_SPECULATE_POINTS), its next poll as if this one fails: the 8
-    moves at a quarter of the step and its own point, same warm start, taken
-    in the same call if it does.  Counting its own polls and shrinks, each
-    lane polls the points, and ends at the bits, of one poll a call.
+    point is ``place``d in the box, so every end is a valid bound.  A call
+    of at most _SPECULATE_POINTS also holds each lane's next poll as if this
+    one fails (the moves at a quarter of the step, and its own point), taken
+    if it does; counting its own polls and shrinks, a lane ends at the bits
+    of one poll a call.  Ends are written out when a lane stops, and the
+    constants gathered again (``take``) when the lanes or the width change.
     """
     out_val, out_x = val.copy(), x.copy()
     ids = lane = np.arange(x.shape[1])  # lane of each live entry; its position
@@ -590,12 +587,12 @@ def _pattern_search(
     return out_val, out_x
 
 
-def _probe_grid(objective: _MuObjective) -> tuple[np.ndarray, np.ndarray]:
-    """``_PROBES`` ``place``d at each weight of ``objective``, a column, and
-    their values: (6, weights, 320) points and (weights, 320) values from
-    one objective call, the free variance solved at each weight."""
-    y = np.broadcast_to(_PROBES[:, None], (2, len(objective.one), _PROBES.shape[1])).copy()
-    return objective.solve(y, 1.0, steps=_PROBE_STEPS)
+def _probe_grid(requests) -> tuple[np.ndarray, np.ndarray]:
+    """``_PROBES`` ``place``d for each (channel, mu) request, a column, and their
+    values: (6, requests, 320) points and (requests, 320) values, one call."""
+    values = np.array([(ch.a, ch.b, ch.p1, ch.p2, mu) for ch, mu in requests]).T
+    y = np.broadcast_to(_PROBES[:, None], (2, len(requests), _PROBES.shape[1])).copy()
+    return _MuObjective(*values[:, :, None]).solve(y, 1.0, steps=_PROBE_STEPS)
 
 
 def _mu_lines(requests) -> tuple[SupportingLine, ...]:
@@ -608,11 +605,11 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     request starts a lane of one pattern search (``_pattern_search``) at
     each of its 4 best finite probes, ties in probe order, with its value
     there, and one more, swapped, at the best near s_A's kink at weight 1;
-    the first of the best ends wins.  The probes of all searched requests on
-    one side of weight 1 (mu >= 1, or mu < 1) take one objective call, the
-    requests' constants as columns: a sum-upper sweep probes in one call, a
-    region in two.  ValueError where the bound overflows at every probe: at
-    powers past about 1e154, or at a gain near the float floor.
+    the first of the best ends wins.  Sides, the (channel, mu >= 1) pairs,
+    share probe calls up to _PROBE_REQUESTS requests, none split, so memory
+    stays flat in a long sweep and a region probes in two calls.  ValueError
+    where the bound overflows at every probe: at powers past about 1e154, or
+    at a gain near the float floor.
     """
     requests = tuple(requests)
     for ch, mu in requests:
@@ -631,14 +628,19 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
             xs = _with_gaps(certified.order(points))
             for i, val, x in zip(tight, certified(xs).tolist(), xs.T):
                 best[i] = (val, x)
-        sides: dict[bool, list[int]] = {}
-        for i, (_, mu) in enumerate(requests):
+        sides: dict[tuple[TwoUserChannel, bool], list[int]] = {}
+        for i, (ch, mu) in enumerate(requests):
             if best[i] is None:
-                sides.setdefault(mu >= 1.0, []).append(i)
+                sides.setdefault((ch, mu >= 1.0), []).append(i)
+        calls: list[list[int]] = []  # the requests of each probe call
+        for side in sides.values():  # whole sides, joined up to _PROBE_REQUESTS requests
+            if not calls or len(calls[-1]) + len(side) > _PROBE_REQUESTS:
+                calls.append([])
+            calls[-1] += side
         lanes, starts, firsts = [], [], []  # each lane's request and (value, box point) start
-        for side in sides.values():
-            grid, vals = _probe_grid(_MuObjective.of([requests[i] for i in side], column=True))
-            for k, (i, row, ranked) in enumerate(zip(side, vals, np.argsort(vals, kind="stable")[:, :4])):
+        for call in calls:
+            grid, vals = _probe_grid([requests[i] for i in call])
+            for k, (i, row, ranked) in enumerate(zip(call, vals, np.argsort(vals, kind="stable")[:, :4])):
                 finite = [(float(row[j]), grid[:, k, j]) for j in ranked if math.isfinite(row[j])]
                 if not finite:
                     ch = requests[i][0]
@@ -690,10 +692,9 @@ def optimize_constraint1_many(
     Each line is exactly ``optimize_constraint1(ch, mu)``.  The probe grid of
     each side of weight 1 takes one objective call for all of that side's
     weights, and the pattern searches of all (weight, start) pairs run in
-    lockstep, one call a poll of 9 moves per live lane (two polls once few
-    lanes are live, see ``_pattern_search``), so a 65-weight region takes at
-    most 300 search calls.  FIG1's default region takes 41 calls in all,
-    against 1,426 as 65 separate calls.
+    lockstep (``_pattern_search``), so a 65-weight region takes at most 300
+    search calls.  FIG1's default region takes 41 calls in all, against
+    1,426 as 65 separate calls.
     """
     _require_regime(ch)
     return _mu_lines((ch, mu) for mu in mus)
@@ -727,10 +728,9 @@ def sum_upper_bounds(channels) -> tuple[float | None, ...]:
     contribute at the admissible weight closest to 1 (weights >= 1 bound the
     sum directly, weights < 1 need the R2 cap to top up).  Noisy-interference
     channels take their closed-form certificates, in one objective call;
-    all other channels' probe grids take one more, and their weight-1
-    searches run as one lockstep pattern search, so they cost as many calls
-    as the longest of them, each call a poll and, while few lanes are live,
-    the poll that follows if it fails.  Each bound equals
+    the others' probe grids take one call per 16 channels, and their weight-1
+    searches run as one lockstep pattern search (``_pattern_search``), so
+    they cost as many calls as the longest of them.  Each bound equals
     ``sum_upper_bound`` of its channel.
     """
     channels = tuple(channels)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -579,6 +580,9 @@ class TestPatternSearch:
              0.00026941761798849175, [1.1706254384374963])
     @example(1.0994647998595344e-08, 6.38936586554299e-07, 5.65839773588287e-07,
              28060749.38427141, [0.17890147534448422])
+    # 16 weights on one channel: the search's calls start too wide to speculate
+    # and narrow below _SPECULATE_POINTS as lanes stop.
+    @example(0.04, 0.09, 10.0, 20.0, [2.0**(k / 2) for k in range(-8, 9) if k])
     def test_lines_equal_one_poll_per_call(self, a, b, p1, p2, mus):
         # The search that evaluates a lane's next poll in the same call ends
         # every lane where the one-poll-per-call search does, at weights
@@ -766,6 +770,28 @@ class TestSumUpperBounds:
         for ch in self.CHANNELS:
             sum_upper_bound(ch)
         assert batched < calls[0] - batched
+
+    def test_long_sweep_peak_memory(self, monkeypatch):
+        # A 200-channel sweep holds at most _PROBE_REQUESTS channels' probes
+        # in a call, and speculates only in small calls, so it peaks within
+        # 10% of one probe call per channel and one poll per call.
+        channels = [TwoUserChannel(0.3, 0.3, p1, 7.0) for p1 in np.linspace(1.0, 100.0, 200)]
+
+        def peak():
+            sum_upper_bounds(channels[:3])
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                sum_upper_bounds(channels)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        merged = peak()
+        monkeypatch.setattr(genie, "_PROBE_REQUESTS", 1)
+        monkeypatch.setattr(genie, "_SPECULATE_POINTS", 0)
+        assert merged <= 1.1 * peak()
 
     def test_certified_channels_take_one_call(self, monkeypatch):
         # Noisy channels need no search: their certificates are the lines.
