@@ -250,7 +250,7 @@ _PROBE_REQUESTS = 16  # most requests of a probe call that joins sides; see ``_m
 # The pattern search's 8 unit moves, as columns: the 4 axis moves, then the 4
 # diagonals.  Each poll adds one more, twice the lane's last accepted move.
 _POLL = np.array([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float).T
-# ``_probe_grid``'s 8 x 8 correlation pairs and 16 x 16 manifold, in
+# ``_probe_starts``' 8 x 8 correlation pairs and 16 x 16 manifold, in
 # ``place``'s coordinates (r_A, r_B*sqrt(1 - r_A^2)).
 _R, _RHO = np.concatenate([np.array(np.meshgrid(v, v, indexing="ij")).reshape(2, -1) for v in (
     np.linspace(0.0, _RHO_MAX, n) for n in (_GRID_POINTS, 2 * _GRID_POINTS))], axis=1)
@@ -298,8 +298,8 @@ class _MuObjective:
 
     Points are arrays with rows (r_A, r_B, s_A, s_B, 1 - r_A^2, 1 - r_B^2),
     or one such column, or ``place``'s list of rows.  The constants broadcast
-    against a row: scalars at one point, a column of weights for the probe
-    grid of one channel, or one value per lane and move of the search.
+    against a row: scalars at one point, a column of requests for a probe
+    call, or one value per lane and move of the search.
     Each entry is bit-for-bit the value of a one-point call on its own
     channel: its constants take the same operations in the same order.
 
@@ -339,9 +339,9 @@ class _MuObjective:
         return np.array([v for pair in zip(x[::2], x[1::2]) for v in _mirror(self.mirrored, *pair)])
 
     def take(self, idx) -> "_MuObjective":
-        """The entries ``idx`` of an objective with one entry per lane.  Lanes
-        of both sides of weight 1 share the gathered rows of ``table``, built
-        once: each entry's constants are already in its own (A, B) order."""
+        """The entries ``idx`` of an objective with one entry per request or
+        lane.  Both sides of weight 1 share the gathered rows of ``table``,
+        built once: each entry's constants are already in its own (A, B) order."""
         if "table" not in vars(self):
             self.table = np.array(np.broadcast_arrays(*(getattr(self, n) for n in _ENTRY_VALUES)))
         sub = object.__new__(_MuObjective)
@@ -587,12 +587,14 @@ def _pattern_search(
     return out_val, out_x
 
 
-def _probe_grid(requests) -> tuple[np.ndarray, np.ndarray]:
-    """``_PROBES`` ``place``d for each (channel, mu) request, a column, and their
-    values: (6, requests, 320) points and (requests, 320) values, one call."""
-    values = np.array([(ch.a, ch.b, ch.p1, ch.p2, mu) for ch, mu in requests]).T
-    y = np.broadcast_to(_PROBES[:, None], (2, len(requests), _PROBES.shape[1])).copy()
-    return _MuObjective(*values[:, :, None]).solve(y, 1.0, steps=_PROBE_STEPS)
+def _probe_starts(obj: _MuObjective) -> list[list[tuple[float, np.ndarray]]]:
+    """``_PROBES`` ``place``d for each entry of the column objective ``obj``, one
+    call, and each entry's 4 best finite probes, ties in probe order, as (value,
+    box point) pairs: copies, so the call's (6, entries, 320) grid is freed."""
+    y = np.broadcast_to(_PROBES[:, None], (2, len(obj.one), _PROBES.shape[1])).copy()
+    grid, vals = obj.solve(y, 1.0, steps=_PROBE_STEPS)
+    return [[(float(row[j]), grid[:, k, j].copy()) for j in ranked if math.isfinite(row[j])]
+            for k, (row, ranked) in enumerate(zip(vals, np.argsort(vals, kind="stable")[:, :4]))]
 
 
 def _mu_lines(requests) -> tuple[SupportingLine, ...]:
@@ -606,10 +608,11 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     each of its 4 best finite probes, ties in probe order, with its value
     there, and one more, swapped, at the best near s_A's kink at weight 1;
     the first of the best ends wins.  Sides, the (channel, mu >= 1) pairs,
-    share probe calls up to _PROBE_REQUESTS requests, none split, so memory
-    stays flat in a long sweep and a region probes in two calls.  ValueError
-    where the bound overflows at every probe: at powers past about 1e154, or
-    at a gain near the float floor.
+    share probe calls up to _PROBE_REQUESTS requests, none split, so a region
+    probes in two calls and one call's grid lives at a time; the search's
+    arrays still grow with the lanes.  Each objective is ``take``n from that
+    of ``requests``.  ValueError where the bound overflows at every probe: at
+    powers past about 1e154, or at a gain near the float floor.
     """
     requests = tuple(requests)
     for ch, mu in requests:
@@ -622,10 +625,10 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     tight = [i for i, (ch, mu) in enumerate(requests) if mu == 1.0 and certs[ch] is not None]
     best: list = [None] * len(requests)
     with np.errstate(all="ignore"):
-        if tight:
-            certified = _MuObjective.of([requests[i] for i in tight])
-            points = np.array([_genie_point(certs[requests[i][0]]) for i in tight]).T
-            xs = _with_gaps(certified.order(points))
+        objective = _MuObjective.of(requests)
+        if tight:  # at weight 1, whose user order is the (A, B) order
+            certified = objective.take(np.array(tight))
+            xs = _with_gaps(np.array([_genie_point(certs[requests[i][0]]) for i in tight]).T)
             for i, val, x in zip(tight, certified(xs).tolist(), xs.T):
                 best[i] = (val, x)
         sides: dict[tuple[TwoUserChannel, bool], list[int]] = {}
@@ -639,9 +642,7 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
             calls[-1] += side
         lanes, starts, firsts = [], [], []  # each lane's request and (value, box point) start
         for call in calls:
-            grid, vals = _probe_grid([requests[i] for i in call])
-            for k, (i, row, ranked) in enumerate(zip(call, vals, np.argsort(vals, kind="stable")[:, :4])):
-                finite = [(float(row[j]), grid[:, k, j]) for j in ranked if math.isfinite(row[j])]
+            for i, finite in zip(call, _probe_starts(objective.take(np.array(call)[:, None]))):
                 if not finite:
                     ch = requests[i][0]
                     raise ValueError(f"the MU bound overflows at every genie probe on the channel "
@@ -654,19 +655,17 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
             # A start nearer, in log, the kink where s_A's lower form leaves L
             # than s_B's, where the former is a line of ``place``'s swapped
             # coordinates (off = 0: mu == 1), starts one more lane, swapped.
-            obj = _MuObjective.of([requests[i] for i in lanes])
+            obj = objective.take(np.array(lanes))
             near_a = np.abs(np.log(np.square(obj.tight_a / x[0]) * obj.g_b / x[5]))
             near_b = np.abs(np.log(np.square(obj.tight_b / x[1]) * obj.g_a / x[4]))
             extra = [k for k in firsts if obj.off[k] == 0.0 and near_a[k] < near_b[k]]
             swapped = np.arange(len(lanes) + len(extra)) >= len(lanes)
             lanes += [lanes[k] for k in extra]
             x, val = np.concatenate([x, x[:, extra]], axis=1), np.concatenate([val, val[extra]])
-            obj = _MuObjective.of([requests[i] for i in lanes])
-            values, points = _pattern_search(obj, x, val, swapped)
+            values, points = _pattern_search(objective.take(np.array(lanes)), x, val, swapped)
             for i, v, end in zip(lanes, values.tolist(), points.T):
                 if best[i] is None or v < best[i][0]:  # the first of the best ends
                     best[i] = (v, end)
-        objective = _MuObjective.of(requests)
         xs = np.array([x for _, x in best]).T
         genie, effective = objective.order(xs[:4]), objective.order(objective.effective(xs))
     lines = []

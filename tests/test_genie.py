@@ -793,6 +793,44 @@ class TestSumUpperBounds:
         monkeypatch.setattr(genie, "_SPECULATE_POINTS", 0)
         assert merged <= 1.1 * peak()
 
+    def test_search_starts_hold_no_probe_grid(self, monkeypatch):
+        # Each probe call keeps only copies of its starts, so at the search's
+        # entry less is live than one call's grid (_PROBE_REQUESTS requests
+        # of 320 points of 6 floats) plus 1 KB a lane.
+        channels = [TwoUserChannel(0.3, 0.3, p1, 7.0) for p1 in np.linspace(1.0, 100.0, 200)]
+        sum_upper_bounds(channels[:3])
+        search, live = genie._pattern_search, []
+
+        def entry(obj, x, val, swapped):
+            live.append((tracemalloc.get_traced_memory()[0] - base, x.shape[1]))
+            return search(obj, x, val, swapped)
+
+        monkeypatch.setattr(genie, "_pattern_search", entry)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sum_upper_bounds(channels)
+        finally:
+            tracemalloc.stop()
+        ((held, lanes),) = live
+        assert held < genie._PROBE_REQUESTS * genie._PROBES.shape[1] * 6 * 8 + 1024 * lanes
+
+    def test_probe_starts_are_copies_of_the_best_finite_probes(self):
+        # The powers-1e200 channel overflows at every probe, so has no start.
+        requests = [(FIG1, 0.5), (FIG1, 2.0), (TwoUserChannel(0.3, 0.3, 7, 7), 1.0),
+                    (TwoUserChannel(0.01, 0.01, 1e200, 1e200), 1.0)]
+        obj = genie._MuObjective.of(requests).take(np.arange(len(requests))[:, None])
+        y = np.broadcast_to(genie._PROBES[:, None], (2, len(requests), genie._PROBES.shape[1]))
+        with np.errstate(all="ignore"):
+            starts = genie._probe_starts(obj)
+            grid, vals = obj.solve(y.copy(), 1.0, steps=genie._PROBE_STEPS)
+        assert [len(s) for s in starts] == [4, 4, 4, 0]
+        for k, (row, own) in enumerate(zip(vals, starts)):
+            head = [j for j in np.argsort(row, kind="stable")[:4] if math.isfinite(row[j])]
+            assert [v for v, _ in own] == row[head].tolist()
+            for j, (_, point) in zip(head, own):
+                assert point.base is None and point.tolist() == grid[:, k, j].tolist()
+
     def test_certified_channels_take_one_call(self, monkeypatch):
         # Noisy channels need no search: their certificates are the lines.
         channels = [sample_noisy_channel(np.random.default_rng(seed)) for seed in range(6)]
