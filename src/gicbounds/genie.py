@@ -244,7 +244,7 @@ _MAX_SHRINKS = math.floor(math.log(_FIRST_STEP / _STEP_FLOOR, 4))  # shrinks of 
 # calls of 117, 234, 1,008 and 2,016 points took 136, 161, 244 and 354 us (2-core Xeon):
 # doubling a poll costs x1.19 when small but x1.45, and twice the memory, past 1,000 points.
 _SPECULATE_POINTS = 1024
-_PROBE_REQUESTS = 16  # most requests of a probe call that joins sides; see ``_mu_lines``
+_PROBE_REQUESTS = 33  # most requests of a probe call; see ``_mu_lines``
 
 
 # The pattern search's 8 unit moves, as columns: the 4 axis moves, then the 4
@@ -574,6 +574,7 @@ def _pattern_search(
         y = np.where(better, chosen, y)
         x = np.where(better, cand_x[:, lane, best], x)
         val = np.where(better, best_val, val)
+        del cand_x, cand_val  # freed before the next call
         live = (shrinks <= _MAX_SHRINKS) & (polls < _POLL_CAP)
         if live.all():
             continue
@@ -587,14 +588,16 @@ def _pattern_search(
     return out_val, out_x
 
 
-def _probe_starts(obj: _MuObjective) -> list[list[tuple[float, np.ndarray]]]:
-    """``_PROBES`` ``place``d for each entry of the column objective ``obj``, one
-    call, and each entry's 4 best finite probes, ties in probe order, as (value,
-    box point) pairs: copies, so the call's (6, entries, 320) grid is freed."""
+def _probe_starts(obj: _MuObjective) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_PROBES`` ``place``d for each entry of the column objective ``obj``, one call,
+    and each entry's 4 best finite probes (ranks 0 up; ties in probe order) as arrays
+    (entry, rank, value, box point): copies, so the call's (6, entries, 320) grid is freed."""
     y = np.broadcast_to(_PROBES[:, None], (2, len(obj.one), _PROBES.shape[1])).copy()
     grid, vals = obj.solve(y, 1.0, steps=_PROBE_STEPS)
-    return [[(float(row[j]), grid[:, k, j].copy()) for j in ranked if math.isfinite(row[j])]
-            for k, (row, ranked) in enumerate(zip(vals, np.argsort(vals, kind="stable")[:, :4]))]
+    ranked = np.argsort(vals, kind="stable")[:, :4]
+    entry, rank = np.nonzero(np.isfinite(np.take_along_axis(vals, ranked, axis=1)))
+    probe = ranked[entry, rank]
+    return entry, rank, vals[entry, probe], grid[:, entry, probe]
 
 
 def _mu_lines(requests) -> tuple[SupportingLine, ...]:
@@ -607,12 +610,12 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     request starts a lane of one pattern search (``_pattern_search``) at
     each of its 4 best finite probes, ties in probe order, with its value
     there, and one more, swapped, at the best near s_A's kink at weight 1;
-    the first of the best ends wins.  Sides, the (channel, mu >= 1) pairs,
-    share probe calls up to _PROBE_REQUESTS requests, none split, so a region
-    probes in two calls and one call's grid lives at a time; the search's
-    arrays still grow with the lanes.  Each objective is ``take``n from that
-    of ``requests``.  ValueError where the bound overflows at every probe: at
-    powers past about 1e154, or at a gain near the float floor.
+    the first of the best ends wins.  The searched requests probe in order,
+    split evenly into the fewest calls of at most _PROBE_REQUESTS, so one
+    call's grid lives at a time and none grows with the weight grid; the
+    search's arrays grow with the lanes.  Each objective is ``take``n from
+    that of ``requests``.  ValueError where the bound overflows at every
+    probe: at powers past about 1e154, or at a gain near the float floor.
     """
     requests = tuple(requests)
     for ch, mu in requests:
@@ -631,39 +634,30 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
             xs = _with_gaps(np.array([_genie_point(certs[requests[i][0]]) for i in tight]).T)
             for i, val, x in zip(tight, certified(xs).tolist(), xs.T):
                 best[i] = (val, x)
-        sides: dict[tuple[TwoUserChannel, bool], list[int]] = {}
-        for i, (ch, mu) in enumerate(requests):
-            if best[i] is None:
-                sides.setdefault((ch, mu >= 1.0), []).append(i)
-        calls: list[list[int]] = []  # the requests of each probe call
-        for side in sides.values():  # whole sides, joined up to _PROBE_REQUESTS requests
-            if not calls or len(calls[-1]) + len(side) > _PROBE_REQUESTS:
-                calls.append([])
-            calls[-1] += side
-        lanes, starts, firsts = [], [], []  # each lane's request and (value, box point) start
-        for call in calls:
-            for i, finite in zip(call, _probe_starts(objective.take(np.array(call)[:, None]))):
-                if not finite:
-                    ch = requests[i][0]
-                    raise ValueError(f"the MU bound overflows at every genie probe on the channel "
-                                     f"a={ch.a}, b={ch.b}, p1={ch.p1}, p2={ch.p2}")
-                firsts.append(len(lanes))
-                lanes += [i] * len(finite)
-                starts += finite
-        if lanes:
-            x, val = np.array([x for _, x in starts]).T, np.array([v for v, _ in starts])
+        searched = np.flatnonzero([start is None for start in best])
+        starts = []  # each probe call's (request, rank, value, box point) arrays
+        for call in np.array_split(searched, -(-searched.size // _PROBE_REQUESTS)) if searched.size else ():
+            entry, *start = _probe_starts(objective.take(call[:, None]))
+            found = np.bincount(entry, minlength=call.size)
+            if not found.all():
+                ch = requests[call[found.argmin()]][0]
+                raise ValueError(f"the MU bound overflows at every genie probe on the channel "
+                                 f"a={ch.a}, b={ch.b}, p1={ch.p1}, p2={ch.p2}")
+            starts.append((call[entry], *start))
+        if starts:
+            lanes, rank, val, x = (np.concatenate(arrays, axis=-1) for arrays in zip(*starts))
             # A start nearer, in log, the kink where s_A's lower form leaves L
             # than s_B's, where the former is a line of ``place``'s swapped
             # coordinates (off = 0: mu == 1), starts one more lane, swapped.
-            obj = objective.take(np.array(lanes))
+            obj = objective.take(lanes)
             near_a = np.abs(np.log(np.square(obj.tight_a / x[0]) * obj.g_b / x[5]))
             near_b = np.abs(np.log(np.square(obj.tight_b / x[1]) * obj.g_a / x[4]))
-            extra = [k for k in firsts if obj.off[k] == 0.0 and near_a[k] < near_b[k]]
-            swapped = np.arange(len(lanes) + len(extra)) >= len(lanes)
-            lanes += [lanes[k] for k in extra]
+            extra = np.flatnonzero((rank == 0) & (obj.off == 0.0) & (near_a < near_b))
+            swapped = np.arange(lanes.size + extra.size) >= lanes.size
+            lanes = np.concatenate([lanes, lanes[extra]])
             x, val = np.concatenate([x, x[:, extra]], axis=1), np.concatenate([val, val[extra]])
-            values, points = _pattern_search(objective.take(np.array(lanes)), x, val, swapped)
-            for i, v, end in zip(lanes, values.tolist(), points.T):
+            values, points = _pattern_search(objective.take(lanes), x, val, swapped)
+            for i, v, end in zip(lanes.tolist(), values.tolist(), points.T):
                 if best[i] is None or v < best[i][0]:  # the first of the best ends
                     best[i] = (v, end)
         xs = np.array([x for _, x in best]).T
@@ -688,12 +682,12 @@ def optimize_constraint1_many(
     """Minimize the MU-family bound on R1 + mu*R2 over the genie parameters,
     at each weight of ``mus``; one line per weight, in order.
 
-    Each line is exactly ``optimize_constraint1(ch, mu)``.  The probe grid of
-    each side of weight 1 takes one objective call for all of that side's
-    weights, and the pattern searches of all (weight, start) pairs run in
-    lockstep (``_pattern_search``), so a 65-weight region takes at most 300
-    search calls.  FIG1's default region takes 41 calls in all, against
-    1,426 as 65 separate calls.
+    Each line is exactly ``optimize_constraint1(ch, mu)``.  The probe grids
+    of up to 33 weights share one objective call, and the pattern searches
+    of all (weight, start) pairs run in lockstep (``_pattern_search``), so a
+    65-weight region probes in two calls and searches in at most 300.
+    FIG1's default region takes 41 calls in all, against 1,426 as 65
+    separate calls.
     """
     _require_regime(ch)
     return _mu_lines((ch, mu) for mu in mus)
@@ -727,7 +721,7 @@ def sum_upper_bounds(channels) -> tuple[float | None, ...]:
     contribute at the admissible weight closest to 1 (weights >= 1 bound the
     sum directly, weights < 1 need the R2 cap to top up).  Noisy-interference
     channels take their closed-form certificates, in one objective call;
-    the others' probe grids take one call per 16 channels, and their weight-1
+    the others probe in calls of at most 33 channels, and their weight-1
     searches run as one lockstep pattern search (``_pattern_search``), so
     they cost as many calls as the longest of them.  Each bound equals
     ``sum_upper_bound`` of its channel.

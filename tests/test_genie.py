@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -396,7 +397,7 @@ class TestOptimizeConstraint1Many:
                 assert in_exact_box(ch, mu, GenieParams(*point)), (entry["channel"], mu)
 
     def test_default_region_call_budget(self, monkeypatch):
-        # The certificate, one probe grid per side of weight 1 and 38
+        # The certificate, two probe calls of 32 weights and 38
         # search calls for the longest lane's 39 polls.
         calls = count_objective_calls(monkeypatch)
         build_outer_region(FIG1)
@@ -729,7 +730,7 @@ class TestTailChannel:
 
     def test_pinned_line_within_call_budget(self, monkeypatch):
         pinned = json.loads((Path(__file__).parent / "data" / "mu_tail.json").read_text())
-        # The certificate, one probe grid per side of weight 1 and 44
+        # The certificate, two probe calls of 32 weights and 44
         # search calls for the longest lane's 49 polls.
         calls = count_objective_calls(monkeypatch)
         region = build_outer_region(TwoUserChannel(*pinned["channel"]))
@@ -822,14 +823,66 @@ class TestSumUpperBounds:
         obj = genie._MuObjective.of(requests).take(np.arange(len(requests))[:, None])
         y = np.broadcast_to(genie._PROBES[:, None], (2, len(requests), genie._PROBES.shape[1]))
         with np.errstate(all="ignore"):
-            starts = genie._probe_starts(obj)
+            entry, rank, values, points = genie._probe_starts(obj)
             grid, vals = obj.solve(y.copy(), 1.0, steps=genie._PROBE_STEPS)
-        assert [len(s) for s in starts] == [4, 4, 4, 0]
-        for k, (row, own) in enumerate(zip(vals, starts)):
+        assert entry.tolist() == [0] * 4 + [1] * 4 + [2] * 4 and rank.tolist() == [0, 1, 2, 3] * 3
+        assert not np.shares_memory(points, grid)
+        for k, row in enumerate(vals):
             head = [j for j in np.argsort(row, kind="stable")[:4] if math.isfinite(row[j])]
-            assert [v for v, _ in own] == row[head].tolist()
-            for j, (_, point) in zip(head, own):
-                assert point.base is None and point.tolist() == grid[:, k, j].tolist()
+            assert values[entry == k].tolist() == row[head].tolist()
+            assert points[:, entry == k].tolist() == grid[:, k, head].tolist()
+
+    def test_probe_calls_hold_at_most_probe_requests(self, monkeypatch):
+        # Searched requests are split in order into the fewest calls of at
+        # most _PROBE_REQUESTS, so no call grows with the weight grid.
+        probe, sizes = genie._probe_starts, []
+
+        def counted(obj):
+            sizes.append(len(obj.one))
+            return probe(obj)
+
+        monkeypatch.setattr(genie, "_probe_starts", counted)
+        build_outer_region(FIG1, 129)
+        assert len(sizes) == 4 and max(sizes) <= genie._PROBE_REQUESTS
+        sizes.clear()
+        build_outer_region(FIG1)
+        assert sizes == [32, 32]
+
+    def test_overflow_names_a_channel_inside_a_probe_call(self):
+        good, bad = TwoUserChannel(0.3, 0.3, 7, 7), TwoUserChannel(0.01, 0.01, 1e200, 1e200)
+        message = f"every genie probe on the channel a={bad.a}, b={bad.b}, p1={bad.p1}, p2={bad.p2}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sum_upper_bounds([good, bad, good])
+
+    def test_poll_candidates_are_freed_before_the_next_call(self, monkeypatch):
+        # Each poll's points and values are dropped once the lanes have taken
+        # theirs, so the memory live at the search's second call exceeds the
+        # first call's by less than one poll's points (6 floats a candidate).
+        channels = [TwoUserChannel(0.3, 0.3, p1, 7.0) for p1 in np.linspace(1.0, 100.0, 200)]
+        sum_upper_bounds(channels[:3])
+        search, solve, searching_now, live = genie._pattern_search, genie._MuObjective.solve, [], []
+
+        def searching(*args):
+            searching_now.append(True)
+            try:
+                return search(*args)
+            finally:
+                searching_now.pop()
+
+        def solving(self, y, *args, **kwargs):
+            if searching_now:
+                live.append((tracemalloc.get_traced_memory()[0], y.shape[1] * y.shape[2]))
+            return solve(self, y, *args, **kwargs)
+
+        monkeypatch.setattr(genie, "_pattern_search", searching)
+        monkeypatch.setattr(genie._MuObjective, "solve", solving)
+        tracemalloc.start()
+        try:
+            sum_upper_bounds(channels)
+        finally:
+            tracemalloc.stop()
+        (first, candidates), (second, _) = live[:2]
+        assert second - first < 6 * candidates * 8
 
     def test_certified_channels_take_one_call(self, monkeypatch):
         # Noisy channels need no search: their certificates are the lines.

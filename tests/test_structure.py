@@ -9,8 +9,11 @@ its ``__all__``.  Its module-level arrays are read-only."""
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -249,6 +252,29 @@ def test_two_user_core_runs_on_the_standard_library():
             m for m in imported
             if m != ".channel" and m.split(".")[0] not in sys.stdlib_module_names
         } == set(), name
+
+
+def test_commands_import_no_lazy_numpy_module(tmp_path):
+    # numpy's set routines (np.unique and those built on it) import numpy.ma
+    # on first use, about 100 ms and 1 MB a process.
+    config = tmp_path / "three.json"
+    config.write_text(json.dumps({"gains": [[1, 0.1, 0.2], [0.1, 1, 0.1], [0.2, 0.1, 1]],
+                                  "powers": [1, 2, 3]}))
+    channel = ["--a", "0.04", "--b", "0.09", "--p1", "10", "--p2", "20"]
+    requests = [
+        ["region", *channel, "--out", str(tmp_path / "region.csv")],
+        ["sweep", "--a", "0.3", "--b", "0.3", "--p1", "7", "--p2", "7", "--param", "symmetric-a",
+         "--from", "0.1", "--to", "0.5", "--points", "5", "--metric", "sum-upper"],
+        ["murate", "--config", str(config), "--json"],
+        ["classify", *channel],
+    ]
+    script = ("import contextlib, io, sys\nfrom gicbounds import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [cli.main(argv) for argv in {requests!r}]\n"
+              "print(codes, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.split() == ["[0,", "0,", "0,", "0]", "False"]
 
 
 def listed_but_not_defined(tree):
