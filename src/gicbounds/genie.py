@@ -492,22 +492,37 @@ class _MuObjective:
 def _user_share(p, p_star, gain, p_other, p_star_other, rho, gap, s):
     """Twice one user's share of the MU bound, in bits, with gap = 1 - rho^2:
 
-        log2(1 + p_star/s) - log2(gain*p_star_other + gap)
-      + log2(1 + p + gain*p_other - (p + rho*sqrt(s))^2/(p + s)).
+        log2((1 + p_star/s) * cond / shrink),  shrink = gain*p_star_other + gap,
+        cond = 1 + p + gain*p_other - (p + rho*sqrt(s))^2/(p + s),
 
-    The arguments broadcast.  The last argument is evaluated as
-    (p*((sqrt(s) - rho)^2 + k) + s*k)/(p + s) with k = gain*p_other + gap, a
-    sum of terms >= 0: the difference as written loses about p*2^-53 to
-    cancellation, which at large powers would put the bound below the rate
-    it bounds.  Where a log argument is <= 0 or a term overflows the share
-    is not finite, and callers read it as +inf; they ignore numpy's
-    floating-point warnings.
+    log2(1 + p_star/s) - log2(shrink) + log2(cond) taken as one log.  The
+    arguments broadcast.  cond is evaluated as (p*((sqrt(s) - rho)^2 + k) +
+    s*k)/(p + s) with k = gain*p_other + gap, a sum of terms >= 0: the
+    difference as written loses about p*2^-53 to cancellation, which at
+    large powers would put the bound below the rate it bounds.
+
+    Exactly, the product is at least 1, as cond >= k >= shrink, so it
+    cannot underflow.  At box points it is finite wherever cond is, for
+    powers up to 1e148.  As (sqrt(s) - rho)^2 <= s + 1, cond <= k + p*(s +
+    1)/(p + s) and (1 + p_star/s)*cond <= (1 + p/s)*k + p*(1 + 1/s); then
+    ``_boxed``'s floor s >= 1e-6, k < 1 + p_other (gain < 1) and shrink >=
+    gap >= 1.99e-6 (the correlation cap 1 - 1e-6) bound the product by
+
+        ((1 + 1e6*p)*(1 + p_other) + 1.000001e6*p) / 1.99e-6,
+
+    5.1e307 at p = p_other = 1e148.  cond stays finite up to powers near
+    1e154, where its p*k overflows, with s_A below ``_boxed``'s roof,
+    s_A*(p_A + k_A) < 2^1000.  Past 1e148 the product can overflow where
+    its three logs would not, but ``_mu_lines`` raises its ValueError
+    ("overflows at every genie probe") only where every probe of a request
+    overflows, which in the samples measured begins near 1e154, where cond
+    does.  Where a term overflows the share is not finite, and callers read
+    it as +inf; they ignore numpy's floating-point warnings.
     """
     dev = np.sqrt(s) - rho
     k = gain * p_other + gap
     cond = (p * (dev * dev + k) + s * k) / (p + s)
-    log_k = np.log2(k) if p_star_other is p_other else np.log2(gain * p_star_other + gap)
-    return np.log2(1.0 + p_star / s) - log_k + np.log2(cond)
+    return np.log2((1.0 + p_star / s) * cond / (gain * p_star_other + gap))
 
 
 def _pattern_search(
@@ -686,7 +701,7 @@ def optimize_constraint1_many(
     of up to 33 weights share one objective call, and the pattern searches
     of all (weight, start) pairs run in lockstep (``_pattern_search``), so a
     65-weight region probes in two calls and searches in at most 300.
-    FIG1's default region takes 41 calls in all, against 1,426 as 65
+    FIG1's default region takes 39 calls in all, against 1,422 as 65
     separate calls.
     """
     _require_regime(ch)

@@ -2,8 +2,9 @@
 star's domain, one near the noisy boundary), geometry checks, an MU
 objective call counter, a projection into the MU feasibility box, the MU
 pattern search with one poll per call, the reference MU bound in user
-order, the reference m-user grid scan, a Newton system counter, a probe
-counter and the stopping certificate of the m-user phase-I solve."""
+order, the three-log MU share, the reference m-user grid scan, a Newton
+system counter, a probe counter and the stopping certificate of the
+m-user phase-I solve."""
 
 from __future__ import annotations
 
@@ -210,14 +211,27 @@ def reference_mu_bound(ch, mu: float, x: np.ndarray):
 
 
 def _reference_share(p, p_star, gain, p_other, p_star_other, rho, gap, s):
-    """Twice one user's share of the MU bound, +inf where a log argument is
-    <= 0; see ``genie._user_share``."""
+    """Twice one user's share of the MU bound, one log of the product of its
+    three terms, +inf where a log argument is <= 0; see
+    ``genie._user_share``."""
     shrink = gain * p_star_other + gap
     k = gain * p_other + gap
     dev = np.sqrt(s) - rho
     cond = (p * (dev * dev + k) + s * k) / (p + s)
-    share = np.log2(1.0 + p_star / s) - np.log2(shrink) + np.log2(cond)
+    share = np.log2((1.0 + p_star / s) * cond / shrink)
     return np.where((shrink <= 0) | (cond <= 0), np.inf, share)
+
+
+def three_log_share(p, p_star, gain, p_other, p_star_other, rho, gap, s):
+    """Reference for ``genie._user_share``, which takes one log of the
+    product of the share's three terms: the former share, a log of each.
+    Patched into ``genie``, it gives the lines the one-log share is gated
+    against."""
+    dev = np.sqrt(s) - rho
+    k = gain * p_other + gap
+    cond = (p * (dev * dev + k) + s * k) / (p + s)
+    log_k = np.log2(k) if p_star_other is p_other else np.log2(gain * p_star_other + gap)
+    return np.log2(1.0 + p_star / s) - log_k + np.log2(cond)
 
 
 def materialized_grid_scan(model: _Conditions, axis: np.ndarray):

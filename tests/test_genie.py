@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -39,6 +40,7 @@ import helpers
 from helpers import (
     clamp,
     count_objective_calls,
+    north_star_channels,
     reference_mu_bound,
     sample_noisy_channel,
     sample_regime_channel,
@@ -397,11 +399,11 @@ class TestOptimizeConstraint1Many:
                 assert in_exact_box(ch, mu, GenieParams(*point)), (entry["channel"], mu)
 
     def test_default_region_call_budget(self, monkeypatch):
-        # The certificate, two probe calls of 32 weights and 38
-        # search calls for the longest lane's 39 polls.
+        # The certificate, two probe calls of 32 weights and 36
+        # search calls for the longest lane's 38 polls.
         calls = count_objective_calls(monkeypatch)
         build_outer_region(FIG1)
-        assert calls[0] == 41
+        assert calls[0] == 39
 
     @given(GAINS, GAINS, POWERS, POWERS, st.lists(WEIGHTS, min_size=1, max_size=3))
     def test_lines_are_feasible_bounds_above_weighted_tin(self, a, b, p1, p2, mus):
@@ -518,6 +520,73 @@ def test_judge_search_finds_at_most_a_micro_bit_below_any_line():
         for line in optimize_constraint1_many(ch, mus):
             worst = max(worst, line.value - judge_value(ch, line.weight))
     assert worst <= 1e-6
+
+
+def survey_requests():
+    """The 1,195 (channel, weight) requests of the one-log survey: the MU
+    weights of the three pinned regions, two weights 2^U(-6, 6) on each of
+    ``north_star_channels(5, 300)`` and weight 1 on each of
+    ``north_star_channels(7, 400)``."""
+    requests = [(TwoUserChannel(*entry["channel"]), row[0])
+                for entry in PINNED_LINES["channels"].values() for row in entry["lines"]]
+    rng = random.Random(5)
+    requests += [(ch, 2.0 ** rng.uniform(-6.0, 6.0))
+                 for ch in north_star_channels(5, 300) for _ in range(2)]
+    return requests + [(ch, 1.0) for ch in north_star_channels(7, 400)]
+
+
+def extreme_requests():
+    """400 requests from ``random.Random(3)`` at powers past the north
+    star's: gains 10^U(-12, 0), one power 10^U(100, 200) and the other
+    10^U(-8, 200), on either user, at a weight 1/4, 1 or 4."""
+    rng = random.Random(3)
+    requests = []
+    for _ in range(400):
+        a, b = 10.0 ** rng.uniform(-12.0, 0.0), 10.0 ** rng.uniform(-12.0, 0.0)
+        big, other = 10.0 ** rng.uniform(100.0, 200.0), 10.0 ** rng.uniform(-8.0, 200.0)
+        p1, p2 = (big, other) if rng.random() < 0.5 else (other, big)
+        requests.append((TwoUserChannel(a, b, p1, p2), rng.choice((0.25, 1.0, 4.0))))
+    return requests
+
+
+def overflowing(requests) -> tuple[list, list]:
+    """The line of each request that has one, and the indices of those
+    whose search raises the overflow ValueError."""
+    lines, raised = [], []
+    for i, (ch, mu) in enumerate(requests):
+        try:
+            lines.append(optimize_constraint1(ch, mu))
+        except ValueError as err:
+            assert "overflows at every genie probe" in str(err)
+            raised.append(i)
+    return lines, raised
+
+
+@pytest.mark.slow
+def test_one_log_share_is_no_looser_than_three_logs(monkeypatch):
+    # The MU share takes one log of its three terms' product; the former
+    # share took a log of each.  No line of the survey may be looser than
+    # the three-log line by more than 2e-14 relative to max(1, value), and
+    # past the north star's powers the same requests must raise the
+    # overflow error.  A log rounds to about 1e-16 bits whatever its value,
+    # so lines below 1 bit are held in bits: on lines of 1e-6 bits both
+    # forms lie about 1e-9 relative below the exact bound at the same point.
+    requests, extreme = survey_requests(), extreme_requests()
+    one = [line.value for line in genie._mu_lines(requests)]
+    one_extreme, one_raised = overflowing(extreme)
+    monkeypatch.setattr(genie, "_user_share", helpers.three_log_share)
+    three = [line.value for line in genie._mu_lines(requests)]
+    three_extreme, three_raised = overflowing(extreme)
+    change = np.array([(x - y) / max(1.0, abs(y)) for x, y in zip(one, three)])
+    print(f"\n{len(requests)} lines: {np.count_nonzero(change)} moved, {np.sum(change > 1e-15)} looser "
+          f"by more than 1e-15 (worst {change.max():.2e}), {np.sum(change < -1e-15)} tighter "
+          f"(best {change.min():.2e}); {len(extreme)} extreme requests: {len(one_raised)} raise "
+          f"under one log, {len(three_raised)} under three")
+    assert len(one) == len(three) == 1195
+    assert change.max() <= 2e-14
+    assert one_raised == three_raised
+    for x, y in zip(one_extreme, three_extreme):
+        assert x.value - y.value <= 2e-14 * max(1.0, abs(y.value))
 
 
 class TestPatternSearch:
@@ -731,7 +800,7 @@ class TestTailChannel:
     def test_pinned_line_within_call_budget(self, monkeypatch):
         pinned = json.loads((Path(__file__).parent / "data" / "mu_tail.json").read_text())
         # The certificate, two probe calls of 32 weights and 44
-        # search calls for the longest lane's 49 polls.
+        # search calls for the longest lane's 50 polls.
         calls = count_objective_calls(monkeypatch)
         region = build_outer_region(TwoUserChannel(*pinned["channel"]))
         assert calls[0] == 47

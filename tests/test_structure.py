@@ -349,7 +349,6 @@ def callers(sources, function):
     """The (file, enclosing function) of every call of the dotted
     ``function``, such as ``math.log2``, in the parsed ``sources``; the
     enclosing function of a module-level call is None."""
-    module, name = function.split(".")
     found = set()
     for path, tree in sources:
         scopes = [(tree, None)]
@@ -357,14 +356,20 @@ def callers(sources, function):
             node, scope = scopes.pop()
             for child in ast.iter_child_nodes(node):
                 inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-                func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
-                if (
-                    isinstance(func, ast.Attribute) and func.attr == name
-                    and isinstance(func.value, ast.Name) and func.value.id == module
-                ):
+                if is_call(child, function):
                     found.add((path.name, scope))
                 scopes.append((child, inner))
     return found
+
+
+def is_call(node, function) -> bool:
+    """Whether the parsed ``node`` calls the dotted ``function``."""
+    module, name = function.split(".")
+    func = node.func if isinstance(node, ast.Call) else None
+    return (
+        isinstance(func, ast.Attribute) and func.attr == name
+        and isinstance(func.value, ast.Name) and func.value.id == module
+    )
 
 
 def package_sources():
@@ -378,6 +383,14 @@ def test_no_math_log2_call():
 
 def test_numpy_log2_only_in_the_mu_objective():
     assert callers(package_sources(), "np.log2") == {("genie.py", "_user_share")}
+    # One log per share, with no identity test choosing its form: a point
+    # of the MU objective costs two logs.
+    (share,) = [
+        node for node in ast.walk(ast.parse((PACKAGE / "genie.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_user_share"
+    ]
+    assert sum(is_call(node, "np.log2") for node in ast.walk(share)) == 1
+    assert not any(isinstance(node, (ast.Is, ast.IsNot)) for node in ast.walk(share))
 
 
 def test_log1p_only_in_the_rate():
