@@ -624,13 +624,14 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
     to rounding.  All certificates take one objective call.  Every other
     request starts a lane of one pattern search (``_pattern_search``) at
     each of its 4 best finite probes, ties in probe order, with its value
-    there, and one more, swapped, at the best near s_A's kink at weight 1;
-    the first of the best ends wins.  The searched requests probe in order,
-    split evenly into the fewest calls of at most _PROBE_REQUESTS, so one
-    call's grid lives at a time and none grows with the weight grid; the
-    search's arrays grow with the lanes.  Each objective is ``take``n from
-    that of ``requests``.  ValueError where the bound overflows at every
-    probe: at powers past about 1e154, or at a gain near the float floor.
+    there; at weight 1 the fourth starts instead at the best, in ``place``'s
+    swapped coordinates.  The first of the best ends wins.  The searched
+    requests probe in order, split evenly into the fewest calls of at most
+    _PROBE_REQUESTS, so one call's grid lives at a time and none grows with
+    the weight grid; the search's arrays grow with the lanes.  Each
+    objective is ``take``n from that of ``requests``.  ValueError where the
+    bound overflows at every probe: at powers past about 1e154, or at a gain
+    near the float floor.
     """
     requests = tuple(requests)
     for ch, mu in requests:
@@ -661,16 +662,11 @@ def _mu_lines(requests) -> tuple[SupportingLine, ...]:
             starts.append((call[entry], *start))
         if starts:
             lanes, rank, val, x = (np.concatenate(arrays, axis=-1) for arrays in zip(*starts))
-            # A start nearer, in log, the kink where s_A's lower form leaves L
-            # than s_B's, where the former is a line of ``place``'s swapped
-            # coordinates (off = 0: mu == 1), starts one more lane, swapped.
-            obj = objective.take(lanes)
-            near_a = np.abs(np.log(np.square(obj.tight_a / x[0]) * obj.g_b / x[5]))
-            near_b = np.abs(np.log(np.square(obj.tight_b / x[1]) * obj.g_a / x[4]))
-            extra = np.flatnonzero((rank == 0) & (obj.off == 0.0) & (near_a < near_b))
-            swapped = np.arange(lanes.size + extra.size) >= lanes.size
-            lanes = np.concatenate([lanes, lanes[extra]])
-            x, val = np.concatenate([x, x[:, extra]], axis=1), np.concatenate([val, val[extra]])
+            # At weight 1 the rank-3 lane starts, swapped, from its request's
+            # rank-0 probe, 3 columns left: ranks run consecutively from 0.
+            swapped = (rank == 3) & objective.one[lanes]
+            first = np.flatnonzero(swapped) - 3
+            x[:, swapped], val[swapped] = x[:, first], val[first]
             values, points = _pattern_search(objective.take(lanes), x, val, swapped)
             for i, v, end in zip(lanes.tolist(), values.tolist(), points.T):
                 if best[i] is None or v < best[i][0]:  # the first of the best ends
@@ -717,7 +713,8 @@ def optimize_constraint1(ch: TwoUserChannel, mu: float) -> SupportingLine:
     and no search.  Otherwise both variances are solved at each pair of
     correlations (``_MuObjective.place``), and a deterministic search runs
     over (rho1, rho2): 320 probes (8 x 8 pairs plus a 16 x 16 manifold),
-    then a pattern search (``_pattern_search``) from the 4 best, each call
+    then a pattern search (``_pattern_search``) from the 4 best (at mu ==
+    1, the fourth replaced by the best in swapped coordinates), each call
     a poll of 9 moves per start and, speculatively, the next poll if it
     fails, so a weight costs as many calls as its longest search (at most
     301; median 22 on FIG1's default weights).  The line is an upper bound

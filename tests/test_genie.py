@@ -792,6 +792,55 @@ class TestWeightOneStarts:
         assert line.value <= 17.413903135567743
         assert in_exact_box(ch, 1.0, line.genie)
 
+    @pytest.mark.parametrize("mu", [1.0, 2.0])
+    def test_weight_one_swaps_the_fourth_lane(self, monkeypatch, mu):
+        # A searched request runs one lane from each of its 4 best probes.
+        # At weight 1 the fourth runs in the swapped coordinates, from the
+        # best probe's point and value; at other weights no lane is swapped.
+        probed, searched = [], []
+        probe_starts, pattern_search = genie._probe_starts, genie._pattern_search
+
+        def record_probes(obj):
+            probed.append(probe_starts(obj))
+            return probed[-1]
+
+        def record_lanes(obj, x, val, swapped):
+            searched.append((x.copy(), val.copy(), swapped.copy()))
+            return pattern_search(obj, x, val, swapped)
+
+        monkeypatch.setattr(genie, "_probe_starts", record_probes)
+        monkeypatch.setattr(genie, "_pattern_search", record_lanes)
+        genie._mu_lines([(TwoUserChannel(0.3, 0.2, 50, 20), mu)])
+        ((entry, rank, probe_val, probe_x),), ((x, val, swapped),) = probed, searched
+        assert entry.tolist() == [0] * 4 and rank.tolist() == [0, 1, 2, 3]
+        assert swapped.tolist() == [False, False, False, mu == 1.0]
+        starts = [0, 1, 2, 0] if mu == 1.0 else [0, 1, 2, 3]
+        assert same_bits(x, probe_x[:, starts]) and same_bits(val, probe_val[starts])
+
+    @given(GAINS, GAINS, POWERS, POWERS)
+    # ROADMAP item 20's worst channel of north_star_channels(7, 400), whose
+    # two labelings' lines were 1.2e-9 relative apart.
+    @example(4.9333018446632295e-06, 0.3402147835447529, 0.0001591432800019957, 486637.4088728006)
+    def test_weight_one_line_does_not_depend_on_the_user_labels(self, a, b, p1, p2):
+        # The bound at weight 1 is symmetric in the two users.
+        v, w = (line.value for line in genie._mu_lines(
+            [(TwoUserChannel(a, b, p1, p2), 1.0), (TwoUserChannel(b, a, p2, p1), 1.0)]
+        ))
+        assert abs(v - w) <= 1e-12 * max(1.0, abs(v))
+
+    @pytest.mark.slow
+    def test_weight_one_lines_survey_does_not_depend_on_the_user_labels(self):
+        # The 2,000 weight-1 channels of ROADMAP item 20's survey, under both
+        # labelings, searched in one batch.
+        channels = list(north_star_channels(11, 2000))
+        lines = genie._mu_lines([(ch, 1.0) for ch in channels] + [
+            (TwoUserChannel(ch.b, ch.a, ch.p2, ch.p1), 1.0) for ch in channels
+        ])
+        v = np.array([line.value for line in lines]).reshape(2, -1)
+        diff = np.abs(v[0] - v[1]) / np.maximum(1.0, np.abs(v[0]))
+        print(f"\n{np.sum(diff > 1e-12)} of {len(channels)} channels over 1e-12; worst {diff.max():.2e}")
+        assert np.sum(diff > 1e-12) == 0
+
 
 class TestTailChannel:
     """A channel on which the former coordinate walk accepted tiny moves

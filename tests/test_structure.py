@@ -393,6 +393,16 @@ def test_numpy_log2_only_in_the_mu_objective():
     assert not any(isinstance(node, (ast.Is, ast.IsNot)) for node in ast.walk(share))
 
 
+def test_dispatched_numpy_transcendentals_only_at_their_known_sources():
+    # numpy picks these kernels by CPU, so their bits can differ between
+    # machines: each stays at the one source that ROADMAP item 18 lists.
+    sources = package_sources()
+    assert callers(sources, "np.log") == {("multiuser.py", "barrier")}
+    assert callers(sources, "np.exp") == {("genie.py", "_middle")}
+    assert callers(sources, "np.exp2") == {("region.py", "build_outer_region")}
+    assert callers(sources, "np.geomspace") == {("config.py", "_grid")}
+
+
 def test_log1p_only_in_the_rate():
     assert callers(package_sources(), "math.log1p") == {("channel.py", "_rate")}
 
