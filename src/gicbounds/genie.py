@@ -230,9 +230,9 @@ def eval_constraint3(ch: TwoUserChannel, eta2: float) -> SupportingLine:
 # MU-family minimization
 # ---------------------------------------------------------------------------
 
-_GRID_POINTS = 8
+_GRID_POINTS = 16  # correlations on each side of the probe grid
 _RHO_MAX = 1.0 - 1e-6
-_SIGMA_FLOOR = 1e-4
+_VARIANCE_FLOOR = 1.0000000000000002e-06  # least variance of a boxed point: 1e-4 * 1e-2
 _FIRST_STEP = 0.15  # first step of a pattern-search lane
 _STEP_FLOOR = 1e-10  # step below which a pattern-search lane stops
 _POLL_CAP = 300  # most polls of one pattern-search lane
@@ -250,11 +250,10 @@ _PROBE_REQUESTS = 33  # most requests of a probe call; see ``_mu_lines``
 # The pattern search's 8 unit moves, as columns: the 4 axis moves, then the 4
 # diagonals.  Each poll adds one more, twice the lane's last accepted move.
 _POLL = np.array([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float).T
-# ``_probe_starts``' 8 x 8 correlation pairs and 16 x 16 manifold, in
-# ``place``'s coordinates (r_A, r_B*sqrt(1 - r_A^2)).
-_R, _RHO = np.concatenate([np.array(np.meshgrid(v, v, indexing="ij")).reshape(2, -1) for v in (
-    np.linspace(0.0, _RHO_MAX, n) for n in (_GRID_POINTS, 2 * _GRID_POINTS))], axis=1)
-_PROBES = np.array([_R, _RHO * np.sqrt(_gap(_R))])
+# ``_probe_starts``' 16 x 16 correlation pairs, in ``place``'s coordinates
+# (r_A, r_B*sqrt(1 - r_A^2)).
+_R, _RHO = np.array(np.meshgrid(*[np.linspace(0.0, _RHO_MAX, _GRID_POINTS)] * 2, indexing="ij"))
+_PROBES = np.array([_R, _RHO * np.sqrt(_gap(_R))]).reshape(2, -1)
 for _array in (_POLL, _PROBES):
     _array.setflags(write=False)  # shared by every call, in every thread
 del _array, _R, _RHO
@@ -362,9 +361,9 @@ class _MuObjective:
         product and the quotient are rounded once each at most, so the float
         (1 - r)*(1 + r)/g is at most (1 + u)^4 times the exact cap, u =
         2^-53, and _CAP_SHRINK = 1 - 8u leaves (1 + u)^5*(1 - 8u) < 1."""
-        floor = _SIGMA_FLOOR * 1e-2
         cap = gap_a / self.g_a * _CAP_SHRINK
-        s_a, s_b = np.minimum(np.maximum(s_a, floor), self.roof), np.minimum(np.maximum(s_b, floor), cap)
+        s_a = np.minimum(np.maximum(s_a, _VARIANCE_FLOOR), self.roof)
+        s_b = np.minimum(np.maximum(s_b, _VARIANCE_FLOOR), cap)
         return [r_a, r_b, s_a, s_b, gap_a, gap_b]
 
     def place(self, y: np.ndarray, s_a, swapped, steps: int) -> list:
@@ -555,7 +554,7 @@ def _pattern_search(
     moves = _POLL.shape[1] + 1
     outer, other = _mirror(swapped, x[0], x[1])
     y = np.array([outer, other * np.sqrt(_mirror(swapped, x[4], x[5])[0])])
-    charts = swapped[:, None] if swapped.any() else np.False_  # against each lane's moves
+    charts = swapped[:, None]  # against each lane's moves
     polled = None
     while True:
         # Candidates are (2, live lanes, width): the scaled poll moves, then
@@ -597,7 +596,7 @@ def _pattern_search(
             break
         out_val[ids[~live]], out_x[:, ids[~live]] = val[~live], x[:, ~live]
         ids, x, y, val, swapped = ids[live], x[:, live], y[:, live], val[live], swapped[live]
-        charts = swapped[:, None] if swapped.any() else np.False_
+        charts = swapped[:, None]
         shrinks, polls, moved, lane = shrinks[live], polls[live], moved[:, live], np.arange(ids.size)
     out_val[ids], out_x[:, ids] = val, x
     return out_val, out_x
@@ -606,7 +605,7 @@ def _pattern_search(
 def _probe_starts(obj: _MuObjective) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``_PROBES`` ``place``d for each entry of the column objective ``obj``, one call,
     and each entry's 4 best finite probes (ranks 0 up; ties in probe order) as arrays
-    (entry, rank, value, box point): copies, so the call's (6, entries, 320) grid is freed."""
+    (entry, rank, value, box point): copies, so the call's (6, entries, 256) grid is freed."""
     y = np.broadcast_to(_PROBES[:, None], (2, len(obj.one), _PROBES.shape[1])).copy()
     grid, vals = obj.solve(y, 1.0, steps=_PROBE_STEPS)
     ranked = np.argsort(vals, kind="stable")[:, :4]
@@ -697,7 +696,7 @@ def optimize_constraint1_many(
     of up to 33 weights share one objective call, and the pattern searches
     of all (weight, start) pairs run in lockstep (``_pattern_search``), so a
     65-weight region probes in two calls and searches in at most 300.
-    FIG1's default region takes 39 calls in all, against 1,422 as 65
+    FIG1's default region takes 39 calls in all, against 1,424 as 65
     separate calls.
     """
     _require_regime(ch)
@@ -712,7 +711,7 @@ def optimize_constraint1(ch: TwoUserChannel, mu: float) -> SupportingLine:
     the single-user-detection sum rate up to rounding: one objective call
     and no search.  Otherwise both variances are solved at each pair of
     correlations (``_MuObjective.place``), and a deterministic search runs
-    over (rho1, rho2): 320 probes (8 x 8 pairs plus a 16 x 16 manifold),
+    over (rho1, rho2): 256 probes (a 16 x 16 grid of correlation pairs),
     then a pattern search (``_pattern_search``) from the 4 best (at mu ==
     1, the fourth replaced by the best in swapped coordinates), each call
     a poll of 9 moves per start and, speculatively, the next poll if it

@@ -1,6 +1,7 @@
 """Hash the CLI's output over the benchmark pools and the pinned CLI requests.
 
     python tests/output_hash.py
+    python tests/output_hash.py --records PATH
 
 The script puts its checkout's ``src`` and root on ``sys.path`` itself.
 It runs, in process, every entry of the ``region``, ``sweep`` and
@@ -13,10 +14,17 @@ stdout, stderr and written files, with the temporary directory replaced by
 ``tests/data/output_hashes.json`` pins the four, and
 ``tests/test_output_hash.py`` recomputes them in process with ``hashes``:
 a change that moves output bytes re-pins that file and lists the moves.
+
+With ``--records PATH`` the script also writes one JSON line per request to
+PATH: its set, its index in the set, and the record text that the set's
+hash takes.  ``diff`` of two checkouts' files lists exactly the requests
+whose output moved.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -53,8 +61,10 @@ def cli_bytes_records():
             yield record(argv, Path(tmp))
 
 
-def hashes() -> dict[str, dict]:
-    """Each set's request count and sha256, by set name, in print order."""
+def hashes(log=None) -> dict[str, dict]:
+    """Each set's request count and sha256, by set name, in print order;
+    each request's (set, index, record) also written to ``log`` as a JSON
+    line, if given."""
     reference = load_reference()
     sets = {name: pool_records(reference[name]) for name in ("region", "sweep", "verdicts")}
     sets["cli_bytes"] = cli_bytes_records()
@@ -63,13 +73,20 @@ def hashes() -> dict[str, dict]:
         total, count = hashlib.sha256(), 0
         for text in records:
             total.update(text.encode() + b"\n")
+            if log is not None:
+                log.write(json.dumps({"set": name, "index": count, "record": text}) + "\n")
             count += 1
         out[name] = {"requests": count, "sha256": total.hexdigest()}
     return out
 
 
-def main() -> None:
-    for name, pin in hashes().items():
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Hash the CLI's output over the bench pools.")
+    parser.add_argument("--records", type=Path, help="also write each request's record to this file")
+    args = parser.parse_args(argv)
+    with args.records.open("w") if args.records else contextlib.nullcontext() as log:
+        got = hashes(log)
+    for name, pin in got.items():
         print(f"{name} ({pin['requests']} requests): {pin['sha256']}")
 
 

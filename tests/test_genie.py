@@ -33,7 +33,7 @@ from gicbounds import (
     user1_genie_bound,
 )
 from gicbounds import genie
-from gicbounds.channel import sigma_limits
+from gicbounds.channel import _gap, sigma_limits
 from gicbounds.region import build_outer_region
 
 import helpers
@@ -915,7 +915,7 @@ class TestSumUpperBounds:
     def test_search_starts_hold_no_probe_grid(self, monkeypatch):
         # Each probe call keeps only copies of its starts, so at the search's
         # entry less is live than one call's grid (_PROBE_REQUESTS requests
-        # of 320 points of 6 floats) plus 1 KB a lane.
+        # of 256 points of 6 floats) plus 1 KB a lane.
         channels = [TwoUserChannel(0.3, 0.3, p1, 7.0) for p1 in np.linspace(1.0, 100.0, 200)]
         sum_upper_bounds(channels[:3])
         search, live = genie._pattern_search, []
@@ -933,6 +933,16 @@ class TestSumUpperBounds:
             tracemalloc.stop()
         ((held, lanes),) = live
         assert held < genie._PROBE_REQUESTS * genie._PROBES.shape[1] * 6 * 8 + 1024 * lanes
+
+    def test_probes_are_one_grid_in_probe_order(self):
+        # One 16 x 16 grid of correlation pairs (r_A, r_B), r_A the outer
+        # loop, in ``place``'s coordinates (r_A, r_B*sqrt(1 - r_A^2)), bit for
+        # bit.  The order is behaviour: ties between probes go to the first.
+        v = np.linspace(0.0, genie._RHO_MAX, 16)
+        probes = genie._PROBES
+        assert probes.shape == (2, 256) and not probes.flags.writeable
+        assert probes[0].tobytes() == np.repeat(v, 16).tobytes()
+        assert probes[1].tobytes() == (np.tile(v, 16) * np.sqrt(_gap(probes[0]))).tobytes()
 
     def test_probe_starts_are_copies_of_the_best_finite_probes(self):
         # The powers-1e200 channel overflows at every probe, so has no start.
