@@ -49,15 +49,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_channel_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=float, help="crosstalk gain into receiver 1")
-    p.add_argument("--b", type=float, help="crosstalk gain into receiver 2")
-    p.add_argument("--p1", type=float, help="power of user 1 (linear)")
-    p.add_argument("--p2", type=float, help="power of user 2 (linear)")
-    p.add_argument("--config", metavar="PATH", help="JSON channel config")
-    p.add_argument(
-        "--db", action="store_true", help="interpret gains (a, b) in dB"
-    )
+def _add_channel_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
+    return [
+        p.add_argument("--a", type=float, help="crosstalk gain into receiver 1"),
+        p.add_argument("--b", type=float, help="crosstalk gain into receiver 2"),
+        p.add_argument("--p1", type=float, help="power of user 1 (linear)"),
+        p.add_argument("--p2", type=float, help="power of user 2 (linear)"),
+        p.add_argument("--config", metavar="PATH", help="JSON channel config"),
+        p.add_argument("--db", action="store_true", help="interpret gains (a, b) in dB"),
+    ]
 
 
 def _channel_from_args(args) -> TwoUserChannel | MUserChannel:
@@ -252,9 +252,44 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
-# Built on first use, so importing the module stays cheap, and then shared
-# by every call of ``main``: parse_args only reads the parsers, so calls in
-# concurrent threads may share them.
+def _add_command(p: _Parser, func, actions: list[argparse.Action]) -> None:
+    """Set the handler of the subcommand parser ``p``, and the read-only
+    table of its options that _parse_plain reads: each option string's
+    Action, each dest's default, and the required actions."""
+    p.set_defaults(func=func)
+    p.plain = (
+        {s: a for a in actions for s in a.option_strings},
+        {a.dest: a.default for a in actions} | {"func": func},
+        frozenset(a for a in actions if a.required),
+    )
+
+
+def _parse_plain(command: _Parser, tokens: list[str]) -> argparse.Namespace | None:
+    """``command.parse_args(tokens)`` for a plain request, else None.  A plain
+    request is a run of exact option strings, each a flag or followed by one
+    value that does not start with "-" and that the option's type converts,
+    with every required option present.  Help, abbreviations, "--x=v",
+    negative values, "--" and every error are left to argparse."""
+    options, defaults, required = command.plain
+    values, seen, tokens = dict(defaults), set(), iter(tokens)
+    try:
+        for token in tokens:
+            action = options[token]
+            seen.add(action)
+            if action.nargs == 0:  # a store_true flag
+                values[action.dest] = action.const
+            elif (value := next(tokens, "-")).startswith("-"):
+                return None
+            else:
+                values[action.dest] = (action.type or str)(value)
+    except (KeyError, ValueError):  # an unknown option, or a value its type refuses
+        return None
+    return argparse.Namespace(**values) if required <= seen else None
+
+
+# Built on first use, so importing stays cheap, and shared by every ``main``
+# call, which tries a command's plain table before its parser; both are only
+# read, so calls in concurrent threads may share them.
 @functools.cache
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The top-level parser, and the subcommand parsers it hands off to by
@@ -263,44 +298,44 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="sum-rate capacity verdict (JSON)")
-    _add_channel_flags(p)
-    p.set_defaults(func=_cmd_classify)
+    _add_command(p, _cmd_classify, _add_channel_flags(p))
 
     p = sub.add_parser("region", help="inner/outer boundary CSV (+ optional SVG)")
-    _add_channel_flags(p)
-    p.add_argument("--mu-grid", type=int, default=65, metavar="N")
-    p.add_argument("--eta-grid", type=int, default=9, metavar="N")
-    p.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)")
-    p.add_argument("--svg", metavar="PATH", help="also write an SVG plot")
-    p.set_defaults(func=_cmd_region)
+    _add_command(p, _cmd_region, _add_channel_flags(p) + [
+        p.add_argument("--mu-grid", type=int, default=65, metavar="N"),
+        p.add_argument("--eta-grid", type=int, default=9, metavar="N"),
+        p.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)"),
+        p.add_argument("--svg", metavar="PATH", help="also write an SVG plot"),
+    ])
 
     p = sub.add_parser("sweep", help="one-parameter metric sweep CSV")
-    _add_channel_flags(p)
-    p.add_argument("--param", required=True, metavar="NAME",
-                   help=", ".join(SWEEP_PARAMS[:-1]) + " or " + SWEEP_PARAMS[-1])
-    p.add_argument("--from", dest="start", type=float, required=True)
-    p.add_argument("--to", dest="stop", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
-    p.add_argument("--metric", required=True,
-                   help=", ".join(SWEEP_METRICS[:-1]) + " or " + SWEEP_METRICS[-1])
-    p.add_argument("--log", action="store_true", help="log-spaced grid")
-    p.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)")
-    p.set_defaults(func=_cmd_sweep)
+    _add_command(p, _cmd_sweep, _add_channel_flags(p) + [
+        p.add_argument("--param", required=True, metavar="NAME",
+                       help=", ".join(SWEEP_PARAMS[:-1]) + " or " + SWEEP_PARAMS[-1]),
+        p.add_argument("--from", dest="start", type=float, required=True),
+        p.add_argument("--to", dest="stop", type=float, required=True),
+        p.add_argument("--points", type=int, required=True),
+        p.add_argument("--metric", required=True,
+                       help=", ".join(SWEEP_METRICS[:-1]) + " or " + SWEEP_METRICS[-1]),
+        p.add_argument("--log", action="store_true", help="log-spaced grid"),
+        p.add_argument("--out", metavar="PATH", help="CSV output path (default stdout)"),
+    ])
 
     p = sub.add_parser("murate", help="m-user noisy-interference search")
-    _add_channel_flags(p)
-    p.add_argument("--oracle-resolution", type=int, metavar="N",
-                   help="also run the brute-force grid oracle")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_murate)
+    _add_command(p, _cmd_murate, _add_channel_flags(p) + [
+        p.add_argument("--oracle-resolution", type=int, metavar="N",
+                       help="also run the brute-force grid oracle"),
+        p.add_argument("--json", action="store_true"),
+    ])
 
     p = sub.add_parser("threshold", help="symmetric noisy-interference thresholds")
-    p.add_argument("--p", type=float, help="power; prints the 2-user gain threshold")
-    p.add_argument("--m", type=int, help="user count; with --c prints the power threshold")
-    p.add_argument("--c", type=float, help="crosstalk gain for --m")
-    p.add_argument("--db", action="store_true", help="interpret --c in dB")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_threshold)
+    _add_command(p, _cmd_threshold, [
+        p.add_argument("--p", type=float, help="power; prints the 2-user gain threshold"),
+        p.add_argument("--m", type=int, help="user count; with --c prints the power threshold"),
+        p.add_argument("--c", type=float, help="crosstalk gain for --m"),
+        p.add_argument("--db", action="store_true", help="interpret --c in dB"),
+        p.add_argument("--json", action="store_true"),
+    ])
 
     return parser, dict(sub.choices)
 
@@ -308,20 +343,25 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 def main(argv=None) -> int:
     """Run one request and return its exit status.
 
-    A request whose first token names a command is parsed by that command's
-    parser alone; everything else (no arguments, ``-h``, an unknown command,
-    a flag before the command) goes through the top-level parser.  Both
-    paths print the same: the top-level parser hands a command's tokens to
-    the same subcommand parser, and every parser reports errors as
-    ConfigError in argparse's words.
+    A request whose first token names a command is parsed by
+    ``_parse_plain`` when it is plain, else by that command's parser alone;
+    everything else (no arguments, ``-h``, an unknown command, a flag before
+    the command) goes through the top-level parser.  All paths print the
+    same: the plain parse returns the command parser's namespace, the
+    top-level parser hands a command's tokens to that parser, and every
+    parser reports errors as ConfigError in argparse's words.  Help returns 0.
     """
     parser, commands = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
         command = commands.get(argv[0]) if argv else None
-        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        args = _parse_plain(command, argv[1:]) if command else None
+        if args is None:
+            args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # help, printed by argparse
+        return exc.code
     except RuntimeError as exc:  # region.RegionError among them
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

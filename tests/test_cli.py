@@ -802,6 +802,12 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["-h"], ["classify", "-h"], ["sweep", "--help"]])
+    def test_help_returns_zero(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(" ".join(["usage: gicbounds", *argv[:-1]]) + " [-h]")
+
     def test_internal_error_exit_two(self, capsys, monkeypatch):
         import gicbounds.cli as cli_mod
 
@@ -870,16 +876,27 @@ class TestSingleParse:
         for name, argv in requests.items():
             assert outcome(capsys, tmp_path / "top" / name, argv) == direct[name], name
 
+    def test_argparse_path_gives_the_same_bytes(self, capsys, tmp_path, monkeypatch):
+        # With the plain parse declining every request, each one goes
+        # through its command's argparse parser, as all of them did before.
+        import gicbounds.cli as cli_mod
+
+        requests = self.requests(tmp_path)
+        plain = {n: outcome(capsys, tmp_path / "plain" / n, a) for n, a in requests.items()}
+        monkeypatch.setattr(cli_mod, "_parse_plain", lambda command, tokens: None)
+        for name, argv in requests.items():
+            assert outcome(capsys, tmp_path / "argparse" / name, argv) == plain[name], name
+
     def test_known_command_skips_the_top_level_parser(self, capsys, monkeypatch):
         import gicbounds.cli as cli_mod
+        from output_hash import cli_bytes_records, load_reference, pool_records
 
         parser, _ = cli_mod._build_parser()
         calls = []
         parse_known_args = cli_mod._Parser.parse_known_args
 
         def counted(self, *args, **kwargs):
-            if self is parser:
-                calls.append(args)
+            calls.append(self)
             return parse_known_args(self, *args, **kwargs)
 
         monkeypatch.setattr(cli_mod._Parser, "parse_known_args", counted)
@@ -892,7 +909,7 @@ class TestSingleParse:
             *BAD_INPUT_ARGV,
         ):
             run(capsys, *argv)
-        assert calls == []
+        assert parser not in calls
         for argv, message in (
             ([], "error: the following arguments are required: command\n"),
             (["nope"], "error: argument command: invalid choice: 'nope' "),
@@ -901,7 +918,73 @@ class TestSingleParse:
             code, out, err = run(capsys, *argv)
             assert (code, out, err.count("\n")) == (1, "", 1)
             assert err.startswith(message)
-        assert len(calls) == 3
+        assert calls.count(parser) == 3
+        # The bench pools' requests all take the plain parse, and so do the
+        # pinned runs but one, whose negative dB gain argparse reads.
+        calls.clear()
+        reference = load_reference()
+        requests = sum(1 for name in ("region", "sweep", "verdicts")
+                       for _ in pool_records(reference[name]))
+        assert (requests, calls) == (292, [])
+        pinned = json.loads((Path(__file__).parent / "data" / "cli_bytes.json").read_text())
+        parsed = []
+        for name, _ in zip(pinned["runs"], cli_bytes_records(), strict=True):
+            parsed += [name] * len(calls)
+            calls.clear()
+        assert parsed == ["threshold-mc-json"]
+
+    # Declined: an abbreviation, "--x=v", a negative value, help, "--", a
+    # trailing option, an unknown option, a missing required option, a
+    # value its type refuses, a value after a flag, and a value starting
+    # with "-" that argparse reads as an option.
+    @pytest.mark.parametrize("argv", [
+        ["region", *FIG1_ARGS, "--mu", "5"],
+        ["classify", "--a=0.1", *FIG1_ARGS[2:]],
+        ["threshold", "--m", "4", "--c", "-16", "--db"],
+        ["classify", "-h"],
+        ["classify", "--", *FIG1_ARGS],
+        ["classify", *FIG1_ARGS, "--p2"],
+        ["classify", *FIG1_ARGS, "--nope", "1"],
+        ["sweep", *FIG1_ARGS, "--param", "p1", "--from", "1", "--to", "4", "--points", "3"],
+        ["threshold", "--p", "nope"],
+        ["murate", *FIG1_ARGS, "--json", "x"],
+        ["sweep", *FIG1_ARGS, "--param", "p1", "--from", "-1e-3", "--to", "4",
+         "--points", "3", "--metric", "sum-tin"],
+    ])
+    def test_plain_parse_declines(self, argv):
+        import gicbounds.cli as cli_mod
+
+        _, commands = cli_mod._build_parser()
+        assert cli_mod._parse_plain(commands[argv[0]], argv[1:]) is None
+
+    def test_from_value_read_as_an_option(self, capsys):
+        code, out, err = run(capsys, "sweep", *FIG1_ARGS, "--param", "p1", "--from", "-1e-3",
+                             "--to", "4", "--points", "3", "--metric", "sum-tin")
+        assert (code, out, err) == (1, "", "error: argument --from: expected one argument\n")
+
+    def test_every_option_is_a_plain_kind(self):
+        # The plain parse reads each option as a single-value store of a
+        # float, int or string, or as a store_true flag, with no choices and
+        # no string default to convert; an option of any other kind fails
+        # here rather than parse differently from argparse.
+        import argparse
+
+        import gicbounds.cli as cli_mod
+
+        _, commands = cli_mod._build_parser()
+        for name, command in commands.items():
+            actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+            for a in actions:
+                assert type(a) in (argparse._StoreAction, argparse._StoreTrueAction), (name, a)
+                assert a.nargs is None or type(a) is argparse._StoreTrueAction, (name, a)
+                assert a.type in (float, int, None), (name, a)
+                assert a.choices is None and not isinstance(a.default, str), (name, a)
+            options, defaults, required = command.plain
+            assert options == {s: a for a in actions for s in a.option_strings}, name
+            assert defaults == {a.dest: a.default for a in actions} | {
+                "func": command.get_default("func")
+            }, name
+            assert required == {a for a in actions if a.required}, name
 
 
 class TestConfigHelpers:

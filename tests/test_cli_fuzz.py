@@ -9,7 +9,8 @@ now and then 10^16 or more: past any address space, so numpy refuses them
 before allocating anything.  Sizes in between are never drawn, since they
 allocate gigabytes or run for minutes.  One request builder serves a
 hypothesis property, kept small, and a survey of 4,000 requests from
-``random.Random(1)``.
+``random.Random(1)``.  It also serves a property and a survey of the plain
+parse: wherever it accepts a request, it returns argparse's namespace.
 """
 
 import contextlib
@@ -19,10 +20,11 @@ import random
 import sys
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gicbounds.cli import main
+from gicbounds.cli import _build_parser, _parse_plain, main
 from gicbounds.config import SWEEP_METRICS, SWEEP_PARAMS
 
 EDGES = (
@@ -126,3 +128,32 @@ def test_survey_of_4000_requests():
         if not well_reported(code, lines):
             bad.append((argv, code, lines))
     assert bad == []
+
+
+def plain_parse_differs(argv: list[str]) -> bool:
+    """Whether the plain parse accepts ``argv`` with a namespace other than
+    argparse's, reprs compared so that nan equals nan and -0.0 differs
+    from 0.0."""
+    command = _build_parser()[1][argv[0]]
+    plain = _parse_plain(command, argv[1:])
+    if plain is None:
+        return False
+    expected = command.parse_args(argv[1:])
+    return repr(sorted(vars(plain).items())) != repr(sorted(vars(expected).items()))
+
+
+@settings(max_examples=300)
+@given(st.randoms(use_true_random=False))
+def test_plain_parse_equals_argparse(rng):
+    argv = request(rng)
+    assert not plain_parse_differs(argv), argv
+
+
+@pytest.mark.slow
+def test_plain_parse_survey_of_20000_requests():
+    rng = random.Random(1)
+    argvs = [request(rng) for _ in range(20000)]
+    commands = _build_parser()[1]
+    accepted = sum(_parse_plain(commands[argv[0]], argv[1:]) is not None for argv in argvs)
+    assert [argv for argv in argvs if plain_parse_differs(argv)] == []
+    assert accepted > len(argvs) // 2
