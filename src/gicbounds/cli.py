@@ -13,11 +13,11 @@ internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -45,6 +45,11 @@ def _fmt(x: float) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read any negative decimal number as a value, "-1e-3" too, not only "-1" and "-.5"
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message):  # do not sys.exit(2); bad input is status 1
         raise ConfigError(message)
 
@@ -103,7 +108,7 @@ def _cmd_classify(args) -> int:
         payload = {
             "kind": verdict.kind.value,
             "sum_capacity_bits": verdict.sum_capacity,
-            "certificate": None if verdict.certificate is None else dataclasses.asdict(verdict.certificate),
+            "certificate": None if verdict.certificate is None else vars(verdict.certificate),
             "condition_slack": verdict.condition_slack,
             "slacks": {
                 k: (None if math.isinf(v) else v) for k, v in verdict.slacks.items()

@@ -86,13 +86,28 @@ class SweepSpec:
 
     @cached_property  # the fields are frozen, so the grid is built once
     def _grid(self) -> np.ndarray:
-        with np.errstate(over="ignore"):  # overflow near the float max: numpy resets the ends
-            if not self.log_spacing:
-                return np.linspace(self.start, self.stop, self.points)
+        """np.linspace, or np.geomspace with log_spacing, bit for bit and with
+        its errors: the ufunc calls that numpy makes for real scalar ends."""
+        start, stop, div = float(self.start), float(self.stop), self.points - 1
+        if self.log_spacing:
             try:
-                return np.geomspace(self.start, self.stop, self.points)
-            except OverflowError as exc:  # numpy takes float(points) first
+                float(self.points)  # np.geomspace's first step
+            except OverflowError as exc:
                 raise ConfigError("the sweep's point count exceeds the largest float") from exc
+            start, stop = float(np.log10(start)), float(np.log10(stop))
+        grid = np.arange(0, self.points, dtype=float)
+        # nan from an overflowing stop - start fails the channel check; an overflowing end is reset
+        with np.errstate(over="ignore", invalid="ignore"):
+            if (step := (stop - start) / div) == 0:  # numpy's subnormal branch
+                grid /= div
+                step = stop - start
+            grid *= step
+            grid += start
+            grid[-1] = stop
+            if self.log_spacing:
+                grid = np.power(10.0, grid)
+                grid[0], grid[-1] = self.start, self.stop
+        return grid
 
     def channels(
         self, base: TwoUserChannel, gains_in_db: bool = False

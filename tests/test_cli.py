@@ -1,4 +1,7 @@
+import argparse
 import dataclasses
+import functools
+import inspect
 import json
 import math
 import os
@@ -536,13 +539,12 @@ class TestSweepChannels:
         assert str(built.value) == f"sweep value -1.0 invalid: {replaced.value}"
 
     def test_one_grid_per_request(self, capsys, monkeypatch):
-        import gicbounds.config as config_mod
-
+        # The grid is built once, for the channels, and read again for the rows.
         calls = []
-        geomspace = config_mod.np.geomspace
-        monkeypatch.setattr(
-            config_mod.np, "geomspace", lambda *a, **k: calls.append(a) or geomspace(*a, **k)
-        )
+        build = SweepSpec._grid.func
+        counted = functools.cached_property(lambda spec: calls.append(spec) or build(spec))
+        counted.__set_name__(SweepSpec, "_grid")
+        monkeypatch.setattr(SweepSpec, "_grid", counted)
         code, out, _ = run(
             capsys, "sweep", *FIG1_ARGS, "--param", "p1", "--log",
             "--from", "1", "--to", "100", "--points", "3", "--metric", "sum-tin",
@@ -795,12 +797,36 @@ HUGE_GRID_ARGV = [
 ]
 
 
+# numpy's refusal of each sweep point count, as it printed with np.linspace
+# and np.geomspace building the grid.
+TOO_LARGE = "error: Maximum allowed size exceeded\n"
+HUGE_POINTS_ERRORS = {
+    10**16: "error: Unable to allocate 71.1 PiB for an array with shape (10000000000000000,)"
+            " and data type float64\n",
+    10**19: TOO_LARGE,
+    10**20: TOO_LARGE,
+    10**400: TOO_LARGE,
+}
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv", HUGE_GRID_ARGV)
     def test_huge_grid_is_one_error_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("log", [False, True])
+    @pytest.mark.parametrize("points", HUGE_POINTS_ERRORS)
+    def test_huge_point_count_keeps_its_error(self, capsys, points, log):
+        code, out, err = run(capsys, "sweep", *FIG1_ARGS, "--param", "p1", "--from", "1",
+                             "--to", "2", "--points", str(points), "--metric", "sum-tin",
+                             *["--log"] * log)
+        if log and points == 10**400:  # the log grid converts the count to a float first
+            assert err == "error: the sweep's point count exceeds the largest float\n"
+        else:
+            assert err == HUGE_POINTS_ERRORS[points]
+        assert (code, out) == (1, "")
 
     @pytest.mark.parametrize("argv", [["-h"], ["classify", "-h"], ["sweep", "--help"]])
     def test_help_returns_zero(self, capsys, argv):
@@ -935,8 +961,8 @@ class TestSingleParse:
 
     # Declined: an abbreviation, "--x=v", a negative value, help, "--", a
     # trailing option, an unknown option, a missing required option, a
-    # value its type refuses, a value after a flag, and a value starting
-    # with "-" that argparse reads as an option.
+    # value its type refuses, a value after a flag, and a negative value in
+    # exponent form, which argparse reads.
     @pytest.mark.parametrize("argv", [
         ["region", *FIG1_ARGS, "--mu", "5"],
         ["classify", "--a=0.1", *FIG1_ARGS[2:]],
@@ -958,17 +984,51 @@ class TestSingleParse:
         assert cli_mod._parse_plain(commands[argv[0]], argv[1:]) is None
 
     def test_from_value_read_as_an_option(self, capsys):
+        # argparse reads "-1e-3" as the value of --from, and the grid's first
+        # value, a negative power, is refused.
         code, out, err = run(capsys, "sweep", *FIG1_ARGS, "--param", "p1", "--from", "-1e-3",
                              "--to", "4", "--points", "3", "--metric", "sum-tin")
-        assert (code, out, err) == (1, "", "error: argument --from: expected one argument\n")
+        assert (code, out, err) == (
+            1, "", "error: sweep value -0.001 invalid: p1 must be finite and > 0, got -0.001\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--a", "-1e1", "--b", "-20", "--p1", "10", "--p2", "20", "--db"],
+        ["threshold", "--m", "4", "--c", "-1.6E+1", "--db", "--json"],
+        ["sweep", *FIG1_ARGS, "--param", "a", "--from", "-2e1", "--to", "-.5e1",
+         "--points", "3", "--metric", "verdict", "--db"],
+    ])
+    def test_negative_value_in_any_float_form(self, capsys, argv):
+        # A negative number reads the same as a token of its own as joined
+        # to its option by "=", which argparse always read as a value.
+        joined = list(argv)
+        for i in reversed(range(1, len(argv))):
+            if argv[i].startswith("-") and not argv[i].startswith("--"):
+                joined[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+        assert len(joined) < len(argv)
+        separate = run(capsys, *argv)
+        assert separate[0] == 0 and separate == run(capsys, *joined)
+
+    def test_argparse_reads_the_negative_number_pattern(self):
+        # _Parser widens the pattern argparse checks a "-" token against; if
+        # argparse no longer kept it there, the override would do nothing.
+        import gicbounds.cli as cli_mod
+
+        assert hasattr(argparse.ArgumentParser(), "_negative_number_matcher")
+        assert "self._negative_number_matcher.match(" in inspect.getsource(
+            argparse.ArgumentParser._parse_optional
+        )
+        matcher = cli_mod._Parser()._negative_number_matcher
+        for token in ("-1", "-.5", "-1.", "-1e1", "-1.5e-3", "-.5E+10", "-0.0"):
+            assert matcher.match(token), token
+        for token in ("-", "-e1", "-1e", "-inf", "-nan", "--1", "-1e1.5", "-x", "-1,5"):
+            assert not matcher.match(token), token
 
     def test_every_option_is_a_plain_kind(self):
         # The plain parse reads each option as a single-value store of a
         # float, int or string, or as a store_true flag, with no choices and
         # no string default to convert; an option of any other kind fails
         # here rather than parse differently from argparse.
-        import argparse
-
         import gicbounds.cli as cli_mod
 
         _, commands = cli_mod._build_parser()
@@ -1056,6 +1116,22 @@ class TestClosedStdout:
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+class TestOverflowingGrid:
+    # A fresh interpreter, since a warning once shown in this process is not
+    # shown again.
+    @pytest.mark.parametrize("start", [["--from=-1e308"], ["--from", "-1e308"]])
+    def test_overflowing_step_is_one_error_line(self, start):
+        # stop - start overflows, and the grid's first point is 0 * inf = nan.
+        proc = subprocess.run(
+            [sys.executable, "-m", "gicbounds", "sweep", *FIG1_ARGS, "--param", "p1", *start,
+             "--to", "1e308", "--points", "3", "--metric", "sum-tin"],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: sweep value nan invalid: p1 must be finite and > 0, got nan\n"
+        )
 
 
 class TestRuntimeImports:

@@ -400,7 +400,9 @@ def test_dispatched_numpy_transcendentals_only_at_their_known_sources():
     assert callers(sources, "np.log") == {("multiuser.py", "barrier")}
     assert callers(sources, "np.exp") == {("genie.py", "_middle")}
     assert callers(sources, "np.exp2") == {("region.py", "build_outer_region")}
-    assert callers(sources, "np.geomspace") == {("config.py", "_grid")}
+    # the sweep's log grid: np.geomspace's own ufunc calls
+    assert callers(sources, "np.log10") == {("config.py", "_grid")}
+    assert callers(sources, "np.power") == {("config.py", "_grid")}
 
 
 def test_log1p_only_in_the_rate():
