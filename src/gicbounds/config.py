@@ -211,8 +211,7 @@ def load_channel_config(path: str | Path) -> TwoUserChannel | MUserChannel:
         diag = np.diag(gains)
         if np.any(diag != 0.0):
             raise ConfigError("dB gains must have 0 dB on the diagonal")
-        gains = db_to_linear(gains)
-        np.fill_diagonal(gains, 1.0)
+        gains = db_to_linear(gains)  # 10^(±0/10) is exactly 1
     try:
         ch = MUserChannel(gains=gains, powers=powers)
     except ValueError as exc:

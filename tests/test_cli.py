@@ -23,6 +23,7 @@ from gicbounds.config import (
     linear_to_db,
     load_channel_config,
 )
+import pins
 from verify import is_exact_witness
 
 FIG1_ARGS = ["--a", "0.04", "--b", "0.09", "--p1", "10", "--p2", "20"]
@@ -397,24 +398,6 @@ class TestSweepCommand:
         assert (code, err) == (0, "")
         assert out.splitlines()[0] == "p2,sum-upper" and len(out.splitlines()) == 4
 
-    @staticmethod
-    def replay_pinned_sweeps(capsys, name):
-        pinned = json.loads((Path(__file__).parent / "data" / name).read_text())
-        for sweep, entry in pinned["sweeps"].items():
-            code, out, _ = run(capsys, *entry["argv"])
-            assert code == 0, sweep
-            assert [r.split(",") for r in out.splitlines()[1:]] == entry["rows"], sweep
-
-    def test_pinned_sum_upper_sweeps(self, capsys):
-        # sum-upper rows of three benchmark sweeps (the criterion-3 curve, a
-        # regime channel, noisy channels), pinned to the last digit.
-        self.replay_pinned_sweeps(capsys, "sum_upper.json")
-
-    def test_pinned_sum_upper_strata(self, capsys):
-        # One regime and one noisy benchmark sweep per --param choice: each
-        # regime row is a weight-1 MU search, pinned to the last digit.
-        self.replay_pinned_sweeps(capsys, "sum_upper_strata.json")
-
     @pytest.mark.parametrize("grid, message", BAD_GRIDS)
     def test_bad_grid_value_exit_one(self, capsys, grid, message):
         code, out, err = run(capsys, "sweep", *FIG1_ARGS, *grid, "--metric", "sum-upper")
@@ -565,21 +548,6 @@ class TestMurateCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["feasible"] and payload["oracle"]["feasible"]
-
-    def test_pinned_verdicts(self, capsys, tmp_path):
-        # murate --json of the benchmark's m-user channels (every m <= 4
-        # entry, one per m = 8 and m = 12 stratum), and with the resolution-16
-        # oracle where pinned, byte for byte.
-        pinned = json.loads((Path(__file__).parent / "data" / "murate.json").read_text())
-        cfg = tmp_path / "ch.json"
-        for entry in pinned["entries"]:
-            cfg.write_text(json.dumps({"gains": entry["gains"], "powers": entry["powers"]}))
-            runs = [([], entry["stdout"])]
-            if "oracle16_stdout" in entry:
-                runs.append((["--oracle-resolution", "16"], entry["oracle16_stdout"]))
-            for extra, expected in runs:
-                code, out, err = run(capsys, "murate", "--config", str(cfg), "--json", *extra)
-                assert (code, out, err) == (0, expected, ""), (entry["id"], extra)
 
     @pytest.mark.parametrize("command", [["murate", "--json"], ["classify"]])
     def test_single_user_config(self, capsys, tmp_path, command):
@@ -768,22 +736,6 @@ class TestThresholdCommand:
         assert err.startswith("error: the power threshold overflows") and err.count("\n") == 1
 
 
-class TestPinnedBytes:
-    def test_cli_bytes(self, capsys, tmp_path):
-        # Exit code, stdout, stderr and written files of classify on every
-        # verdict, region CSV and SVG, a sweep per metric and both threshold
-        # forms, byte for byte.
-        pinned = json.loads((Path(__file__).parent / "data" / "cli_bytes.json").read_text())
-        for name, entry in pinned["runs"].items():
-            out_dir = tmp_path / name
-            out_dir.mkdir()
-            code, out, err = run(capsys, *(a.replace("{dir}", str(out_dir)) for a in entry["argv"]))
-            files = {p.name: p.read_text() for p in sorted(out_dir.iterdir())}
-            assert (code, out.replace(str(out_dir), "{dir}"), err, files) == (
-                entry["code"], entry["stdout"], entry["stderr"], entry["files"]
-            ), name
-
-
 # Grid sizes past any address space: numpy refuses them before allocating,
 # even where the system overcommits memory.  The last count also exceeds the
 # largest float, which numpy's log grid converts it to.
@@ -877,8 +829,7 @@ def outcome(capsys, out_dir, argv):
 class TestSingleParse:
     def requests(self, tmp_path):
         """Every pinned request and every bad-input case, by name."""
-        pinned = json.loads((Path(__file__).parent / "data" / "cli_bytes.json").read_text())
-        requests = {name: entry["argv"] for name, entry in pinned["runs"].items()}
+        requests = pins.cli_runs()
         requests.update((f"bad-input-{i}", argv) for i, argv in enumerate(BAD_INPUT_ARGV))
         for i, (payload, _) in enumerate(BAD_CONFIGS):
             cfg = tmp_path / f"bad-config-{i}.json"
@@ -915,7 +866,6 @@ class TestSingleParse:
 
     def test_known_command_skips_the_top_level_parser(self, capsys, monkeypatch):
         import gicbounds.cli as cli_mod
-        from output_hash import cli_bytes_records, load_reference, pool_records
 
         parser, _ = cli_mod._build_parser()
         calls = []
@@ -948,13 +898,10 @@ class TestSingleParse:
         # The bench pools' requests all take the plain parse, and so do the
         # pinned runs but one, whose negative dB gain argparse reads.
         calls.clear()
-        reference = load_reference()
-        requests = sum(1 for name in ("region", "sweep", "verdicts")
-                       for _ in pool_records(reference[name]))
+        requests = sum(1 for _ in pins.run(pins.POOLS))
         assert (requests, calls) == (292, [])
-        pinned = json.loads((Path(__file__).parent / "data" / "cli_bytes.json").read_text())
         parsed = []
-        for name, _ in zip(pinned["runs"], cli_bytes_records(), strict=True):
+        for _, name, _ in pins.run(["cli"]):
             parsed += [name] * len(calls)
             calls.clear()
         assert parsed == ["threshold-mc-json"]
@@ -1056,7 +1003,7 @@ class TestConfigHelpers:
     def test_db_matrix_config(self, tmp_path):
         cfg = tmp_path / "db.json"
         cfg.write_text(json.dumps({
-            "gains": [[0, 10 * math.log10(0.09)], [10 * math.log10(0.04), 0]],
+            "gains": [[0, 10 * math.log10(0.09)], [10 * math.log10(0.04), -0.0]],
             "powers": [10, 20],
             "units": "db",
         }))
@@ -1064,6 +1011,10 @@ class TestConfigHelpers:
         assert isinstance(ch, TwoUserChannel)
         assert ch.a == pytest.approx(0.04, rel=1e-12)
         assert ch.b == pytest.approx(0.09, rel=1e-12)
+        # 0 and -0.0 dB on the diagonal read as exactly 1.
+        gains = [[0, -10, -20], [-10, -0.0, -10], [-20, -10, 0]]
+        cfg.write_text(json.dumps({"gains": gains, "powers": [1, 2, 3], "units": "db"}))
+        assert load_channel_config(cfg).gains.diagonal().tolist() == [1.0, 1.0, 1.0]
 
     @pytest.mark.parametrize(
         "payload",

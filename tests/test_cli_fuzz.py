@@ -11,6 +11,8 @@ allocate gigabytes or run for minutes.  One request builder serves a
 hypothesis property, kept small, and a survey of 4,000 requests from
 ``random.Random(1)``.  It also serves a property and a survey of the plain
 parse: wherever it accepts a request, it returns argparse's namespace.
+The survey's ends rarely overflow a grid, so a property of its own draws
+sweeps whose grid overflows.
 """
 
 import contextlib
@@ -20,8 +22,9 @@ import random
 import sys
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gicbounds.cli import _build_parser, _parse_plain, main
@@ -128,6 +131,35 @@ def test_survey_of_4000_requests():
         if not well_reported(code, lines):
             bad.append((argv, code, lines))
     assert bad == []
+
+
+MAX = sys.float_info.max
+
+
+@st.composite
+def overflowing_sweep(draw) -> list[str]:
+    """A sweep whose grid overflows: a linear one from [-MAX, -1e307] to
+    [1e307, MAX], where stop - start can pass the float max, or a log one
+    whose stop, one of the top 1,024 floats, overflows 10^log10(stop).  The
+    metric is a cheap one, since the grid comes before any metric."""
+    if draw(st.booleans()):
+        start, stop, log = draw(st.floats(-MAX, -1e307)), draw(st.floats(1e307, MAX)), []
+    else:
+        stop = MAX - draw(st.integers(0, 1023)) * 2.0**971  # 2^971 is the top floats' spacing
+        with np.errstate(over="ignore"):
+            assume(np.isinf(np.power(10.0, np.log10(stop))))
+        start, log = draw(st.floats(5e-324, 1e308)), ["--log"]
+    return ["sweep", *"--a 0.04 --b 0.09 --p1 10 --p2 20".split(),
+            "--param", draw(st.sampled_from(SWEEP_PARAMS)), "--from", repr(start),
+            "--to", repr(stop), "--points", str(draw(st.integers(2, 300))),
+            "--metric", draw(st.sampled_from(("sum-tin", "tdm-best", "verdict"))), *log]
+
+
+@settings(max_examples=100)
+@given(overflowing_sweep())
+def test_an_overflowing_grid_exits_cleanly(argv):
+    code, lines = outcome(argv)
+    assert well_reported(code, lines), (argv, code, lines)
 
 
 def plain_parse_differs(argv: list[str]) -> bool:
