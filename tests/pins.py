@@ -19,10 +19,12 @@ For each request the file records its argv, as a shell command line, its
 exit status, stdout, stderr and the files it wrote.  Texts are lists of
 lines, each line with its end, and the temporary directory is written as
 ``{dir}``.
-``tests/test_pins.py`` rebuilds the records with ``records`` and names
-every request whose record differs from the file's.  A change that moves
-output bytes runs this script, and ``git diff tests/data`` lists the moved
-lines.  pytest does not collect this module.
+Each record is checked by exactly one test, the one that ``part`` names:
+``check`` rebuilds that part's records and names every request whose record
+differs from the file's, so a moved request fails one test and the failure
+names it.  A change that moves output bytes runs this script, and
+``git diff tests/data`` lists the moved lines.  pytest does not collect
+this module.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ from bench.workloads import execute, load_reference, make_op  # noqa: E402
 PATH = ROOT / "tests" / "data" / "cli_records.json"
 POOLS = ("region", "sweep", "verdicts")
 ORACLE = ["--oracle-resolution", "16"]
+# sum-upper sweeps of the criterion-3 curve, a regime and a noisy channel,
+# and one regime and one noisy sweep per --param choice.
+SUM_UPPER = ("criterion3", "a-regime-0", "symmetric-p-noisy-0")
+SUM_UPPER_STRATA = tuple(f"{param}-{kind}-1" for param in
+                         ("a", "b", "p1", "p2", "symmetric-a", "symmetric-p")
+                         for kind in ("regime", "noisy"))
 
 
 def cli_runs() -> dict[str, list[str]]:
@@ -50,7 +58,7 @@ def cli_runs() -> dict[str, list[str]]:
     return {name: shlex.split(record["argv"]) for name, record in recorded.items()}
 
 
-def _requests():
+def requests():
     """(group, name, argv in a given directory) of every request, in file order."""
     reference = load_reference()
     groups = {group: reference[group] for group in POOLS}
@@ -68,11 +76,20 @@ def _requests():
         ]
 
 
-def run(groups=(*POOLS, "cli", "oracle")):
-    """Run the requests of ``groups``, in file order, and yield each one's
-    (group, name, record)."""
-    for group, name, argv_in in _requests():
-        if group not in groups:
+def part(group: str, name: str) -> str:
+    """The name of the one test that checks a request's record."""
+    if group in ("cli", "verdicts", "oracle"):
+        return "cli_bytes" if group == "cli" else "verdicts"
+    if group == "sweep" and name in SUM_UPPER + SUM_UPPER_STRATA:
+        return "sum_upper" if name in SUM_UPPER else "sum_upper_strata"
+    return "records"
+
+
+def run(groups=(*POOLS, "cli", "oracle"), of_part=None):
+    """Run the requests of ``groups``, of part ``of_part`` if given, in file
+    order, and yield each one's (group, name, record)."""
+    for group, name, argv_in in requests():
+        if group not in groups or of_part not in (None, part(group, name)):
             continue
         with tempfile.TemporaryDirectory() as tmp:
             workdir = Path(tmp)
@@ -93,12 +110,16 @@ def run(groups=(*POOLS, "cli", "oracle")):
             }
 
 
-def records() -> dict[str, dict[str, dict]]:
-    """Every request's record, by group and name."""
-    out: dict[str, dict[str, dict]] = {}
-    for group, name, record in run():
-        out.setdefault(group, {})[name] = record
-    return out
+def check(of_part: str) -> None:
+    """Fail, naming each one, if a request of ``of_part`` moved: its rebuilt
+    record differs from the file's."""
+    pinned = json.loads(PATH.read_text())["records"]
+    moved = [f"{group}/{name}" for group, name, record in run(of_part=of_part)
+             if record != pinned[group][name]]
+    assert moved == [], (
+        f"requests moved ({len(moved)}): {', '.join(moved)}; "
+        "re-pin with python tests/pins.py and read git diff tests/data"
+    )
 
 
 def dumps(recs: dict) -> str:
@@ -107,4 +128,7 @@ def dumps(recs: dict) -> str:
 
 
 if __name__ == "__main__":
-    PATH.write_text(dumps(records()))
+    recs: dict[str, dict[str, dict]] = {}
+    for group, name, record in run():
+        recs.setdefault(group, {})[name] = record
+    PATH.write_text(dumps(recs))

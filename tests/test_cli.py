@@ -398,6 +398,16 @@ class TestSweepCommand:
         assert (code, err) == (0, "")
         assert out.splitlines()[0] == "p2,sum-upper" and len(out.splitlines()) == 4
 
+    def test_pinned_sum_upper_sweeps(self):
+        # sum-upper rows of three benchmark sweeps (the criterion-3 curve, a
+        # regime channel, noisy channels), pinned to the last digit.
+        pins.check("sum_upper")
+
+    def test_pinned_sum_upper_strata(self):
+        # One regime and one noisy benchmark sweep per --param choice: each
+        # regime row is a weight-1 MU search, pinned to the last digit.
+        pins.check("sum_upper_strata")
+
     @pytest.mark.parametrize("grid, message", BAD_GRIDS)
     def test_bad_grid_value_exit_one(self, capsys, grid, message):
         code, out, err = run(capsys, "sweep", *FIG1_ARGS, *grid, "--metric", "sum-upper")
@@ -548,6 +558,12 @@ class TestMurateCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["feasible"] and payload["oracle"]["feasible"]
+
+    def test_pinned_verdicts(self):
+        # Every request of the benchmark's verdicts pool (murate --json of its
+        # m-user channels among them), and murate --oracle-resolution 16 on
+        # its m <= 4 feasible and provable channels, byte for byte.
+        pins.check("verdicts")
 
     @pytest.mark.parametrize("command", [["murate", "--json"], ["classify"]])
     def test_single_user_config(self, capsys, tmp_path, command):
@@ -734,6 +750,14 @@ class TestThresholdCommand:
         code, out, err = run(capsys, "threshold", "--m", "2", "--c", "5e-324", *json_flag)
         assert (code, out) == (1, "")
         assert err.startswith("error: the power threshold overflows") and err.count("\n") == 1
+
+
+class TestPinnedBytes:
+    def test_cli_bytes(self):
+        # Exit code, stdout, stderr and written files of classify on every
+        # verdict, region CSV and SVG, a sweep per metric and both threshold
+        # forms, byte for byte.
+        pins.check("cli_bytes")
 
 
 # Grid sizes past any address space: numpy refuses them before allocating,

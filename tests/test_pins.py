@@ -1,5 +1,7 @@
-"""Every request of ``tests/pins.py`` exits, prints and writes byte for byte
-what ``tests/data/cli_records.json`` records for it."""
+"""The requests of ``tests/pins.py`` are those that
+``tests/data/cli_records.json`` records, the file is as a re-pin writes it,
+and every request that no other test checks (``pins.part``) exits, prints
+and writes byte for byte what the file records for it."""
 
 import json
 
@@ -8,14 +10,6 @@ import pins
 
 def test_records_equal_their_pins():
     pinned = json.loads(pins.PATH.read_text())["records"]
-    got = pins.records()
-    assert {group: list(recs) for group, recs in got.items()} == {
-        group: list(recs) for group, recs in pinned.items()
-    }
-    moved = [f"{group}/{name}" for group, recs in pinned.items()
-             for name, record in recs.items() if got[group][name] != record]
-    assert moved == [], (
-        f"requests moved ({len(moved)}): {', '.join(moved)}; "
-        "re-pin with python tests/pins.py and read git diff tests/data"
-    )
-    assert pins.dumps(got) == pins.PATH.read_text()  # a re-pin leaves the file as it is
+    assert [(g, n) for g, recs in pinned.items() for n in recs] == [r[:2] for r in pins.requests()]
+    assert pins.dumps(pinned) == pins.PATH.read_text()  # a re-pin leaves the file as it is
+    pins.check("records")
