@@ -149,12 +149,16 @@ def symmetric_threshold(m: int, c: float) -> float:
     when c <= 1/(4(m-1)); zero otherwise (no positive power qualifies).
     Where s = (m-1)c has s^2 below the least normal float, it is evaluated
     as ((1 - 2 sqrt(s))/(2s))/sqrt(s), whose steps stay normal until P*
-    itself overflows (near s = 2e-206); ValueError where it does.
+    itself overflows (near s = 2e-206); ValueError where it does, and where
+    m itself overflows a float.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     _check_finite_pos("gain", c)
-    s = (m - 1) * c
+    try:
+        s = (m - 1) * c
+    except OverflowError:  # an int m past the float range
+        raise ValueError(f"the user count overflows a float ({m.bit_length()} bits)") from None
     if _above_uniform_cut(m, c):
         return 0.0
     if s * s >= sys.float_info.min:

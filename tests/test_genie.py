@@ -1,10 +1,8 @@
-import json
 import math
 import random
 import re
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -37,6 +35,7 @@ from gicbounds.channel import _gap, sigma_limits
 from gicbounds.region import build_outer_region
 
 import helpers
+import pins
 from helpers import (
     clamp,
     count_objective_calls,
@@ -48,7 +47,7 @@ from helpers import (
 from verify import in_exact_box
 
 FIG1 = TwoUserChannel(a=0.04, b=0.09, p1=10, p2=20)
-PINNED_LINES = json.loads((Path(__file__).parent / "data" / "mu_lines.json").read_text())
+PINNED_LINES = pins.load("mu_lines.json")
 RHO_MAX = 1.0 - 1e-6  # the search's correlation bound
 
 # The north star's domain: regime gains in [1e-9, 1 - 1e-6] and powers in
@@ -238,19 +237,18 @@ class TestPinnedScalarApi:
     # approx of +inf matches only +inf.  The user1_genie_bound +inf point, a
     # one-sided channel at rho1 = 1, was recorded with the vectorized
     # objective once rho1 > 1 became an error.
-    pinned = json.loads((Path(__file__).parent / "data" / "mu_scalar.json").read_text())
+    pinned = pins.load("mu_scalar.json")
 
     def test_effective_powers_and_bound(self):
-        for a, b, p1, p2, mu, r1, r2, s1, s2, value, p1s, p2s in self.pinned["mu"]:
-            ch = TwoUserChannel(a, b, p1, p2)
-            gp = GenieParams(r1, r2, s1, s2)
-            assert effective_powers(ch, mu, gp) == (p1s, p2s)
-            assert eval_constraint1(ch, mu, gp) == pytest.approx(value, rel=1e-12, abs=0)
+        pins.check_file("mu_scalar.json")  # effective_powers, the p1_star and p2_star columns
+        for i, (a, b, p1, p2, mu, r1, r2, s1, s2, value, _, _) in enumerate(self.pinned["mu"]):
+            got = eval_constraint1(TwoUserChannel(a, b, p1, p2), mu, GenieParams(r1, r2, s1, s2))
+            assert got == pytest.approx(value, rel=1e-12, abs=0), f"mu/{i}"
 
     def test_user1_genie_bound(self):
-        for a, b, p1, p2, rho1, sigma1, value in self.pinned["user1"]:
+        for i, (a, b, p1, p2, rho1, sigma1, value) in enumerate(self.pinned["user1"]):
             got = user1_genie_bound(TwoUserChannel(a, b, p1, p2), rho1, sigma1)
-            assert got == pytest.approx(value, rel=1e-12, abs=0)
+            assert got == pytest.approx(value, rel=1e-12, abs=0), f"user1/{i}"
 
 
 class TestEvalConstraint2:
@@ -380,16 +378,7 @@ class TestOptimizeConstraint1Many:
     def test_pinned_region_lines(self):
         # MU lines of the default-grid outer region, pinned to the last bit:
         # a change to the genie search that moves any line fails here.
-        for name, entry in PINNED_LINES["channels"].items():
-            region = build_outer_region(
-                TwoUserChannel(*entry["channel"]), PINNED_LINES["mu_grid"]
-            )
-            got = [
-                [ln.weight, ln.value, ln.genie.rho1, ln.genie.rho2,
-                 ln.genie.sigma1_sq, ln.genie.sigma2_sq]
-                for ln in region.lines if ln.kind is WeightKind.MU
-            ]
-            assert got == entry["lines"], name
+        pins.check_file("mu_lines.json")
 
     def test_pinned_points_lie_in_the_exact_box(self):
         # Every variance cap is rounded down into the exact box.
@@ -461,7 +450,7 @@ def test_lines_no_looser_than_the_four_coordinate_search():
     # (about 1e-16 bits each), unless it lies within 1e-14 bits of the
     # weighted TIN rate: that rate is achievable, so no line lies below it
     # and the line is within 1e-14 bits of the least one.
-    reference = json.loads((Path(__file__).parent / "data" / "mu_reference.json").read_text())
+    reference = pins.load("mu_reference.json")
     for request in reference["requests"]:
         ch = TwoUserChannel(*request["channel"])
         tin = tin_rates(ch)
@@ -510,7 +499,7 @@ def judge_value(ch, mu):
 def test_judge_search_finds_at_most_a_micro_bit_below_any_line():
     # A second, independent search at every weight of the three pinned
     # default regions and of the tail channel's default region.
-    tail = json.loads((Path(__file__).parent / "data" / "mu_tail.json").read_text())
+    tail = pins.load("mu_tail.json")
     cases = [(entry["channel"], [row[0] for row in entry["lines"]])
              for entry in PINNED_LINES["channels"].values()]
     cases.append((tail["channel"], [row[0] for row in PINNED_LINES["channels"]["fig1"]["lines"]]))
@@ -847,17 +836,11 @@ class TestTailChannel:
     about 600,000 times; its line at one default weight is pinned."""
 
     def test_pinned_line_within_call_budget(self, monkeypatch):
-        pinned = json.loads((Path(__file__).parent / "data" / "mu_tail.json").read_text())
         # The certificate, two probe calls of 32 weights and 44
         # search calls for the longest lane's 50 polls.
         calls = count_objective_calls(monkeypatch)
-        region = build_outer_region(TwoUserChannel(*pinned["channel"]))
+        pins.check_file("mu_tail.json")
         assert calls[0] == 47
-        (line,) = [ln for ln in region.lines if ln.weight == pinned["weight"]]
-        g = line.genie
-        assert line.value == pinned["value"]
-        assert [g.rho1, g.rho2, g.sigma1_sq, g.sigma2_sq] == pinned["genie"]
-        assert list(line.effective) == pinned["effective"]
 
 
 class TestSumUpperBounds:

@@ -1,9 +1,7 @@
 import collections
 import itertools
-import json
 import math
 import tracemalloc
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -36,6 +34,7 @@ from gicbounds.multiuser import (
     _phase_one,
     _two_user_seed,
 )
+import pins
 from helpers import (
     count_newton_solves,
     count_probes,
@@ -52,13 +51,14 @@ from verify import (
 )
 
 FIG1 = TwoUserChannel(a=0.04, b=0.09, p1=10, p2=20)
-PINNED = Path(__file__).parent / "data" / "find_rho.json"
 
 
 def pinned_channels(prefix=""):
-    """(id, channel) of the find_rho.json entries whose id starts with prefix;
-    the "mu-" entries are the m-user channels of the benchmark verdicts pool."""
-    for entry in json.loads(PINNED.read_text())["entries"]:
+    """(id, channel) of the pinned m-user channels whose id starts with
+    prefix: the m-user entries of the benchmark verdicts pool ("mu-"), whose
+    verdicts cli_records.json pins, then find_rho.json's random channels
+    ("rand-")."""
+    for entry in pins.muser_pool() + pins.load("find_rho.json")["entries"]:
         if entry["id"].startswith(prefix):
             gains, powers = np.array(entry["gains"]), np.array(entry["powers"])
             yield entry["id"], MUserChannel(gains=gains, powers=powers)
@@ -168,7 +168,9 @@ class TestSymmetricThreshold:
             expected = (mpmath.sqrt(s) - 2 * s) / (2 * s * s)
             assert abs(symmetric_threshold(m, c) / expected - 1) <= 1e-15
 
-    @pytest.mark.parametrize("m, c", [(2, 5e-324), (12, 1e-210)])
+    # The last: (m - 1)*c converts m to a float, which 10^400 overflows.
+    @pytest.mark.parametrize("m, c", [(2, 5e-324), (12, 1e-210),
+                                      pytest.param(10**400, 0.1, id="10^400-0.1")])
     def test_overflowing_threshold_is_refused(self, m, c):
         with pytest.raises(ValueError, match="overflows"):
             symmetric_threshold(m, c)
@@ -324,24 +326,10 @@ class TestTwoUserClosedForm:
 
 
 class TestFindRhoPinned:
-    ENTRIES = json.loads(PINNED.read_text())["entries"]
-
     def test_verdicts_bit_identical(self):
-        # Every m-user channel of the benchmark verdicts pool and 100 seeded
-        # random channels, recorded with the phase-I barrier solve.
-        for entry in self.ENTRIES:
-            ch = MUserChannel(gains=np.array(entry["gains"]), powers=np.array(entry["powers"]))
-            v = find_rho(ch)
-            got = {
-                "feasible": v.feasible,
-                "rho": None if v.rho is None else list(v.rho),
-                "best_probe": None if v.best_probe is None else list(v.best_probe),
-                "slacks": v.slacks.tobytes().hex(),
-                "max_slack": repr(v.max_slack),
-                "note": v.note,
-                "provably_infeasible": v.provably_infeasible,
-            }
-            assert got == entry["verdict"], entry["id"]
+        # find_rho.json's 100 seeded random channels, recorded with the
+        # phase-I barrier solve; cli_records.json pins the pool's verdicts.
+        pins.check_file("find_rho.json")
 
     def test_newton_systems_over_the_pool(self, monkeypatch):
         # The 120 m-user channels of the benchmark verdicts pool: the 2
@@ -379,11 +367,10 @@ class TestFindRhoPinned:
         assert (feasible, calls[0]) == (628, 3649)
 
     def test_witnesses_pass_the_exact_check(self):
-        witnesses = [e for e in self.ENTRIES if e["verdict"]["feasible"]]
+        witnesses = [(cid, ch, v.rho) for cid, ch in pinned_channels() if (v := find_rho(ch)).feasible]
         assert len(witnesses) >= 100
-        for entry in witnesses:
-            rho = entry["verdict"]["rho"]
-            assert is_exact_witness(entry["gains"], entry["powers"], rho), entry["id"]
+        for cid, ch, rho in witnesses:
+            assert is_exact_witness(ch.gains.tolist(), ch.powers.tolist(), rho), cid
 
 
 class TestHeuristicSeed:
@@ -491,13 +478,12 @@ class TestNecessaryConditions:
         # verdicts pool and 21 of the 39 not-found random channels, and no
         # feasible one; every hit is checked exactly.
         fires = collections.Counter()
-        for entry in TestFindRhoPinned.ENTRIES:
-            ch = MUserChannel(gains=np.array(entry["gains"]), powers=np.array(entry["powers"]))
+        for cid, ch in pinned_channels():
             if ch.m > 2 and _necessary_bound(_Conditions(ch)) > _NECESSARY:
                 assert pair_bound_exceeds(ch.gains, ch.powers, _BAND) or (
                     receiver_bound(ch.gains, ch.powers) > _BAND
-                ), entry["id"]
-                fires[entry["id"][:3], entry["verdict"]["feasible"]] += 1
+                ), cid
+                fires[cid[:3], find_rho(ch).feasible] += 1
         assert fires == {("mu-", False): 40, ("ran", False): 21}
 
 
@@ -521,13 +507,13 @@ class TestDualCertificate:
         return lb
 
     def test_pinned_not_found_verdicts_are_certified(self):
-        # Every not-found entry of find_rho.json, the verdicts pool's 60
-        # among them, stops on a certificate; feasible ones never do.
+        # Every pinned channel that find_rho finds no witness for, the
+        # verdicts pool's 60 among them, stops on a certificate; feasible
+        # ones never do.
         stops = 0
-        for entry in TestFindRhoPinned.ENTRIES:
-            ch = MUserChannel(gains=np.array(entry["gains"]), powers=np.array(entry["powers"]))
-            lb = self.assert_certified(ch, entry["id"])
-            assert (lb is not None) == (not entry["verdict"]["feasible"]), entry["id"]
+        for cid, ch in pinned_channels():
+            lb = self.assert_certified(ch, cid)
+            assert (lb is not None) == (not find_rho(ch).feasible), cid
             stops += lb is not None
         assert stops >= 99
 
@@ -544,12 +530,11 @@ class TestDualCertificate:
 
     def test_stops_at_uncentered_iterates_are_certified(self, monkeypatch):
         # With no iterate ever centered, every stop is at an uncentered one.
+        not_found = [(cid, ch) for cid, ch in pinned_channels() if not find_rho(ch).feasible]
         monkeypatch.setattr(multiuser, "_CENTERED", -math.inf)
         stops = 0
-        for entry in TestFindRhoPinned.ENTRIES:
-            if not entry["verdict"]["feasible"]:
-                ch = MUserChannel(gains=np.array(entry["gains"]), powers=np.array(entry["powers"]))
-                stops += self.assert_certified(ch, entry["id"]) is not None
+        for cid, ch in not_found:
+            stops += self.assert_certified(ch, cid) is not None
         assert stops >= 83
 
     @given(sparse_channels([2, 3, 4]))

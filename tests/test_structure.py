@@ -468,12 +468,3 @@ def f():
     sources = [(Path("m.py"), ast.parse(source))]
     assert third_party_imports(sources, {"helpers"}) == {"numpy", "scipy", "mpmath"}
 
-
-def test_every_pinned_file_is_read_by_a_test_module():
-    # A file under tests/data that no test module names in a string checks nothing.
-    tests = Path(__file__).resolve().parent
-    trees = [ast.parse(path.read_text()) for path in tests.glob("*.py")]
-    literals = {node.value for tree in trees for node in ast.walk(tree)
-                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
-    names = {path.name for path in (tests / "data").iterdir()}
-    assert "cli_records.json" in names and names - literals == set()
