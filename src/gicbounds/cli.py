@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import capacity, genie, multiuser, region
@@ -28,6 +28,7 @@ from .config import (
     SWEEP_PARAMS,
     ConfigError,
     SweepSpec,
+    _read_channel_config,
     channel_from_flags,
     db_to_linear,
     linear_to_db,
@@ -65,13 +66,14 @@ def _add_channel_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
     ]
 
 
-def _channel_from_args(args) -> TwoUserChannel | MUserChannel:
+def _channel_from_args(args, load=load_channel_config) -> TwoUserChannel | MUserChannel:
+    """The channel of the flags, or of the config that ``load`` reads."""
     if args.config is not None:
         if any(v is not None for v in (args.a, args.b, args.p1, args.p2)):
             raise ConfigError("give either --config or --a/--b/--p1/--p2, not both")
         if args.db and args.func is not _cmd_sweep:  # sweep's --db also reads its grid
             raise ConfigError('--db does not apply to --config; set "units": "db" in the config')
-        return load_channel_config(args.config)
+        return load(args.config)
     missing = [f for f in ("a", "b", "p1", "p2") if getattr(args, f) is None]
     if missing:
         raise ConfigError(f"missing channel flags: {', '.join('--' + f for f in missing)}")
@@ -96,7 +98,47 @@ def _muser_verdict_json(ch: MUserChannel, verdict: multiuser.MUserVerdict):
 def _print_json(payload) -> None:
     """Print ``payload`` as strict JSON: a non-finite number in it is a
     ValueError, which ``main`` reports as bad input before anything prints."""
-    print(json.dumps(payload, indent=2, allow_nan=False))
+    print(_json_text(payload, "\n"))
+
+
+def _json_text(x, newline: str) -> str:
+    """``json.dumps(x, indent=2, allow_nan=False)`` for an ``x`` nested
+    ``newline`` (a line break and the indent of x's lines) deep, with the
+    same bytes and errors, and without the json module's pure-Python
+    encoder, which ``indent`` selects.  As there, str, int and float
+    subclasses print as those types, tuples as lists, and no circular
+    reference is checked."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return float.__repr__(x)
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+    inner = newline + "  "
+    if isinstance(x, (list, tuple)):  # finite floats, most of a payload, inline
+        items = [float.__repr__(v) if type(v) is float and math.isfinite(v)
+                 else _json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(x, dict):
+        items = [_json_key(k) + ": " + _json_text(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` prints it: a scalar key as the string of
+    its JSON text."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        key = _json_text(key, "")
+    return encode_basestring_ascii(key)
 
 
 def _cmd_classify(args) -> int:
@@ -206,7 +248,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_murate(args) -> int:
-    ch = _channel_from_args(args)
+    ch = _channel_from_args(args, _read_channel_config)  # a 2 x 2 matrix stays an MUserChannel
     if isinstance(ch, TwoUserChannel):
         ch = MUserChannel.from_two_user(ch)
     if args.oracle_resolution is not None:

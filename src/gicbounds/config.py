@@ -172,6 +172,20 @@ def load_channel_config(path: str | Path) -> TwoUserChannel | MUserChannel:
     "units": "linear"|"db" applying to the gains (diagonal entries must be
     1 linear / 0 dB).  A 2x2 matrix yields a TwoUserChannel.
     """
+    ch = _read_channel_config(path)
+    if isinstance(ch, MUserChannel) and ch.m == 2:
+        return TwoUserChannel(
+            a=float(ch.gains[1, 0]),
+            b=float(ch.gains[0, 1]),
+            p1=float(ch.powers[0]),
+            p2=float(ch.powers[1]),
+        )
+    return ch
+
+
+def _read_channel_config(path: str | Path) -> TwoUserChannel | MUserChannel:
+    """``load_channel_config``, with a matrix config of any size read as an
+    MUserChannel."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -213,14 +227,6 @@ def load_channel_config(path: str | Path) -> TwoUserChannel | MUserChannel:
             raise ConfigError("dB gains must have 0 dB on the diagonal")
         gains = db_to_linear(gains)  # 10^(±0/10) is exactly 1
     try:
-        ch = MUserChannel(gains=gains, powers=powers)
+        return MUserChannel(gains=gains, powers=powers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if ch.m == 2:
-        return TwoUserChannel(
-            a=float(ch.gains[1, 0]),
-            b=float(ch.gains[0, 1]),
-            p1=float(ch.powers[0]),
-            p2=float(ch.powers[1]),
-        )
-    return ch

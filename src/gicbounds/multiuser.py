@@ -87,13 +87,13 @@ class MUserChannel:
             raise ValueError(
                 f"powers must have length {m}, got shape {powers.shape}"
             )
-        if not np.all(np.isfinite(gains)) or not np.all(np.isfinite(powers)):
+        if not np.isfinite(gains).all() or not np.isfinite(powers).all():
             raise ValueError("gains and powers must be finite")
-        if np.any(np.diag(gains) != 1.0):
+        if (gains.diagonal() != 1.0).any():
             raise ValueError("diagonal gain entries must be exactly 1")
-        if np.any(gains < 0):
+        if (gains < 0).any():
             raise ValueError("gains must be nonnegative")
-        if np.any(powers <= 0):
+        if (powers <= 0).any():
             raise ValueError("powers must be strictly positive")
         gains.setflags(write=False)
         powers.setflags(write=False)
@@ -124,14 +124,21 @@ class MUserChannel:
         if self.m == 1:
             return True
         off = self.gains[~np.eye(self.m, dtype=bool)]
-        return bool(np.all(off == off[0]) and np.all(self.powers == self.powers[0]))
+        return bool((off == off[0]).all() and (self.powers == self.powers[0]).all())
 
 
 def m_user_interference_powers(ch: MUserChannel) -> np.ndarray:
-    """Total interference power Q_i = sum_{j != i} c_ji * P_j at each receiver,
-    summed over the crosstalk gains alone: subtracting c_ii P_i from the full
-    sum would cancel catastrophically when P_i dwarfs Q_i."""
-    return (ch.gains - np.diag(np.diag(ch.gains))).T @ ch.powers
+    """Total interference power Q_i = sum_{j != i} c_ji * P_j at each receiver."""
+    return _crosstalk(ch)[1]
+
+
+def _crosstalk(ch: MUserChannel) -> tuple[np.ndarray, np.ndarray]:
+    """The crosstalk gains C, a copy of the gains with a zero diagonal, and
+    Q = C' P, summed over the crosstalk gains alone: subtracting c_ii P_i
+    from the full sum would cancel catastrophically when P_i dwarfs Q_i."""
+    crosstalk = ch.gains.copy()
+    np.fill_diagonal(crosstalk, 0.0)
+    return crosstalk, crosstalk.T @ ch.powers
 
 
 def _above_uniform_cut(m: int, c: float) -> bool:
@@ -223,16 +230,14 @@ class _Conditions:
 
     def __init__(self, ch: MUserChannel):
         self.m, self.powers = ch.m, ch.powers
-        self.gains_offdiag = ch.gains.copy()
-        np.fill_diagonal(self.gains_offdiag, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.q = m_user_interference_powers(ch)
+            self.gains_offdiag, self.q = _crosstalk(ch)
             self.one_q = 1.0 + self.q
             self.one_q_sq = np.square(self.one_q)
             # First family: M1[j, i] = c_ji (1 + Q_j)^2, LHS_i = sum_j M1[j, i] / rho_j^2.
             self.m1 = self.gains_offdiag * self.one_q_sq[:, None]
             # Not finite if a (1 + Q)^2 or an entry of M1 is, or a column sum overflows.
-            self.weights = self.m1.sum(axis=0)
+            self.weights = np.add.reduce(self.m1, axis=0)
         if not np.isfinite(self.weights).all():
             raise ValueError(
                 "condition weights overflow: sum_j c_ji (1 + Q_j)^2 exceeds the "
@@ -276,12 +281,16 @@ class _Conditions:
         elementwise loop runs along n, and the weights multiply from the
         left; an (n, m) layout would broadcast the (m,) terms over rows of m
         entries."""
-        slacks = np.empty((2,) + u.shape)
         # An LHS past the float range is an inf slack, and a u of 1 + Q an inf or nan one.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            inv_u, inv_den, rhs1, rhs2 = self._terms(u)
-            np.subtract(self.m1.T @ inv_u, rhs1, out=slacks[0])
-            np.subtract(self.m2.T @ inv_den, rhs2, out=slacks[1])
+            return self._slacks(u)
+
+    def _slacks(self, u: np.ndarray) -> np.ndarray:
+        """``slacks`` under the caller's floating-point error state."""
+        slacks = np.empty((2,) + u.shape)
+        inv_u, inv_den, rhs1, rhs2 = self._terms(u)
+        np.subtract(self.m1.T @ inv_u, rhs1, out=slacks[0])
+        np.subtract(self.m2.T @ inv_den, rhs2, out=slacks[1])
         return slacks
 
     def at(self, rho: np.ndarray) -> np.ndarray:
@@ -411,7 +420,7 @@ def _heuristic_seed(model: _Conditions) -> np.ndarray:
     sends.  On a uniform channel o_j = (m-1)c, and both families reduce
     to (m-1)c (1 + Q)^2/rho^2 <= 1 - rho^2, least at this common rho.
     """
-    out = model.gains_offdiag.sum(axis=1)  # total gain out of each transmitter
+    out = np.add.reduce(model.gains_offdiag, axis=1)  # total gain out of each transmitter
     rho_sq = np.sqrt(np.maximum(out, 1e-300)) * model.one_q
     return np.sqrt(np.clip(rho_sq, _RHO_MIN, _RHO_MAX))
 
@@ -523,32 +532,36 @@ def _phase_one(
     jac[:, m] = -1.0
     slack_jac = jac[:, :m]
     hess = np.empty((m + 1, m + 1))
-    d = np.arange(m)
+    # Strided views of the diagonals jac[i, i], jac[m + i, i] and hess[i, i], i < m.
+    jac_diag = jac.reshape(-1)[: m * (m + 2) : m + 2]
+    jac_low_diag = jac.reshape(-1)[m * (m + 1) :: m + 2]
+    hess_diag = hess.reshape(-1)[: m * (m + 2) : m + 2]
 
     def barrier(u: np.ndarray, t: float, g: np.ndarray) -> float:
-        return -float(np.log(t - g).sum() + np.log((u - _U_MIN) * (_U_MAX - u)).sum())
+        box = np.log((u - _U_MIN) * (_U_MAX - u))
+        return -float(np.add.reduce(np.log(t - g)) + np.add.reduce(box))
 
     u = np.minimum(start * start, 0.9)
     with np.errstate(all="ignore"):
-        g = model.slacks(u[:, None]).ravel()
+        g = model._slacks(u[:, None]).ravel()
         t = g.max() + max(1.0, abs(g.max()))
-        tau = float((1.0 / (t - g)).sum())
+        tau = float(np.add.reduce(1.0 / (t - g)))
         phi = barrier(u, t, g)
     for _ in range(_NEWTON_STEPS):
         # Overflow or nan ends the solve as a stall; no yield happens in here.
         with np.errstate(all="ignore"):
             w = 1.0 / (t - g)
             slope, curve = model._curvature(u)
-            jac[:m, :m] = model.m1.T * slope[0]
-            jac[d, d] += 1.0
-            jac[m:, :m] = model.m2.T * slope[1]
-            jac[m + d, d] -= slope[2]
+            np.multiply(model.m1.T, slope[0], out=jac[:m, :m])
+            jac_diag += 1.0
+            np.multiply(model.m2.T, slope[1], out=jac[m:, :m])
+            jac_low_diag -= slope[2]
             # The dual bound times W, against its rounding band.
             s = w @ slack_jac
-            total = float(w.sum())
-            scaled_lb = float(w @ g + np.minimum(-s * u, s * (1.0 - u)).sum())
+            total = float(np.add.reduce(w))
+            scaled_lb = float(w @ g + np.add.reduce(np.minimum(-s * u, s * (1.0 - u))))
             band = _BAND * float(
-                w @ (np.abs(g) + 4.0) + w @ np.abs(slack_jac).sum(axis=1)
+                w @ (np.abs(g) + 4.0) + w @ np.add.reduce(np.abs(slack_jac), axis=1)
             ) + _UNDERFLOW * (total + 1.0)
             if scaled_lb > band:
                 return _DualBound(u, w, scaled_lb / total)
@@ -558,7 +571,7 @@ def _phase_one(
             grad[m] += tau
             scaled = w[:, None] * jac
             np.matmul(scaled.T, scaled, out=hess)
-            hess[d, d] += (
+            hess_diag += (
                 curve[0] * (model.m1 @ w[:m])
                 + curve[1] * (model.m2 @ w[m:])
                 - curve[2] * w[m:]
@@ -584,7 +597,7 @@ def _phase_one(
             while size > 1e-12:
                 u_new, t_new = u + size * step[:m], t + size * step[m]
                 if ((u_new > _U_MIN) & (u_new < _U_MAX)).all():
-                    g_new = model.slacks(u_new[:, None]).ravel()
+                    g_new = model._slacks(u_new[:, None]).ravel()
                     if (g_new < t_new).all():
                         phi_new = barrier(u_new, t_new, g_new)
                         if tau * t_new + phi_new <= value - 0.25 * size * decrement:

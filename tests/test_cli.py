@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import dataclasses
+import enum
 import functools
 import inspect
+import io
 import json
 import math
 import os
@@ -10,11 +13,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import gicbounds
-from gicbounds import TwoUserChannel, multiuser, tdm_fdm_sum_rate, tin_rates
+from gicbounds import TwoUserChannel, cli, multiuser, tdm_fdm_sum_rate, tin_rates
 from gicbounds.cli import main
 from gicbounds.config import (
     ConfigError,
@@ -581,6 +587,26 @@ class TestMurateCommand:
         assert code == 0
         assert "feasible" in out
 
+    def test_two_by_two_config_is_read_once(self, capsys, tmp_path, monkeypatch):
+        # The config's own MUserChannel is searched: no TwoUserChannel is
+        # built from it, and no MUserChannel is built again.
+        cfg = tmp_path / "ch2.json"
+        cfg.write_text(json.dumps({"gains": [[1, 0.09], [0.04, 1]], "powers": [10, 20]}))
+        code, out, _ = run(capsys, "murate", "--config", str(cfg), "--json")
+        built = []
+
+        def counted(init):
+            def post_init(self):
+                built.append(type(self))
+                init(self)
+            return post_init
+
+        for cls in (TwoUserChannel, multiuser.MUserChannel):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
+        assert run(capsys, "murate", "--config", str(cfg), "--json") == (code, out, "")
+        assert (code, built) == (0, [multiuser.MUserChannel])
+        assert run(capsys, "murate", *FIG1_ARGS, "--json") == (code, out, "")
+
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_probe_keeps_the_finite_best(self, capsys):
@@ -617,6 +643,53 @@ class TestMurateCommand:
             capsys, "murate", "--config", str(cfg), "--oracle-resolution", resolution
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+class Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64),
+    st.text(), st.sampled_from(Level),
+)
+JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.none(), st.booleans())
+JSON_PAYLOADS = st.recursive(JSON_SCALARS | st.builds(object), lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(), children, max_size=4),
+    st.dictionaries(JSON_KEYS, children, max_size=2),
+), max_leaves=12)
+
+
+def printed(write, payload):
+    """What ``write(payload)`` prints, or the type and text of its error."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            write(payload)
+    except (TypeError, ValueError) as exc:
+        assert out.getvalue() == ""
+        return type(exc), str(exc)
+    return out.getvalue()
+
+
+class TestJsonWriter:
+    """``_print_json`` prints what ``json.dumps(x, indent=2, allow_nan=False)``
+    gives, and raises its errors, on str, int, float and enum scalars, lists,
+    tuples and dicts, with nan, infinities and unsupported objects among
+    them."""
+
+    @given(JSON_PAYLOADS)
+    @example({"é": [(), {}, [1.5, np.float64(-0.0)], Level.HIGH, "\u2603\n"]})
+    @example([{"ok": [1, True, None]}, [float("nan")]])
+    @example({"x": np.float64("-inf")})
+    @example({(1, 2): 0})
+    @example([1, object()])
+    def test_matches_json_dumps(self, payload):
+        reference = printed(lambda x: print(json.dumps(x, indent=2, allow_nan=False)), payload)
+        assert printed(cli._print_json, payload) == reference
 
 
 class TestOverflowingChannel:
