@@ -102,12 +102,12 @@ def _print_json(payload) -> None:
 
 
 def _json_text(x, newline: str) -> str:
-    """``json.dumps(x, indent=2, allow_nan=False)`` for an ``x`` nested
-    ``newline`` (a line break and the indent of x's lines) deep, with the
-    same bytes and errors, and without the json module's pure-Python
-    encoder, which ``indent`` selects.  As there, str, int and float
-    subclasses print as those types, tuples as lists, and no circular
-    reference is checked."""
+    """The text and errors of ``json.dumps(x, indent=2, allow_nan=False)``
+    for ``x`` at the depth where ``newline``, a line break and an indent,
+    starts each line.  json encodes with ``indent`` in pure Python, one
+    generator per container; this joins each container's text once.  As
+    there, str, int and float subclasses print as those types and tuples
+    as lists; no circular reference is checked."""
     if isinstance(x, str):
         return encode_basestring_ascii(x)
     if x is None or x is True or x is False:
