@@ -28,7 +28,6 @@ from .config import (
     SWEEP_PARAMS,
     ConfigError,
     SweepSpec,
-    _read_channel_config,
     channel_from_flags,
     db_to_linear,
     linear_to_db,
@@ -66,14 +65,13 @@ def _add_channel_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
     ]
 
 
-def _channel_from_args(args, load=load_channel_config) -> TwoUserChannel | MUserChannel:
-    """The channel of the flags, or of the config that ``load`` reads."""
+def _channel_from_args(args, two_user: bool = True) -> TwoUserChannel | MUserChannel:
     if args.config is not None:
         if any(v is not None for v in (args.a, args.b, args.p1, args.p2)):
             raise ConfigError("give either --config or --a/--b/--p1/--p2, not both")
         if args.db and args.func is not _cmd_sweep:  # sweep's --db also reads its grid
             raise ConfigError('--db does not apply to --config; set "units": "db" in the config')
-        return load(args.config)
+        return load_channel_config(args.config, two_user=two_user)
     missing = [f for f in ("a", "b", "p1", "p2") if getattr(args, f) is None]
     if missing:
         raise ConfigError(f"missing channel flags: {', '.join('--' + f for f in missing)}")
@@ -248,7 +246,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_murate(args) -> int:
-    ch = _channel_from_args(args, _read_channel_config)  # a 2 x 2 matrix stays an MUserChannel
+    ch = _channel_from_args(args, two_user=False)  # a 2 x 2 matrix stays an MUserChannel
     if isinstance(ch, TwoUserChannel):
         ch = MUserChannel.from_two_user(ch)
     if args.oracle_resolution is not None:

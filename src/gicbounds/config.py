@@ -164,28 +164,17 @@ def _numeric(raw: dict, key: str, convert):
         raise ConfigError(f"{key} holds a number too large for a float") from None
 
 
-def load_channel_config(path: str | Path) -> TwoUserChannel | MUserChannel:
+def load_channel_config(
+    path: str | Path, *, two_user: bool = True
+) -> TwoUserChannel | MUserChannel:
     """Read a JSON channel config.
 
     Two shapes are accepted: scalar {"a", "b", "p1", "p2"} or matrix
     {"gains": [[...]], "powers": [...]}, both with an optional
     "units": "linear"|"db" applying to the gains (diagonal entries must be
-    1 linear / 0 dB).  A 2x2 matrix yields a TwoUserChannel.
+    1 linear / 0 dB).  A 2x2 matrix yields a TwoUserChannel, or with
+    two_user=False the MUserChannel it was read as.
     """
-    ch = _read_channel_config(path)
-    if isinstance(ch, MUserChannel) and ch.m == 2:
-        return TwoUserChannel(
-            a=float(ch.gains[1, 0]),
-            b=float(ch.gains[0, 1]),
-            p1=float(ch.powers[0]),
-            p2=float(ch.powers[1]),
-        )
-    return ch
-
-
-def _read_channel_config(path: str | Path) -> TwoUserChannel | MUserChannel:
-    """``load_channel_config``, with a matrix config of any size read as an
-    MUserChannel."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -227,6 +216,14 @@ def _read_channel_config(path: str | Path) -> TwoUserChannel | MUserChannel:
             raise ConfigError("dB gains must have 0 dB on the diagonal")
         gains = db_to_linear(gains)  # 10^(±0/10) is exactly 1
     try:
-        return MUserChannel(gains=gains, powers=powers)
+        ch = MUserChannel(gains=gains, powers=powers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if ch.m == 2 and two_user:
+        return TwoUserChannel(
+            a=float(ch.gains[1, 0]),
+            b=float(ch.gains[0, 1]),
+            p1=float(ch.powers[0]),
+            p2=float(ch.powers[1]),
+        )
+    return ch

@@ -1109,6 +1109,8 @@ class TestConfigHelpers:
         assert isinstance(ch, TwoUserChannel)
         assert ch.a == pytest.approx(0.04, rel=1e-12)
         assert ch.b == pytest.approx(0.09, rel=1e-12)
+        matrix = load_channel_config(cfg, two_user=False)
+        assert matrix.gains.tolist() == [[1.0, ch.b], [ch.a, 1.0]]
         # 0 and -0.0 dB on the diagonal read as exactly 1.
         gains = [[0, -10, -20], [-10, -0.0, -10], [-20, -10, 0]]
         cfg.write_text(json.dumps({"gains": gains, "powers": [1, 2, 3], "units": "db"}))
