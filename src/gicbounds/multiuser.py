@@ -325,9 +325,9 @@ def _verdict_from_probe(
     provably_infeasible: bool = False,
     note: str = "",
 ) -> MUserVerdict:
-    max_slack = float(np.max(slacks))
+    max_slack = float(np.maximum.reduce(slacks, axis=None))
     feasible = max_slack <= 0.0
-    rho_t = tuple(float(r) for r in rho)
+    rho_t = tuple(rho.tolist())
     return MUserVerdict(
         feasible=feasible,
         rho=rho_t if feasible else None,
@@ -422,7 +422,7 @@ def _heuristic_seed(model: _Conditions) -> np.ndarray:
     """
     out = np.add.reduce(model.gains_offdiag, axis=1)  # total gain out of each transmitter
     rho_sq = np.sqrt(np.maximum(out, 1e-300)) * model.one_q
-    return np.sqrt(np.clip(rho_sq, _RHO_MIN, _RHO_MAX))
+    return np.sqrt(np.minimum(np.maximum(rho_sq, _RHO_MIN), _RHO_MAX))
 
 
 class _DualBound(NamedTuple):
@@ -566,15 +566,16 @@ def _phase_one(
             jac_diag += 1.0
             np.multiply(model.m2.T, slope[1], out=jac[m:, :m])
             jac_low_diag -= slope[2]
-            # The dual bound times W, against its rounding band.
+            # The dual bound times W, against its rounding band, which is positive.
             s = w @ slack_jac
-            total = float(np.add.reduce(w))
             scaled_lb = float(w @ g + np.add.reduce(np.minimum(-s * u, s * (1.0 - u))))
-            band = _BAND * float(
-                w @ (np.abs(g) + 4.0) + w @ np.add.reduce(np.abs(slack_jac), axis=1)
-            ) + _UNDERFLOW * (total + 1.0)
-            if scaled_lb > band:
-                return _DualBound(u, w, scaled_lb / total)
+            if scaled_lb > 0.0:
+                total = float(np.add.reduce(w))
+                band = _BAND * float(
+                    w @ (np.abs(g) + 4.0) + w @ np.add.reduce(np.abs(slack_jac), axis=1)
+                ) + _UNDERFLOW * (total + 1.0)
+                if scaled_lb > band:
+                    return _DualBound(u, w, scaled_lb / total)
             low, high = u - _U_MIN, _U_MAX - u
             grad = w @ jac
             grad[:m] += 1.0 / high - 1.0 / low
