@@ -460,7 +460,8 @@ def _phase_one(
     allows, which Boyd and Vandenberghe (section 11.3.1) set near the
     start's own gap to t*, estimated by |max g|.  Where max g is 0 or not
     finite, tau0 = sum_k w_k.  The floor and tau0 move only the solve's
-    path: the heuristic probe that ``find_rho`` evaluates first is start.
+    path: the heuristic probe that ``find_rho`` evaluates first is
+    ``start`` itself, unclipped.
 
     Yields rho = sqrt(u) of every iterate after the start; ``find_rho``
     stops at the first witness.  At every iterate, the start included, the
