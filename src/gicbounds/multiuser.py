@@ -11,9 +11,10 @@ with Q_i the total interference power at receiver i.  One condition model
 per channel holds the terms free of rho, and one of its methods evaluates
 the slacks of any number of rho vectors; ``check_conditions``, ``find_rho``
 and the oracle each build it once.  ``find_rho`` searches for such a
-vector: a 'not found' verdict means that a dual bound proved that no
-vector in (0, 1)^m exists, unless the search stalled or ended on its
-fallback rule (see ``find_rho``); only the uniform-channel case is flagged
+vector: a 'not found' verdict means that a closed-form test, bound
+propagation or a dual bound proved that no vector in (0, 1)^m exists,
+unless the search stalled or ended on its fallback rule (see
+``find_rho``); only the uniform-channel case is flagged
 as ``provably_infeasible``.  ``oracle_grid_feasibility`` is a brute-force
 cross-check, run by ``gicbounds murate --oracle-resolution`` and the tests.
 
@@ -23,10 +24,11 @@ feasibility is a convex program.  ``find_rho`` solves its phase-I form,
 minimize t subject to every slack <= t, with a barrier Newton method, and
 accepts a witness only on a one-point evaluation of the model.  Before
 the solve, two closed-form necessary conditions (a pair test and a
-receiver test) can prove that no witness exists, and at every iterate of
-the solve a dual bound can; each is checked against a proven rounding
-margin.  The oracle scans its grid in slabs, one per value of the first
-coordinate, each evaluated by one model call.
+receiver test), then bound propagation on a box of u, can prove that no
+witness exists, and at every iterate of the solve a dual bound can; each
+is checked against a proven rounding margin.  The oracle scans its grid
+in slabs, one per value of the first coordinate, each evaluated by one
+model call.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ _GROWTH = 30.0  # growth of the phase-I barrier weight per centering
 _BAND = 2.0**-27  # relative rounding band of the phase-I dual bound (see _phase_one)
 _NECESSARY = 1.0 + 2.0**-26  # float level of the closed-form necessary conditions
 _UNDERFLOW = 2.0**-980  # its underflow floor, per unit multiplier weight
+_ENCLOSE = 2.0**-47  # relative error bound of the model's terms (see _propagation_empties)
+_SWEEPS = 4  # bound-propagation sweeps before find_rho falls back on the solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,6 +409,70 @@ def _necessary_bound(model: _Conditions) -> float:
     return float(max((roots + roots.T).max(), model.weights.max()))
 
 
+def _propagation_empties(model: _Conditions) -> bool:
+    """Whether bound propagation (Belotti et al., "Branching and bounds
+    tightening techniques for non-convex MINLP", 2009) empties the box
+    [lb, ub] = [0, 1]^m of u = rho^2 within _SWEEPS sweeps, with every
+    slack relaxed to <= s = _BAND.  Let u in (0, 1)^m meet the relaxed
+    conditions and lie in the box, so 0 < u_i, lb_i < 1, ub_i > 0 and
+    R_i(u) = u/(P_i u + K_i) is increasing.  Row i of family 1 gives
+    u_i <= 1 + s - sum_j M1[j, i]/ub_j, and u_j >= M1[j, i]/r_ji with
+    r_ji = 1 + s - lb_i - sum_{k != j} M1[k, i]/ub_k.  Row i of family 2
+    gives b_i = sum_j c_ij/(1 + Q_j - lb_j) - s <= R_i(u_i), so u_i >=
+    b_i K_i/(1 - b_i P_i), and no u_i exists where b_i P_i >= 1; and u_j
+    <= 1 + Q_j - c_ij/r'_ji, r'_ji = R_i(ub_i) - b_i + c_ij/(1 + Q_j - lb_j)
+    (r and r' are positive where their numerators are).  A sweep applies
+    family 1 to the box it starts from, then family 2 to the box that
+    leaves.  u stays in each new box, so once some lb_i > ub_i or
+    ub_i <= 0, no such u exists.
+
+    In floats.  1 + Q, K and M1 carry gamma_n with n <= 2m + 4 <= 36 (the
+    ``_phase_one`` docstring; an underflow in Q is a relative 2^-1070 of
+    1 + Q), and a sum of at most 16 nonnegative terms gamma_15; both are
+    below 2^-47 = _ENCLOSE.  So (1 + Q^)(1 + 2^-47) bounds 1 + Q above,
+    and K^ (1 - 2^-47), M1^ (1 - 2^-47) and such a sum times 1 - 2^-47
+    bound theirs below.  An M1 that underflows errs by 2^-1075 more, which
+    the one-float step below covers.  Every result, those products
+    included, is then moved one float by ``np.nextafter`` toward the side
+    that loosens the box, which bounds its exact value: a lower bound of a
+    value >= 0 toward 0, so zeros stay zero.  Each float rule is then
+    implied by its exact one, and u stays in the float box too.  Overflow
+    and nan never empty the box by themselves: toward 0, an overflow's inf
+    becomes the largest float, which still bounds the exact value from
+    below, and a nan candidate (0/0 or inf - inf) is dropped by ``np.fmax``
+    and ``np.fmin``.  A float box that empties proves that no u has every
+    exact slack <= 2^-27, and, as for ``_necessary_bound``, no point that
+    ``find_rho`` would accept exists.
+    """
+    step, up, down, zero = np.nextafter, math.inf, -math.inf, 0.0
+    grow, shrink = 1.0 + _ENCLOSE, 1.0 - _ENCLOSE
+    m1, gains = step(model.m1 * shrink, zero), model.m2  # M1[j, i], c_ij at [j, i]
+    k_lo, one_q = step(model.one_q_sq * shrink, zero), step(model.one_q * grow, up)
+    powers, lb, ub = model.powers, np.zeros(model.m), np.ones(model.m)
+    with np.errstate(all="ignore"):
+        for _ in range(_SWEEPS):
+            quot = m1 / ub[:, None]
+            total = step(np.add.reduce(step(quot, zero), axis=0) * shrink, zero)
+            top = step(1.0 + _BAND - total, up)
+            ratio = step(m1 / step(step(top + step(quot, up), up) - lb, up), zero)
+            ub = np.minimum(ub, top)
+            lb = np.fmax(lb, np.fmax.reduce(ratio, axis=1))
+            terms = gains / step(one_q - lb, up)[:, None]
+            b = step(step(np.add.reduce(step(terms, zero), axis=0) * shrink, zero) - _BAND, down)
+            b_pos = np.maximum(b, 0.0)
+            bp = step(b_pos * powers, zero)
+            if (bp >= 1.0).any():
+                return True
+            lb = np.fmax(lb, step(step(b_pos * k_lo, zero) / step(1.0 - bp, up), zero))
+            rate = step(ub / step(step(powers * ub, zero) + k_lo, zero), up)
+            room = step(step(rate - b, up) + step(terms, up), up)
+            high = step(one_q[:, None] - step(gains / room, zero), up)
+            ub = np.fmin(ub, np.fmin.reduce(high, axis=1))
+            if (lb > ub).any() or (ub <= 0.0).any():
+                return True
+    return False
+
+
 def _heuristic_seed(model: _Conditions) -> np.ndarray:
     """Per-user balance of family 1's column weights, the start of the solve.
 
@@ -634,9 +702,10 @@ def find_rho(ch: MUserChannel) -> MUserVerdict:
     the closed form decides: for A + B >= 1 no witness exists and the
     solve is skipped.
     For m > 2 the solve is skipped when the pair or receiver test of
-    ``_necessary_bound`` proves that the max slack exceeds 2^-27 at every
-    rho in (0, 1)^m.  So for m > 2 a 'not found' verdict means that one of
-    those tests, or a dual bound at an iterate of the solve, proved that
+    ``_necessary_bound``, or failing both, bound propagation
+    (``_propagation_empties``), proves that the max slack exceeds 2^-27 at
+    every rho in (0, 1)^m.  So for m > 2 a 'not found' verdict means that
+    one of those, or a dual bound at an iterate of the solve, proved that
     no rho in (0, 1)^m meets the conditions, unless Newton stalled or the
     solve ended on its fallback rule for a least max slack t* near 0, a
     relative duality gap of 1e-3.  ``best_probe`` is then the probe of
@@ -644,9 +713,9 @@ def find_rho(ch: MUserChannel) -> MUserVerdict:
     Only uniform channels whose gain exceeds 1/(4(m-1)), where the
     common-rho reduction is both necessary and sufficient, are marked
     ``provably_infeasible``.  Over the benchmark's m-user pool, the pair
-    and receiver tests settle 40 of the 48 infeasible m > 2 channels; the
-    other 8 average 6.5 Newton steps (4 of them stop at the start point,
-    with none), and the 2 feasible channels that need the solve 6.5.
+    and receiver tests settle 40 of the 48 infeasible m > 2 channels and
+    propagation the other 8, and the 2 feasible channels that need the
+    solve average 6.5 Newton steps.
     """
     if ch.m > 16:
         raise ValueError(f"find_rho supports m <= 16, got m={ch.m}")
@@ -659,8 +728,10 @@ def find_rho(ch: MUserChannel) -> MUserVerdict:
             yield closed_form
         yield heuristic
         # On m = 2, A + B >= 1 already proves that no witness exists; for
-        # m > 2 the pair and receiver tests can prove it.
-        proven = closed_form is None if ch.m == 2 else _necessary_bound(model) > _NECESSARY
+        # m > 2 the pair and receiver tests, then bound propagation, can.
+        proven = closed_form is None if ch.m == 2 else (
+            _necessary_bound(model) > _NECESSARY or _propagation_empties(model)
+        )
         if not proven:
             yield from _phase_one(model, heuristic)
 

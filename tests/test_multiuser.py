@@ -32,6 +32,7 @@ from gicbounds.multiuser import (
     _heuristic_seed,
     _necessary_bound,
     _phase_one,
+    _propagation_empties,
     _two_user_seed,
 )
 import pins
@@ -47,6 +48,7 @@ from verify import (
     exact_noisy_sign,
     is_exact_witness,
     pair_bound_exceeds,
+    propagation_empties,
     receiver_bound,
 )
 
@@ -64,11 +66,13 @@ def pinned_channels(prefix=""):
             yield entry["id"], MUserChannel(gains=gains, powers=powers)
 
 
-def sparse_channel(rng, m):
+def sparse_channel(rng, m, sparse=True):
     """Random channel with about half of its crosstalk gains zero, the rest
-    log-uniform from 1e-9 to 1/(m-1), and powers log-uniform from 1e-8 to 1e6."""
+    log-uniform from 1e-9 to 1/(m-1), and powers log-uniform from 1e-8 to 1e6.
+    With ``sparse`` False, the dense draw: no gain is zeroed."""
     gains = np.exp(rng.uniform(math.log(1e-9), math.log(1.0 / (m - 1)), (m, m)))
-    gains *= rng.uniform(size=(m, m)) < 0.5
+    if sparse:
+        gains *= rng.uniform(size=(m, m)) < 0.5
     np.fill_diagonal(gains, 1.0)
     powers = np.exp(rng.uniform(math.log(1e-8), math.log(1e6), m))
     return MUserChannel(gains=gains, powers=powers)
@@ -333,15 +337,15 @@ class TestFindRhoPinned:
 
     def test_newton_systems_over_the_pool(self, monkeypatch):
         # The 120 m-user channels of the benchmark verdicts pool: the 2
-        # feasible ones that no probe settles solve 13 systems, and the 8
-        # infeasible ones that neither the probes nor the pair and receiver
-        # tests settle solve 52, 0 of them on the 4 provable ones.  The
+        # feasible ones that no probe settles solve 13 systems, and bound
+        # propagation settles all 8 infeasible ones that neither the probes
+        # nor the pair and receiver tests settle, so they solve none.  The
         # one-point probes count every closed form, heuristic and iterate.
         calls = count_newton_solves(monkeypatch)
         probes = count_probes(monkeypatch)
         for _, ch in pinned_channels("mu-"):
             find_rho(ch)
-        assert (calls[0], probes[0]) == (65, 182)
+        assert (calls[0], probes[0]) == (13, 133)
 
     @pytest.mark.parametrize(
         "cid", ["mu-m3-92", "mu-m3-98", "mu-m3-99", "mu-m4-130", "mu-m4-136"]
@@ -358,19 +362,40 @@ class TestFindRhoPinned:
     def test_sparse_survey(self, monkeypatch):
         # 300 sparse_channel draws for each m, in this order, from one
         # generator: the verdicts and the Newton work over all of them.
-        rng = np.random.default_rng(7)
-        calls = count_newton_solves(monkeypatch)
-        feasible = 0
-        for m in (3, 4, 6, 8, 12, 16):
-            for _ in range(300):
-                feasible += find_rho(sparse_channel(rng, m)).feasible
-        assert (feasible, calls[0]) == (628, 1659)
+        assert survey_work(monkeypatch, 7, 300) == (628, 183)
+
+    # The same counts on the other surveys, so that a change to the search
+    # shows its work as a diff of these pins.
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed, per_m, sparse, work", [
+        (8, 300, True, (657, 264)),
+        (21, 200, False, (256, 125)),
+        (22, 200, False, (265, 164)),
+    ], ids=["sparse8", "dense21", "dense22"])
+    def test_survey_work(self, seed, per_m, sparse, work, monkeypatch):
+        assert survey_work(monkeypatch, seed, per_m, sparse) == work
 
     def test_witnesses_pass_the_exact_check(self):
         witnesses = [(cid, ch, v.rho) for cid, ch in pinned_channels() if (v := find_rho(ch)).feasible]
         assert len(witnesses) >= 100
         for cid, ch, rho in witnesses:
             assert is_exact_witness(ch.gains.tolist(), ch.powers.tolist(), rho), cid
+
+
+def survey_channels(seed, per_m, sparse=True):
+    """``per_m`` sparse_channel draws (dense ones where ``sparse`` is False)
+    for each m in (3, 4, 6, 8, 12, 16), in this order, from one generator."""
+    rng = np.random.default_rng(seed)
+    for m in (3, 4, 6, 8, 12, 16):
+        for _ in range(per_m):
+            yield sparse_channel(rng, m, sparse)
+
+
+def survey_work(monkeypatch, seed, per_m, sparse=True):
+    """(witnesses found, Newton systems solved) of find_rho over a survey."""
+    calls = count_newton_solves(monkeypatch)
+    feasible = sum(find_rho(ch).feasible for ch in survey_channels(seed, per_m, sparse))
+    return feasible, calls[0]
 
 
 class TestHeuristicSeed:
@@ -459,6 +484,9 @@ class TestNecessaryConditions:
 
     @pytest.mark.parametrize("test", ["pair", "receiver"])
     def test_margin_examples_straddle_the_level(self, test, monkeypatch):
+        # Below the level the pair example goes on to the solve.  The
+        # receiver example does not: family 1's upper-bound rule of bound
+        # propagation gives u_0 <= 1 + 2^-27 - W_0 < 0 in its first sweep.
         solves = []
 
         def solve(model, start):
@@ -466,9 +494,12 @@ class TestNecessaryConditions:
             return (yield from _phase_one(model, start))
 
         monkeypatch.setattr(multiuser, "_phase_one", solve)
-        for direction, runs in ((-math.inf, [3]), (math.inf, [])):
+        below = {"pair": [3], "receiver": []}[test]
+        for direction, runs in ((-math.inf, below), (math.inf, [])):
             ch = at_margin(test, direction)
-            assert _necessary_bound(_Conditions(ch)) == math.nextafter(_NECESSARY, direction)
+            model = _Conditions(ch)
+            assert _necessary_bound(model) == math.nextafter(_NECESSARY, direction)
+            assert _propagation_empties(model) == (test == "receiver")
             solves.clear()
             assert not find_rho(ch).feasible
             assert solves == runs
@@ -485,6 +516,53 @@ class TestNecessaryConditions:
                 ), cid
                 fires[cid[:3], find_rho(ch).feasible] += 1
         assert fires == {("mu-", False): 40, ("ran", False): 21}
+
+
+class TestPropagation:
+    """For m > 2, find_rho skips the phase-I solve when bound propagation
+    (``_propagation_empties``) empties the box of u = rho^2.  Every float
+    firing must replay in rational arithmetic, with the same rules and
+    sweeps (``verify.propagation_empties``): then no rho in (0, 1)^m has
+    every slack <= 2^-27."""
+
+    @staticmethod
+    def assert_replays(ch, cid=None):
+        """Whether the float propagation fires on ch; if it does, check its
+        replay and that find_rho finds no witness.  The propagation proves
+        every channel the pair or receiver test proves."""
+        model = _Conditions(ch)
+        fires = _propagation_empties(model)
+        if fires:
+            assert propagation_empties(ch.gains, ch.powers, multiuser._SWEEPS, _BAND), cid
+            assert not find_rho(ch).feasible, cid
+        assert fires or not _necessary_bound(model) > _NECESSARY, cid
+        return fires
+
+    def test_pinned_firings_replay(self):
+        # It fires on the 8 infeasible m > 2 pool channels that the pair and
+        # receiver tests leave to the solve, on 15 of the 18 such random
+        # channels, and on every channel those tests settle.
+        fires = collections.Counter()
+        for cid, ch in pinned_channels():
+            if ch.m > 2 and self.assert_replays(ch, cid):
+                fires[cid[:3], _necessary_bound(_Conditions(ch)) > _NECESSARY] += 1
+        assert fires == {("mu-", True): 40, ("mu-", False): 8, ("ran", True): 21, ("ran", False): 15}
+
+    @given(sparse_channels([3, 4, 6]))
+    def test_firings_replay(self, ch):
+        if self.assert_replays(ch) and ch.m <= 4:
+            assert not oracle_grid_feasibility(ch, 16).feasible
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed, per_m, sparse, firings", [
+        (7, 300, True, 1170),
+        (8, 300, True, 1141),
+        (21, 200, False, 943),
+        (22, 200, False, 934),
+    ], ids=["sparse7", "sparse8", "dense21", "dense22"])
+    def test_survey_firings_replay(self, seed, per_m, sparse, firings):
+        channels = survey_channels(seed, per_m, sparse)
+        assert sum(self.assert_replays(ch) for ch in channels) == firings
 
 
 class TestDualCertificate:

@@ -1,6 +1,6 @@
 """Exact checks of the two-user noisy condition, two-user genie points,
-m-user witnesses, the m-user necessary conditions and stopping
-certificates, in rational arithmetic.
+m-user witnesses, the m-user necessary conditions, bound propagation and
+stopping certificates, in rational arithmetic.
 
 Every float is a dyadic rational, so ``fractions.Fraction`` decides the
 noisy condition at float gains and powers, and evaluates the MU
@@ -8,13 +8,15 @@ feasibility box at a float genie point and both condition families at a
 float rho vector, with no rounding at all: a genie point passes when it
 lies in the exact box, and a witness when every exact slack is <= 0.  The
 pair and receiver bounds of the m-user conditions are exact functions of
-the channel, and a stopping certificate of the phase-I solve, a point u
-and weights w, passes when its dual bound, recomputed exactly, is
-positive.  Test-side only; the package does not import it.
+the channel, bound propagation is replayed with its box rounded outward,
+and a stopping certificate of the phase-I solve, a point u and weights
+w, passes when its dual bound, recomputed exactly, is positive.
+Test-side only; the package does not import it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -151,3 +153,74 @@ def exact_dual_bound(gains, powers, u, w) -> Fraction:
         min(-sj * uj, sj * (1 - uj)) for sj, uj in zip(s, u)
     )
     return total / sum(w)
+
+
+def _outward(x: Fraction, up: bool) -> Fraction:
+    """x rounded up or down to a dyadic rational of 256 significant bits."""
+    if x == 0:
+        return x
+    shift = 256 - x.numerator.bit_length() + x.denominator.bit_length()
+    scaled = x * Fraction(2) ** shift
+    return (math.ceil(scaled) if up else math.floor(scaled)) / Fraction(2) ** shift
+
+
+def propagation_empties(gains, powers, sweeps: int, band) -> bool:
+    """Whether ``multiuser._propagation_empties``'s rules, in the same order
+    and for the same number of sweeps, empty the box [0, 1]^m of u = rho^2
+    with every slack relaxed to <= band, in rational arithmetic.  The box
+    is empty once some lb_i > ub_i, ub_i <= 0 or lb_i >= 1 (u lies in
+    (0, 1)^m), or once a rule's right side r_ji, r'_ji or 1 - b_i P_i is
+    <= 0 where its numerator is positive.
+
+    Each rule holds at every u of any box that meets the relaxed
+    conditions, and each is monotone: a smaller box gives a smaller one.
+    Exact bounds grow about m-fold in length with each rule, so each new
+    bound is rounded outward to 256 significant bits.  That only loosens the box: when this one empties,
+    so does the box of the same rules with no rounding at all, and no u in
+    (0, 1)^m meets the relaxed conditions."""
+    c, p, one_q, others = _exact_channel(gains, powers)
+    m, s = len(p), Fraction(band)
+    k_sq = [x**2 for x in one_q]
+    m1 = [[c[j][i] * k_sq[j] if j != i else Fraction(0) for i in range(m)] for j in range(m)]
+    lb, ub = [Fraction(0)] * m, [Fraction(1)] * m
+
+    def box(low, high):
+        return [_outward(x, False) for x in low], [_outward(x, True) for x in high]
+
+    def empty():
+        return any(lo > hi or hi <= 0 or lo >= 1 for lo, hi in zip(lb, ub))
+
+    for _ in range(sweeps):
+        # Family 1, on the box the sweep starts from.
+        top = [1 + s - sum(m1[j][i] / ub[j] for j in range(m)) for i in range(m)]
+        low = list(lb)
+        for i in range(m):
+            for j in others[i]:
+                if m1[j][i] > 0:
+                    r = top[i] + m1[j][i] / ub[j] - lb[i]
+                    if r <= 0:
+                        return True
+                    low[j] = max(low[j], m1[j][i] / r)
+        lb, ub = box(low, [min(hi, t) for hi, t in zip(ub, top)])
+        if empty():
+            return True
+        # Family 2, on the box family 1 leaves: term[j][i] = c_ij/(1 + Q_j - lb_j).
+        term = [[c[i][j] / (one_q[j] - lb[j]) for i in range(m)] for j in range(m)]
+        b = [sum(term[j][i] for j in others[i]) - s for i in range(m)]
+        low, high = list(lb), list(ub)
+        for i in range(m):
+            if b[i] > 0:
+                if b[i] * p[i] >= 1:
+                    return True
+                low[i] = max(low[i], b[i] * k_sq[i] / (1 - b[i] * p[i]))
+            rate = ub[i] / (p[i] * ub[i] + k_sq[i])
+            for j in others[i]:
+                if c[i][j] > 0:
+                    r = rate - b[i] + term[j][i]
+                    if r <= 0:
+                        return True
+                    high[j] = min(high[j], one_q[j] - c[i][j] / r)
+        lb, ub = box(low, high)
+        if empty():
+            return True
+    return False
